@@ -285,7 +285,8 @@ class FieldContext:
     def _require_tables(self):
         if self._exp is None:
             raise ValueError(
-                f"vector kernels need exp/log tables (order {self.order} too large)"
+                f"vector kernels need exp/log tables (order {self.order} is"
+                f" over the table limit 2^{_TABLE_LIMIT.bit_length() - 1})"
             )
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -69,9 +69,29 @@ def _vmul_coeffs(P: Params, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _merge(P: Params, inv: np.ndarray, size: int,
+           coeffs: np.ndarray) -> np.ndarray:
+    """Field sums of coeffs binned by inv into size slots.
+
+    At ell = 2 addition is XOR.  Otherwise the sum runs digit plane by
+    digit plane; every bincount is an exact float64 integer sum,
+    reduced mod ell once.
+    """
+    ctx = P.ctx
+    if ctx.ell == 2:
+        out = np.zeros(size, dtype=np.int64)
+        np.bitwise_xor.at(out, inv, coeffs)
+        return out
+    planes = []
+    for k in range(ctx.d):
+        plane = ctx.digit_plane(coeffs, k).astype(np.float64)
+        sums = np.bincount(inv, weights=plane, minlength=size)
+        planes.append(sums.astype(np.int64) % ctx.ell)
+    return ctx.pack_planes(planes)
+
+
 def _dedupe(P: Params, keys: np.ndarray, coeffs: np.ndarray) -> GAElem:
     """Sort, merge equal keys with field addition, drop zeros."""
-    ctx = P.ctx
     if keys.size == 0:
         return ga_zero()
     uk, inv = np.unique(keys, return_inverse=True)
@@ -79,12 +99,7 @@ def _dedupe(P: Params, keys: np.ndarray, coeffs: np.ndarray) -> GAElem:
         order = np.argsort(keys)
         merged = coeffs[order]
     else:
-        planes = []
-        for k in range(ctx.d):
-            plane = ctx.digit_plane(coeffs, k).astype(np.float64)
-            sums = np.bincount(inv, weights=plane, minlength=uk.size)
-            planes.append(sums.astype(np.int64) % ctx.ell)
-        merged = ctx.pack_planes(planes)
+        merged = _merge(P, inv, uk.size, coeffs)
     mask = merged != 0
     return GAElem(uk[mask], merged[mask])
 

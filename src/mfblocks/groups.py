@@ -21,6 +21,8 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .field import field_make, is_prime, root_of_unity
 
 
@@ -292,6 +294,34 @@ def d_unpack(P: Params, packed: int) -> tuple:
         v.append(t % P.ell)
         t //= P.ell
     return tuple(v)
+
+
+def digit_dtype(P: Params) -> np.dtype:
+    """Integer type of digit matrices: one byte while digits fit."""
+    return np.dtype(np.int8 if P.ell < 128 else np.int64)
+
+
+def d_digits(P: Params, packed: np.ndarray) -> np.ndarray:
+    """Digit matrix of packed D-vectors, one row per key.
+
+    Column j holds the base-ell digit of ell^j, that is entry j + 1 of
+    the vector; arrow multiplicities of labels pack the same way.
+    """
+    t = np.array(packed, dtype=np.int64).ravel()
+    out = np.empty((t.size, P.p - 1), dtype=digit_dtype(P))
+    for j in range(P.p - 1):
+        t, out[:, j] = np.divmod(t, P.ell)
+    return out
+
+
+def slot_scale_index(P: Params, u: int) -> np.ndarray:
+    """Gather index of the relabelling s -> s*u mod p on the p - 1 slots.
+
+    Slot j stands for index j + 1 of F_p^x; for a digit matrix D,
+    D[:, slot_scale_index(P, u)] moves the entry at s to s*u.
+    """
+    uinv = pow(u, -1, P.p)
+    return np.arange(1, P.p, dtype=np.int64) * uinv % P.p - 1
 
 
 def pack_key(P: Params, g: GroupElem) -> int:

@@ -22,13 +22,15 @@ from sympy import isprime
 from sympy.ntheory import n_order
 
 from .characters import Character, char_eval, h_element, is_faithful, make_char
-from .groups import Params, d_pack, d_unpack, group_inv, group_mul
+from .groups import (
+    Params, d_digits, digit_dtype, group_inv, group_mul, slot_scale_index,
+)
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
 from .quiver import label_make, qa_basis, qa_isotypic
 from .twisted import (
-    TTElem, tt_eps, tt_from_terms, tt_is_zero, tt_mul, tt_scale, tt_sub,
-    tt_tilde,
+    TTElem, tt_eps, tt_from_columns, tt_from_terms, tt_is_zero, tt_mul,
+    tt_sandwich, tt_scale, tt_sub, tt_tilde, tt_unit,
 )
 
 
@@ -123,56 +125,41 @@ def head_algebra(P: Params,
     """Block decomposition of the degree-0 part of the twisted model.
 
     The span of the p^2 vertex pairs is a subalgebra complementing the
-    radical.  Each simple class contributes the two-sided ideal cut
+    radical.  Each simple class contributes the corner eps x eps cut
     out by its idempotent; the returned dimensions are exact ranks.
+    That the idempotents are central and the blocks fill the head is
+    checked by verify's idempotent_head.
     """
     _check_faithful(theta)
-    p = P.p
-    zero_m = (0,) * (p - 1)
-    pairs = [(a, b) for a in range(p) for b in range(p)]
-    basis = [tt_from_terms(P, theta,
-                           [(label_make(P, 1, a, zero_m),
-                             label_make(P, 2, b, zero_m), P.ctx.one)])
-             for a, b in pairs]
-    index = {(label_make(P, 1, a, zero_m), label_make(P, 2, b, zero_m)): k
-             for k, (a, b) in enumerate(pairs)}
-
+    P.ctx._require_tables()
+    basis = tt_unit(P, theta)
     out = []
-    total = 0
     for s, _deg in simples(P, theta):
         eps = tt_eps(P, theta, s)
-        rows = []
-        for x in basis:
-            left = tt_mul(P, theta, eps, x)
-            assert left == tt_mul(P, theta, x, eps), \
-                "head idempotent is not central"
-            vec = np.zeros(p * p, dtype=np.int64)
-            for key, c in tt_mul(P, theta, left, eps).terms.items():
-                vec[index[key]] = c
-            rows.append(vec)
-        dim = gf_rank(P.ctx, np.array(rows, dtype=np.int64))
-        out.append((s, dim))
-        total += dim
-    assert total == p * p, "head block dimensions do not fill the head"
+        out.append((s, gf_rank(P.ctx, tt_sandwich(P, theta, eps, basis,
+                                                  eps))))
     return out
 
 
-def _degree_one_span(P: Params) -> List[TTElem]:
+def _degree_one_span(P: Params, theta: Character) -> TTElem:
     """The 2p^2(p-1) products of one arrow with a vertex on the other
-    side; they span the degree-1 layer."""
+    side, each with coefficient one; they span the degree-1 layer."""
+    key = ("degree_one_span", theta.e)
+    span = P._cache.get(key)
+    if span is not None:
+        return span
     p = P.p
-    zero_m = (0,) * (p - 1)
-    out = []
-    for psi in range(p):
-        for s in range(1, p):
-            m = [0] * (p - 1)
-            m[s - 1] = 1
-            for xi in range(p):
-                out.append((label_make(P, 1, psi, tuple(m)),
-                            label_make(P, 2, xi, zero_m)))
-                out.append((label_make(P, 1, xi, zero_m),
-                            label_make(P, 2, psi, tuple(m))))
-    return out
+    psi, s, xi = (g.ravel() for g in np.meshgrid(
+        np.arange(p), np.arange(1, p), np.arange(p), indexing="ij"))
+    arrow = np.zeros((len(s), p - 1), dtype=digit_dtype(P))
+    arrow[np.arange(len(s)), s - 1] = 1
+    vertex = np.zeros_like(arrow)
+    span = tt_from_columns(
+        P, theta, np.concatenate([psi, xi]), np.concatenate([arrow, vertex]),
+        np.concatenate([xi, psi]), np.concatenate([vertex, arrow]),
+        np.full(2 * len(s), P.ctx.one, dtype=np.int64))
+    P._cache[key] = span
+    return span
 
 
 def ext_dim(P: Params, theta: Character, a: SimpleLabel,
@@ -183,25 +170,9 @@ def ext_dim(P: Params, theta: Character, a: SimpleLabel,
     images eps_a * w * eps_b over the explicit degree-1 spanning set.
     """
     _check_faithful(theta)
-    eps_a = tt_eps(P, theta, a)
-    eps_b = tt_eps(P, theta, b)
-    rows = []
-    columns: Dict[tuple, int] = {}
-    for u, v in _degree_one_span(P):
-        w = tt_from_terms(P, theta, [(u, v, P.ctx.one)])
-        img = tt_mul(P, theta, eps_a, tt_mul(P, theta, w, eps_b))
-        if tt_is_zero(img):
-            continue
-        row = {}
-        for key, c in img.terms.items():
-            row[columns.setdefault(key, len(columns))] = c
-        rows.append(row)
-    if not rows:
-        return 0
-    M = np.zeros((len(rows), len(columns)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for k, c in row.items():
-            M[i, k] = c
+    P.ctx._require_tables()
+    M = tt_sandwich(P, theta, tt_eps(P, theta, a), _degree_one_span(P, theta),
+                    tt_eps(P, theta, b))
     return gf_rank(P.ctx, M)
 
 
@@ -407,13 +378,15 @@ def swap_isomorphism(P: Params, x: GAElem) -> GAElem:
 
 def _index_perm(P: Params, u: int) -> np.ndarray:
     """Packed-vector table for relabeling D-indices s -> s*u mod p."""
-    perm = np.zeros(P.dsz, dtype=np.int64)
-    for d in range(P.dsz):
-        v = d_unpack(P, d)
-        w = [0] * P.p
-        for s in range(P.p):
-            w[(s * u) % P.p] = v[s]
-        perm[d] = d_pack(P, w)
+    key = ("index_perm", u)
+    perm = P._cache.get(key)
+    if perm is None:
+        digits = d_digits(P, np.arange(P.dsz, dtype=np.int64))
+        digits = digits[:, slot_scale_index(P, u)]
+        perm = np.zeros(P.dsz, dtype=np.int64)
+        for j in range(P.p - 2, -1, -1):
+            perm = perm * P.ell + digits[:, j]
+        P._cache[key] = perm
     return perm
 
 

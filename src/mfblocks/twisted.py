@@ -8,106 +8,200 @@ commutators of the h-elements.  This module realizes both directions
 of pi, the twisted multiplication on labels, and the distinguished
 idempotents, arrows and degree-two loop sums used downstream.
 
-Elements of B_0 are stored by their pi-image (a map from label pairs
-to coefficients); the group-algebra form is materialized only to
-cross-check the twisted product against honest group convolution.
+Elements of B_0 are stored by their pi-image, as label columns; the
+group-algebra form is materialized only to cross-check the twisted
+product against honest group convolution.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .characters import (
     Character, char_eval, char_idempotent, h_element, make_char,
 )
-from .groups import Params, group_inv, group_mul, h_elem
+from .groups import (
+    Params, d_digits, digit_dtype, group_inv, group_mul, h_elem,
+    slot_scale_index,
+)
 from .groupalg import (
-    GAElem, _CHUNK, _mul_lanes, _tables, _vmul_coeffs, block_idempotent,
-    centralizes_block_H, ga_add, ga_basis, ga_conjugate, ga_is_zero, ga_mul,
-    ga_scale, ga_zero,
+    GAElem, _CHUNK, _merge, _mul_lanes, _tables, _vmul_coeffs,
+    block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_conjugate,
+    ga_is_zero, ga_mul, ga_scale, ga_zero,
 )
 from .linalg import gf_apply_axis
 from .quiver import (
-    QuivAElem, QuivLabel, _m_unpack, label_phi, label_to_dict, label_make,
-    qa_basis, qa_embed, qa_is_zero, qa_isotypic,
+    QuivAElem, QuivLabel, label_to_dict, label_make, qa_basis, qa_embed,
+    qa_is_zero, qa_isotypic,
 )
+
+
+class _Cols(NamedTuple):
+    """Terms as columns: a vertex column and an (n, p-1) arrow-count
+    matrix per leg, one coefficient column, and in a batch the row id
+    of the element each term belongs to (None for a single element)."""
+
+    rows: Optional[np.ndarray]
+    psi1: np.ndarray
+    m1: np.ndarray
+    psi2: np.ndarray
+    m2: np.ndarray
+    coeffs: np.ndarray
 
 
 class TTElem:
     """B_0 element held by its pi-image in A_1 (x) A_2.
 
-    terms maps (side-1 label, side-2 label) pairs to nonzero
-    coefficients; zero coefficients are never stored.
+    cols holds one row per term, unique on the label pair and sorted by
+    (psi1, m1, psi2, m2) with m compared slot by slot; coefficients are
+    nonzero.  terms is a read-only {(side-1 label, side-2 label):
+    coefficient} view in the same order, built on first use.
     """
 
-    __slots__ = ("theta", "terms")
+    __slots__ = ("theta", "cols", "_terms")
 
-    def __init__(self, theta: Character, terms: dict):
+    def __init__(self, theta: Character, cols: _Cols):
         self.theta = theta
-        self.terms = terms
+        self.cols = cols
+        self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            c = self.cols
+            self._terms = MappingProxyType({
+                (QuivLabel(1, u, m1), QuivLabel(2, v, m2)): k
+                for u, m1, v, m2, k in zip(
+                    c.psi1.tolist(), c.m1.tolist(), c.psi2.tolist(),
+                    c.m2.tolist(), c.coeffs.tolist())})
+        return self._terms
 
     def __eq__(self, other):
         if not isinstance(other, TTElem):
             return NotImplemented
-        return (self.theta.group == other.theta.group
-                and self.theta.e == other.theta.e
-                and self.terms == other.terms)
+        if (self.theta.group != other.theta.group
+                or self.theta.e != other.theta.e):
+            return False
+        a, b = self.cols, other.cols
+        if len(a.coeffs) != len(b.coeffs):
+            return False
+        return len(a.coeffs) == 0 or all(
+            np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
 
     def __repr__(self):
-        return f"TTElem(theta_exp={self.theta.e}, {len(self.terms)} terms)"
+        n = len(self.cols.coeffs)
+        return f"TTElem(theta_exp={self.theta.e}, {n} terms)"
+
+
+def _sort_key(*cols) -> np.ndarray:
+    """One opaque key per row: the big-endian bytes of the columns side
+    by side, so that byte order is the numeric lexicographic order of
+    the (non-negative) columns and no label width is capped."""
+    raw = np.hstack([
+        np.ascontiguousarray(c if c.ndim == 2 else c[:, None],
+                             dtype=c.dtype.newbyteorder(">")).view(np.uint8)
+        for c in cols])
+    raw = np.ascontiguousarray(raw)
+    return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
+
+
+def _merge_terms(P: Params, coeffs: np.ndarray, first: np.ndarray,
+                 inv: np.ndarray):
+    """Field sums of coeffs per distinct key, given each key's first
+    occurrence and each term's key id; returns the nonzero sums and the
+    first occurrence of their keys."""
+    if len(first) == len(coeffs):
+        merged = coeffs[first]
+    else:
+        merged = _merge(P, inv.ravel(), len(first), coeffs)
+    live = merged != 0
+    return merged[live], first[live]
+
+
+def _canon(P: Params, c: _Cols) -> _Cols:
+    """Sort on (row, label pair), merge equal keys with field addition,
+    drop zero coefficients."""
+    keys = c[:5] if c.rows is not None else c[1:5]
+    _, first, inv = np.unique(_sort_key(*keys), return_index=True,
+                              return_inverse=True)
+    merged, sel = _merge_terms(P, c.coeffs, first, inv)
+    return _Cols(None if c.rows is None else c.rows[sel], c.psi1[sel],
+                 c.m1[sel], c.psi2[sel], c.m2[sel], merged)
+
+
+def _phi(P: Params, m: np.ndarray) -> np.ndarray:
+    """Exponent of the product of the arrow characters, per row of m."""
+    return (m @ np.arange(1, P.p, dtype=np.int64)) % P.p
+
+
+def tt_from_columns(P: Params, theta: Character, psi1, m1, psi2, m2,
+                    coeffs) -> TTElem:
+    """Element from label columns; equal pairs are summed."""
+    dt = digit_dtype(P)
+    return TTElem(theta, _canon(P, _Cols(
+        None, np.asarray(psi1, dtype=np.int64) % P.p,
+        np.asarray(m1, dtype=dt).reshape(-1, P.p - 1),
+        np.asarray(psi2, dtype=np.int64) % P.p,
+        np.asarray(m2, dtype=dt).reshape(-1, P.p - 1),
+        np.asarray(coeffs, dtype=np.int64))))
 
 
 def tt_zero(theta: Character) -> TTElem:
-    return TTElem(theta, {})
+    empty = np.zeros(0, dtype=np.int64)
+    return TTElem(theta, _Cols(None, empty, empty.reshape(0, 0), empty,
+                               empty.reshape(0, 0), empty))
 
 
 def tt_is_zero(t: TTElem) -> bool:
-    return not t.terms
+    return len(t.cols.coeffs) == 0
 
 
 def tt_from_terms(P: Params, theta: Character, items) -> TTElem:
-    terms: dict = {}
+    us, vs, cs = [], [], []
     for u, v, c in items:
         if u.side != 1:
             raise ValueError("left label must lie on side 1")
         if v.side != 2:
             raise ValueError("right label must lie on side 2")
-        if c == 0:
-            continue
-        key = (u, v)
-        s = P.ctx.add(terms.get(key, 0), c)
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    return TTElem(theta, terms)
+        if c != 0:
+            us.append(u)
+            vs.append(v)
+            cs.append(c)
+    return tt_from_columns(P, theta, [u.psi for u in us], [u.m for u in us],
+                           [v.psi for v in vs], [v.m for v in vs], cs)
+
+
+def _vertex_pairs(P: Params, theta: Character, psi1, psi2) -> TTElem:
+    """Sum of the vertex pairs (psi1[i], psi2[i]), coefficients one."""
+    zero = np.zeros((len(psi1), P.p - 1), dtype=digit_dtype(P))
+    return tt_from_columns(P, theta, psi1, zero, psi2, zero,
+                           np.full(len(psi1), P.ctx.one, dtype=np.int64))
 
 
 def tt_unit(P: Params, theta: Character) -> TTElem:
     """pi-image of e_theta: the full vertex sum on both legs."""
-    zero = (0,) * (P.p - 1)
-    one = P.ctx.one
-    terms = {(QuivLabel(1, a, zero), QuivLabel(2, b, zero)): one
-             for a in range(P.p) for b in range(P.p)}
-    return TTElem(theta, terms)
+    psi1, psi2 = np.divmod(np.arange(P.p * P.p, dtype=np.int64), P.p)
+    return _vertex_pairs(P, theta, psi1, psi2)
 
 
 def tt_add(P: Params, t: TTElem, s: TTElem) -> TTElem:
     _check_theta(t, s.theta)
-    terms = dict(t.terms)
-    for key, c in s.terms.items():
-        v = P.ctx.add(terms.get(key, 0), c)
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-    return TTElem(t.theta, terms)
+    if tt_is_zero(s):
+        return t
+    if tt_is_zero(t):
+        return s
+    cols = (np.concatenate([x, y]) for x, y in zip(t.cols[1:], s.cols[1:]))
+    return TTElem(t.theta, _canon(P, _Cols(None, *cols)))
 
 
 def tt_neg(P: Params, t: TTElem) -> TTElem:
     if P.ell == 2:
         return t
-    return TTElem(t.theta, {k: P.ctx.neg(c) for k, c in t.terms.items()})
+    return TTElem(t.theta,
+                  t.cols._replace(coeffs=P.ctx.vneg(t.cols.coeffs)))
 
 
 def tt_sub(P: Params, t: TTElem, s: TTElem) -> TTElem:
@@ -119,11 +213,8 @@ def tt_scale(P: Params, c: int, t: TTElem) -> TTElem:
         return tt_zero(t.theta)
     if c == 1:
         return t
-    return TTElem(t.theta, {k: P.ctx.mul(c, v) for k, v in t.terms.items()})
-
-
-def tt_coeff(P: Params, t: TTElem, u: QuivLabel, v: QuivLabel) -> int:
-    return t.terms.get((u, v), 0)
+    return TTElem(t.theta, t.cols._replace(
+        coeffs=_vmul_coeffs(P, np.int64(c), t.cols.coeffs)))
 
 
 def _check_theta(t: TTElem, theta: Character) -> None:
@@ -267,7 +358,7 @@ def _stage_b(P: Params, theta: Character, T4: np.ndarray) -> TTElem:
     """
     from .quiver import _embed_tables
     tabs = _embed_tables(P)
-    ctx, p, Dsz = P.ctx, P.p, P.dsz
+    ctx, Dsz = P.ctx, P.dsz
     if not T4.any():
         return tt_zero(theta)
 
@@ -282,14 +373,10 @@ def _stage_b(P: Params, theta: Character, T4: np.ndarray) -> TTElem:
     T4 = gf_apply_axis(ctx, tabs["Sinv"][:, rows[0]], T4, 0)
     T4 = gf_apply_axis(ctx, tabs["Sinv"][:, rows[1]], T4, 2)
 
-    terms = {}
-    for mk1, xi1, mk2, xi2 in zip(*np.nonzero(T4)):
-        m1 = _m_unpack(P, int(mk1))
-        m2 = _m_unpack(P, int(mk2))
-        u = QuivLabel(1, (int(xi1) - label_phi(P, m1)) % p, m1)
-        v = QuivLabel(2, (int(xi2) - label_phi(P, m2)) % p, m2)
-        terms[(u, v)] = int(T4[mk1, xi1, mk2, xi2])
-    return TTElem(theta, terms)
+    mk1, xi1, mk2, xi2 = np.nonzero(T4)
+    m1, m2 = d_digits(P, mk1), d_digits(P, mk2)
+    return tt_from_columns(P, theta, xi1 - _phi(P, m1), m1,
+                           xi2 - _phi(P, m2), m2, T4[mk1, xi1, mk2, xi2])
 
 
 def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
@@ -357,26 +444,84 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
 # Twisted multiplication
 
 
-def _label_act(P: Params, label: QuivLabel, t: int) -> QuivLabel:
-    """Conjugation by the t-th generator power of L_side on one label."""
-    scale = P._g0pow[(-t) % P.r]
-    if scale == 1:
-        return label
-    p = P.p
-    m = [0] * (p - 1)
-    for s in range(1, p):
-        m[(s * scale) % p - 1] = label.m[s - 1]
-    return QuivLabel(label.side, (label.psi * scale) % p, tuple(m))
+def _label_act_table(P: Params):
+    """The L-action on labels, one row per shift k of the generator: the
+    vertex scale g0^-k mod p, and the slot gather index that carries the
+    arrow count of s to s g0^-k."""
+    tab = P._cache.get("label_act")
+    if tab is None:
+        scale = np.array([P._g0pow[(-k) % P.r] for k in range(P.r)],
+                         dtype=np.int64)
+        tab = (scale, np.stack([slot_scale_index(P, int(u)) for u in scale]))
+        P._cache["label_act"] = tab
+    return tab
 
 
-def _label_mul(P: Params, a: QuivLabel, b: QuivLabel):
-    """Label product, or None when the vertex gate or cap kills it."""
-    if b.psi != (a.psi + label_phi(P, a.m)) % P.p:
-        return None
-    m = tuple(s + t for s, t in zip(a.m, b.m))
-    if any(s >= P.ell for s in m):
-        return None
-    return QuivLabel(a.side, a.psi, m)
+def _no_terms(a: _Cols, b: _Cols) -> _Cols:
+    """The empty product of a and b, a batch if either is."""
+    none = a.psi1[:0]
+    rows = None if a.rows is None and b.rows is None else none
+    return _Cols(rows, none, a.m1[:0], none, a.m2[:0], a.coeffs[:0])
+
+
+def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
+    """Twisted product of two column sets, at most one of them a batch.
+
+    Term pairs (i, j) and shifts k become lanes.  A leg's vertex gate is
+    an equality test on all |a| |b| r lanes, the side-2 gate only on
+    pairs alive on side 1, and the no-carry test runs only where a gate
+    holds.  Every surviving (k1, k2) combination of a pair picks up
+    W[k1, k2].  Each leg's labels are ranked once, so the combinations
+    merge on one integer key that sorts like the label pair.
+    """
+    ell, p, nb = P.ell, P.p, len(b.coeffs)
+    scale, perm = _label_act_table(P)
+    # side 1: u1 times the k1-conjugate of u2
+    hit = (((a.psi1 + _phi(P, a.m1)) % p)[:, None, None]
+           == (b.psi1[:, None] * scale % p)[None, :, :])
+    i1, j1, k1 = np.nonzero(hit)
+    mb = b.m1[j1[:, None], perm[k1]]
+    ok = (a.m1[i1] < ell - mb).all(axis=1)
+    i1, j1, k1 = i1[ok], j1[ok], k1[ok]
+    if not len(i1):
+        return _no_terms(a, b)
+    m1 = a.m1[i1] + mb[ok]
+    # side 2: the k2-conjugate of v1 times v2
+    alive = np.zeros((len(a.coeffs), nb), dtype=bool)
+    alive[i1, j1] = True
+    tv = (a.psi2 + _phi(P, a.m2))[:, None] * scale % p
+    hit = (tv[:, None, :] == b.psi2[None, :, None]) & alive[:, :, None]
+    i2, j2, k2 = np.nonzero(hit)
+    ma = a.m2[i2[:, None], perm[k2]]
+    ok = (ma < ell - b.m2[j2]).all(axis=1)
+    i2, j2, k2 = i2[ok], j2[ok], k2[ok]
+    if not len(i2):
+        return _no_terms(a, b)
+    m2 = ma[ok] + b.m2[j2]
+    psi2 = a.psi2[i2] * scale[k2] % p
+    # label ids per leg, in label order; a batch's row rides on side 1
+    rows = a.rows[i1] if a.rows is not None else \
+        (None if b.rows is None else b.rows[j1])
+    psi1 = a.psi1[i1]
+    left = (psi1, m1) if rows is None else (rows, psi1, m1)
+    _, id1 = np.unique(_sort_key(*left), return_inverse=True)
+    labels2, id2 = np.unique(_sort_key(psi2, m2), return_inverse=True)
+    # join: each side-1 lane meets every side-2 lane of its pair; both
+    # lane lists come out of nonzero sorted by pair
+    q1, q2 = i1 * nb + j1, i2 * nb + j2
+    lo = np.searchsorted(q2, q1, "left")
+    cnt = np.searchsorted(q2, q1, "right") - lo
+    x1 = np.repeat(np.arange(len(q1)), cnt)
+    x2 = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(x1))
+    coeffs = _vmul_coeffs(P, _vmul_coeffs(P, a.coeffs[i1[x1]],
+                                          b.coeffs[j1[x1]]),
+                          tctx["W"][k1[x1], k2[x2]])
+    key = id1.ravel()[x1] * len(labels2) + id2.ravel()[x2]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    merged, sel = _merge_terms(P, coeffs, first, inv)
+    s1, s2 = x1[sel], x2[sel]
+    return _Cols(None if rows is None else rows[s1], psi1[s1], m1[s1],
+                 psi2[s2], m2[s2], merged)
 
 
 def tt_mul(P: Params, theta: Character, t: TTElem, s: TTElem) -> TTElem:
@@ -385,45 +530,38 @@ def tt_mul(P: Params, theta: Character, t: TTElem, s: TTElem) -> TTElem:
     (a1 (x) b1)(a2 (x) b2) picks up the inverse commutator scalar on
     each (chi-part of a2, eta-part of b1); expanding both isotypic
     projections as L-averages turns the scalar sum into the cached
-    W-table, leaving a closed r x r loop over conjugated labels.
+    W-table, leaving a closed r x r sum over conjugated labels.
     """
     _check_theta(t, theta)
     _check_theta(s, theta)
+    if tt_is_zero(t) or tt_is_zero(s):
+        return tt_zero(theta)
+    return TTElem(theta, _mul_cols(P, _tt_ctx(P, theta), t.cols, s.cols))
+
+
+def tt_sandwich(P: Params, theta: Character, left: TTElem, span: TTElem,
+                right: TTElem) -> np.ndarray:
+    """Coefficient matrix of left * w * right over the terms w of span.
+
+    The terms of span (each with its coefficient) run through the
+    product as one batch.  The rows are the nonzero images, in the
+    order of the terms of span; the columns are the label pairs hit by
+    some image, in sorted order.
+    """
+    for t in (left, span, right):
+        _check_theta(t, theta)
+    if tt_is_zero(left) or tt_is_zero(span) or tt_is_zero(right):
+        return np.zeros((0, 0), dtype=np.int64)
     tctx = _tt_ctx(P, theta)
-    W, ctx, r = tctx["W"], P.ctx, P.r
-    acted: dict = {}
-
-    def act(label, shift):
-        if shift == 0:
-            return label
-        res = acted.get((label, shift))
-        if res is None:
-            res = _label_act(P, label, shift)
-            acted[(label, shift)] = res
-        return res
-
-    out: dict = {}
-    for (u1, v1), c1 in t.terms.items():
-        for (u2, v2), c2 in s.terms.items():
-            c12 = ctx.mul(c1, c2)
-            lus = [_label_mul(P, u1, act(u2, k)) for k in range(r)]
-            if all(lu is None for lu in lus):
-                continue
-            lvs = [_label_mul(P, act(v1, k), v2) for k in range(r)]
-            for k1, lu in enumerate(lus):
-                if lu is None:
-                    continue
-                for k2, lv in enumerate(lvs):
-                    if lv is None:
-                        continue
-                    key = (lu, lv)
-                    val = ctx.add(out.get(key, 0),
-                                  ctx.mul(c12, int(W[k1, k2])))
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
-    return TTElem(theta, out)
+    batch = span.cols._replace(rows=np.arange(len(span.cols.coeffs)))
+    out = _mul_cols(P, tctx, left.cols,
+                    _mul_cols(P, tctx, batch, right.cols))
+    _, row = np.unique(out.rows, return_inverse=True)
+    _, col = np.unique(_sort_key(*out[1:5]), return_inverse=True)
+    M = np.zeros((row.max(initial=-1) + 1, col.max(initial=-1) + 1),
+                 dtype=np.int64)
+    M[row.ravel(), col.ravel()] = out.coeffs
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +586,6 @@ def tt_eps(P: Params, theta: Character, label) -> TTElem:
     phi, psi = int(label.phi), int(label.psi)
     if not (0 <= phi < P.p and 0 <= psi < P.p):
         raise ValueError("invalid simple label")
-    one = P.ctx.one
     if phi == 0 and psi == 0:
         pairs = [(0, 0)]
     elif psi == 0:
@@ -457,9 +594,7 @@ def tt_eps(P: Params, theta: Character, label) -> TTElem:
         pairs = [(0, psi)]
     else:
         pairs = [(a, b) for a in _orbit(P, phi) for b in _orbit(P, psi)]
-    terms = {(_vertex_label(P, 1, a), _vertex_label(P, 2, b)): one
-             for a, b in pairs}
-    return TTElem(theta, terms)
+    return _vertex_pairs(P, theta, *zip(*pairs))
 
 
 def tt_arrow(P: Params, theta: Character, side: int, vertex: Character,
@@ -474,7 +609,7 @@ def tt_arrow(P: Params, theta: Character, side: int, vertex: Character,
     lab = QuivLabel(side, vertex.e % P.p, tuple(m))
     unit = _vertex_label(P, 2 if side == 1 else 1, 0)
     pair = (lab, unit) if side == 1 else (unit, lab)
-    return TTElem(theta, {pair: P.ctx.one})
+    return tt_from_terms(P, theta, [(*pair, P.ctx.one)])
 
 
 def tt_tilde(P: Params, theta: Character, side: int, step: Character,
@@ -493,7 +628,7 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
         raise ValueError(f"weight must be a character of L{side}")
     ctx, p, r = P.ctx, P.p, P.r
     unit = _vertex_label(P, 2 if side == 1 else 1, 0)
-    terms: dict = {}
+    items = []
     for t in range(r):
         su = (step.e * P._g0pow[(-t) % r]) % p
         m = [0] * (p - 1)
@@ -501,20 +636,17 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
         m[(p - su) - 1] += 1
         lab = QuivLabel(side, 0, tuple(m))
         pair = (lab, unit) if side == 1 else (unit, lab)
-        c = ctx.pow(P.zeta_r, (-weight.e * t) % r)
-        val = ctx.add(terms.get(pair, 0), c)
-        if val:
-            terms[pair] = val
-        else:
-            terms.pop(pair, None)
-    return TTElem(theta, terms)
+        items.append((*pair, ctx.pow(P.zeta_r, (-weight.e * t) % r)))
+    return tt_from_terms(P, theta, items)
 
 
 def tt_radical_degree(t: TTElem) -> int:
     """Least total arrow count over the support; J^k membership test."""
-    if not t.terms:
+    if tt_is_zero(t):
         raise ValueError("zero element has no degree")
-    return min(sum(u.m) + sum(v.m) for u, v in t.terms)
+    c = t.cols
+    return int((c.m1.sum(axis=1, dtype=np.int64)
+                + c.m2.sum(axis=1, dtype=np.int64)).min())
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +654,9 @@ def tt_radical_degree(t: TTElem) -> int:
 
 
 def tt_to_json(P: Params, t: TTElem) -> list:
-    items = sorted(t.terms.items(),
-                   key=lambda kv: (kv[0][0].psi, kv[0][0].m,
-                                   kv[0][1].psi, kv[0][1].m))
+    """Terms in stored order, which is sorted by (psi1, m1, psi2, m2)."""
     return [{"u": label_to_dict(u), "v": label_to_dict(v),
-             "coeff": P.ctx.to_coeffs(c)} for (u, v), c in items]
+             "coeff": P.ctx.to_coeffs(c)} for (u, v), c in t.terms.items()]
 
 
 def tt_from_json(P: Params, theta: Character, data: list) -> TTElem:

@@ -31,7 +31,7 @@ from .groupalg import (
     block_idempotent, centralizes_block_H, ga_mul, ga_frobenius_twist,
     ga_from_terms, side_inv_index, side_mul_table,
 )
-from .linalg import gf_matmul, gf_matvec
+from .linalg import gf_matmul
 from .morita import (
     commutation_pairing, ext_dim, fp_automorphism, head_algebra, mf_number,
     morita_equivalent, params_for_target, recover_theta, simple_kind,
@@ -43,8 +43,8 @@ from .quiver import (
 )
 from .twisted import (
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
-    tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree, tt_to_json,
-    tt_unit,
+    tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree, tt_sandwich,
+    tt_sub, tt_to_json, tt_unit,
 )
 
 
@@ -369,6 +369,15 @@ def _check_idempotent_head(P: Params, theta: Character, suite: str,
                         "defect": "not orthogonal"}
     if reduce(lambda a, b: tt_add(P, a, b), eps) != tt_unit(P, theta):
         return {"defect": "family does not resolve the unit"}
+    # for an idempotent e, e x = x e exactly when e x (1 - e) and
+    # (1 - e) x e both vanish; x runs over the vertex pairs
+    one = tt_unit(P, theta)
+    for s, e in zip(labs, eps):
+        rest = tt_sub(P, one, e)
+        if tt_sandwich(P, theta, e, one, rest).size \
+                or tt_sandwich(P, theta, rest, one, e).size:
+            return {"label": simple_str(s), "defect": "not central in the"
+                    " head"}
     k = (P.p - 1) // P.r
     dims = Counter(d for _, d in head_algebra(P, theta))
     if dims != Counter({1: 2 * P.p - 1, P.r ** 2: k * k}):
@@ -587,9 +596,10 @@ CHECK_STATEMENTS: Dict[str, str] = {
         " one-sided classes and r^2 on the orbit pairs, and the degree"
         " squares sum to p^2 r^2.",
     "idempotent_head":
-        "The idempotent family is orthogonal, resolves the unit, and"
-        " cuts the head into 2p - 1 one-dimensional blocks plus"
-        " ((p-1)/r)^2 blocks of dimension r^2.",
+        "The idempotent family is orthogonal, central in the head,"
+        " resolves the unit, and cuts the head into 2p - 1"
+        " one-dimensional blocks plus ((p-1)/r)^2 blocks of dimension"
+        " r^2.",
     "ext_quiver":
         "Arrow multiplicities are 1 between distinct vertices inside"
         " each one-sided family, 0 on those diagonals, 0 across the two"

@@ -7,7 +7,8 @@ import pytest
 
 from mfblocks.characters import char_frob_power, make_char
 from mfblocks.groups import (
-    d_elem, group_mul, h_elem, identity, p_elem, params_make,
+    d_elem, d_pack, d_unpack, group_mul, h_elem, identity, p_elem,
+    params_make,
 )
 from mfblocks.groupalg import (
     block_idempotent, ga_basis, ga_from_terms, ga_frobenius_twist, ga_mul,
@@ -18,6 +19,7 @@ from mfblocks.morita import (
     params_for_target, recover_theta, simple_from_dict, simple_kind,
     simple_make, simple_str, simple_to_dict, simples, swap_isomorphism,
 )
+from mfblocks.morita import _index_perm
 from mfblocks.twisted import b0_pi_inv, tt_eps
 
 
@@ -418,6 +420,20 @@ class TestFp:
                     P, theta,
                     tt_eps(P, theta, simple_make(P, (e * uinv) % 7, 0)))
                 assert lhs == want
+
+    def test_index_perm_matches_scalar_relabelling(self):
+        # the cached table against d_unpack / d_pack, every unit
+        for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
+            P = params_make(ell, p, r)
+            for u in range(1, p):
+                perm = _index_perm(P, u)
+                assert _index_perm(P, u) is perm
+                for d in range(P.dsz):
+                    v = d_unpack(P, d)
+                    w = [0] * p
+                    for s in range(p):
+                        w[(s * u) % p] = v[s]
+                    assert perm[d] == d_pack(P, w)
 
     def test_validation(self):
         P = params_make(2, 7, 3)

@@ -14,10 +14,11 @@ from mfblocks.linalg import gf_rank
 from mfblocks.quiver import (
     label_make, qa_add, qa_basis, qa_isotypic, qa_mul, qa_vertex, qa_zero,
 )
+from mfblocks.morita import commutation_pairing, recover_theta
 from mfblocks.twisted import (
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
     tt_from_json, tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree,
-    tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
+    tt_sandwich, tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
 )
 from mfblocks.twisted import _tt_ctx
 
@@ -324,6 +325,64 @@ class TestTTMul:
                                              b0_pi(P, theta, left), w),
                             b0_pi(P, theta, right))
                 assert b0_pi(P, theta, mid) == tt
+
+
+class TestColumns:
+    def test_terms_view_round_trip(self):
+        rng = random.Random(61)
+        for ell, p, r in [(2, 7, 3), (3, 5, 2), (2, 19, 9)]:
+            P = params_make(ell, p, r)
+            theta = make_char(P, "Z", 1)
+            elems = [random_tt(P, theta, rng, nterms=rng.randrange(1, 7),
+                               max_deg=rng.randrange(3)) for _ in range(6)]
+            elems.append(tt_unit(P, theta))
+            elems.append(tt_tilde(P, theta, 2, make_char(P, "P2", 1),
+                                  make_char(P, "L2", 1)))
+            for t in elems:
+                items = [(u, v, c) for (u, v), c in t.terms.items()]
+                assert tt_from_terms(P, theta, items) == t
+
+    def test_terms_view_is_read_only(self):
+        P = params_make(2, 7, 3)
+        t = tt_unit(P, make_char(P, "Z", 1))
+        key = next(iter(t.terms))
+        with pytest.raises(TypeError):
+            t.terms[key] = 0
+
+    def test_batched_sandwich_rows_match_single_products(self):
+        # row i of the batch is eps_a (w_i eps_b) computed one at a time
+        rng = random.Random(67)
+        for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
+            P = params_make(ell, p, r)
+            theta = make_char(P, "Z", 1)
+            eps = all_eps(P, theta)
+            hits = 0
+            for _ in range(6):
+                span = random_tt(P, theta, rng, nterms=40, max_deg=1)
+                ea, eb = rng.choice(eps), rng.choice(eps)
+                images = []
+                for (u, v), c in span.terms.items():
+                    w = tt_from_terms(P, theta, [(u, v, c)])
+                    img = tt_mul(P, theta, ea, tt_mul(P, theta, w, eb))
+                    if not tt_is_zero(img):
+                        images.append(img.terms)
+                pairs = sorted({k for img in images for k in img},
+                               key=lambda k: (k[0].psi, k[0].m,
+                                              k[1].psi, k[1].m))
+                want = np.zeros((len(images), len(pairs)), dtype=np.int64)
+                for i, img in enumerate(images):
+                    for k, c in img.items():
+                        want[i, pairs.index(k)] = c
+                got = tt_sandwich(P, theta, ea, span, eb)
+                assert np.array_equal(got, want)
+                hits += len(images)
+            assert hits > 0
+
+    def test_labels_are_not_capped_by_int64(self):
+        # ell^(p-1) = 2^72 at (2,73,3)
+        P = params_make(2, 73, 3)
+        pairing = commutation_pairing(P, make_char(P, "Z", 1))
+        assert recover_theta(pairing, P) == {1, 2}
 
 
 class TestEps:

@@ -1,5 +1,6 @@
 """The named-check registry: statuses, skips, streaming, determinism."""
 
+import numpy as np
 import pytest
 
 from mfblocks.characters import make_char
@@ -109,6 +110,17 @@ class TestReport:
             CheckRow("a", "skip", 0.0, {"reason": "r"}),
         ])
         assert rep.passed
+
+    def test_non_central_idempotent_is_a_defect(self, monkeypatch):
+        # a nonzero corner e x (1 - e) must be reported, not asserted
+        import mfblocks.verify as V
+        P, theta = desk(3, 5, 2)
+        monkeypatch.setattr(V, "tt_sandwich",
+                            lambda *a: np.ones((1, 1), dtype=np.int64))
+        rep = run_checks(P, theta, names=["idempotent_head"])
+        assert rep.rows[0].status == "fail"
+        assert rep.rows[0].witness == {"label": "(1,1)",
+                                       "defect": "not central in the head"}
 
     def test_crash_becomes_fail_witness(self):
         import mfblocks.verify as V
