@@ -254,14 +254,6 @@ class FieldContext:
             y = self.pow(y, self.ell)
         return y
 
-    def element_order(self, a: int) -> int:
-        assert a != 0
-        n = self.order - 1
-        for q in factorize(n):
-            while n % q == 0 and self.pow(a, n // q) == self.one:
-                n //= q
-        return n
-
     # -- tables and vector kernels -------------------------------------------
 
     def _build_tables(self):
@@ -277,9 +269,13 @@ class FieldContext:
         assert v == 1, "generator order must be q-1"
         self._exp = exp
         self._log = log
-        frob = np.zeros(q, dtype=np.int64)
-        for x in range(q):
-            frob[x] = self.pow(x, self.ell)
+        # x^ell = g^(ell * log x); log holds 0 at 0, so that entry is
+        # reset.  The indices are in range, and take writes out= in place
+        # only in a mode other than "raise", which buffers a copy.
+        frob = np.multiply(log, self.ell)
+        np.remainder(frob, q - 1, out=frob)
+        np.take(exp, frob, out=frob, mode="clip")
+        frob[0] = 0
         self._frob_table = frob
 
     def _require_tables(self):

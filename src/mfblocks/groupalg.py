@@ -109,6 +109,10 @@ def ga_from_terms(P: Params, terms: Iterable[Tuple[GroupElem, int]]) -> GAElem:
     for g, c in terms:
         keys.append(pack_key(P, g))
         coeffs.append(c)
+    bits = max(keys, default=0).bit_length()
+    if bits > 63:
+        raise ValueError(f"a group key needs {bits} bits, more than the 63"
+                         f" of an int64 key")
     return _dedupe(P, np.array(keys, dtype=np.int64),
                    np.array(coeffs, dtype=np.int64))
 

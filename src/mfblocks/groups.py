@@ -340,6 +340,14 @@ def pack_key(P: Params, g: GroupElem) -> int:
     return key
 
 
+def key_bits(P: Params) -> int:
+    """Bits of the largest key in the pack_key layout, dsz^2 p^2 r^3 - 1.
+
+    The group algebra holds keys in int64, so it needs at most 63.
+    """
+    return (P.dsz ** 2 * P.p ** 2 * P.r ** 3 - 1).bit_length()
+
+
 def unpack_key(P: Params, key: int) -> GroupElem:
     key, c = divmod(key, P.r)
     key, b = divmod(key, P.r)

@@ -1,9 +1,19 @@
 """Exact dense linear algebra over the packed finite-field representation.
 
-Matrices are numpy int64 arrays of packed field elements.  Products run
-as base-ell digit planes through float BLAS (entries stay far below the
-exact-integer range of the float type), then reduce modulo ell and the
-field modulus.  Elimination uses the context's table-backed row kernels.
+Matrices are numpy int64 arrays of packed field elements: the base-ell
+digits of the polynomial representative, little-endian.  A product
+A B is one float BLAS call on the F_ell-linear form of its operands:
+
+  out[i, c] = sum_k ell^k (sum_{j,s} a_s[i, j] b'_{s,k}[j, c] mod ell)
+
+where a_s is digit s of A and b'_{s,k} is digit k of x^s B.  The left
+operand becomes the (m, d*k) matrix of its digits, the right one the
+(d*k, d*n) matrix of the digits of x^0 B, ..., x^(d-1) B, each built
+from the last by shifting the digits up and folding the top digit back
+through the modulus.  Every entry of the float product is a sum of at
+most d*k terms below ell^2, so it is exact in float32 while
+d*k*(ell-1)^2 < 2^24 and in float64 while it is below 2^53.
+Elimination uses the context's table-backed row kernels.
 """
 
 from __future__ import annotations
@@ -13,55 +23,77 @@ import numpy as np
 from .field import FieldContext
 
 
-def _red_digit_table(ctx: FieldContext) -> np.ndarray:
-    """digits[k] of x^s mod modulus, for s in [0, 2d-2]; shape (2d-1, d)."""
-    cached = getattr(ctx, "_red_digits", None)
-    if cached is not None:
-        return cached
-    d = ctx.d
-    table = np.zeros((2 * d - 1, d), dtype=np.int64)
-    for s in range(d):
-        table[s, s] = 1
-    for s in range(d, 2 * d - 1):
-        table[s] = ctx.to_coeffs(ctx._red[s - d])
-    ctx._red_digits = table
-    return table
+def _float_type(d: int, k: int, ell: int) -> type:
+    """The float type whose integers hold every sum of a product with
+    inner dimension k over F_{ell^d}."""
+    bound = d * k * (ell - 1) ** 2
+    if bound < 2 ** 24:
+        return np.float32
+    if bound < 2 ** 53:
+        return np.float64
+    raise ValueError(f"inner dimension {k} over F_{ell}^{d} overflows the"
+                     f" exact range of float64")
 
 
-def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray,
-              dtype=np.float64) -> np.ndarray:
-    """Exact product of packed matrices.
+def _int_type(top: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0..top."""
+    return np.min_scalar_type(-(top + 1))
 
-    Inner dimension times (ell-1)^2 must stay below the float type's
-    exact-integer range (2^53 for float64, 2^24 for float32).
-    """
+
+def _digits(ctx: FieldContext, X: np.ndarray, out: np.ndarray) -> None:
+    """Write the base-ell digits of packed X into out[:, s] for each s."""
+    ell = ctx.ell
+    rest = X.astype(_int_type(ctx.order - 1))
+    for s in range(ctx.d):
+        high = rest // ell
+        rest -= high * ell
+        out[:, s] = rest
+        rest = high
+
+
+def _reduce(x: np.ndarray, ell: int) -> None:
+    """x mod ell in place; floor division runs vectorized where the
+    remainder ufunc does not."""
+    x -= (x // ell) * ell
+
+
+def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact product of packed matrices, as one float matmul."""
     d, ell = ctx.d, ctx.ell
-    assert A.shape[1] == B.shape[0]
-    limit = 2 ** 53 if dtype == np.float64 else 2 ** 24
-    assert A.shape[1] * (ell - 1) ** 2 < limit
-    planes_a = [ctx.digit_plane(A, s).astype(dtype) for s in range(d)]
-    planes_b = [ctx.digit_plane(B, t).astype(dtype) for t in range(d)]
-    live_a = [s for s in range(d) if planes_a[s].any()]
-    live_b = [t for t in range(d) if planes_b[t].any()]
-    red = _red_digit_table(ctx)
-    acc = np.zeros((d,) + (A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in live_a:
-        for t in live_b:
-            prod = (planes_a[s] @ planes_b[t]).astype(np.int64) % ell
-            for k in range(d):
-                dig = red[s + t, k]
-                if dig:
-                    acc[k] += prod * int(dig)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    m = 1
-    for k in range(d):
-        out += (acc[k] % ell) * m
-        m *= ell
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
+    (m, k), n = A.shape, B.shape[1]
+    ftype = _float_type(d, k, ell)
+    left = np.empty((m, d, k), dtype=ftype)
+    _digits(ctx, A, left)
+    digits = np.empty((k, d, n), dtype=_int_type(ell * ell))
+    _digits(ctx, B, digits)
+    # x * b: the digits move up one place and the top one comes back as
+    # top * x^d = -top * (modulus below degree d)
+    fold = np.array([(-c) % ell for c in ctx.modulus[:d]],
+                    dtype=digits.dtype)[:, None]
+    right = np.empty((d, k, d, n), dtype=ftype)
+    right[0] = digits
+    for s in range(1, d):
+        digits = np.roll(digits, 1, axis=1)
+        top = digits[:, :1].copy()
+        digits[:, :1] = 0
+        digits += top * fold
+        _reduce(digits, ell)
+        right[s] = digits
+    sums = left.reshape(m, d * k) @ right.reshape(d * k, d * n)
+    # each operand and stage is dropped as soon as the next one exists,
+    # and the reduction runs in the narrowest type: peak memory is the
+    # cost that grows with the operands
+    del left, right
+    red = sums.astype(_int_type(d * k * (ell - 1) ** 2)).reshape(m, d, n)
+    del sums
+    _reduce(red, ell)
+    out = red[:, d - 1].astype(np.int64)
+    for s in range(d - 2, -1, -1):
+        out *= ell
+        out += red[:, s]
     return out
-
-
-def gf_matvec(ctx: FieldContext, A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return gf_matmul(ctx, A, v.reshape(-1, 1)).ravel()
 
 
 def gf_apply_axis(ctx: FieldContext, M: np.ndarray, T: np.ndarray,
@@ -121,28 +153,3 @@ def gf_inv_matrix(ctx: FieldContext, A: np.ndarray) -> np.ndarray:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return R[:, n:]
-
-
-def gf_nullspace(ctx: FieldContext, A: np.ndarray) -> np.ndarray:
-    """Rows form a basis of {x : A x = 0}."""
-    rows, cols = A.shape
-    R, pivots = _rref(ctx, A)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = ctx.neg(int(R[i, fc]))
-    return basis
-
-
-def gf_solve(ctx: FieldContext, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One solution of A x = b; raises if inconsistent."""
-    aug = np.concatenate([A.astype(np.int64), b.reshape(-1, 1)], axis=1)
-    R, pivots = _rref(ctx, aug)
-    if pivots and pivots[-1] == A.shape[1]:
-        raise ValueError("inconsistent system")
-    x = np.zeros(A.shape[1], dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, -1]
-    return x

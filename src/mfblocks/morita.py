@@ -21,16 +21,14 @@ import numpy as np
 from sympy import isprime
 from sympy.ntheory import n_order
 
-from .characters import Character, char_eval, h_element, is_faithful, make_char
-from .groups import (
-    Params, d_digits, digit_dtype, group_inv, group_mul, slot_scale_index,
-)
+from .characters import Character, is_faithful, make_char
+from .groups import Params, d_digits, digit_dtype, slot_scale_index
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
 from .quiver import label_make, qa_basis, qa_isotypic
 from .twisted import (
-    TTElem, tt_eps, tt_from_columns, tt_from_terms, tt_is_zero, tt_mul,
-    tt_sandwich, tt_scale, tt_sub, tt_tilde, tt_unit,
+    TTElem, _tt_ctx, tt_eps, tt_from_columns, tt_from_terms, tt_is_zero,
+    tt_mul, tt_sandwich, tt_scale, tt_sub, tt_tilde, tt_unit,
 )
 
 
@@ -257,8 +255,8 @@ def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
     r = P.r
     phi = make_char(P, "P1", phi_e)
     zeta = make_char(P, "P2", zeta_e)
-    h1 = [h_element(P, theta, make_char(P, "L1", e), 1) for e in range(r)]
-    h2 = [h_element(P, theta, make_char(P, "L2", f), 2) for f in range(r)]
+    # the character route: theta on the commutators [h2_f, h1_e]
+    c_tab = _tt_ctx(P, theta)["c_tab"]
 
     entries: Dict[Tuple[int, int], int] = {}
     for e in range(r):
@@ -269,10 +267,7 @@ def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
             if c is None:
                 c = _extract_scalar(P, theta, _iso_leg(P, theta, 1, e),
                                     _iso_leg(P, theta, 2, f))
-            hi = group_inv(P, h2[f])
-            comm = group_mul(P, group_mul(P, hi, group_inv(P, h1[e])),
-                             group_mul(P, h2[f], h1[e]))
-            assert c == char_eval(P, theta, comm), \
+            assert c == int(c_tab[e, f]), \
                 "extracted scalar disagrees with the character route"
             entries[(e, f)] = c
 

@@ -151,17 +151,6 @@ def qa_add(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
     return QuivAElem(u.side, terms)
 
 
-def qa_neg(P: Params, u: QuivAElem) -> QuivAElem:
-    if P.ell == 2:
-        return u
-    return QuivAElem(u.side, {label: P.ctx.neg(c)
-                              for label, c in u.terms.items()})
-
-
-def qa_sub(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
-    return qa_add(P, u, qa_neg(P, v))
-
-
 def qa_scale(P: Params, c: int, u: QuivAElem) -> QuivAElem:
     if c == 0:
         return qa_zero(u.side)

@@ -25,7 +25,7 @@ import numpy as np
 from .characters import Character, char_frob_power, is_faithful, make_char
 from .groups import (
     Params, conjugate, d_elem, elem_to_dict, group_mul, h_elem, identity,
-    p_elem,
+    key_bits, p_elem,
 )
 from .groupalg import (
     block_idempotent, centralizes_block_H, ga_mul, ga_frobenius_twist,
@@ -52,7 +52,14 @@ class SkipCheck(Exception):
     """A check that cannot run at the given parameters."""
 
 
+def _need_group_keys(P: Params) -> None:
+    if key_bits(P) > 63:
+        raise SkipCheck(f"group keys need {key_bits(P)} bits, more than the"
+                        f" 63 of an int64 key")
+
+
 def _need_embed(P: Params) -> None:
+    _need_group_keys(P)
     if not qa_embed_available(P):
         raise SkipCheck(
             f"side dimension {P.dsz * P.p} is beyond the embedding tables")
@@ -202,7 +209,7 @@ def _embed_sampled(P: Params, rng: random.Random,
         while remaining > 0:
             u = rng.randrange(n)
             vs = [rng.randrange(n) for _ in range(min(group, remaining))]
-            got = gf_matmul(P.ctx, E[:, u][K], E[:, vs], dtype=np.float32)
+            got = gf_matmul(P.ctx, E[:, u][K], E[:, vs])
             want = np.stack([_embed_want_column(P, data[side], u, v)
                              for v in vs], axis=1)
             if not np.array_equal(got, want):
@@ -233,7 +240,7 @@ def _embed_all_pairs(P: Params) -> Optional[dict]:
         for start in range(0, n, block):
             us = list(range(start, min(start + block, n)))
             C = np.concatenate([E[:, u][K] for u in us], axis=0)
-            R = gf_matmul(P.ctx, C, E, dtype=np.float32)
+            R = gf_matmul(P.ctx, C, E)
             for t, u in enumerate(us):
                 got = R[t * n:(t + 1) * n]
                 ok = (psi == gate[u]) & np.all(digits[u] + digits < P.ell,
@@ -506,6 +513,7 @@ def _check_frobenius_mf(P: Params, theta: Character, suite: str,
 
 def _check_isomorphisms(P: Params, theta: Character, suite: str,
                         rng: random.Random) -> Optional[dict]:
+    _need_group_keys(P)
     n = 30 if suite == "quick" else 100
     for _ in range(n):
         x = _random_ga(P, rng, 3)

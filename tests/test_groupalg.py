@@ -91,6 +91,15 @@ class TestBasics:
         assert ga_coeff(P, sq, identity(P)) == 1
         assert ga_coeff(P, sq, group_mul(P, g, g)) == 1
 
+    def test_keys_past_int64_rejected(self):
+        # keys at (5,13,3) reach 2^68; H-only elements still fit
+        P = params_make(5, 13, 3)
+        assert len(ga_from_terms(P, [(h_elem(P, 1, 2, 0), 1)]).keys) == 1
+        g = unpack_key(P, 2 ** 63)
+        assert pack_key(P, g) == 2 ** 63
+        with pytest.raises(ValueError, match="64 bits"):
+            ga_from_terms(P, [(identity(P), 1), (g, 1)])
+
 
 class TestMulOracle:
     @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])

@@ -5,8 +5,7 @@ import pytest
 
 from mfblocks.field import field_make
 from mfblocks.linalg import (
-    gf_apply_axis, gf_eye, gf_inv_matrix, gf_matmul, gf_matvec,
-    gf_nullspace, gf_rank, gf_solve,
+    _float_type, gf_apply_axis, gf_eye, gf_inv_matrix, gf_matmul, gf_rank,
 )
 
 
@@ -27,23 +26,27 @@ def rand_matrix(ctx, rng, shape):
     return rng.integers(0, ctx.order, size=shape, dtype=np.int64)
 
 
-@pytest.mark.parametrize("ell,d", [(2, 6), (3, 4), (3, 1)])
+@pytest.mark.parametrize("ell,d", [(2, 6), (3, 4), (3, 1), (5, 2), (7, 1)])
 class TestMatmul:
     def test_against_naive(self, ell, d):
         ctx = field_make(ell, d)
         rng = np.random.default_rng(2)
-        for shape in [(5, 7, 4), (1, 3, 1), (8, 8, 8)]:
+        for shape in [(5, 7, 4), (1, 3, 1), (1, 40, 1), (8, 8, 8),
+                      (0, 4, 3), (3, 4, 0), (3, 0, 2)]:
             A = rand_matrix(ctx, rng, shape[:2])
             B = rand_matrix(ctx, rng, shape[1:])
-            assert np.array_equal(gf_matmul(ctx, A, B), naive_matmul(ctx, A, B))
+            got = gf_matmul(ctx, A, B)
+            assert got.shape == (shape[0], shape[2])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, naive_matmul(ctx, A, B))
 
     def test_float32_path(self, ell, d):
         ctx = field_make(ell, d)
         rng = np.random.default_rng(3)
         A = rand_matrix(ctx, rng, (6, 9))
         B = rand_matrix(ctx, rng, (9, 5))
-        assert np.array_equal(gf_matmul(ctx, A, B, dtype=np.float32),
-                              gf_matmul(ctx, A, B))
+        assert _float_type(d, 9, ell) is np.float32
+        assert np.array_equal(gf_matmul(ctx, A, B), naive_matmul(ctx, A, B))
 
     def test_identity(self, ell, d):
         ctx = field_make(ell, d)
@@ -51,6 +54,49 @@ class TestMatmul:
         A = rand_matrix(ctx, rng, (6, 6))
         assert np.array_equal(gf_matmul(ctx, A, gf_eye(6)), A)
         assert np.array_equal(gf_matmul(ctx, gf_eye(6), A), A)
+
+
+def test_shape_mismatch_raises():
+    ctx = field_make(3, 4)
+    with pytest.raises(ValueError):
+        gf_matmul(ctx, gf_eye(3), gf_eye(4))
+    with pytest.raises(ValueError):
+        gf_matmul(ctx, gf_eye(3), np.zeros(3, dtype=np.int64))
+
+
+def test_float64_regime():
+    # d * k * (ell - 1)^2 = 6 * 80000 * 36 is past 2^24, so the sums run
+    # in float64; the oracle sums the elementwise products digit by digit
+    ell, d, k = 7, 6, 80000
+    assert d * k * (ell - 1) ** 2 > 2 ** 24
+    assert _float_type(d, k, ell) is np.float64
+    ctx = field_make(ell, d)
+    rng = np.random.default_rng(11)
+    A = rand_matrix(ctx, rng, (2, k))
+    B = rand_matrix(ctx, rng, (k, 2))
+    want = np.zeros((2, 2), dtype=np.int64)
+    for i in range(2):
+        for j in range(2):
+            prods = ctx.vmul(A[i], B[:, j])
+            want[i, j] = ctx.pack_planes(
+                [ctx.digit_plane(prods, s).sum(keepdims=True)
+                 for s in range(d)])[0]
+    assert np.array_equal(gf_matmul(ctx, A, B), want)
+
+
+def test_float_type_edges():
+    # the bound d * k * (ell - 1)^2 against 2^24 and 2^53, no arrays
+    assert _float_type(1, 2 ** 24 - 1, 2) is np.float32
+    assert _float_type(1, 2 ** 24, 2) is np.float64
+    assert _float_type(4, 2 ** 20 - 1, 3) is np.float32
+    assert _float_type(4, 2 ** 20, 3) is np.float64
+    assert _float_type(1, 2 ** 53 - 1, 2) is np.float64
+    assert _float_type(1, 2 ** 51 - 1, 3) is np.float64
+    with pytest.raises(ValueError):
+        _float_type(1, 2 ** 53, 2)
+    with pytest.raises(ValueError):
+        _float_type(1, 2 ** 51, 3)
+    assert _float_type(6, 0, 7) is np.float32
 
 
 class TestElimination:
@@ -80,34 +126,6 @@ class TestElimination:
         for _ in range(20):
             A = rand_matrix(ctx, rng, (6, 9))
             assert gf_rank(ctx, A) == rank_gf3_oracle(A)
-
-    def test_rank_nullity(self):
-        for ell, d in [(2, 6), (3, 4)]:
-            ctx = field_make(ell, d)
-            rng = np.random.default_rng(7)
-            for shape in [(6, 10), (10, 6), (8, 8)]:
-                A = rand_matrix(ctx, rng, shape)
-                ns = gf_nullspace(ctx, A)
-                assert gf_rank(ctx, A) + ns.shape[0] == shape[1]
-                if ns.shape[0]:
-                    img = naive_matmul(ctx, A, ns.T)
-                    assert not img.any()
-                    assert gf_rank(ctx, ns) == ns.shape[0]
-
-    def test_solve(self):
-        ctx = field_make(3, 4)
-        rng = np.random.default_rng(8)
-        A = rand_matrix(ctx, rng, (6, 6))
-        x = rand_matrix(ctx, rng, (6,))
-        b = gf_matvec(ctx, A, x)
-        got = gf_solve(ctx, A, b)
-        assert np.array_equal(gf_matvec(ctx, A, got), b)
-
-    def test_solve_inconsistent(self):
-        ctx = field_make(2, 6)
-        A = np.zeros((3, 3), dtype=np.int64)
-        with pytest.raises(ValueError):
-            gf_solve(ctx, A, np.array([1, 0, 0], dtype=np.int64))
 
 
 def rank_gf3_oracle(A):

@@ -88,6 +88,15 @@ class TestSkips:
             assert "reason" in row.witness
         assert rep.passed
 
+    def test_group_keys_past_int64_skip(self):
+        # at (5,13,3) a group key needs dsz^2 p^2 r^3 - 1 < 2^68
+        P = params_make(5, 13, 3)
+        theta = make_char(P, "Z", 1)
+        rep = run_checks(P, theta, names=["isomorphisms"])
+        (row,) = rep.rows
+        assert row.status == "skip"
+        assert "68 bits" in row.witness["reason"]
+
     def test_skip_rows_keep_witness_in_dicts(self):
         P = params_make(2, 11, 5)
         theta = make_char(P, "Z", 1)
