@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .groups import (
-    GroupElem, Params, group_inv, group_mul, h_elem, subgroup_elements,
+    GroupElem, Params, commutator, group_inv, h_elem, subgroup_elements,
 )
 from .groupalg import GAElem, ga_from_terms
 
@@ -128,12 +128,10 @@ def h_element(P: Params, theta: Character, chi: Character, i: int) -> GroupElem:
     found = None
     for t in range(r):
         h = h_elem(P, 0, t, 0) if i == 1 else h_elem(P, t, 0, 0)
-        hi = group_inv(P, h)
         ok = True
         for g in gens:
-            comm = group_mul(P, group_mul(P, hi, group_inv(P, g)),
-                             group_mul(P, h, g))
-            if char_eval(P, theta, comm) != char_eval(P, chi, g):
+            if char_eval(P, theta, commutator(P, h, g)) != \
+                    char_eval(P, chi, g):
                 ok = False
                 break
         if ok:

@@ -15,7 +15,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .groups import (
-    GroupElem, Params, d_pack, d_unpack, elem_from_dict, elem_to_dict,
+    GroupElem, Params, d_digits, d_scale_index, elem_from_dict, elem_to_dict,
     group_inv, h_elem, identity, pack_key, unpack_key,
 )
 
@@ -75,19 +75,18 @@ def _merge(P: Params, inv: np.ndarray, size: int,
 
     At ell = 2 addition is XOR.  Otherwise the sum runs digit plane by
     digit plane; every bincount is an exact float64 integer sum,
-    reduced mod ell once.
+    reduced mod ell once and packed in place.
     """
     ctx = P.ctx
+    out = np.zeros(size, dtype=np.int64)
     if ctx.ell == 2:
-        out = np.zeros(size, dtype=np.int64)
         np.bitwise_xor.at(out, inv, coeffs)
         return out
-    planes = []
     for k in range(ctx.d):
         plane = ctx.digit_plane(coeffs, k).astype(np.float64)
         sums = np.bincount(inv, weights=plane, minlength=size)
-        planes.append(sums.astype(np.int64) % ctx.ell)
-    return ctx.pack_planes(planes)
+        out += sums.astype(np.int64) % ctx.ell * ctx.ell ** k
+    return out
 
 
 def _dedupe(P: Params, keys: np.ndarray, coeffs: np.ndarray) -> GAElem:
@@ -128,9 +127,16 @@ def ga_unit(P: Params) -> GAElem:
     return ga_basis(P, identity(P))
 
 
+def ga_sum(P: Params, xs) -> GAElem:
+    """Sum of a list of elements with one merge."""
+    if len(xs) <= 1:
+        return xs[0] if xs else ga_zero()
+    return _dedupe(P, np.concatenate([x.keys for x in xs]),
+                   np.concatenate([x.coeffs for x in xs]))
+
+
 def ga_add(P: Params, x: GAElem, y: GAElem) -> GAElem:
-    return _dedupe(P, np.concatenate([x.keys, y.keys]),
-                   np.concatenate([x.coeffs, y.coeffs]))
+    return ga_sum(P, [x, y])
 
 
 def ga_neg(P: Params, x: GAElem) -> GAElem:
@@ -160,42 +166,30 @@ def ga_coeff(P: Params, x: GAElem, g: GroupElem) -> int:
 
 
 def _tables(P: Params) -> dict:
-    """Action tables for the vectorized product, built once per Params."""
+    """Action tables for the vectorized product, built once per Params.
+
+    Each table maps packed D-indices through a rewrite of the full
+    length-p vectors: trans shifts the entries by x, scale relabels
+    them s -> s g0^t, and dadd (ell > 2) adds two vectors.
+    """
     tabs = P._cache.get("ga_tables")
     if tabs is not None:
         return tabs
-    ell, p, r, Dsz = P.ell, P.p, P.r, P.dsz
-    trans = np.zeros((p, Dsz), dtype=np.int64)
-    for x in range(p):
-        for w in range(Dsz):
-            v = d_unpack(P, w)
-            out = [v[(h + x) % p] for h in range(p)]
-            z = out[0]
-            if z:
-                out = [(t - z) % ell for t in out]
-            trans[x, w] = d_pack(P, out)
-    scale = np.zeros((r, Dsz), dtype=np.int64)
-    for t in range(r):
-        u = P._g0pow[t]
-        for w in range(Dsz):
-            v = d_unpack(P, w)
-            out = [0] * p
-            for g in range(p):
-                out[(g * u) % p] = v[g]
-            scale[t, w] = d_pack(P, out)
-    xscale = np.zeros((r, p), dtype=np.int64)
-    for t in range(r):
-        for x in range(p):
-            xscale[t, x] = (x * P._g0pow[t]) % p
-    tabs = {"trans": trans, "scale": scale, "xscale": xscale, "dadd": None}
-    if ell != 2:
-        dadd = np.zeros((Dsz, Dsz), dtype=np.int64)
-        for a in range(Dsz):
-            va = d_unpack(P, a)
-            for b in range(Dsz):
-                vb = d_unpack(P, b)
-                dadd[a, b] = d_pack(P, [(s + t) % ell for s, t in zip(va, vb)])
-        tabs["dadd"] = dadd
+    ell, p = P.ell, P.p
+    full = np.zeros((P.dsz, p), dtype=np.int64)
+    full[:, 1:] = d_digits(P, np.arange(P.dsz))
+    weights = ell ** np.arange(p - 1, dtype=np.int64)
+
+    def pack(v):
+        # entry 0 normalised to zero, entries 1..p-1 as base-ell digits
+        return (v[..., 1:] - v[..., :1]) % ell @ weights
+
+    h = np.arange(p)
+    tabs = {"trans": np.stack([pack(full[:, (h + x) % p]) for x in h]),
+            "scale": np.stack([d_scale_index(P, u) for u in P._g0pow]),
+            "xscale": np.outer(P._g0pow, h) % p,
+            "dadd": None if ell == 2 else
+            np.stack([pack((v + full) % ell) for v in full])}
     P._cache["ga_tables"] = tabs
     return tabs
 
@@ -342,12 +336,7 @@ def side_mul_table(P: Params) -> np.ndarray:
 def side_inv_index(P: Params) -> np.ndarray:
     """Index of the inverse for every D x P basis element."""
     inv = P._cache.get("side_inv_index")
-    if inv is not None:
-        return inv
-    table = side_mul_table(P)
-    n = table.shape[0]
-    inv = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        inv[i] = int(np.nonzero(table[i] == 0)[0][0])
-    P._cache["side_inv_index"] = inv
+    if inv is None:
+        inv = np.argmax(side_mul_table(P) == 0, axis=1)
+        P._cache["side_inv_index"] = inv
     return inv

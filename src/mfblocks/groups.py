@@ -236,6 +236,12 @@ def conjugate(P: Params, x: GroupElem, h: GroupElem) -> GroupElem:
     return group_mul(P, group_mul(P, group_inv(P, h), x), h)
 
 
+def commutator(P: Params, x: GroupElem, y: GroupElem) -> GroupElem:
+    """[x, y] = x^-1 y^-1 x y."""
+    return group_mul(P, group_mul(P, group_inv(P, x), group_inv(P, y)),
+                     group_mul(P, x, y))
+
+
 def subgroup_elements(P: Params, tag: str) -> list:
     """Enumerate a tagged subgroup, or list generators for E.
 
@@ -322,6 +328,12 @@ def slot_scale_index(P: Params, u: int) -> np.ndarray:
     """
     uinv = pow(u, -1, P.p)
     return np.arange(1, P.p, dtype=np.int64) * uinv % P.p - 1
+
+
+def d_scale_index(P: Params, u: int) -> np.ndarray:
+    """Packed-vector table of the relabelling of D-indices s -> s*u."""
+    digits = d_digits(P, np.arange(P.dsz))[:, slot_scale_index(P, u)]
+    return digits.astype(np.int64) @ P.ell ** np.arange(P.p - 1)
 
 
 def pack_key(P: Params, g: GroupElem) -> int:

@@ -22,12 +22,12 @@ from sympy import isprime
 from sympy.ntheory import n_order
 
 from .characters import Character, is_faithful, make_char
-from .groups import Params, d_digits, digit_dtype, slot_scale_index
+from .groups import Params, d_scale_index, digit_dtype
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
 from .quiver import label_make, qa_basis, qa_isotypic
 from .twisted import (
-    TTElem, _tt_ctx, tt_eps, tt_from_columns, tt_from_terms, tt_is_zero,
+    TTElem, tt_eps, tt_from_columns, tt_from_terms, tt_is_zero,
     tt_mul, tt_sandwich, tt_scale, tt_sub, tt_tilde, tt_unit,
 )
 
@@ -244,19 +244,18 @@ def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
                         zeta_e: int = 1) -> PairingTable:
     """Extract the full commutation table from products in the model.
 
-    Primary route: the two loop families S~ and T~ built on the steps
-    phi_e, zeta_e.  Where a loop element degenerates to zero (r = 2
+    The scalars come from the two loop families S~ and T~ built on the
+    steps phi_e, zeta_e.  Where a loop element degenerates to zero (r = 2
     with a nontrivial weight makes the two summands collide), the
     scalar is read off from weight-pure degree-1 elements instead.
-    Both are checked against the character-theoretic commutator value,
-    which must agree entry by entry.
+    verify's pairing_recovery compares the table with the
+    character-theoretic commutator values and checks that it is a
+    bicharacter.
     """
     _check_faithful(theta)
     r = P.r
     phi = make_char(P, "P1", phi_e)
     zeta = make_char(P, "P2", zeta_e)
-    # the character route: theta on the commutators [h2_f, h1_e]
-    c_tab = _tt_ctx(P, theta)["c_tab"]
 
     entries: Dict[Tuple[int, int], int] = {}
     for e in range(r):
@@ -267,21 +266,7 @@ def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
             if c is None:
                 c = _extract_scalar(P, theta, _iso_leg(P, theta, 1, e),
                                     _iso_leg(P, theta, 2, f))
-            assert c == int(c_tab[e, f]), \
-                "extracted scalar disagrees with the character route"
             entries[(e, f)] = c
-
-    one = P.ctx.one
-    for e in range(r):
-        assert entries[(e, 0)] == one and entries[(0, e)] == one
-        for f in range(r):
-            for g in range(r):
-                want = P.ctx.mul(entries[(e, f)], entries[(g, f)])
-                assert entries[((e + g) % r, f)] == want, \
-                    "pairing is not multiplicative in the first slot"
-                want = P.ctx.mul(entries[(e, f)], entries[(e, g)])
-                assert entries[(e, (f + g) % r)] == want, \
-                    "pairing is not multiplicative in the second slot"
     return PairingTable(r, entries)
 
 
@@ -376,12 +361,7 @@ def _index_perm(P: Params, u: int) -> np.ndarray:
     key = ("index_perm", u)
     perm = P._cache.get(key)
     if perm is None:
-        digits = d_digits(P, np.arange(P.dsz, dtype=np.int64))
-        digits = digits[:, slot_scale_index(P, u)]
-        perm = np.zeros(P.dsz, dtype=np.int64)
-        for j in range(P.p - 2, -1, -1):
-            perm = perm * P.ell + digits[:, j]
-        P._cache[key] = perm
+        perm = P._cache[key] = d_scale_index(P, u)
     return perm
 
 

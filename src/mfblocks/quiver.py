@@ -18,7 +18,8 @@ import numpy as np
 
 from .characters import Character
 from .groups import (
-    GroupElem, Params, conjugate, d_elem, d_pack, h_elem, p_elem, pack_key,
+    GroupElem, Params, conjugate, d_elem, d_pack, d_unpack, h_elem, p_elem,
+    pack_key,
 )
 from .groupalg import GAElem
 from .linalg import gf_inv_matrix, gf_matmul
@@ -69,23 +70,13 @@ def label_phi(P: Params, m) -> int:
     return sum((s + 1) * t for s, t in enumerate(m)) % P.p
 
 
-def label_degree(label: QuivLabel) -> int:
-    return sum(label.m)
-
-
 def _m_pack(P: Params, m) -> int:
-    t = 0
-    for s in range(P.p - 2, -1, -1):
-        t = t * P.ell + m[s]
-    return t
+    """Arrow counts pack like a D-vector without its entry 0."""
+    return d_pack(P, (0, *m))
 
 
 def _m_unpack(P: Params, packed: int) -> tuple:
-    m, t = [], packed
-    for _ in range(P.p - 1):
-        m.append(t % P.ell)
-        t //= P.ell
-    return tuple(m)
+    return d_unpack(P, packed)[1:]
 
 
 class QuivAElem:

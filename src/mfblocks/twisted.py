@@ -21,16 +21,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .characters import (
-    Character, char_eval, char_idempotent, h_element, make_char,
+    Character, char_eval, h_element, make_char,
 )
 from .groups import (
-    Params, d_digits, digit_dtype, group_inv, group_mul, h_elem,
-    slot_scale_index,
+    Params, commutator, d_digits, digit_dtype, group_inv, slot_scale_index,
 )
 from .groupalg import (
-    GAElem, _CHUNK, _merge, _mul_lanes, _tables, _vmul_coeffs,
-    block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_conjugate,
-    ga_is_zero, ga_mul, ga_scale, ga_zero,
+    GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, _vmul_coeffs,
+    block_idempotent, centralizes_block_H, ga_basis, ga_is_zero, ga_mul,
+    ga_scale, ga_sum,
 )
 from .linalg import gf_apply_axis
 from .quiver import (
@@ -226,11 +225,6 @@ def _check_theta(t: TTElem, theta: Character) -> None:
 # Shared context per (Params, theta)
 
 
-def _commutator(P: Params, x, y):
-    xy = group_mul(P, x, y)
-    return group_mul(P, group_mul(P, group_inv(P, x), group_inv(P, y)), xy)
-
-
 def _tt_ctx(P: Params, theta: Character) -> dict:
     cache_key = ("ttb0", theta.e)
     tctx = P._cache.get(cache_key)
@@ -241,15 +235,13 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
 
     h1 = [h_element(P, theta, make_char(P, "L1", e), 1) for e in range(r)]
     h2 = [h_element(P, theta, make_char(P, "L2", f), 2) for f in range(r)]
-    h_inv_ga = {
-        1: [ga_basis(P, group_inv(P, h)) for h in h1],
-        2: [ga_basis(P, group_inv(P, h)) for h in h2],
-    }
+    h_inv_ga = {side: [ga_basis(P, group_inv(P, h)) for h in hs]
+                for side, hs in ((1, h1), (2, h2))}
 
     c_tab = np.zeros((r, r), dtype=np.int64)
     for e in range(r):
         for f in range(r):
-            c_tab[e, f] = char_eval(P, theta, _commutator(P, h2[f], h1[e]))
+            c_tab[e, f] = char_eval(P, theta, commutator(P, h2[f], h1[e]))
     c_inv = np.array([[ctx.inv(int(c)) for c in row] for row in c_tab],
                      dtype=np.int64)
 
@@ -283,70 +275,54 @@ def _iota_label(P: Params, theta: Character, tctx: dict,
                 label: QuivLabel) -> GAElem:
     side = label.side
     u = qa_basis(P, label)
-    acc = ga_zero()
+    parts = []
     for e in range(P.r):
-        chi = make_char(P, f"L{side}", e)
-        comp = qa_isotypic(P, u, chi)
-        if qa_is_zero(comp):
-            continue
-        img = ga_mul(P, qa_embed(P, comp), tctx["h_inv_ga"][side][e])
-        acc = ga_add(P, acc, ga_mul(P, img, tctx["e_theta"]))
-    return acc
+        comp = qa_isotypic(P, u, make_char(P, f"L{side}", e))
+        if not qa_is_zero(comp):
+            parts.append(ga_mul(P, qa_embed(P, comp),
+                                tctx["h_inv_ga"][side][e]))
+    return ga_mul(P, ga_sum(P, parts), tctx["e_theta"])
 
 
 def _iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     tctx = _tt_ctx(P, theta)
     cache = tctx["iota"]
-    acc = ga_zero()
+    parts = []
     for label, c in a.terms.items():
         img = cache.get(label)
         if img is None:
             img = _iota_label(P, theta, tctx, label)
             cache[label] = img
-        acc = ga_add(P, acc, ga_scale(P, c, img))
-    return acc
+        parts.append(ga_scale(P, c, img))
+    return ga_sum(P, parts)
 
 
 def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     """Corner embedding of a side algebra into B_0.
 
     Each isotypic component rides its own h-element: the image is
-    sum_chi embed(a^chi) h_chi^{-1} e_theta.  The closed alternative,
-    averaging a e_1 e_theta over L_i-conjugates, is computed as well
-    and the two must agree.
+    sum_chi embed(a^chi) h_chi^{-1} e_theta.  verify's corner_maps
+    compares it with the closed route on every basis label.
     """
-    if qa_is_zero(a):
-        return ga_zero()
-    primary = _iota(P, theta, a)
-
-    tctx = _tt_ctx(P, theta)
-    side = a.side
-    other = 2 if side == 1 else 1
-    e_triv = char_idempotent(P, make_char(P, f"L{other}", 0))
-    base = ga_mul(P, ga_mul(P, qa_embed(P, a), e_triv), tctx["e_theta"])
-    alt = ga_zero()
-    for t in range(P.r):
-        g = h_elem(P, t, 0, 0) if side == 1 else h_elem(P, 0, t, 0)
-        alt = ga_add(P, alt, ga_conjugate(P, base, g))
-    assert primary == alt, "corner embedding routes disagree"
-    return primary
+    return _iota(P, theta, a)
 
 
 def _theta_collapse(P: Params, tctx: dict, keys: np.ndarray,
-                    coeffs: np.ndarray, planes: list) -> None:
-    """Absorb the Z-part as a theta power and bin onto N-keys.
+                    coeffs: np.ndarray) -> np.ndarray:
+    """Absorb the Z-part as a theta power and bin onto N-keys: the field
+    sums as a flat (Dsz p)^2 vector."""
+    vals = P.ctx.vmul(coeffs, tctx["theta_pow"][keys % P.r])
+    return _merge(P, keys // P.r ** 3, (P.dsz * P.p) ** 2, vals)
 
-    Accumulates base-ell digit planes; reduction mod ell happens once
-    at the end, so every bincount stays an exact float64 integer sum.
-    """
-    r3 = P.r ** 3
-    n = keys // r3
-    c = keys % P.r
-    vals = P.ctx.vmul(coeffs, tctx["theta_pow"][c])
-    size = planes[0].shape[0]
-    for k in range(P.ctx.d):
-        w = P.ctx.digit_plane(vals, k).astype(np.float64)
-        planes[k] += np.bincount(n, weights=w, minlength=size)
+
+def _fold_z(P: Params, tctx: dict, x: GAElem) -> GAElem:
+    """x with its Z-part absorbed as a theta power, keys moved to c = 0.
+
+    Z is central and the collapse reads theta on the c-coordinate, so a
+    product of folded factors collapses to the same tensor."""
+    c = x.keys % P.r
+    return _dedupe(P, x.keys - c,
+                   P.ctx.vmul(x.coeffs, tctx["theta_pow"][c]))
 
 
 def _stage_b(P: Params, theta: Character, T4: np.ndarray) -> TTElem:
@@ -393,23 +369,17 @@ def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
     if not centralizes_block_H(P, theta, x):
         raise ValueError(
             "x does not lie in B_0 (fails to centralize kH e_theta)")
-    size = (P.dsz * P.p) ** 2
-    planes = [np.zeros(size, dtype=np.float64) for _ in range(P.ctx.d)]
-    _theta_collapse(P, tctx, x.keys, x.coeffs, planes)
-    packed = P.ctx.pack_planes(planes)
-    T4 = packed.reshape(P.dsz, P.p, P.dsz, P.p)
-    return _stage_b(P, theta, T4)
+    T4 = _theta_collapse(P, tctx, x.keys, x.coeffs)
+    return _stage_b(P, theta, T4.reshape(P.dsz, P.p, P.dsz, P.p))
 
 
 def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
     """Inverse of the collapse: sum of c iota_1(u) iota_2(v)."""
     _check_theta(t, theta)
-    acc = ga_zero()
-    for (u, v), c in t.terms.items():
-        prod = ga_mul(P, _iota(P, theta, qa_basis(P, u)),
-                      _iota(P, theta, qa_basis(P, v)))
-        acc = ga_add(P, acc, ga_scale(P, c, prod))
-    return acc
+    parts = [ga_scale(P, c, ga_mul(P, _iota(P, theta, qa_basis(P, u)),
+                                   _iota(P, theta, qa_basis(P, v))))
+             for (u, v), c in t.terms.items()]
+    return ga_sum(P, parts)
 
 
 def b0_pi_product(P: Params, theta: Character, x: GAElem,
@@ -418,26 +388,28 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
 
     Honest group convolution: every coefficient lane of x y is formed
     by the vectorized group product and binned straight into the
-    theta-collapsed N-tensor.  This is the oracle route the twisted
-    multiplication is gated against; it never touches the W-table.
+    theta-collapsed N-tensor.  Both factors are first folded onto
+    c = 0, which leaves the collapse unchanged and cuts the lanes r^2
+    fold.  This is the oracle route the twisted multiplication is
+    gated against; it never touches the W-table.
     """
+    tctx = _tt_ctx(P, theta)
+    x, y = _fold_z(P, tctx, x), _fold_z(P, tctx, y)
+    # the b of a right factor only reaches the b of the product
+    y = _dedupe(P, y.keys - y.keys // P.r % P.r * P.r, y.coeffs)
     if ga_is_zero(x) or ga_is_zero(y):
         return tt_zero(theta)
-    tctx = _tt_ctx(P, theta)
     tabs = _tables(P)
-    size = (P.dsz * P.p) ** 2
-    planes = [np.zeros(size, dtype=np.float64) for _ in range(P.ctx.d)]
-    ny = len(y.keys)
-    rows = max(1, _CHUNK // ny)
+    flat = None
+    rows = max(1, _CHUNK // len(y.keys))
     for i0 in range(0, len(x.keys), rows):
         gk = x.keys[i0:i0 + rows][:, None]
         gc = x.coeffs[i0:i0 + rows][:, None]
         keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
         coeffs = _vmul_coeffs(P, gc, y.coeffs[None, :])
-        _theta_collapse(P, tctx, keys.ravel(), coeffs.ravel(), planes)
-    packed = P.ctx.pack_planes(planes)
-    T4 = packed.reshape(P.dsz, P.p, P.dsz, P.p)
-    return _stage_b(P, theta, T4)
+        part = _theta_collapse(P, tctx, keys.ravel(), coeffs.ravel())
+        flat = part if flat is None else P.ctx.vadd(flat, part)
+    return _stage_b(P, theta, flat.reshape(P.dsz, P.p, P.dsz, P.p))
 
 
 # ---------------------------------------------------------------------------

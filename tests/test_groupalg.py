@@ -292,3 +292,30 @@ class TestSideTables:
         P = params_make(2, 19, 9)
         with pytest.raises(ValueError, match="side"):
             side_mul_table(P)
+
+
+class TestActionTables:
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (5, 3, 2)])
+    def test_tables_match_the_vector_loops(self, ell, p, r):
+        # the numpy builder against entry-by-entry rewrites of the
+        # length-p D-vectors
+        P = params_make(ell, p, r)
+        tabs = galg._tables(P)
+        vecs = [d_unpack(P, w) for w in range(P.dsz)]
+        for w, v in enumerate(vecs):
+            for x in range(p):
+                out = [v[(h + x) % p] for h in range(p)]
+                assert tabs["trans"][x, w] == d_pack(
+                    P, [(t - out[0]) % ell for t in out])
+            for t in range(r):
+                out = [0] * p
+                for g in range(p):
+                    out[(g * P._g0pow[t]) % p] = v[g]
+                assert tabs["scale"][t, w] == d_pack(P, out)
+            if ell != 2:
+                for b, vb in enumerate(vecs):
+                    assert tabs["dadd"][w, b] == d_pack(
+                        P, [(s + t) % ell for s, t in zip(v, vb)])
+        assert tabs["xscale"].tolist() == [
+            [(x * P._g0pow[t]) % p for x in range(p)] for t in range(r)]
+        assert (tabs["dadd"] is None) == (ell == 2)

@@ -5,14 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from mfblocks.characters import make_char
+from mfblocks.characters import char_idempotent, make_char
 from mfblocks.groups import h_elem, p_elem, params_make
 from mfblocks.groupalg import (
-    centralizes_block_H, ga_basis, ga_from_terms, ga_mul, ga_scale,
+    block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_conjugate,
+    ga_from_terms, ga_mul, ga_scale, ga_zero,
 )
 from mfblocks.linalg import gf_rank
 from mfblocks.quiver import (
-    label_make, qa_add, qa_basis, qa_isotypic, qa_mul, qa_vertex, qa_zero,
+    label_make, qa_add, qa_basis, qa_embed, qa_isotypic, qa_mul, qa_vertex,
+    qa_zero,
 )
 from mfblocks.morita import commutation_pairing, recover_theta
 from mfblocks.twisted import (
@@ -20,7 +22,8 @@ from mfblocks.twisted import (
     tt_from_json, tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree,
     tt_sandwich, tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
 )
-from mfblocks.twisted import _tt_ctx
+from mfblocks.twisted import _stage_b, _theta_collapse, _tt_ctx
+from mfblocks.verify import _corner_closed, _random_ga
 
 
 class Simple:
@@ -139,14 +142,37 @@ class TestIota:
                 assert img == want
 
     def test_both_routes_agree_on_sample(self):
-        # b0_iota itself asserts the closed alternative formula
+        # the library's h-element route against verify's closed route
         rng = random.Random(11)
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
             for side in (1, 2):
+                closed = _corner_closed(P, theta, side)
                 for _ in range(6):
-                    b0_iota(P, theta, random_qa(P, side, rng, 2, 2))
+                    a = random_qa(P, side, rng, 2, 2)
+                    assert b0_iota(P, theta, a) == closed(a)
+
+    def test_closed_route_is_the_conjugate_average(self):
+        # verify's one key map over the conjugators against r separate
+        # conjugations summed one by one
+        rng = random.Random(12)
+        for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
+            P = params_make(ell, p, r)
+            theta = make_char(P, "Z", 1)
+            for side in (1, 2):
+                e_triv = char_idempotent(P, make_char(P, f"L{3 - side}", 0))
+                closed = _corner_closed(P, theta, side)
+                for _ in range(3):
+                    a = random_qa(P, side, rng, 2, 2)
+                    base = ga_mul(P, ga_mul(P, qa_embed(P, a), e_triv),
+                                  block_idempotent(P, theta))
+                    want = ga_zero()
+                    for t in range(r):
+                        g = h_elem(P, t, 0, 0) if side == 1 else \
+                            h_elem(P, 0, t, 0)
+                        want = ga_add(P, want, ga_conjugate(P, base, g))
+                    assert closed(a) == want
 
     def test_homomorphism(self):
         rng = random.Random(5)
@@ -185,6 +211,24 @@ class TestPi:
             e_theta = _tt_ctx(P, theta)["e_theta"]
             assert b0_pi(P, theta, e_theta) == tt_unit(P, theta)
             assert b0_pi_inv(P, theta, tt_unit(P, theta)) == e_theta
+
+    def test_product_folds_match_the_unfolded_collapse(self):
+        # folding Z and the right factor's b before convolving leaves
+        # the collapse of x y unchanged, also for x, y outside B_0
+        rng = random.Random(29)
+        for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
+            P = params_make(ell, p, r)
+            for e in range(1, r):
+                theta = make_char(P, "Z", e)
+                for _ in range(3):
+                    x, y = _random_ga(P, rng, 30), _random_ga(P, rng, 30)
+                    xy = ga_mul(P, x, y)
+                    flat = _theta_collapse(P, _tt_ctx(P, theta), xy.keys,
+                                           xy.coeffs)
+                    want = _stage_b(P, theta, flat.reshape(
+                        P.dsz, P.p, P.dsz, P.p))
+                    assert not tt_is_zero(want)
+                    assert b0_pi_product(P, theta, x, y) == want
 
     def test_pi_of_iota_product_is_pure_tensor(self):
         rng = random.Random(23)

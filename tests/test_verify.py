@@ -1,10 +1,18 @@
 """The named-check registry: statuses, skips, streaming, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mfblocks.characters import make_char
 from mfblocks.groups import params_make
+from mfblocks.morita import PairingTable
 from mfblocks.verify import (
     CHECK_STATEMENTS, CheckRow, VerifyReport, check_names, run_checks,
 )
@@ -142,3 +150,107 @@ class TestReport:
             V._CHECKS["dimensions"] = original
         assert rep.rows[0].status == "fail"
         assert "ZeroDivisionError" in rep.rows[0].witness["error"]
+
+
+def _bent_corner_ctx(P, theta):
+    """The twisted context with the side-1, character-1 factor of the
+    h-element route replaced by the character-0 one, and an empty iota
+    cache, so that b0_iota and the closed route disagree."""
+    from mfblocks.twisted import _tt_ctx
+    tctx = _tt_ctx(P, theta)
+    bent = {1: list(tctx["h_inv_ga"][1]), 2: tctx["h_inv_ga"][2]}
+    bent[1][1] = bent[1][0]
+    return dict(tctx, h_inv_ga=bent, iota={})
+
+
+_BENT_CHILD = """
+import json, sys
+from mfblocks.characters import make_char
+from mfblocks.groups import params_make
+from mfblocks.verify import run_checks
+sys.path.insert(0, sys.argv[1])
+from test_verify import _bent_corner_ctx
+P = params_make(3, 5, 2)
+theta = make_char(P, "Z", 1)
+P._cache[("ttb0", 1)] = _bent_corner_ctx(P, theta)
+(row,) = run_checks(P, theta, names=["corner_maps"]).row_dicts()
+print(json.dumps({"optimize": sys.flags.optimize, "row": row}))
+"""
+
+
+class TestInjectedDefects:
+    def test_corner_route_disagreement_is_reported(self, monkeypatch):
+        P, theta = desk(3, 5, 2)
+        monkeypatch.setitem(P._cache, ("ttb0", theta.e),
+                            _bent_corner_ctx(P, theta))
+        (row,) = run_checks(P, theta, names=["corner_maps"]).rows
+        assert row.status == "fail"
+        assert "routes_disagree_at" in row.witness
+
+    def test_corner_route_disagreement_survives_stripped_asserts(self):
+        # python -O strips every assert; the check must still see it
+        import mfblocks
+        src = str(Path(mfblocks.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BENT_CHILD,
+             str(Path(__file__).resolve().parent)],
+            env=env, capture_output=True, text=True, timeout=120,
+            check=True)
+        got = json.loads(out.stdout.strip().splitlines()[-1])
+        assert got["optimize"] == 1
+        assert got["row"]["status"] == "fail"
+        assert "routes_disagree_at" in got["row"]["witness"]
+
+    @pytest.mark.parametrize("cfg,entry", [
+        ((3, 5, 2), (0, 0)), ((3, 5, 2), (0, 1)), ((3, 5, 2), (1, 0)),
+        ((3, 5, 2), (1, 1)),
+        ((2, 7, 3), (0, 0)), ((2, 7, 3), (1, 0)), ((2, 7, 3), (1, 1)),
+        ((2, 7, 3), (2, 0)), ((2, 7, 3), (2, 2)),
+    ])
+    def test_product_gate_sees_a_bent_weight(self, monkeypatch, cfg, entry):
+        # one W entry plus one: the folded oracle must still tell the
+        # twisted product from the group-algebra one
+        from mfblocks.twisted import _tt_ctx
+        P, theta = desk(*cfg)
+        tctx = _tt_ctx(P, theta)
+        W = tctx["W"].copy()
+        W[entry] = P.ctx.add(int(W[entry]), P.ctx.one)
+        monkeypatch.setitem(P._cache, ("ttb0", theta.e), dict(tctx, W=W))
+        (row,) = run_checks(P, theta, names=["product_gate"]).rows
+        assert row.status == "fail"
+        assert set(row.witness) == {"left", "right"}
+
+    def test_pairing_defect_is_reported(self, monkeypatch):
+        # a table off the commutator values by one entry
+        import mfblocks.verify as V
+        P, theta = desk()
+        table = V.commutation_pairing(P, theta)
+        bent = dict(table.entries)
+        bent[(1, 2)] = P.ctx.add(bent[(1, 2)], P.ctx.one)
+        monkeypatch.setattr(V, "commutation_pairing",
+                            lambda *a, **k: PairingTable(P.r, bent))
+        (row,) = run_checks(P, theta, names=["pairing_recovery"]).rows
+        assert row.status == "fail"
+        assert row.witness == {"j": 1, "at": [1, 2], "defect": "extracted"
+                               " scalar disagrees with the character route"}
+
+
+class TestDimensions:
+    def test_recipe_block_counts_without_labels(self):
+        # (2,19,9): 19 * 2^18 labels a side, counted from the digit
+        # matrix; building them all took 47.5 s and 1.3 GB on 2 cores
+        P = params_make(2, 19, 9)
+        t0 = time.perf_counter()
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["dimensions"]).rows
+        assert row.status == "pass"
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_over_the_table_limit_skips(self):
+        P = params_make(3, 23, 2)
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["dimensions"]).rows
+        assert row.status == "skip"
+        assert "table limit" in row.witness["reason"]
