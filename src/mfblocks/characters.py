@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .groups import (
-    GroupElem, Params, commutator, group_inv, h_elem, subgroup_elements,
-)
+from .groups import GroupElem, Params, group_inv, h_elem, subgroup_elements
 from .groupalg import GAElem, ga_from_terms
 
 _Z_GROUPS = ("Z", "L1", "L2")
@@ -55,23 +53,11 @@ def is_faithful(chi: Character) -> bool:
 
 def _exponent_of(P: Params, group: str, g: GroupElem) -> int:
     """Generator exponent of g inside the tagged subgroup, or raise."""
+    coords = {"P1": g.x1, "P2": g.x2, "L1": g.a, "L2": g.b, "Z": g.c}
     zero = (0,) * P.p
-    plain = g.v1 == zero and g.v2 == zero
-    if group == "Z":
-        if plain and (g.x1, g.x2, g.a, g.b) == (0, 0, 0, 0):
-            return g.c
-    elif group == "L1":
-        if plain and (g.x1, g.x2, g.b, g.c) == (0, 0, 0, 0):
-            return g.a
-    elif group == "L2":
-        if plain and (g.x1, g.x2, g.a, g.c) == (0, 0, 0, 0):
-            return g.b
-    elif group == "P1":
-        if plain and (g.x2, g.a, g.b, g.c) == (0, 0, 0, 0):
-            return g.x1
-    elif group == "P2":
-        if plain and (g.x1, g.a, g.b, g.c) == (0, 0, 0, 0):
-            return g.x2
+    if g.v1 == zero and g.v2 == zero and not any(
+            v for k, v in coords.items() if k != group):
+        return coords[group]
     raise ValueError(f"element lies outside {group}")
 
 
@@ -114,8 +100,9 @@ def char_conjugate(P: Params, chi: Character, w: GroupElem) -> Character:
 def h_element(P: Params, theta: Character, chi: Character, i: int) -> GroupElem:
     """The unique h in L_j (j != i) with theta([h, g]) = chi(g) on L_i.
 
-    Found by exhaustive search over the r candidates and cross-checked
-    against the closed form that the commutator relations force.
+    The commutator relation [g2^b, g1^a] = gz^{-ab} forces the exponent
+    -e/j (side 1) resp. e/j (side 2) for theta = theta_j; verify's
+    pairing_recovery checks it against a search over the r candidates.
     """
     if theta.group != "Z" or not is_faithful(theta):
         raise ValueError("theta must be a faithful character of Z")
@@ -123,32 +110,8 @@ def h_element(P: Params, theta: Character, chi: Character, i: int) -> GroupElem:
         raise ValueError(f"side must be 1 or 2, got {i}")
     if chi.group != f"L{i}":
         raise ValueError(f"chi must live on L{i}")
-    r = P.r
-    gens = subgroup_elements(P, f"L{i}")
-    found = None
-    for t in range(r):
-        h = h_elem(P, 0, t, 0) if i == 1 else h_elem(P, t, 0, 0)
-        ok = True
-        for g in gens:
-            if char_eval(P, theta, commutator(P, h, g)) != \
-                    char_eval(P, chi, g):
-                ok = False
-                break
-        if ok:
-            if found is not None:
-                raise ValueError("h-element is not unique; theta unfaithful?")
-            found = h
-    if found is None:
-        raise ValueError("no h-element found; theta unfaithful?")
-    # closed form from [g2^b, g1^a] = gz^{-ab}: exponent -e/j (side 1)
-    # resp. e/j (side 2) for theta = theta_j
-    jinv = pow(theta.e, -1, r)
-    if i == 1:
-        expect = h_elem(P, 0, (-chi.e * jinv) % r, 0)
-    else:
-        expect = h_elem(P, (chi.e * jinv) % r, 0, 0)
-    assert found == expect, "search and closed form disagree"
-    return found
+    t = chi.e * pow(theta.e, -1, P.r) % P.r
+    return h_elem(P, 0, -t % P.r, 0) if i == 1 else h_elem(P, t, 0, 0)
 
 
 def char_frob_power(theta: Character, m: int, ell: int) -> Character:

@@ -15,6 +15,7 @@ product against honest group convolution.
 
 from __future__ import annotations
 
+from functools import reduce
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -24,17 +25,18 @@ from .characters import (
     Character, char_eval, h_element, make_char,
 )
 from .groups import (
-    Params, commutator, d_digits, digit_dtype, group_inv, slot_scale_index,
+    Params, commutator, d_digits, d_scale_index, digit_dtype, group_inv,
+    slot_scale_index,
 )
 from .groupalg import (
     GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, _vmul_coeffs,
     block_idempotent, centralizes_block_H, ga_basis, ga_is_zero, ga_mul,
     ga_scale, ga_sum,
 )
-from .linalg import gf_apply_axis
+from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
-    QuivAElem, QuivLabel, label_to_dict, label_make, qa_basis, qa_embed,
-    qa_is_zero, qa_isotypic,
+    QuivAElem, QuivLabel, _embed_tables, embed_columns, label_columns,
+    label_make, label_to_dict, qa_basis,
 )
 
 
@@ -245,17 +247,11 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
     c_inv = np.array([[ctx.inv(int(c)) for c in row] for row in c_tab],
                      dtype=np.int64)
 
+    # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta^-(e t + f t')
     rinv = ctx.inv(ctx.from_int(r))
-    rinv2 = ctx.mul(rinv, rinv)
-    W = np.zeros((r, r), dtype=np.int64)
-    for t in range(r):
-        for tq in range(r):
-            acc = 0
-            for e in range(r):
-                for f in range(r):
-                    z = ctx.pow(P.zeta_r, (-(e * t + f * tq)) % r)
-                    acc = ctx.add(acc, ctx.mul(int(c_inv[e, f]), z))
-            W[t, tq] = ctx.mul(rinv2, acc)
+    Z = np.array([[ctx.mul(rinv, ctx.pow(P.zeta_r, -e * t % r))
+                   for t in range(r)] for e in range(r)], dtype=np.int64)
+    W = gf_matmul(ctx, gf_matmul(ctx, Z.T, c_inv), Z)
 
     theta_pow = np.array([ctx.pow(P.zeta_r, (theta.e * c) % r)
                           for c in range(r)], dtype=np.int64)
@@ -271,40 +267,80 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
 # The maps iota and pi
 
 
-def _iota_label(P: Params, theta: Character, tctx: dict,
-                label: QuivLabel) -> GAElem:
-    side = label.side
-    u = qa_basis(P, label)
-    parts = []
-    for e in range(P.r):
-        comp = qa_isotypic(P, u, make_char(P, f"L{side}", e))
-        if not qa_is_zero(comp):
-            parts.append(ga_mul(P, qa_embed(P, comp),
-                                tctx["h_inv_ga"][side][e]))
-    return ga_mul(P, ga_sum(P, parts), tctx["e_theta"])
+def _route_sums(P: Params, route: dict, Y: np.ndarray) -> np.ndarray:
+    """Dense image of label combinations under a linear route.
+
+    Y[c] holds the combinations' columns of M[c]; lane row f carries
+    w[f] Y[comp[f]] to the key rows pos[f], which are distinct within a
+    row (a group product with a fixed factor, or a conjugation, is
+    injective), so each row is one scatter."""
+    ctx = P.ctx
+    out = np.zeros((len(route["keys"]), Y.shape[2]), dtype=np.int64)
+    for row, c, w in zip(route["pos"], route["comp"], route["w"]):
+        out[row] = ctx.vadd(out[row], ctx.vscale(int(w), Y[c]))
+    return out
 
 
-def _iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
+def _route_elem(P: Params, route: dict, a: QuivAElem) -> GAElem:
+    """Image of a side element under a linear route."""
+    js, cs = label_columns(P, a)
+    sums = reduce(P.ctx.vadd, _route_sums(
+        P, route, P.ctx.vmul(route["M"][:, :, js], cs)).T,
+        np.zeros(len(route["keys"]), dtype=np.int64))
+    live = sums != 0
+    return GAElem(route["keys"][live], sums[live])
+
+
+def _label_perm(P: Params, t: int) -> np.ndarray:
+    """The L-action of the t-th generator power on label indices
+    psi dsz + mk: vertex and arrow slots scale by g0^-t."""
+    u = P._g0pow[-t % P.r]
+    psi, mk = np.divmod(np.arange(P.dsz * P.p), P.dsz)
+    return psi * u % P.p * P.dsz + d_scale_index(P, u)[mk]
+
+
+def _iota_table(P: Params, theta: Character, side: int) -> dict:
+    """The corner embedding of one side as a linear route, built once.
+
+    M[e] holds the embedded chi_e-isotypic part of every basis label,
+    r^-1 sum_t zeta^(-e t) E[:, pi_t] with pi_t the L-action on label
+    indices; the lanes are the side keys times the keys of
+    h_inv[e] e_theta, one key map for all e.
+    """
     tctx = _tt_ctx(P, theta)
-    cache = tctx["iota"]
-    parts = []
-    for label, c in a.terms.items():
-        img = cache.get(label)
-        if img is None:
-            img = _iota_label(P, theta, tctx, label)
-            cache[label] = img
-        parts.append(ga_scale(P, c, img))
-    return ga_sum(P, parts)
+    tab = tctx["iota"].get(side)
+    if tab is not None:
+        return tab
+    ctx, r, rinv = P.ctx, P.r, P.ctx.inv(P.ctx.from_int(P.r))
+    E = embed_columns(P, np.arange(P.dsz * P.p))
+    # the pi_t permute columns, so the r scaled copies of E serve all e
+    V = [ctx.vscale(ctx.mul(rinv, ctx.pow(P.zeta_r, c)), E) for c in range(r)]
+    M = np.stack([reduce(ctx.vadd, (V[-e * t % r][:, _label_perm(P, t)]
+                                    for t in range(r))) for e in range(r)])
+    xs = [ga_mul(P, h, tctx["e_theta"]) for h in tctx["h_inv_ga"][side]]
+    lanes = _mul_lanes(P, _tables(P), _embed_tables(P)["gkeys"][side - 1],
+                       np.concatenate([x.keys for x in xs])).T
+    keys = np.unique(lanes)
+    tab = {"keys": keys, "pos": np.searchsorted(keys, lanes), "M": M,
+           "comp": np.repeat(np.arange(r), [len(x) for x in xs]),
+           "w": np.concatenate([x.coeffs for x in xs])}
+    tctx["iota"][side] = tab
+    return tab
 
 
 def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     """Corner embedding of a side algebra into B_0.
 
     Each isotypic component rides its own h-element: the image is
-    sum_chi embed(a^chi) h_chi^{-1} e_theta.  verify's corner_maps
-    compares it with the closed route on every basis label.
+    sum_chi embed(a^chi) h_chi^{-1} e_theta, read off the side's
+    table.  verify's corner_maps compares it with the closed route on
+    every basis label.
     """
     return _iota(P, theta, a)
+
+
+def _iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
+    return _route_elem(P, _iota_table(P, theta, a.side), a)
 
 
 def _theta_collapse(P: Params, tctx: dict, keys: np.ndarray,
@@ -332,7 +368,6 @@ def _stage_b(P: Params, theta: Character, T4: np.ndarray) -> TTElem:
     transform runs, so the P-leg rewrites cost only the support of the
     element; the S-expansions back to full D-coordinates come last.
     """
-    from .quiver import _embed_tables
     tabs = _embed_tables(P)
     ctx, Dsz = P.ctx, P.dsz
     if not T4.any():
@@ -403,9 +438,9 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     flat = None
     rows = max(1, _CHUNK // len(y.keys))
     for i0 in range(0, len(x.keys), rows):
-        gk = x.keys[i0:i0 + rows][:, None]
+        gk = x.keys[i0:i0 + rows]
         gc = x.coeffs[i0:i0 + rows][:, None]
-        keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
+        keys = _mul_lanes(P, tabs, gk, y.keys)
         coeffs = _vmul_coeffs(P, gc, y.coeffs[None, :])
         part = _theta_collapse(P, tctx, keys.ravel(), coeffs.ravel())
         flat = part if flat is None else P.ctx.vadd(flat, part)

@@ -19,7 +19,8 @@ from mfblocks.quiver import (
     qa_isotypic, qa_L_action, qa_labels, qa_mul, qa_scale, qa_to_json,
     qa_unit, qa_vertex, qa_zero,
 )
-from mfblocks.quiver import _m_unpack
+from mfblocks.quiver import _embed_tables, _m_unpack, embed_columns
+from mfblocks.groups import GroupElem, d_unpack, pack_key
 
 
 def arrow(P, side, psi, s):
@@ -213,6 +214,34 @@ class TestEmbed:
         P = params_make(2, 11, 5)
         with pytest.raises(ValueError, match="too large"):
             qa_embed(P, qa_vertex(P, 1, 0))
+
+
+class TestEmbedColumns:
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2)])
+    def test_columns_are_the_per_label_embeddings(self, ell, p, r):
+        P = params_make(ell, p, r)
+        n = P.dsz * P.p
+        E = embed_columns(P, np.arange(n))
+        for side in (1, 2):
+            keys = _embed_tables(P)["gkeys"][side - 1].ravel()
+            for j, lab in enumerate(qa_labels(P, side)):
+                img = qa_embed(P, qa_basis(P, lab))
+                col = np.zeros(n, dtype=np.int64)
+                col[np.searchsorted(keys, img.keys)] = img.coeffs
+                assert np.array_equal(E[:, j], col), lab
+
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2)])
+    def test_side_keys_follow_pack_key(self, ell, p, r):
+        P = params_make(ell, p, r)
+        gkeys = _embed_tables(P)["gkeys"]
+        z = (0,) * P.p
+        for d in range(P.dsz):
+            v = d_unpack(P, d)
+            for y in range(P.p):
+                assert gkeys[0, d, y] == pack_key(
+                    P, GroupElem(v, y, z, 0, 0, 0, 0))
+                assert gkeys[1, d, y] == pack_key(
+                    P, GroupElem(z, 0, v, y, 0, 0, 0))
 
 
 class TestExtract:

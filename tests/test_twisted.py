@@ -23,7 +23,11 @@ from mfblocks.twisted import (
     tt_sandwich, tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
 )
 from mfblocks.twisted import _stage_b, _theta_collapse, _tt_ctx
+from mfblocks.twisted import _label_perm, _route_sums
 from mfblocks.verify import _corner_closed, _random_ga
+from mfblocks.verify import _closed_route
+from mfblocks.groupalg import GAElem, ga_sum
+from mfblocks.quiver import qa_L_action, qa_labels
 
 
 class Simple:
@@ -721,3 +725,61 @@ class TestSerialization:
         assert all(set(row) == {"u", "v", "coeff"} for row in data)
         keys = [(row["u"]["psi_exp"], row["v"]["psi_exp"]) for row in data]
         assert keys == sorted(keys)
+
+
+class TestIotaTable:
+    @pytest.mark.parametrize("cfg,e", [((2, 7, 3), 1), ((2, 7, 3), 2),
+                                       ((3, 5, 2), 1)])
+    def test_every_label_matches_the_isotypic_reference(self, cfg, e):
+        # b0_iota reads the side's table; the reference builds each
+        # label's image from its dict isotypic parts with ga_mul
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", e)
+        tctx = _tt_ctx(P, theta)
+        for side in (1, 2):
+            for lab in qa_labels(P, side):
+                a = qa_basis(P, lab)
+                parts = [ga_mul(P, qa_embed(P, qa_isotypic(
+                    P, a, make_char(P, f"L{side}", k))),
+                    tctx["h_inv_ga"][side][k]) for k in range(P.r)]
+                want = ga_mul(P, ga_sum(P, parts), tctx["e_theta"])
+                assert b0_iota(P, theta, a) == want, lab
+
+    def test_label_perm_is_the_L_action(self):
+        for cfg in [(2, 7, 3), (3, 5, 2)]:
+            P = params_make(*cfg)
+            for side in (1, 2):
+                labels = qa_labels(P, side)
+                index = {lab: j for j, lab in enumerate(labels)}
+                for t in range(P.r):
+                    w = h_elem(P, t, 0, 0) if side == 1 else \
+                        h_elem(P, 0, t, 0)
+                    want = [index[next(iter(qa_L_action(
+                        P, qa_basis(P, lab), w).terms))] for lab in labels]
+                    assert _label_perm(P, t).tolist() == want
+
+    def test_batched_closed_route_is_the_conjugate_average(self):
+        # every label of a side through the route at once, against r
+        # separate ga_conjugate calls on sampled basis labels
+        rng = random.Random(14)
+        for cfg in [(2, 7, 3), (3, 5, 2)]:
+            P = params_make(*cfg)
+            theta = make_char(P, "Z", 1)
+            n = P.dsz * P.p
+            for side in (1, 2):
+                route = _closed_route(P, theta, side)
+                dense = _route_sums(P, route, route["M"])
+                assert dense.shape == (len(route["keys"]), n)
+                e_triv = char_idempotent(P, make_char(P, f"L{3 - side}", 0))
+                labels = qa_labels(P, side)
+                for j in [0, n - 1] + rng.sample(range(n), 6):
+                    base = ga_mul(P, ga_mul(P, qa_embed(
+                        P, qa_basis(P, labels[j])), e_triv),
+                        block_idempotent(P, theta))
+                    want = ga_zero()
+                    for t in range(P.r):
+                        g = h_elem(P, t, 0, 0) if side == 1 else \
+                            h_elem(P, 0, t, 0)
+                        want = ga_add(P, want, ga_conjugate(P, base, g))
+                    live = dense[:, j] != 0
+                    assert GAElem(route["keys"][live], dense[live, j]) == want

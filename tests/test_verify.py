@@ -208,6 +208,8 @@ class TestInjectedDefects:
         ((3, 5, 2), (1, 1)),
         ((2, 7, 3), (0, 0)), ((2, 7, 3), (1, 0)), ((2, 7, 3), (1, 1)),
         ((2, 7, 3), (2, 0)), ((2, 7, 3), (2, 2)),
+        ((2, 7, 3), (0, 1)), ((2, 7, 3), (0, 2)), ((2, 7, 3), (1, 2)),
+        ((2, 7, 3), (2, 1)),
     ])
     def test_product_gate_sees_a_bent_weight(self, monkeypatch, cfg, entry):
         # one W entry plus one: the folded oracle must still tell the
@@ -221,6 +223,27 @@ class TestInjectedDefects:
         (row,) = run_checks(P, theta, names=["product_gate"]).rows
         assert row.status == "fail"
         assert set(row.witness) == {"left", "right"}
+
+    def test_wrong_h_element_closed_form_is_reported(self, monkeypatch):
+        # a closed form off by one generator power for chi_1 on side 1;
+        # the model is rebuilt from it and the search in
+        # pairing_recovery names the entry
+        import mfblocks.twisted as T
+        from mfblocks.characters import h_element
+        from mfblocks.groups import group_mul, h_elem
+        P, theta = desk()
+
+        def bent(P_, theta_, chi, i):
+            h = h_element(P_, theta_, chi, i)
+            if i == 1 and chi.e == 1:
+                h = group_mul(P_, h, h_elem(P_, 0, 1, 0))
+            return h
+        monkeypatch.setattr(T, "h_element", bent)
+        monkeypatch.setitem(P._cache, ("ttb0", theta.e), None)
+        (row,) = run_checks(P, theta, names=["pairing_recovery"]).rows
+        assert row.status == "fail"
+        assert row.witness == {"j": 1, "h_element_disagrees":
+                               {"side": 1, "chi": 1}}
 
     def test_pairing_defect_is_reported(self, monkeypatch):
         # a table off the commutator values by one entry
