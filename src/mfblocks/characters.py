@@ -53,11 +53,23 @@ def is_faithful(chi: Character) -> bool:
 
 def _exponent_of(P: Params, group: str, g: GroupElem) -> int:
     """Generator exponent of g inside the tagged subgroup, or raise."""
-    coords = {"P1": g.x1, "P2": g.x2, "L1": g.a, "L2": g.b, "Z": g.c}
     zero = (0,) * P.p
-    if g.v1 == zero and g.v2 == zero and not any(
-            v for k, v in coords.items() if k != group):
-        return coords[group]
+    plain = g.v1 == zero and g.v2 == zero
+    if group == "Z":
+        if plain and (g.x1, g.x2, g.a, g.b) == (0, 0, 0, 0):
+            return g.c
+    elif group == "L1":
+        if plain and (g.x1, g.x2, g.b, g.c) == (0, 0, 0, 0):
+            return g.a
+    elif group == "L2":
+        if plain and (g.x1, g.x2, g.a, g.c) == (0, 0, 0, 0):
+            return g.b
+    elif group == "P1":
+        if plain and (g.x2, g.a, g.b, g.c) == (0, 0, 0, 0):
+            return g.x1
+    elif group == "P2":
+        if plain and (g.x1, g.a, g.b, g.c) == (0, 0, 0, 0):
+            return g.x2
     raise ValueError(f"element lies outside {group}")
 
 

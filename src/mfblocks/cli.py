@@ -13,7 +13,7 @@ from typing import Optional
 import click
 
 from .characters import is_faithful, make_char
-from .groups import params_make
+from .groups import Params, params_make
 from .morita import (
     commutation_pairing, ext_dim, mf_number, pairing_to_json,
     params_for_target, recover_theta, simple_str, simples,
@@ -57,20 +57,22 @@ def _require(value, name: str):
     return value
 
 
-def _block(cfg: dict, ell, p_, r_, theta_e):
-    """Params and theta from flags, then the config, then the defaults."""
+def _build(ell: int, p: int, r: int) -> Params:
     try:
-        P = params_make(_require(_resolve(cfg, "ell", ell), "ell"),
-                        _require(_resolve(cfg, "p", p_), "p"),
-                        _require(_resolve(cfg, "r", r_), "r"))
-        j = _resolve(cfg, "theta", theta_e, default=1)
+        return params_make(ell, p, r)
+    except ValueError as err:
+        raise click.ClickException(str(err))
+
+
+def _theta(P: Params, j: int):
+    try:
         theta = make_char(P, "Z", j)
     except ValueError as err:
         raise click.ClickException(str(err))
     if not is_faithful(theta):
         raise click.ClickException(
             f"theta exponent {j} is not faithful mod r={P.r}")
-    return P, theta
+    return theta
 
 
 _CONFIG = click.option(
@@ -128,7 +130,10 @@ def mf(ell: Optional[int], n_: Optional[int], r_: Optional[int],
 def verify(ell, p_, r_, theta_e, suite, seed, config_path) -> None:
     """Run the named checks; one JSON line each, exit 0 iff all pass."""
     cfg = _load_config(config_path)
-    P, theta = _block(cfg, ell, p_, r_, theta_e)
+    P = _build(_require(_resolve(cfg, "ell", ell), "ell"),
+               _require(_resolve(cfg, "p", p_), "p"),
+               _require(_resolve(cfg, "r", r_), "r"))
+    theta = _theta(P, _resolve(cfg, "theta", theta_e, default=1))
     suite = _resolve(cfg, "suite", suite, cast=str, default="quick")
     if suite not in ("quick", "full"):
         raise click.UsageError(f"suite must be quick or full, got {suite}")
@@ -151,7 +156,10 @@ def verify(ell, p_, r_, theta_e, suite, seed, config_path) -> None:
 def quiver(ell, p_, r_, theta_e, fmt, dest, config_path) -> None:
     """Ext quiver with multiplicities, as DOT or JSON."""
     cfg = _load_config(config_path)
-    P, theta = _block(cfg, ell, p_, r_, theta_e)
+    P = _build(_require(_resolve(cfg, "ell", ell), "ell"),
+               _require(_resolve(cfg, "p", p_), "p"),
+               _require(_resolve(cfg, "r", r_), "r"))
+    theta = _theta(P, _resolve(cfg, "theta", theta_e, default=1))
     fmt = _resolve(cfg, "out", fmt, cast=str, default="dot")
     if fmt not in ("dot", "json"):
         raise click.UsageError(f"out must be dot or json, got {fmt}")
@@ -191,7 +199,10 @@ def quiver(ell, p_, r_, theta_e, fmt, dest, config_path) -> None:
 def recover(ell, p_, r_, theta_e, config_path) -> None:
     """Commutation pairing table and the recovered exponent set."""
     cfg = _load_config(config_path)
-    P, theta = _block(cfg, ell, p_, r_, theta_e)
+    P = _build(_require(_resolve(cfg, "ell", ell), "ell"),
+               _require(_resolve(cfg, "p", p_), "p"),
+               _require(_resolve(cfg, "r", r_), "r"))
+    theta = _theta(P, _resolve(cfg, "theta", theta_e, default=1))
     table = commutation_pairing(P, theta)
     out = {"params": {"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},
            "pairing": pairing_to_json(table),

@@ -77,7 +77,11 @@ def _poly_is_irreducible(coeffs: list[int], ell: int) -> bool:
         return False
     for e in range(1, d // 2 + 1):
         for low in range(ell**e):
-            den = [low // ell**i % ell for i in range(e)] + [1]
+            den, v = [], low
+            for _ in range(e):
+                den.append(v % ell)
+                v //= ell
+            den.append(1)
             _, rem = _poly_divmod(coeffs, den, ell)
             if rem == [0]:
                 return False
@@ -263,10 +267,6 @@ class FieldContext:
             log[v] = i
             v = self._raw_mul(v, self.generator)
         assert v == 1, "generator order must be q-1"
-        if self.ell > 2:
-            # Zech logarithms: 1 + g^k = g^zech[k], -1 where it is zero
-            one_plus = self.vadd(np.full(q - 1, self.one), exp[:q - 1])
-            self._zech = np.where(one_plus != 0, log[one_plus], -1)
         self._exp = exp
         self._log = log
         # x^ell = g^(ell * log x); log holds 0 at 0, so that entry is
@@ -303,12 +303,6 @@ class FieldContext:
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.ell == 2:
             return a ^ b
-        if self._exp is not None:
-            # a + b = a (1 + b/a), read off the Zech table
-            la = self._log[a]
-            k = self._zech[(self._log[b] - la) % (self.order - 1)]
-            s = np.where(k < 0, 0, self._exp[la + k])
-            return np.where(a == 0, b, np.where(b == 0, a, s))
         out = np.zeros_like(a)
         m = 1
         aa, bb = a, b
@@ -362,7 +356,11 @@ def field_make(ell: int, d: int) -> FieldContext:
         raise ValueError(f"extension degree d = {d} outside [1, 24]")
     modulus = None
     for low in range(ell**d):
-        cand = [low // ell**i % ell for i in range(d)] + [1]
+        digits, v = [], low
+        for _ in range(d):
+            digits.append(v % ell)
+            v //= ell
+        cand = digits + [1]
         if _poly_is_irreducible(cand, ell):
             modulus = tuple(cand)
             break

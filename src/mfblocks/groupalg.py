@@ -82,10 +82,6 @@ def _merge(P: Params, inv: np.ndarray, size: int,
     if ctx.ell == 2:
         np.bitwise_xor.at(out, inv, coeffs)
         return out
-    if 4 * len(inv) < size:  # few lanes: bin over the slots they hit
-        slots, inv = np.unique(inv, return_inverse=True)
-        out[slots] = _merge(P, inv.ravel(), len(slots), coeffs)
-        return out
     for k in range(ctx.d):
         plane = ctx.digit_plane(coeffs, k).astype(np.float64)
         sums = np.bincount(inv, weights=plane, minlength=size)
@@ -210,36 +206,31 @@ def _unpack_cols(P: Params, keys: np.ndarray):
 
 
 def _mul_lanes(P: Params, tabs: dict, gk: np.ndarray, hk: np.ndarray):
-    """Packed product keys of each left key in gk with each right key in
-    hk, as a (len(gk), len(hk)) array.
-
-    The left factor twists the right one through its H-part only, so the
-    left keys run grouped by H-part: per group the scale and xscale
-    gathers and the H-part of the product are vectors over hk, and only
-    the translations, the D-sums and the packing run on every lane.
-    """
+    """Packed product keys for broadcastable key arrays."""
     r, p, Dsz = P.r, P.p, P.dsz
-    gk, hk = np.ravel(gk), np.ravel(hk)
     gd1, gx1, gd2, gx2, ga, gb, gc = _unpack_cols(P, gk)
     hd1, hx1, hd2, hx2, ha, hb, hc = _unpack_cols(P, hk)
-    out = np.empty((len(gk), len(hk)), dtype=np.int64)
-    order = np.argsort(gk % r ** 3, kind="stable")
-    cuts = np.flatnonzero(np.diff(gk[order] % r ** 3)) + 1
-    for rows in np.split(order, cuts) if len(gk) else []:
-        a, b, c = ga[rows[0]], gb[rows[0]], gc[rows[0]]
-        s1, s2 = -a % r, -b % r
-        t1 = tabs["trans"][gx1[rows, None], tabs["scale"][s1, hd1]]
-        t2 = tabs["trans"][gx2[rows, None], tabs["scale"][s2, hd2]]
-        if P.ell == 2:
-            v1, v2 = gd1[rows, None] ^ t1, gd2[rows, None] ^ t2
-        else:
-            v1 = tabs["dadd"][gd1[rows, None], t1]
-            v2 = tabs["dadd"][gd2[rows, None], t2]
-        x1 = (gx1[rows, None] + tabs["xscale"][s1, hx1]) % p
-        x2 = (gx2[rows, None] + tabs["xscale"][s2, hx2]) % p
-        tail = ((a + ha) % r * r + (b + hb) % r) * r + (c + hc - ha * b) % r
-        out[rows] = (((v1 * p + x1) * Dsz + v2) * p + x2) * r ** 3 + tail
-    return out
+    s1 = (-ga) % r
+    s2 = (-gb) % r
+    w1 = tabs["scale"][s1, hd1]
+    w2 = tabs["scale"][s2, hd2]
+    y1 = tabs["xscale"][s1, hx1]
+    y2 = tabs["xscale"][s2, hx2]
+    t1 = tabs["trans"][gx1, w1]
+    t2 = tabs["trans"][gx2, w2]
+    if P.ell == 2:
+        v1 = gd1 ^ t1
+        v2 = gd2 ^ t2
+    else:
+        v1 = tabs["dadd"][gd1, t1]
+        v2 = tabs["dadd"][gd2, t2]
+    key = v1 * p + ((gx1 + y1) % p)
+    key = key * Dsz + v2
+    key = key * p + ((gx2 + y2) % p)
+    key = key * r + ((ga + ha) % r)
+    key = key * r + ((gb + hb) % r)
+    key = key * r + ((gc + hc - ha * gb) % r)
+    return key
 
 
 def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:
@@ -250,9 +241,9 @@ def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:
     rows_per_chunk = max(1, _CHUNK // ny)
     key_parts, coeff_parts = [], []
     for i0 in range(0, nx, rows_per_chunk):
-        gk = x.keys[i0:i0 + rows_per_chunk]
+        gk = x.keys[i0:i0 + rows_per_chunk][:, None]
         gc = x.coeffs[i0:i0 + rows_per_chunk][:, None]
-        keys = _mul_lanes(P, tabs, gk, y.keys)
+        keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
         coeffs = _vmul_coeffs(P, gc, y.coeffs[None, :])
         key_parts.append(keys.ravel())
         coeff_parts.append(coeffs.ravel())

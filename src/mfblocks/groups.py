@@ -263,10 +263,20 @@ def subgroup_elements(P: Params, tag: str) -> list:
     if tag == "P2":
         return [p_elem(P, 2, x) for x in range(P.p)]
     if tag in ("D1", "D2"):
+        side = 1 if tag == "D1" else 2
+        out = []
         z = (0,) * P.p
-        vs = (d_unpack(P, packed) for packed in range(P.dsz))
-        return [GroupElem(v, 0, z, 0, 0, 0, 0) if tag == "D1" else
-                GroupElem(z, 0, v, 0, 0, 0, 0) for v in vs]
+        for packed in range(P.dsz):
+            v, t = [0], packed
+            for _ in range(P.p - 1):
+                v.append(t % P.ell)
+                t //= P.ell
+            v = tuple(v)
+            if side == 1:
+                out.append(GroupElem(v, 0, z, 0, 0, 0, 0))
+            else:
+                out.append(GroupElem(z, 0, v, 0, 0, 0, 0))
+        return out
     if tag == "E-generators":
         return [p_elem(P, 1, 1), p_elem(P, 2, 1),
                 h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)]

@@ -23,7 +23,7 @@ from sympy.ntheory import n_order
 
 from .characters import Character, is_faithful, make_char
 from .groups import Params, d_scale_index, digit_dtype
-from .groupalg import GAElem, _dedupe, _unpack_cols, ga_zero
+from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
 from .quiver import label_make, qa_basis, qa_isotypic
 from .twisted import (
@@ -343,7 +343,12 @@ def swap_isomorphism(P: Params, x: GAElem) -> GAElem:
     if len(x.keys) == 0:
         return ga_zero()
     r, p, dsz = P.r, P.p, P.dsz
-    d1, x1, d2, x2, a, b, c = _unpack_cols(P, x.keys)
+    key, c = np.divmod(x.keys, r)
+    key, b = np.divmod(key, r)
+    key, a = np.divmod(key, r)
+    n, x2 = np.divmod(key, p)
+    n, d2 = np.divmod(n, dsz)
+    d1, x1 = np.divmod(n, p)
     n2 = ((d2 * p + x2) * dsz + d1) * p + x1
     # g1 <-> g2 and gz -> gz^-1; the cocycle forces the -ab correction
     c2 = (-a * b - c) % r
@@ -377,7 +382,12 @@ def fp_automorphism(P: Params, u1: int, u2: int, x: GAElem) -> GAElem:
     r, dsz = P.r, P.dsz
     perm1 = _index_perm(P, u1)
     perm2 = _index_perm(P, u2)
-    d1, x1, d2, x2, a, b, c = _unpack_cols(P, x.keys)
+    key, c = np.divmod(x.keys, r)
+    key, b = np.divmod(key, r)
+    key, a = np.divmod(key, r)
+    n, x2 = np.divmod(key, p)
+    n, d2 = np.divmod(n, dsz)
+    d1, x1 = np.divmod(n, p)
     n2 = ((perm1[d1] * p + (x1 * u1) % p) * dsz + perm2[d2]) * p \
         + (x2 * u2) % p
     keys = ((n2 * r + a) * r + b) * r + c

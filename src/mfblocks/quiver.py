@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .characters import Character, _exponent_of
+from .characters import Character
 from .groups import (
     GroupElem, Params, conjugate, d_digits, d_elem, d_pack, d_unpack, h_elem,
-    p_elem, slot_scale_index,
+    p_elem,
 )
-from .groupalg import GAElem, _merge
+from .groupalg import GAElem
 from .linalg import gf_inv_matrix, gf_matmul
 
 _EMBED_LIMIT = 2048
@@ -186,6 +186,19 @@ def qa_degree(u: QuivAElem) -> int:
     return min(sum(label.m) for label in u.terms)
 
 
+def _l_exponent(P: Params, side: int, w: GroupElem) -> int:
+    zero = (0,) * P.p
+    if w.v1 != zero or w.v2 != zero or w.x1 != 0 or w.x2 != 0:
+        raise ValueError(f"element lies outside L{side}")
+    if side == 1:
+        if w.b != 0 or w.c != 0:
+            raise ValueError("element lies outside L1")
+        return w.a
+    if w.a != 0 or w.c != 0:
+        raise ValueError("element lies outside L2")
+    return w.b
+
+
 def qa_L_action(P: Params, u: QuivAElem, w: GroupElem) -> QuivAElem:
     """Basis permutation (psi, m) -> (psi^w, m^w).
 
@@ -193,15 +206,18 @@ def qa_L_action(P: Params, u: QuivAElem, w: GroupElem) -> QuivAElem:
     label moves by the conjugate-character map: exponents scale by
     g0^{-t} where t is the L_i coordinate of w.
     """
-    t = _exponent_of(P, f"L{u.side}", w)
+    t = _l_exponent(P, u.side, w)
     scale = P._g0pow[(-t) % P.r]
     if scale == 1:
         return u
-    perm = slot_scale_index(P, scale)
-    return QuivAElem(u.side, {
-        QuivLabel(u.side, label.psi * scale % P.p,
-                  tuple(label.m[i] for i in perm)): c
-        for label, c in u.terms.items()})
+    p = P.p
+    out = {}
+    for label, c in u.terms.items():
+        m = [0] * (p - 1)
+        for s in range(1, p):
+            m[(s * scale) % p - 1] = label.m[s - 1]
+        out[QuivLabel(u.side, (label.psi * scale) % p, tuple(m))] = c
+    return QuivAElem(u.side, out)
 
 
 def qa_isotypic(P: Params, u: QuivAElem, chi: Character) -> QuivAElem:
@@ -285,9 +301,13 @@ def _embed_tables(P: Params) -> dict:
         S[:, mk] = col
     Sinv = gf_inv_matrix(ctx, S)
 
-    zpow = np.array([ctx.pow(P.zeta_p, k) for k in range(p)])
-    yx = np.outer(np.arange(p), np.arange(p))
-    F, Finv = ctx.vscale(ctx.inv(ctx.from_int(p)), zpow[-yx % p]), zpow[yx % p]
+    pinv = ctx.inv(ctx.from_int(p))
+    F = np.zeros((p, p), dtype=np.int64)
+    Finv = np.zeros((p, p), dtype=np.int64)
+    for y in range(p):
+        for xi in range(p):
+            F[y, xi] = ctx.mul(pinv, ctx.pow(P.zeta_p, (-xi * y) % p))
+            Finv[xi, y] = ctx.pow(P.zeta_p, (xi * y) % p)
 
     gkeys = np.zeros((2, Dsz, p), dtype=np.int64)
     r3 = P.r ** 3
@@ -328,11 +348,16 @@ def qa_embed(P: Params, u: QuivAElem) -> GAElem:
     xi = psi + phi(m): the D-part is the product of the arrow
     elements, the P-part the vertex idempotent pushed past them.
     """
-    js, cs = label_columns(P, u)
-    vals = P.ctx.vmul(embed_columns(P, js), cs[None, :])
-    flat = _merge(P, np.arange(len(vals)).repeat(len(js)), len(vals),
-                  vals.ravel())
-    keys = _embed_tables(P)["gkeys"][u.side - 1].reshape(-1)
+    tabs = _embed_tables(P)
+    ctx, p = P.ctx, P.p
+    C = np.zeros((P.dsz, p), dtype=np.int64)
+    for label, c in u.terms.items():
+        mk = _m_pack(P, label.m)
+        xi = (label.psi + label_phi(P, label.m)) % p
+        col = ctx.vscale(int(c), tabs["S"][:, mk])
+        C = ctx.vadd(C, ctx.vmul(col[:, None], tabs["F"][:, xi][None, :]))
+    keys = tabs["gkeys"][u.side - 1].reshape(-1)
+    flat = C.reshape(-1)
     mask = flat != 0
     return GAElem(keys[mask], flat[mask])
 

@@ -247,11 +247,17 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
     c_inv = np.array([[ctx.inv(int(c)) for c in row] for row in c_tab],
                      dtype=np.int64)
 
-    # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta^-(e t + f t')
     rinv = ctx.inv(ctx.from_int(r))
-    Z = np.array([[ctx.mul(rinv, ctx.pow(P.zeta_r, -e * t % r))
-                   for t in range(r)] for e in range(r)], dtype=np.int64)
-    W = gf_matmul(ctx, gf_matmul(ctx, Z.T, c_inv), Z)
+    rinv2 = ctx.mul(rinv, rinv)
+    W = np.zeros((r, r), dtype=np.int64)
+    for t in range(r):
+        for tq in range(r):
+            acc = 0
+            for e in range(r):
+                for f in range(r):
+                    z = ctx.pow(P.zeta_r, (-(e * t + f * tq)) % r)
+                    acc = ctx.add(acc, ctx.mul(int(c_inv[e, f]), z))
+            W[t, tq] = ctx.mul(rinv2, acc)
 
     theta_pow = np.array([ctx.pow(P.zeta_r, (theta.e * c) % r)
                           for c in range(r)], dtype=np.int64)
@@ -282,11 +288,12 @@ def _route_sums(P: Params, route: dict, Y: np.ndarray) -> np.ndarray:
 
 
 def _route_elem(P: Params, route: dict, a: QuivAElem) -> GAElem:
-    """Image of a side element under a linear route."""
+    """Image of a side element under a linear route: the label
+    coefficients are combined per component before the lanes scatter."""
     js, cs = label_columns(P, a)
-    sums = reduce(P.ctx.vadd, _route_sums(
-        P, route, P.ctx.vmul(route["M"][:, :, js], cs)).T,
-        np.zeros(len(route["keys"]), dtype=np.int64))
+    Y = np.stack([gf_matmul(P.ctx, M[:, js], cs[:, None])
+                  for M in route["M"]])
+    sums = _route_sums(P, route, Y)[:, 0]
     live = sums != 0
     return GAElem(route["keys"][live], sums[live])
 
@@ -318,8 +325,9 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
     M = np.stack([reduce(ctx.vadd, (V[-e * t % r][:, _label_perm(P, t)]
                                     for t in range(r))) for e in range(r)])
     xs = [ga_mul(P, h, tctx["e_theta"]) for h in tctx["h_inv_ga"][side]]
-    lanes = _mul_lanes(P, _tables(P), _embed_tables(P)["gkeys"][side - 1],
-                       np.concatenate([x.keys for x in xs])).T
+    lanes = _mul_lanes(P, _tables(P),
+                       _embed_tables(P)["gkeys"][side - 1].reshape(1, -1),
+                       np.concatenate([x.keys for x in xs])[:, None])
     keys = np.unique(lanes)
     tab = {"keys": keys, "pos": np.searchsorted(keys, lanes), "M": M,
            "comp": np.repeat(np.arange(r), [len(x) for x in xs]),
@@ -438,9 +446,9 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     flat = None
     rows = max(1, _CHUNK // len(y.keys))
     for i0 in range(0, len(x.keys), rows):
-        gk = x.keys[i0:i0 + rows]
+        gk = x.keys[i0:i0 + rows][:, None]
         gc = x.coeffs[i0:i0 + rows][:, None]
-        keys = _mul_lanes(P, tabs, gk, y.keys)
+        keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
         coeffs = _vmul_coeffs(P, gc, y.coeffs[None, :])
         part = _theta_collapse(P, tctx, keys.ravel(), coeffs.ravel())
         flat = part if flat is None else P.ctx.vadd(flat, part)

@@ -277,9 +277,10 @@ def _closed_route(P: Params, theta: Character, side: int) -> dict:
     g = np.array([pack_key(P, h) for h in hs])
     gi = np.array([pack_key(P, group_inv(P, h)) for h in hs])
     tabs, n = _tables(P), P.dsz * P.p
-    base = _mul_lanes(P, tabs, _embed_tables(P)["gkeys"][side - 1], e.keys).T
-    lanes = np.stack([_mul_lanes(P, tabs, row, g[t:t + 1])[:, 0] for t, row
-                      in enumerate(_mul_lanes(P, tabs, gi, base))])
+    base = _mul_lanes(P, tabs, _embed_tables(P)["gkeys"][side - 1].reshape(
+        1, -1), e.keys[:, None])
+    lanes = _mul_lanes(P, tabs, _mul_lanes(P, tabs, gi[:, None, None], base),
+                       g[:, None, None])
     keys = np.unique(lanes)
     return {"keys": keys, "pos": np.searchsorted(keys, lanes).reshape(-1, n),
             "M": embed_columns(P, np.arange(n))[None],

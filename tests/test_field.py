@@ -1,6 +1,5 @@
 """Field layer: deterministic construction, exact arithmetic, Frobenius."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol
@@ -120,16 +119,6 @@ class TestArithmetic:
         for a in range(81):
             assert ctx.from_coeffs(ctx.to_coeffs(a)) == a
         assert ctx.to_coeffs(ctx.from_coeffs([2, 1, 0, 1])) == [2, 1, 0, 1]
-
-
-class TestVectorAdd:
-    @pytest.mark.parametrize("ell,d", [(3, 1), (3, 4), (5, 2), (5, 3),
-                                       (7, 2)])
-    def test_zech_add_matches_digit_add_on_all_pairs(self, ell, d):
-        ctx = field_make(ell, d)
-        a, b = np.divmod(np.arange(ctx.order ** 2), ctx.order)
-        want = [ctx.add(int(x), int(y)) for x, y in zip(a, b)]
-        assert ctx.vadd(a, b).tolist() == want
 
 
 class TestFrobenius:

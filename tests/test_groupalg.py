@@ -319,30 +319,3 @@ class TestActionTables:
         assert tabs["xscale"].tolist() == [
             [(x * P._g0pow[t]) % p for x in range(p)] for t in range(r)]
         assert (tabs["dadd"] is None) == (ell == 2)
-
-
-class TestLanes:
-    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (5, 3, 2)])
-    def test_grouped_lanes_are_group_products(self, cfg):
-        # the left keys span every H-part, so every group path runs
-        P = params_make(*cfg)
-        rng = random.Random(21)
-        gs = [random_elem(P, rng) for _ in range(40)]
-        hs = [random_elem(P, rng) for _ in range(25)]
-        got = galg._mul_lanes(P, galg._tables(P),
-                              np.array([pack_key(P, g) for g in gs]),
-                              np.array([pack_key(P, h) for h in hs]))
-        assert got.tolist() == [[pack_key(P, group_mul(P, g, h))
-                                 for h in hs] for g in gs]
-
-    def test_merge_of_few_lanes_over_many_slots(self):
-        # ell > 2 with far fewer lanes than slots bins over the slots hit
-        P = params_make(3, 5, 2)
-        rng = np.random.default_rng(3)
-        inv = rng.integers(0, 5000, 40)
-        inv[:10] = inv[10:20]
-        coeffs = rng.integers(0, P.ctx.order, 40)
-        want = [0] * 5000
-        for i, c in zip(inv.tolist(), coeffs.tolist()):
-            want[i] = P.ctx.add(want[i], c)
-        assert galg._merge(P, inv, 5000, coeffs).tolist() == want
