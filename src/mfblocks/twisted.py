@@ -291,9 +291,10 @@ def _route_elem(P: Params, route: dict, a: QuivAElem) -> GAElem:
     """Image of a side element under a linear route: the label
     coefficients are combined per component before the lanes scatter."""
     js, cs = label_columns(P, a)
-    Y = np.stack([gf_matmul(P.ctx, M[:, js], cs[:, None])
-                  for M in route["M"]])
-    sums = _route_sums(P, route, Y)[:, 0]
+    c, n, _ = route["M"].shape
+    Y = gf_matmul(P.ctx, route["M"][:, :, js].reshape(c * n, len(js)),
+                  cs[:, None])
+    sums = _route_sums(P, route, Y.reshape(c, n, 1))[:, 0]
     live = sums != 0
     return GAElem(route["keys"][live], sums[live])
 
@@ -336,6 +337,10 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
     return tab
 
 
+def _iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
+    return _route_elem(P, _iota_table(P, theta, a.side), a)
+
+
 def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     """Corner embedding of a side algebra into B_0.
 
@@ -345,10 +350,6 @@ def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     every basis label.
     """
     return _iota(P, theta, a)
-
-
-def _iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
-    return _route_elem(P, _iota_table(P, theta, a.side), a)
 
 
 def _theta_collapse(P: Params, tctx: dict, keys: np.ndarray,
