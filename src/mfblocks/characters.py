@@ -133,11 +133,3 @@ def char_frob_power(theta: Character, m: int, ell: int) -> Character:
     return Character(theta.group,
                      (theta.e * pow(ell, m, theta.order)) % theta.order,
                      theta.order)
-
-
-def char_to_dict(chi: Character) -> dict:
-    return {"group": chi.group, "e": chi.e}
-
-
-def char_from_dict(P: Params, data: dict) -> Character:
-    return make_char(P, data["group"], data["e"])

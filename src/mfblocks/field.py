@@ -130,9 +130,12 @@ class FieldContext:
         return out
 
     def from_coeffs(self, coeffs) -> int:
-        assert len(coeffs) <= self.d
+        coeffs = list(coeffs)
+        if len(coeffs) > self.d:
+            raise ValueError(f"{len(coeffs)} coefficients for a field of"
+                             f" degree {self.d}")
         v = 0
-        for c in reversed(list(coeffs)):
+        for c in reversed(coeffs):
             v = v * self.ell + int(c) % self.ell
         return v
 
@@ -266,7 +269,9 @@ class FieldContext:
             exp[i + q - 1] = v
             log[v] = i
             v = self._raw_mul(v, self.generator)
-        assert v == 1, "generator order must be q-1"
+        if v != 1:
+            raise RuntimeError(f"generator {self.generator} does not have"
+                               f" order {q - 1}")
         self._exp = exp
         self._log = log
         # x^ell = g^(ell * log x); log holds 0 at 0, so that entry is
@@ -364,7 +369,9 @@ def field_make(ell: int, d: int) -> FieldContext:
         if _poly_is_irreducible(cand, ell):
             modulus = tuple(cand)
             break
-    assert modulus is not None
+    if modulus is None:
+        raise RuntimeError(f"no irreducible modulus of degree {d} over"
+                           f" F_{ell}")
     ctx = FieldContext(ell, d, modulus, generator=1, build_tables=False)
     q1 = ctx.order - 1
     fac = factorize(q1) if q1 > 1 else {}
@@ -373,7 +380,8 @@ def field_make(ell: int, d: int) -> FieldContext:
         if all(ctx.pow(g, q1 // q) != ctx.one for q in fac) and ctx.pow(g, q1) == ctx.one:
             gen = g
             break
-    assert gen is not None
+    if gen is None:
+        raise RuntimeError(f"no generator of F_{ell}^{d} found")
     out = FieldContext(ell, d, modulus, gen)
     return out
 

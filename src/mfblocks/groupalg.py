@@ -15,8 +15,8 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .groups import (
-    GroupElem, Params, d_digits, d_scale_index, elem_from_dict, elem_to_dict,
-    group_inv, h_elem, identity, pack_key, unpack_key,
+    GroupElem, Params, d_digits, d_scale_index, group_inv, h_elem, identity,
+    pack_key,
 )
 
 _CHUNK = 1 << 22
@@ -288,26 +288,6 @@ def centralizes_block_H(P: Params, theta, x: GAElem) -> bool:
         if ga_mul(P, x, hb) != ga_mul(P, hb, x):
             return False
     return True
-
-
-def ga_to_json(P: Params, x: GAElem) -> list:
-    items = []
-    for key, c in zip(x.keys, x.coeffs):
-        g = unpack_key(P, int(key))
-        d = elem_to_dict(g)
-        sort_key = (tuple(d["v1"]), d["x1"], tuple(d["v2"]), d["x2"],
-                    tuple(d["h"]))
-        items.append((sort_key, {"elem": d, "coeff": P.ctx.to_coeffs(int(c))}))
-    items.sort(key=lambda t: t[0])
-    return [obj for _, obj in items]
-
-
-def ga_from_json(P: Params, data: list) -> GAElem:
-    terms = []
-    for obj in data:
-        g = elem_from_dict(P, obj["elem"])
-        terms.append((g, P.ctx.from_coeffs(obj["coeff"])))
-    return ga_from_terms(P, terms)
 
 
 def side_mul_table(P: Params) -> np.ndarray:

@@ -23,18 +23,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import field_make, is_prime, root_of_unity
+from .field import factorize, field_make, is_prime, root_of_unity
 
 
 def mult_order(a: int, n: int) -> int:
-    """Multiplicative order of a modulo n."""
+    """Multiplicative order of a modulo n.
+
+    Starts from the lcm of phi(q^k) over the prime powers q^k of n,
+    which a^t = 1 holds for, and divides out each prime f of t while
+    a^(t/f) = 1 still holds.
+    """
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not invertible modulo {n}")
-    v, k = a % n, 1
-    while v != 1:
-        v = (v * a) % n
-        k += 1
-    return k
+    t = math.lcm(*((q - 1) * q ** (k - 1) for q, k in factorize(n).items()))
+    for f in factorize(t):
+        while t % f == 0 and pow(a, t // f, n) == 1:
+            t //= f
+    return t
 
 
 def least_primitive_root(p: int) -> int:
@@ -42,8 +47,6 @@ def least_primitive_root(p: int) -> int:
     if p == 2:
         return 1
     target = p - 1
-    from .field import factorize
-
     prime_facs = sorted(factorize(target))
     for g in range(2, p):
         if all(pow(g, target // q, p) != 1 for q in prime_facs):
@@ -86,8 +89,6 @@ class Params:
         self.zeta_r = root_of_unity(self.ctx, r)
         # g0 powers indexed mod r; g0 has exact order r
         self._g0pow = [pow(self.g0, t, p) for t in range(r)]
-        assert self._g0pow[1 % r] != 1 or r == 1
-        assert pow(self.g0, r, p) == 1
         # lazy attachments (action tables, algebra contexts) keyed by name
         self._cache: dict = {}
 

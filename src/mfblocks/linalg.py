@@ -146,8 +146,9 @@ def gf_rank(ctx: FieldContext, A: np.ndarray) -> int:
 
 
 def gf_inv_matrix(ctx: FieldContext, A: np.ndarray) -> np.ndarray:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"cannot invert a matrix of shape {A.shape}")
     n = A.shape[0]
-    assert A.shape == (n, n)
     aug = np.concatenate([A.astype(np.int64), gf_eye(n)], axis=1)
     R, pivots = _rref(ctx, aug)
     if pivots != list(range(n)):

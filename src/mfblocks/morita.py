@@ -18,17 +18,16 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from sympy import isprime
-from sympy.ntheory import n_order
 
 from .characters import Character, is_faithful, make_char
-from .groups import Params, d_scale_index, digit_dtype
+from .field import is_prime
+from .groups import Params, d_scale_index, digit_dtype, mult_order
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
 from .quiver import label_make, qa_basis, qa_isotypic
 from .twisted import (
-    TTElem, tt_eps, tt_from_columns, tt_from_terms, tt_is_zero,
-    tt_mul, tt_sandwich, tt_scale, tt_sub, tt_tilde, tt_unit,
+    TTElem, _leg_tensor, tt_eps, tt_from_columns, tt_is_zero, tt_mul,
+    tt_sandwich, tt_scale, tt_sub, tt_tilde, tt_unit,
 )
 
 
@@ -86,14 +85,6 @@ def simple_str(s: SimpleLabel) -> str:
             "left": f"(phi{s.phi},1)",
             "right": f"(1,psi{s.psi})",
             "pair": f"([phi{s.phi}],[psi{s.psi}])"}[simple_kind(s)]
-
-
-def simple_to_dict(s: SimpleLabel) -> dict:
-    return {"phi": s.phi, "psi": s.psi}
-
-
-def simple_from_dict(P: Params, data: dict) -> SimpleLabel:
-    return simple_make(P, data["phi"], data["psi"])
 
 
 def _check_faithful(theta: Character) -> None:
@@ -209,19 +200,11 @@ def _iso_leg(P: Params, theta: Character, side: int, e: int) -> TTElem:
     """A degree-1 element with pure weight e on one side, vertex-summed
     on the other; never zero, so it extracts the scalar even where the
     loop elements collapse."""
-    p = P.p
-    m = [0] * (p - 1)
+    m = [0] * (P.p - 1)
     m[0] = 1
     leg = qa_isotypic(P, qa_basis(P, label_make(P, side, 0, tuple(m))),
                       make_char(P, f"L{side}", e))
-    zero_m = (0,) * (p - 1)
-    items = []
-    for lab, c in leg.terms.items():
-        for xi in range(p):
-            other = label_make(P, 3 - side, xi, zero_m)
-            pair = (lab, other) if side == 1 else (other, lab)
-            items.append((*pair, c))
-    return tt_from_terms(P, theta, items)
+    return _leg_tensor(P, theta, leg, np.arange(P.p))
 
 
 def _extract_scalar(P: Params, theta: Character, S: TTElem,
@@ -308,7 +291,7 @@ def mf_number(ell: int, r: int) -> int:
         raise ValueError(f"ell and r must be coprime, got {ell}, {r}")
     if r == 2:
         return 1
-    d = n_order(ell, r)
+    d = mult_order(ell, r)
     if d % 2 == 0 and pow(ell, d // 2, r) == r - 1:
         return d // 2
     return d
@@ -320,14 +303,13 @@ def params_for_target(ell: int, n: int,
     r = ell^n + 1 and the least prime p = 1 both mod ell and mod r."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if not isprime(ell):
+    if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     r = ell ** n + 1
     step = math.lcm(ell, r)
     p = 1 + step
     while p <= cap:
-        if isprime(p):
-            assert mf_number(ell, r) == n
+        if is_prime(p):
             return r, p
         p += step
     raise RuntimeError(f"no prime p = 1 mod lcm({ell}, {r}) below {cap}")

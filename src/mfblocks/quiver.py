@@ -7,22 +7,28 @@ group algebra; the embedding realizes each monomial as a pure tensor
 (D-part times P-idempotent) and is the numerical check that the label
 rule computes the same product.
 
+Side elements are held as one leg of the label columns that the
+twisted model of B_0 uses, and the label rule (the leg join, the
+L-action table, the sort key) lives here once for both.
+
 The label arithmetic works at every parameter size.  The embedding
-and extraction need dense change-of-basis matrices of size ell^(p-1)
-and are only built when that stays small.
+needs dense change-of-basis matrices of size ell^(p-1) and is only
+built when that stays small.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
 from .characters import Character
 from .groups import (
-    GroupElem, Params, conjugate, d_digits, d_elem, d_pack, d_unpack, h_elem,
-    p_elem,
+    GroupElem, Params, conjugate, d_digits, d_elem, d_pack, d_unpack,
+    digit_dtype, p_elem, slot_scale_index,
 )
-from .groupalg import GAElem
-from .linalg import gf_inv_matrix, gf_matmul
+from .groupalg import GAElem, _merge, _vmul_coeffs
+from .linalg import gf_inv_matrix
 
 _EMBED_LIMIT = 2048
 
@@ -65,9 +71,9 @@ def label_make(P: Params, side: int, psi: int, m) -> QuivLabel:
     return QuivLabel(side, psi % P.p, m)
 
 
-def label_phi(P: Params, m) -> int:
-    """Exponent of the product of the arrow characters of m."""
-    return sum((s + 1) * t for s, t in enumerate(m)) % P.p
+def label_phi(P: Params, m) -> np.ndarray:
+    """Exponent of the product of the arrow characters, per row of m."""
+    return (np.asarray(m) @ np.arange(1, P.p, dtype=np.int64)) % P.p
 
 
 def _m_pack(P: Params, m) -> int:
@@ -79,32 +85,111 @@ def _m_unpack(P: Params, packed: int) -> tuple:
     return d_unpack(P, packed)[1:]
 
 
+def _label_index(P: Params, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Label indices psi * dsz + packed m (the qa_labels order); only
+    sides within the embedding limit have them."""
+    return psi * P.dsz + m.astype(np.int64) @ P.ell ** np.arange(m.shape[1])
+
+
+def _sort_key(*cols) -> np.ndarray:
+    """One opaque key per row: the big-endian bytes of the columns side
+    by side, so that byte order is the numeric lexicographic order of
+    the (non-negative) columns and no label width is capped."""
+    raw = np.hstack([
+        np.ascontiguousarray(c if c.ndim == 2 else c[:, None],
+                             dtype=c.dtype.newbyteorder(">")).view(np.uint8)
+        for c in cols])
+    raw = np.ascontiguousarray(raw)
+    return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
+
+
+def _merge_terms(P: Params, coeffs: np.ndarray, first: np.ndarray,
+                 inv: np.ndarray):
+    """Field sums of coeffs per distinct key, given each key's first
+    occurrence and each term's key id; returns the nonzero sums and the
+    first occurrence of their keys."""
+    if len(first) == len(coeffs):
+        merged = coeffs[first]
+    else:
+        merged = _merge(P, inv.ravel(), len(first), coeffs)
+    live = merged != 0
+    return merged[live], first[live]
+
+
+def _canon_rows(P: Params, coeffs: np.ndarray, *cols):
+    """_merge_terms over the distinct rows of the key columns cols, in
+    key order."""
+    _, first, inv = np.unique(_sort_key(*cols), return_index=True,
+                              return_inverse=True)
+    return _merge_terms(P, coeffs, first, inv)
+
+
+def _leg_labels(side: int, psi: np.ndarray, m: np.ndarray) -> list:
+    return [QuivLabel(side, u, row) for u, row in zip(psi.tolist(),
+                                                      m.tolist())]
+
+
+def _same_columns(a, b) -> bool:
+    """Whether two canonical column sets, coefficients last, hold the
+    same terms."""
+    return len(a[-1]) == len(b[-1]) and (len(a[-1]) == 0 or all(
+        np.array_equal(x, y) for x, y in zip(a, b)))
+
+
 class QuivAElem:
-    """Finitely supported combination of labels on one side."""
+    """Side element held as one leg of the label columns.
 
-    __slots__ = ("side", "terms")
+    psi is the vertex column, m the (n, p-1) arrow-count matrix and
+    coeffs the coefficient column, one row per term, unique on the
+    label and sorted by (psi, m) with m compared slot by slot;
+    coefficients are nonzero.  terms is a read-only {label: coefficient}
+    view in the same order, built on first use.
+    """
 
-    def __init__(self, side: int, terms: dict):
+    __slots__ = ("side", "psi", "m", "coeffs", "_terms")
+
+    def __init__(self, side: int, psi: np.ndarray, m: np.ndarray,
+                 coeffs: np.ndarray):
         self.side = side
-        self.terms = terms
+        self.psi = psi
+        self.m = m
+        self.coeffs = coeffs
+        self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = MappingProxyType(dict(zip(
+                _leg_labels(self.side, self.psi, self.m),
+                self.coeffs.tolist())))
+        return self._terms
 
     def __eq__(self, other):
         if not isinstance(other, QuivAElem):
             return NotImplemented
-        return self.side == other.side and self.terms == other.terms
+        return self.side == other.side and _same_columns(
+            (self.psi, self.m, self.coeffs),
+            (other.psi, other.m, other.coeffs))
 
     def __repr__(self):
-        return f"QuivAElem(side={self.side}, {len(self.terms)} terms)"
+        return f"QuivAElem(side={self.side}, {len(self.coeffs)} terms)"
+
+
+def qa_from_columns(P: Params, side: int, psi, m, coeffs) -> QuivAElem:
+    """Element from label columns; equal labels are summed."""
+    psi = np.asarray(psi, dtype=np.int64) % P.p
+    m = np.asarray(m, dtype=digit_dtype(P)).reshape(-1, P.p - 1)
+    merged, sel = _canon_rows(P, np.asarray(coeffs, dtype=np.int64), psi, m)
+    return QuivAElem(side, psi[sel], m[sel], merged)
 
 
 def qa_zero(side: int) -> QuivAElem:
-    return QuivAElem(side, {})
+    empty = np.zeros(0, dtype=np.int64)
+    return QuivAElem(side, empty, empty.reshape(0, 0), empty)
 
 
 def qa_basis(P: Params, label: QuivLabel, coeff: int = 1) -> QuivAElem:
-    if coeff == 0:
-        return qa_zero(label.side)
-    return QuivAElem(label.side, {label: coeff})
+    return qa_from_columns(P, label.side, [label.psi], [label.m], [coeff])
 
 
 def qa_vertex(P: Params, side: int, psi: int) -> QuivAElem:
@@ -114,9 +199,8 @@ def qa_vertex(P: Params, side: int, psi: int) -> QuivAElem:
 
 def qa_unit(P: Params, side: int) -> QuivAElem:
     """Identity of the side algebra: the sum of all vertex idempotents."""
-    zero = (0,) * (P.p - 1)
-    return QuivAElem(side, {QuivLabel(side, psi, zero): P.ctx.one
-                            for psi in range(P.p)})
+    return qa_from_columns(P, side, np.arange(P.p), np.zeros((P.p, P.p - 1)),
+                           np.full(P.p, P.ctx.one))
 
 
 def qa_labels(P: Params, side: int) -> list:
@@ -128,14 +212,13 @@ def qa_labels(P: Params, side: int) -> list:
 def qa_add(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
     if u.side != v.side:
         raise ValueError("side mismatch")
-    terms = dict(u.terms)
-    for label, c in v.terms.items():
-        s = P.ctx.add(terms.get(label, 0), c)
-        if s:
-            terms[label] = s
-        else:
-            terms.pop(label, None)
-    return QuivAElem(u.side, terms)
+    if not len(v.coeffs):
+        return u
+    if not len(u.coeffs):
+        return v
+    return qa_from_columns(P, u.side, np.concatenate([u.psi, v.psi]),
+                           np.concatenate([u.m, v.m]),
+                           np.concatenate([u.coeffs, v.coeffs]))
 
 
 def qa_scale(P: Params, c: int, u: QuivAElem) -> QuivAElem:
@@ -143,16 +226,59 @@ def qa_scale(P: Params, c: int, u: QuivAElem) -> QuivAElem:
         return qa_zero(u.side)
     if c == 1:
         return u
-    return QuivAElem(u.side, {label: P.ctx.mul(c, t)
-                              for label, t in u.terms.items()})
+    return QuivAElem(u.side, u.psi, u.m,
+                     _vmul_coeffs(P, np.int64(c), u.coeffs))
 
 
-def qa_coeff(P: Params, u: QuivAElem, label: QuivLabel) -> int:
-    return u.terms.get(label, 0)
+def _label_act_table(P: Params):
+    """The L-action on labels, one row per shift k of the generator: the
+    vertex scale g0^-k mod p, and the slot gather index that carries the
+    arrow count of s to s g0^-k."""
+    tab = P._cache.get("label_act")
+    if tab is None:
+        scale = np.array([P._g0pow[(-k) % P.r] for k in range(P.r)],
+                         dtype=np.int64)
+        tab = (scale, np.stack([slot_scale_index(P, int(u)) for u in scale]))
+        P._cache["label_act"] = tab
+    return tab
+
+
+def _act(P: Params, k, psi: np.ndarray, m: np.ndarray):
+    """Labels moved by row k of the L-action table, k one shift or an
+    array of them; the results are indexed by the row of psi, then k."""
+    scale, gather = _label_act_table(P)
+    return np.multiply.outer(psi, scale[k]) % P.p, m[:, gather[k]]
+
+
+def _label_perm(P: Params, t: int) -> np.ndarray:
+    """The L-action of the t-th generator power on label indices
+    psi dsz + mk."""
+    psi, mk = np.divmod(np.arange(P.dsz * P.p), P.dsz)
+    return _label_index(P, *_act(P, t, psi, d_digits(P, mk)))
+
+
+def _leg_join(P: Params, psi_a: np.ndarray, m_a: np.ndarray,
+              psi_b: np.ndarray, m_b: np.ndarray, ks: np.ndarray,
+              alive: np.ndarray = None):
+    """Label products of a_i with the k-conjugate of b_j, for the shifts
+    k in ks: the vertex gate psi_a + phi(m_a) = psi_b g0^-k, the no-carry
+    test on m_a + m_b^k, and the digit sum.  alive, when given, masks
+    the pairs (i, j) tried.  Returns the surviving lanes as (i, j, index
+    into ks, arrow counts), sorted by (i, j, k); the product label is
+    (psi_a[i], arrow counts)."""
+    scale, gather = _label_act_table(P)
+    hit = (((psi_a + label_phi(P, m_a)) % P.p)[:, None, None]
+           == (psi_b[:, None] * scale[ks] % P.p)[None, :, :])
+    if alive is not None:
+        hit &= alive[:, :, None]
+    i, j, k = np.nonzero(hit)
+    mb = m_b[j[:, None], gather[ks[k]]]
+    ok = (m_a[i] < P.ell - mb).all(axis=1)
+    return i[ok], j[ok], k[ok], m_a[i[ok]] + mb[ok]
 
 
 def qa_mul(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
-    """Product by the label rule.
+    """Product by the label rule, the shift-0 leg join.
 
     (psi, m)(psi', m') survives iff psi' = psi + phi(m) and no arrow
     count overflows; the surviving label is (psi, m + m') with
@@ -160,30 +286,19 @@ def qa_mul(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
     """
     if u.side != v.side:
         raise ValueError("side mismatch")
-    ell, p, ctx = P.ell, P.p, P.ctx
-    out: dict = {}
-    for lu, cu in u.terms.items():
-        gate = (lu.psi + label_phi(P, lu.m)) % p
-        for lv, cv in v.terms.items():
-            if lv.psi != gate:
-                continue
-            m = tuple(a + b for a, b in zip(lu.m, lv.m))
-            if any(t >= ell for t in m):
-                continue
-            label = QuivLabel(u.side, lu.psi, m)
-            s = ctx.add(out.get(label, 0), ctx.mul(cu, cv))
-            if s:
-                out[label] = s
-            else:
-                out.pop(label, None)
-    return QuivAElem(u.side, out)
+    if not len(u.coeffs) or not len(v.coeffs):
+        return qa_zero(u.side)
+    i, j, _, m = _leg_join(P, u.psi, u.m, v.psi, v.m,
+                           np.zeros(1, dtype=np.int64))
+    return qa_from_columns(P, u.side, u.psi[i], m,
+                           _vmul_coeffs(P, u.coeffs[i], v.coeffs[j]))
 
 
 def qa_degree(u: QuivAElem) -> int:
     """Least total arrow count over the support."""
-    if not u.terms:
+    if not len(u.coeffs):
         raise ValueError("zero element has no degree")
-    return min(sum(label.m) for label in u.terms)
+    return int(u.m.sum(axis=1, dtype=np.int64).min())
 
 
 def _l_exponent(P: Params, side: int, w: GroupElem) -> int:
@@ -204,35 +319,31 @@ def qa_L_action(P: Params, u: QuivAElem, w: GroupElem) -> QuivAElem:
 
     Vertex and arrow labels are both characters of P_i, so the whole
     label moves by the conjugate-character map: exponents scale by
-    g0^{-t} where t is the L_i coordinate of w.
+    g0^{-t} where t is the L_i coordinate of w, row t of the L-action
+    table.
     """
-    t = _l_exponent(P, u.side, w)
-    scale = P._g0pow[(-t) % P.r]
-    if scale == 1:
+    t = _l_exponent(P, u.side, w) % P.r
+    if t == 0 or not len(u.coeffs):
         return u
-    p = P.p
-    out = {}
-    for label, c in u.terms.items():
-        m = [0] * (p - 1)
-        for s in range(1, p):
-            m[(s * scale) % p - 1] = label.m[s - 1]
-        out[QuivLabel(u.side, (label.psi * scale) % p, tuple(m))] = c
-    return QuivAElem(u.side, out)
+    return qa_from_columns(P, u.side, *_act(P, t, u.psi, u.m), u.coeffs)
 
 
 def qa_isotypic(P: Params, u: QuivAElem, chi: Character) -> QuivAElem:
-    """Projection onto the chi-isotypic part of the L_i action."""
+    """Projection onto the chi-isotypic part of the L_i action:
+    r^-1 sum_t chi(g^t)^-1 u^(g^t), all r moves as one gather."""
     if chi.group != f"L{u.side}":
         raise ValueError(f"character must live on L{u.side}, "
                          f"got {chi.group}")
-    ctx = P.ctx
-    rinv = ctx.inv(ctx.from_int(P.r))
-    acc = qa_zero(u.side)
-    for t in range(P.r):
-        w = h_elem(P, t, 0, 0) if u.side == 1 else h_elem(P, 0, t, 0)
-        weight = ctx.pow(P.zeta_r, (-chi.e * t) % P.r)
-        acc = qa_add(P, acc, qa_scale(P, weight, qa_L_action(P, u, w)))
-    return qa_scale(P, rinv, acc)
+    if not len(u.coeffs):
+        return u
+    ctx, r = P.ctx, P.r
+    rinv = ctx.inv(ctx.from_int(r))
+    weights = np.array([ctx.mul(rinv, ctx.pow(P.zeta_r, (-chi.e * t) % r))
+                        for t in range(r)], dtype=np.int64)
+    psi, m = _act(P, np.arange(r), u.psi, u.m)
+    return qa_from_columns(
+        P, u.side, psi.ravel(), m.reshape(-1, P.p - 1),
+        _vmul_coeffs(P, u.coeffs[:, None], weights[None, :]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +384,7 @@ def qa_embed_available(P: Params) -> bool:
 
 
 def _embed_tables(P: Params) -> dict:
-    """Change-of-basis data shared by qa_embed and qa_extract."""
+    """Change-of-basis data of the embedding and the collapse."""
     tabs = P._cache.get("quiver_embed")
     if tabs is not None:
         return tabs
@@ -321,22 +432,13 @@ def _embed_tables(P: Params) -> dict:
     return tabs
 
 
-def label_columns(P: Params, u: QuivAElem):
-    """Label indices psi * dsz + packed m (the qa_labels order) and the
-    coefficients of the terms of u."""
-    items = list(u.terms.items())
-    js = np.array([lab.psi * P.dsz + _m_pack(P, lab.m) for lab, _ in items],
-                  dtype=np.int64)
-    return js, np.array([c for _, c in items], dtype=np.int64)
-
-
 def embed_columns(P: Params, js: np.ndarray) -> np.ndarray:
     """Embedded basis labels as dense columns over the side indices
     d p + y: label j = psi dsz + mk lands on S[:, mk] ⊗ F[:, xi] with
     xi = psi + phi(m)."""
     tabs = _embed_tables(P)
     psi, mk = np.divmod(np.asarray(js, dtype=np.int64), P.dsz)
-    xi = (psi + d_digits(P, mk) @ np.arange(1, P.p)) % P.p
+    xi = (psi + label_phi(P, d_digits(P, mk))) % P.p
     return P.ctx.vmul(tabs["S"][:, None, mk],
                       tabs["F"][None, :, xi]).reshape(P.dsz * P.p, len(mk))
 
@@ -362,65 +464,9 @@ def qa_embed(P: Params, u: QuivAElem) -> GAElem:
     return GAElem(keys[mask], flat[mask])
 
 
-def qa_extract(P: Params, x: GAElem, side: int = None) -> QuivAElem:
-    """Unique label expansion of an element supported on D_i ⋊ P_i."""
-    tabs = _embed_tables(P)
-    p, Dsz, r3 = P.p, P.dsz, P.r ** 3
-    keys = x.keys
-    rem = keys % r3
-    side1 = keys // (r3 * Dsz * p)
-    side2 = (keys // r3) % (Dsz * p)
-    if np.any(rem != 0):
-        raise ValueError("support lies outside D_i x P_i")
-    if side is None:
-        in1 = not np.any(side2)
-        in2 = not np.any(side1)
-        if in1:
-            side = 1
-        elif in2:
-            side = 2
-        else:
-            raise ValueError("support lies outside D_i x P_i")
-    flat = side1 if side == 1 else side2
-    other = side2 if side == 1 else side1
-    if np.any(other):
-        raise ValueError("support lies outside D_i x P_i")
-    C = np.zeros((Dsz, p), dtype=np.int64)
-    C[flat // p, flat % p] = x.coeffs
-    T = gf_matmul(P.ctx, tabs["Sinv"], C)
-    T = gf_matmul(P.ctx, T, tabs["Finv"].T.copy())
-    out = {}
-    for mk, xi in zip(*np.nonzero(T)):
-        m = _m_unpack(P, int(mk))
-        psi = (int(xi) - label_phi(P, m)) % p
-        out[QuivLabel(side, psi, m)] = int(T[mk, xi])
-    return QuivAElem(side, out)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
 
 def label_to_dict(label: QuivLabel) -> dict:
     return {"side": label.side, "psi_exp": label.psi, "m": list(label.m)}
-
-
-def label_from_dict(P: Params, data: dict) -> QuivLabel:
-    return label_make(P, data["side"], data["psi_exp"], data["m"])
-
-
-def qa_to_json(P: Params, u: QuivAElem) -> list:
-    items = sorted(u.terms.items(), key=lambda t: (t[0].psi, t[0].m))
-    return [{"label": label_to_dict(label), "coeff": P.ctx.to_coeffs(c)}
-            for label, c in items]
-
-
-def qa_from_json(P: Params, data: list) -> QuivAElem:
-    acc = None
-    for obj in data:
-        label = label_from_dict(P, obj["label"])
-        term = qa_basis(P, label, P.ctx.from_coeffs(obj["coeff"]))
-        acc = term if acc is None else qa_add(P, acc, term)
-    if acc is None:
-        raise ValueError("empty serialization carries no side")
-    return acc

@@ -24,19 +24,18 @@ import numpy as np
 from .characters import (
     Character, char_eval, h_element, make_char,
 )
-from .groups import (
-    Params, commutator, d_digits, d_scale_index, digit_dtype, group_inv,
-    slot_scale_index,
-)
+from .groups import Params, commutator, d_digits, digit_dtype, group_inv
 from .groupalg import (
     GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, _vmul_coeffs,
     block_idempotent, centralizes_block_H, ga_basis, ga_is_zero, ga_mul,
-    ga_scale, ga_sum,
+    ga_sum,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
-    QuivAElem, QuivLabel, _embed_tables, embed_columns, label_columns,
-    label_make, label_to_dict, qa_basis,
+    QuivAElem, _canon_rows, _embed_tables, _label_act_table, _label_index,
+    _label_perm, _leg_join, _leg_labels, _merge_terms, _same_columns,
+    _sort_key, embed_columns, label_phi, label_to_dict, qa_from_columns,
+    qa_isotypic, qa_scale,
 )
 
 
@@ -73,69 +72,30 @@ class TTElem:
     def terms(self):
         if self._terms is None:
             c = self.cols
-            self._terms = MappingProxyType({
-                (QuivLabel(1, u, m1), QuivLabel(2, v, m2)): k
-                for u, m1, v, m2, k in zip(
-                    c.psi1.tolist(), c.m1.tolist(), c.psi2.tolist(),
-                    c.m2.tolist(), c.coeffs.tolist())})
+            self._terms = MappingProxyType(dict(zip(zip(
+                _leg_labels(1, c.psi1, c.m1), _leg_labels(2, c.psi2, c.m2)),
+                c.coeffs.tolist())))
         return self._terms
 
     def __eq__(self, other):
         if not isinstance(other, TTElem):
             return NotImplemented
-        if (self.theta.group != other.theta.group
-                or self.theta.e != other.theta.e):
-            return False
-        a, b = self.cols, other.cols
-        if len(a.coeffs) != len(b.coeffs):
-            return False
-        return len(a.coeffs) == 0 or all(
-            np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+        return (self.theta.group == other.theta.group
+                and self.theta.e == other.theta.e
+                and _same_columns(self.cols[1:], other.cols[1:]))
 
     def __repr__(self):
         n = len(self.cols.coeffs)
         return f"TTElem(theta_exp={self.theta.e}, {n} terms)"
 
 
-def _sort_key(*cols) -> np.ndarray:
-    """One opaque key per row: the big-endian bytes of the columns side
-    by side, so that byte order is the numeric lexicographic order of
-    the (non-negative) columns and no label width is capped."""
-    raw = np.hstack([
-        np.ascontiguousarray(c if c.ndim == 2 else c[:, None],
-                             dtype=c.dtype.newbyteorder(">")).view(np.uint8)
-        for c in cols])
-    raw = np.ascontiguousarray(raw)
-    return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
-
-
-def _merge_terms(P: Params, coeffs: np.ndarray, first: np.ndarray,
-                 inv: np.ndarray):
-    """Field sums of coeffs per distinct key, given each key's first
-    occurrence and each term's key id; returns the nonzero sums and the
-    first occurrence of their keys."""
-    if len(first) == len(coeffs):
-        merged = coeffs[first]
-    else:
-        merged = _merge(P, inv.ravel(), len(first), coeffs)
-    live = merged != 0
-    return merged[live], first[live]
-
-
 def _canon(P: Params, c: _Cols) -> _Cols:
     """Sort on (row, label pair), merge equal keys with field addition,
     drop zero coefficients."""
     keys = c[:5] if c.rows is not None else c[1:5]
-    _, first, inv = np.unique(_sort_key(*keys), return_index=True,
-                              return_inverse=True)
-    merged, sel = _merge_terms(P, c.coeffs, first, inv)
+    merged, sel = _canon_rows(P, c.coeffs, *keys)
     return _Cols(None if c.rows is None else c.rows[sel], c.psi1[sel],
                  c.m1[sel], c.psi2[sel], c.m2[sel], merged)
-
-
-def _phi(P: Params, m: np.ndarray) -> np.ndarray:
-    """Exponent of the product of the arrow characters, per row of m."""
-    return (m @ np.arange(1, P.p, dtype=np.int64)) % P.p
 
 
 def tt_from_columns(P: Params, theta: Character, psi1, m1, psi2, m2,
@@ -290,21 +250,13 @@ def _route_sums(P: Params, route: dict, Y: np.ndarray) -> np.ndarray:
 def _route_elem(P: Params, route: dict, a: QuivAElem) -> GAElem:
     """Image of a side element under a linear route: the label
     coefficients are combined per component before the lanes scatter."""
-    js, cs = label_columns(P, a)
+    js, cs = _label_index(P, a.psi, a.m), a.coeffs
     c, n, _ = route["M"].shape
     Y = gf_matmul(P.ctx, route["M"][:, :, js].reshape(c * n, len(js)),
                   cs[:, None])
     sums = _route_sums(P, route, Y.reshape(c, n, 1))[:, 0]
     live = sums != 0
     return GAElem(route["keys"][live], sums[live])
-
-
-def _label_perm(P: Params, t: int) -> np.ndarray:
-    """The L-action of the t-th generator power on label indices
-    psi dsz + mk: vertex and arrow slots scale by g0^-t."""
-    u = P._g0pow[-t % P.r]
-    psi, mk = np.divmod(np.arange(P.dsz * P.p), P.dsz)
-    return psi * u % P.p * P.dsz + d_scale_index(P, u)[mk]
 
 
 def _iota_table(P: Params, theta: Character, side: int) -> dict:
@@ -395,8 +347,9 @@ def _stage_b(P: Params, theta: Character, T4: np.ndarray) -> TTElem:
 
     mk1, xi1, mk2, xi2 = np.nonzero(T4)
     m1, m2 = d_digits(P, mk1), d_digits(P, mk2)
-    return tt_from_columns(P, theta, xi1 - _phi(P, m1), m1,
-                           xi2 - _phi(P, m2), m2, T4[mk1, xi1, mk2, xi2])
+    return tt_from_columns(P, theta, xi1 - label_phi(P, m1), m1,
+                           xi2 - label_phi(P, m2), m2,
+                           T4[mk1, xi1, mk2, xi2])
 
 
 def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
@@ -420,9 +373,12 @@ def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
 def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
     """Inverse of the collapse: sum of c iota_1(u) iota_2(v)."""
     _check_theta(t, theta)
-    parts = [ga_scale(P, c, ga_mul(P, _iota(P, theta, qa_basis(P, u)),
-                                   _iota(P, theta, qa_basis(P, v))))
-             for (u, v), c in t.terms.items()]
+    c, one = t.cols, np.ones(1, dtype=np.int64)
+    # the term's coefficient rides on its side-1 leg
+    parts = [ga_mul(P, _iota(P, theta, QuivAElem(
+        1, c.psi1[i:i + 1], c.m1[i:i + 1], c.coeffs[i:i + 1])),
+        _iota(P, theta, QuivAElem(2, c.psi2[i:i + 1], c.m2[i:i + 1], one)))
+        for i in range(len(c.coeffs))]
     return ga_sum(P, parts)
 
 
@@ -460,19 +416,6 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
 # Twisted multiplication
 
 
-def _label_act_table(P: Params):
-    """The L-action on labels, one row per shift k of the generator: the
-    vertex scale g0^-k mod p, and the slot gather index that carries the
-    arrow count of s to s g0^-k."""
-    tab = P._cache.get("label_act")
-    if tab is None:
-        scale = np.array([P._g0pow[(-k) % P.r] for k in range(P.r)],
-                         dtype=np.int64)
-        tab = (scale, np.stack([slot_scale_index(P, int(u)) for u in scale]))
-        P._cache["label_act"] = tab
-    return tab
-
-
 def _no_terms(a: _Cols, b: _Cols) -> _Cols:
     """The empty product of a and b, a batch if either is."""
     none = a.psi1[:0]
@@ -483,38 +426,28 @@ def _no_terms(a: _Cols, b: _Cols) -> _Cols:
 def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
     """Twisted product of two column sets, at most one of them a batch.
 
-    Term pairs (i, j) and shifts k become lanes.  A leg's vertex gate is
-    an equality test on all |a| |b| r lanes, the side-2 gate only on
-    pairs alive on side 1, and the no-carry test runs only where a gate
-    holds.  Every surviving (k1, k2) combination of a pair picks up
+    Term pairs (i, j) and shifts k become lanes of the leg join, on all
+    |a| |b| r lanes for side 1 and only on pairs alive on side 1 for
+    side 2.  Every surviving (k1, k2) combination of a pair picks up
     W[k1, k2].  Each leg's labels are ranked once, so the combinations
     merge on one integer key that sorts like the label pair.
     """
-    ell, p, nb = P.ell, P.p, len(b.coeffs)
-    scale, perm = _label_act_table(P)
+    p, r, nb = P.p, P.r, len(b.coeffs)
+    ks = np.arange(r)
     # side 1: u1 times the k1-conjugate of u2
-    hit = (((a.psi1 + _phi(P, a.m1)) % p)[:, None, None]
-           == (b.psi1[:, None] * scale % p)[None, :, :])
-    i1, j1, k1 = np.nonzero(hit)
-    mb = b.m1[j1[:, None], perm[k1]]
-    ok = (a.m1[i1] < ell - mb).all(axis=1)
-    i1, j1, k1 = i1[ok], j1[ok], k1[ok]
+    i1, j1, k1, m1 = _leg_join(P, a.psi1, a.m1, b.psi1, b.m1, ks)
     if not len(i1):
         return _no_terms(a, b)
-    m1 = a.m1[i1] + mb[ok]
-    # side 2: the k2-conjugate of v1 times v2
+    # side 2: the k2-conjugate of v1 times v2, which is the k2-conjugate
+    # of v1 times the (-k2)-conjugate of v2
     alive = np.zeros((len(a.coeffs), nb), dtype=bool)
     alive[i1, j1] = True
-    tv = (a.psi2 + _phi(P, a.m2))[:, None] * scale % p
-    hit = (tv[:, None, :] == b.psi2[None, :, None]) & alive[:, :, None]
-    i2, j2, k2 = np.nonzero(hit)
-    ma = a.m2[i2[:, None], perm[k2]]
-    ok = (ma < ell - b.m2[j2]).all(axis=1)
-    i2, j2, k2 = i2[ok], j2[ok], k2[ok]
+    i2, j2, k2, m2 = _leg_join(P, a.psi2, a.m2, b.psi2, b.m2, -ks % r, alive)
     if not len(i2):
         return _no_terms(a, b)
-    m2 = ma[ok] + b.m2[j2]
+    scale, gather = _label_act_table(P)
     psi2 = a.psi2[i2] * scale[k2] % p
+    m2 = m2[np.arange(len(k2))[:, None], gather[k2]]
     # label ids per leg, in label order; a batch's row rides on side 1
     rows = a.rows[i1] if a.rows is not None else \
         (None if b.rows is None else b.rows[j1])
@@ -584,8 +517,14 @@ def tt_sandwich(P: Params, theta: Character, left: TTElem, span: TTElem,
 # Distinguished elements
 
 
-def _vertex_label(P: Params, side: int, e: int) -> QuivLabel:
-    return QuivLabel(side, e % P.p, (0,) * (P.p - 1))
+def _leg_tensor(P: Params, theta: Character, leg: QuivAElem,
+                vertices) -> TTElem:
+    """leg (x) the sum of the given vertices of the other side."""
+    n = len(vertices)
+    lab = (np.repeat(leg.psi, n), np.repeat(leg.m, n, axis=0))
+    other = (np.tile(vertices, len(leg.coeffs)), np.zeros_like(lab[1]))
+    pair = (*lab, *other) if leg.side == 1 else (*other, *lab)
+    return tt_from_columns(P, theta, *pair, np.repeat(leg.coeffs, n))
 
 
 def _orbit(P: Params, e: int) -> list:
@@ -620,12 +559,10 @@ def tt_arrow(P: Params, theta: Character, side: int, vertex: Character,
         raise ValueError(f"vertex and step must be characters of P{side}")
     if step.e % P.p == 0:
         raise ValueError("step must be a nontrivial character")
-    m = [0] * (P.p - 1)
+    m = np.zeros(P.p - 1)
     m[step.e % P.p - 1] = 1
-    lab = QuivLabel(side, vertex.e % P.p, tuple(m))
-    unit = _vertex_label(P, 2 if side == 1 else 1, 0)
-    pair = (lab, unit) if side == 1 else (unit, lab)
-    return tt_from_terms(P, theta, [(*pair, P.ctx.one)])
+    return _leg_tensor(P, theta, qa_from_columns(
+        P, side, [vertex.e], [m], [P.ctx.one]), [0])
 
 
 def tt_tilde(P: Params, theta: Character, side: int, step: Character,
@@ -642,18 +579,13 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
         raise ValueError("step must be a nontrivial character")
     if weight.group != f"L{side}":
         raise ValueError(f"weight must be a character of L{side}")
-    ctx, p, r = P.ctx, P.p, P.r
-    unit = _vertex_label(P, 2 if side == 1 else 1, 0)
-    items = []
-    for t in range(r):
-        su = (step.e * P._g0pow[(-t) % r]) % p
-        m = [0] * (p - 1)
-        m[su - 1] += 1
-        m[(p - su) - 1] += 1
-        lab = QuivLabel(side, 0, tuple(m))
-        pair = (lab, unit) if side == 1 else (unit, lab)
-        items.append((*pair, ctx.pow(P.zeta_r, (-weight.e * t) % r)))
-    return tt_from_terms(P, theta, items)
+    m = np.zeros(P.p - 1)
+    m[step.e % P.p - 1] += 1
+    m[-step.e % P.p - 1] += 1
+    path = qa_from_columns(P, side, [0], [m], [P.ctx.one])
+    # the weighted sum is r times the weight's isotypic part
+    return _leg_tensor(P, theta, qa_scale(
+        P, P.ctx.from_int(P.r), qa_isotypic(P, path, weight)), [0])
 
 
 def tt_radical_degree(t: TTElem) -> int:
@@ -673,14 +605,3 @@ def tt_to_json(P: Params, t: TTElem) -> list:
     """Terms in stored order, which is sorted by (psi1, m1, psi2, m2)."""
     return [{"u": label_to_dict(u), "v": label_to_dict(v),
              "coeff": P.ctx.to_coeffs(c)} for (u, v), c in t.terms.items()]
-
-
-def tt_from_json(P: Params, theta: Character, data: list) -> TTElem:
-    items = []
-    for row in data:
-        u = label_make(P, row["u"]["side"], row["u"]["psi_exp"],
-                       row["u"]["m"])
-        v = label_make(P, row["v"]["side"], row["v"]["psi_exp"],
-                       row["v"]["m"])
-        items.append((u, v, P.ctx.from_coeffs(row["coeff"])))
-    return tt_from_terms(P, theta, items)

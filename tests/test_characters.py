@@ -5,8 +5,8 @@ import math
 import pytest
 
 from mfblocks.characters import (
-    Character, char_conjugate, char_eval, char_from_dict, char_frob_power,
-    char_idempotent, char_to_dict, h_element, is_faithful, make_char,
+    Character, char_conjugate, char_eval, char_frob_power, char_idempotent,
+    h_element, is_faithful, make_char,
 )
 from mfblocks.groups import (
     conjugate, group_inv, group_mul, h_elem, identity, p_elem, params_make,
@@ -191,13 +191,3 @@ class TestFrobPower:
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
         assert char_frob_power(theta, P.d, P.ell) == theta
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        P = params_make(2, 7, 3)
-        for tag, e in [("Z", 2), ("P1", 5), ("L2", 1)]:
-            chi = make_char(P, tag, e)
-            d = char_to_dict(chi)
-            assert d == {"group": tag, "e": e}
-            assert char_from_dict(P, d) == chi

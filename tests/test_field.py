@@ -120,6 +120,11 @@ class TestArithmetic:
             assert ctx.from_coeffs(ctx.to_coeffs(a)) == a
         assert ctx.to_coeffs(ctx.from_coeffs([2, 1, 0, 1])) == [2, 1, 0, 1]
 
+    def test_from_coeffs_rejects_too_many(self):
+        ctx = field_make(3, 4)
+        with pytest.raises(ValueError, match="5 coefficients"):
+            ctx.from_coeffs([0, 1, 0, 0, 1])
+
 
 class TestFrobenius:
     def test_squaring_example(self):

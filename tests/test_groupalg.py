@@ -9,9 +9,8 @@ import mfblocks.groupalg as galg
 from mfblocks.characters import make_char
 from mfblocks.groupalg import (
     block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_coeff,
-    ga_conjugate, ga_from_json, ga_from_terms, ga_frobenius_twist, ga_mul,
-    ga_neg, ga_scale, ga_sub, ga_to_json, ga_unit, ga_zero, side_inv_index,
-    side_mul_table,
+    ga_conjugate, ga_from_terms, ga_frobenius_twist, ga_mul, ga_neg,
+    ga_scale, ga_sub, ga_unit, ga_zero, side_inv_index, side_mul_table,
 )
 from mfblocks.groups import (
     GroupElem, conjugate, d_pack, d_unpack, group_mul, h_elem, identity,
@@ -230,25 +229,6 @@ class TestFrobeniusTwist:
         e2 = block_idempotent(P, make_char(P, "Z", 2))
         assert ga_frobenius_twist(P, e1) == e2
         assert ga_frobenius_twist(P, e2) == e1
-
-
-class TestSerialization:
-    def test_roundtrip_and_order(self):
-        P = params_make(2, 7, 3)
-        rng = random.Random(14)
-        x = random_ga(P, rng, 10)
-        data = ga_to_json(P, x)
-        assert ga_from_json(P, data) == x
-        keys = [(tuple(t["elem"]["v1"]), t["elem"]["x1"],
-                 tuple(t["elem"]["v2"]), t["elem"]["x2"],
-                 tuple(t["elem"]["h"])) for t in data]
-        assert keys == sorted(keys)
-
-    def test_coeff_encoding(self):
-        P = params_make(2, 7, 3)
-        x = ga_basis(P, identity(P), 59)
-        (term,) = ga_to_json(P, x)
-        assert list(term["coeff"]) == list(P.ctx.to_coeffs(59))
 
 
 class TestSideTables:

@@ -9,14 +9,15 @@ Independent oracles used here:
     with each action written from first principles in this file.
 """
 
+import math
 import random
 
 import pytest
 
 from mfblocks.groups import (
     GroupElem, Params, conjugate, d_elem, elem_from_dict, elem_to_dict,
-    group_inv, group_mul, h_elem, identity, p_elem, pack_key, params_make,
-    subgroup_elements, unpack_key,
+    group_inv, group_mul, h_elem, identity, mult_order, p_elem, pack_key,
+    params_make, subgroup_elements, unpack_key,
 )
 
 
@@ -331,3 +332,19 @@ class TestSerialization:
             for _ in range(200):
                 key = rng.randrange(total)
                 assert pack_key(P, unpack_key(P, key)) == key
+
+
+class TestMultOrder:
+    def test_matches_the_power_loop(self):
+        for n in range(1, 1000):
+            for a in (2, 3, 5, 7, 10, n - 1):
+                if math.gcd(a, n) != 1:
+                    continue
+                k, v = 1, a % n
+                while v != 1 % n:
+                    v, k = v * a % n, k + 1
+                assert mult_order(a, n) == k, (a, n)
+
+    def test_rejects_non_units(self):
+        with pytest.raises(ValueError, match="invertible"):
+            mult_order(6, 9)

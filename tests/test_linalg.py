@@ -119,6 +119,11 @@ class TestElimination:
         with pytest.raises(ValueError):
             gf_inv_matrix(ctx, A)
 
+    def test_non_square_raises(self):
+        ctx = field_make(2, 6)
+        with pytest.raises(ValueError, match="shape"):
+            gf_inv_matrix(ctx, np.ones((3, 4), dtype=np.int64))
+
     def test_rank_against_scratch_gf3(self):
         # prime-field ranks checked against a from-scratch row reduction
         ctx = field_make(3, 1)

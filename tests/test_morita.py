@@ -16,8 +16,8 @@ from mfblocks.groupalg import (
 from mfblocks.morita import (
     PairingTable, SimpleLabel, commutation_pairing, ext_dim, fp_automorphism,
     head_algebra, mf_number, morita_equivalent, pairing_to_json,
-    params_for_target, recover_theta, simple_from_dict, simple_kind,
-    simple_make, simple_str, simple_to_dict, simples, swap_isomorphism,
+    params_for_target, recover_theta, simple_kind, simple_make, simple_str,
+    simples, swap_isomorphism,
 )
 from mfblocks.morita import _index_perm
 from mfblocks.twisted import b0_pi_inv, tt_eps
@@ -82,11 +82,6 @@ class TestSimpleLabel:
         assert simple_str(simple_make(P, 5, 0)) == "(phi5,1)"
         assert simple_str(simple_make(P, 0, 2)) == "(1,psi2)"
         assert simple_str(simple_make(P, 2, 6)) == "([phi1],[psi3])"
-
-    def test_dict_round_trip(self):
-        P = params_make(3, 5, 2)
-        s = simple_make(P, 3, 2)
-        assert simple_from_dict(P, simple_to_dict(s)) == s
 
     def test_census(self):
         for (ell, p, r), count in [((2, 7, 3), 17), ((3, 5, 2), 13)]:

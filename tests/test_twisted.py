@@ -19,8 +19,8 @@ from mfblocks.quiver import (
 from mfblocks.morita import commutation_pairing, recover_theta
 from mfblocks.twisted import (
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
-    tt_from_json, tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree,
-    tt_sandwich, tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
+    tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree, tt_sandwich,
+    tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
 )
 from mfblocks.twisted import _stage_b, _theta_collapse, _tt_ctx
 from mfblocks.twisted import _label_perm, _route_sums
@@ -707,15 +707,6 @@ class TestRadical:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        rng = random.Random(59)
-        for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
-            P = params_make(ell, p, r)
-            theta = make_char(P, "Z", 2)
-            t = random_tt(P, theta, rng, nterms=3, max_deg=2)
-            data = tt_to_json(P, t)
-            assert tt_from_json(P, theta, data) == t
-
     def test_shape_and_order(self):
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
