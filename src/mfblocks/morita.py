@@ -204,7 +204,8 @@ def _iso_leg(P: Params, theta: Character, side: int, e: int) -> TTElem:
     m[0] = 1
     leg = qa_isotypic(P, qa_basis(P, label_make(P, side, 0, tuple(m))),
                       make_char(P, f"L{side}", e))
-    return _leg_tensor(P, theta, leg, np.arange(P.p))
+    return _leg_tensor(P, theta, side, leg.psi, leg.m, leg.coeffs,
+                       np.arange(P.p))
 
 
 def _extract_scalar(P: Params, theta: Character, S: TTElem,

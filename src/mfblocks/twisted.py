@@ -32,10 +32,9 @@ from .groupalg import (
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
-    QuivAElem, _canon_rows, _embed_tables, _label_act_table, _label_index,
-    _label_perm, _leg_join, _leg_labels, _merge_terms, _same_columns,
-    _sort_key, embed_columns, label_phi, label_to_dict, qa_from_columns,
-    qa_isotypic, qa_scale,
+    QuivAElem, _act, _canon_rows, _embed_tables, _label_act_table,
+    _label_index, _label_perm, _leg_join, _leg_labels, _merge_terms,
+    _same_columns, _sort_key, embed_columns, label_phi, label_to_dict,
 )
 
 
@@ -517,14 +516,15 @@ def tt_sandwich(P: Params, theta: Character, left: TTElem, span: TTElem,
 # Distinguished elements
 
 
-def _leg_tensor(P: Params, theta: Character, leg: QuivAElem,
+def _leg_tensor(P: Params, theta: Character, side: int, psi, m, coeffs,
                 vertices) -> TTElem:
-    """leg (x) the sum of the given vertices of the other side."""
+    """The leg with label columns psi, m, coeffs on the given side,
+    tensored with the sum of the given vertices of the other side."""
     n = len(vertices)
-    lab = (np.repeat(leg.psi, n), np.repeat(leg.m, n, axis=0))
-    other = (np.tile(vertices, len(leg.coeffs)), np.zeros_like(lab[1]))
-    pair = (*lab, *other) if leg.side == 1 else (*other, *lab)
-    return tt_from_columns(P, theta, *pair, np.repeat(leg.coeffs, n))
+    lab = (np.repeat(psi, n), np.repeat(m, n, axis=0))
+    other = (np.tile(vertices, len(coeffs)), np.zeros_like(lab[1]))
+    pair = (*lab, *other) if side == 1 else (*other, *lab)
+    return tt_from_columns(P, theta, *pair, np.repeat(coeffs, n))
 
 
 def _orbit(P: Params, e: int) -> list:
@@ -559,10 +559,9 @@ def tt_arrow(P: Params, theta: Character, side: int, vertex: Character,
         raise ValueError(f"vertex and step must be characters of P{side}")
     if step.e % P.p == 0:
         raise ValueError("step must be a nontrivial character")
-    m = np.zeros(P.p - 1)
-    m[step.e % P.p - 1] = 1
-    return _leg_tensor(P, theta, qa_from_columns(
-        P, side, [vertex.e], [m], [P.ctx.one]), [0])
+    m = np.zeros((1, P.p - 1))
+    m[0, step.e % P.p - 1] = 1
+    return _leg_tensor(P, theta, side, [vertex.e], m, [P.ctx.one], [0])
 
 
 def tt_tilde(P: Params, theta: Character, side: int, step: Character,
@@ -579,13 +578,13 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
         raise ValueError("step must be a nontrivial character")
     if weight.group != f"L{side}":
         raise ValueError(f"weight must be a character of L{side}")
-    m = np.zeros(P.p - 1)
-    m[step.e % P.p - 1] += 1
-    m[-step.e % P.p - 1] += 1
-    path = qa_from_columns(P, side, [0], [m], [P.ctx.one])
-    # the weighted sum is r times the weight's isotypic part
-    return _leg_tensor(P, theta, qa_scale(
-        P, P.ctx.from_int(P.r), qa_isotypic(P, path, weight)), [0])
+    m = np.zeros((1, P.p - 1), dtype=digit_dtype(P))
+    m[0, step.e % P.p - 1] += 1
+    m[0, -step.e % P.p - 1] += 1
+    psi, m = _act(P, np.arange(P.r), np.zeros(1, dtype=np.int64), m)
+    weights = [P.ctx.pow(P.zeta_r, (-weight.e * t) % P.r) for t in range(P.r)]
+    return _leg_tensor(P, theta, side, psi.ravel(), m.reshape(-1, P.p - 1),
+                       weights, [0])
 
 
 def tt_radical_degree(t: TTElem) -> int:
