@@ -438,7 +438,7 @@ def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
     if not len(i1):
         return _no_terms(a, b)
     # side 2: the k2-conjugate of v1 times v2, which is the k2-conjugate
-    # of v1 times the (-k2)-conjugate of v2
+    # of (v1 times the (-k2)-conjugate of v2)
     alive = np.zeros((len(a.coeffs), nb), dtype=bool)
     alive[i1, j1] = True
     i2, j2, k2, m2 = _leg_join(P, a.psi2, a.m2, b.psi2, b.m2, -ks % r, alive)
