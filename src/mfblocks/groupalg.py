@@ -15,8 +15,8 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .groups import (
-    GroupElem, Params, d_digits, d_scale_index, group_inv, h_elem, identity,
-    pack_key,
+    GroupElem, Params, d_digits, d_key, d_scale_index, group_inv, h_elem,
+    identity, key_array, key_cols, key_join, pack_key,
 )
 
 _CHUNK = 1 << 22
@@ -108,18 +108,13 @@ def ga_from_terms(P: Params, terms: Iterable[Tuple[GroupElem, int]]) -> GAElem:
     for g, c in terms:
         keys.append(pack_key(P, g))
         coeffs.append(c)
-    bits = max(keys, default=0).bit_length()
-    if bits > 63:
-        raise ValueError(f"a group key needs {bits} bits, more than the 63"
-                         f" of an int64 key")
-    return _dedupe(P, np.array(keys, dtype=np.int64),
-                   np.array(coeffs, dtype=np.int64))
+    return _dedupe(P, key_array(keys), np.array(coeffs, dtype=np.int64))
 
 
 def ga_basis(P: Params, g: GroupElem, coeff: int = 1) -> GAElem:
     if coeff == 0:
         return ga_zero()
-    return GAElem(np.array([pack_key(P, g)], dtype=np.int64),
+    return GAElem(key_array([pack_key(P, g)]),
                   np.array([coeff], dtype=np.int64))
 
 
@@ -178,11 +173,10 @@ def _tables(P: Params) -> dict:
     ell, p = P.ell, P.p
     full = np.zeros((P.dsz, p), dtype=np.int64)
     full[:, 1:] = d_digits(P, np.arange(P.dsz))
-    weights = ell ** np.arange(p - 1, dtype=np.int64)
 
     def pack(v):
         # entry 0 normalised to zero, entries 1..p-1 as base-ell digits
-        return (v[..., 1:] - v[..., :1]) % ell @ weights
+        return d_key(P, (v[..., 1:] - v[..., :1]) % ell)
 
     h = np.arange(p)
     tabs = {"trans": np.stack([pack(full[:, (h + x) % p]) for x in h]),
@@ -194,22 +188,11 @@ def _tables(P: Params) -> dict:
     return tabs
 
 
-def _unpack_cols(P: Params, keys: np.ndarray):
-    r, p, Dsz = P.r, P.p, P.dsz
-    k, c = np.divmod(keys, r)
-    k, b = np.divmod(k, r)
-    k, a = np.divmod(k, r)
-    k, x2 = np.divmod(k, p)
-    k, d2 = np.divmod(k, Dsz)
-    d1, x1 = np.divmod(k, p)
-    return d1, x1, d2, x2, a, b, c
-
-
 def _mul_lanes(P: Params, tabs: dict, gk: np.ndarray, hk: np.ndarray):
     """Packed product keys for broadcastable key arrays."""
-    r, p, Dsz = P.r, P.p, P.dsz
-    gd1, gx1, gd2, gx2, ga, gb, gc = _unpack_cols(P, gk)
-    hd1, hx1, hd2, hx2, ha, hb, hc = _unpack_cols(P, hk)
+    r, p = P.r, P.p
+    gd1, gx1, gd2, gx2, ga, gb, gc = key_cols(P, gk)
+    hd1, hx1, hd2, hx2, ha, hb, hc = key_cols(P, hk)
     s1 = (-ga) % r
     s2 = (-gb) % r
     w1 = tabs["scale"][s1, hd1]
@@ -224,13 +207,8 @@ def _mul_lanes(P: Params, tabs: dict, gk: np.ndarray, hk: np.ndarray):
     else:
         v1 = tabs["dadd"][gd1, t1]
         v2 = tabs["dadd"][gd2, t2]
-    key = v1 * p + ((gx1 + y1) % p)
-    key = key * Dsz + v2
-    key = key * p + ((gx2 + y2) % p)
-    key = key * r + ((ga + ha) % r)
-    key = key * r + ((gb + hb) % r)
-    key = key * r + ((gc + hc - ha * gb) % r)
-    return key
+    return key_join(P, v1, (gx1 + y1) % p, v2, (gx2 + y2) % p, (ga + ha) % r,
+                    (gb + hb) % r, (gc + hc - ha * gb) % r)
 
 
 def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:

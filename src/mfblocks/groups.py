@@ -264,20 +264,11 @@ def subgroup_elements(P: Params, tag: str) -> list:
     if tag == "P2":
         return [p_elem(P, 2, x) for x in range(P.p)]
     if tag in ("D1", "D2"):
-        side = 1 if tag == "D1" else 2
-        out = []
         z = (0,) * P.p
-        for packed in range(P.dsz):
-            v, t = [0], packed
-            for _ in range(P.p - 1):
-                v.append(t % P.ell)
-                t //= P.ell
-            v = tuple(v)
-            if side == 1:
-                out.append(GroupElem(v, 0, z, 0, 0, 0, 0))
-            else:
-                out.append(GroupElem(z, 0, v, 0, 0, 0, 0))
-        return out
+        vs = [d_unpack(P, packed) for packed in range(P.dsz)]
+        if tag == "D1":
+            return [GroupElem(v, 0, z, 0, 0, 0, 0) for v in vs]
+        return [GroupElem(z, 0, v, 0, 0, 0, 0) for v in vs]
     if tag == "E-generators":
         return [p_elem(P, 1, 1), p_elem(P, 2, 1),
                 h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)]
@@ -321,6 +312,13 @@ def d_digits(P: Params, packed: np.ndarray) -> np.ndarray:
     return out
 
 
+def d_key(P: Params, digits: np.ndarray) -> np.ndarray:
+    """Packed D-vectors of digit rows (the last axis), the int64 inverse
+    of d_digits."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ P.ell ** np.arange(digits.shape[-1], dtype=np.int64)
+
+
 def slot_scale_index(P: Params, u: int) -> np.ndarray:
     """Gather index of the relabelling s -> s*u mod p on the p - 1 slots.
 
@@ -332,25 +330,64 @@ def slot_scale_index(P: Params, u: int) -> np.ndarray:
 
 
 def d_scale_index(P: Params, u: int) -> np.ndarray:
-    """Packed-vector table of the relabelling of D-indices s -> s*u."""
-    digits = d_digits(P, np.arange(P.dsz))[:, slot_scale_index(P, u)]
-    return digits.astype(np.int64) @ P.ell ** np.arange(P.p - 1)
+    """Packed-vector table of the relabelling of D-indices s -> s*u,
+    built once per unit."""
+    key = ("d_scale", int(u) % P.p)
+    perm = P._cache.get(key)
+    if perm is None:
+        digits = d_digits(P, np.arange(P.dsz))[:, slot_scale_index(P, u)]
+        perm = P._cache[key] = d_key(P, digits)
+    return perm
+
+
+def key_cols(P: Params, keys):
+    """Columns (d1, x1, d2, x2, a, b, c) of packed group keys.
+
+    Layout, most significant first: d1, x1, d2, x2, a, b, c, with radices
+    dsz, p, dsz, p, r, r, r.  Plain integer arithmetic, so the same code
+    is exact on Python ints and runs lane-wise on int64 arrays.
+    """
+    keys, c = divmod(keys, P.r)
+    keys, b = divmod(keys, P.r)
+    keys, a = divmod(keys, P.r)
+    keys, x2 = divmod(keys, P.p)
+    keys, d2 = divmod(keys, P.dsz)
+    d1, x1 = divmod(keys, P.p)
+    return d1, x1, d2, x2, a, b, c
+
+
+def key_join(P: Params, d1, x1, d2, x2, a, b, c):
+    """Packed group keys of reduced columns, the inverse of key_cols."""
+    key = (d1 * P.p + x1) * P.dsz + d2
+    key = key * P.p + x2
+    return ((key * P.r + a) * P.r + b) * P.r + c
+
+
+def key_z(P: Params, keys):
+    """The c coordinate (the Z-part gz^c) of packed group keys."""
+    return keys % P.r
+
+
+def key_n(P: Params, keys):
+    """The N-part d1 x1 d2 x2 of packed group keys, as the flat index
+    ((d1 p + x1) dsz + d2) p + x2 into (dsz p)^2."""
+    return keys // P.r ** 3
+
+
+def key_array(keys) -> np.ndarray:
+    """Packed group keys as an int64 array; a key past 63 bits raises."""
+    bits = max(keys, default=0).bit_length()
+    if bits > 63:
+        raise ValueError(f"a group key needs {bits} bits, more than the 63"
+                         f" of an int64 key")
+    return np.array(keys, dtype=np.int64)
 
 
 def pack_key(P: Params, g: GroupElem) -> int:
-    """Pack a normalized element into a single integer key.
-
-    Layout (most significant first): d1, x1, d2, x2, a, b, c.  Fits in
-    64 bits at every desk configuration.
-    """
-    key = d_pack(P, g.v1)
-    key = key * P.p + g.x1
-    key = key * P.dsz + d_pack(P, g.v2)
-    key = key * P.p + g.x2
-    key = key * P.r + g.a
-    key = key * P.r + g.b
-    key = key * P.r + g.c
-    return key
+    """Pack a normalized element into a single integer key, exact at any
+    size."""
+    return key_join(P, d_pack(P, g.v1), g.x1, d_pack(P, g.v2), g.x2,
+                    g.a, g.b, g.c)
 
 
 def key_bits(P: Params) -> int:
@@ -358,17 +395,12 @@ def key_bits(P: Params) -> int:
 
     The group algebra holds keys in int64, so it needs at most 63.
     """
-    return (P.dsz ** 2 * P.p ** 2 * P.r ** 3 - 1).bit_length()
+    return (key_join(P, P.dsz, 0, 0, 0, 0, 0, 0) - 1).bit_length()
 
 
 def unpack_key(P: Params, key: int) -> GroupElem:
-    key, c = divmod(key, P.r)
-    key, b = divmod(key, P.r)
-    key, a = divmod(key, P.r)
-    key, x2 = divmod(key, P.p)
-    key, dd2 = divmod(key, P.dsz)
-    d1, x1 = divmod(key, P.p)
-    return GroupElem(d_unpack(P, d1), x1, d_unpack(P, dd2), x2, a, b, c)
+    d1, x1, d2, x2, a, b, c = key_cols(P, key)
+    return GroupElem(d_unpack(P, d1), x1, d_unpack(P, d2), x2, a, b, c)
 
 
 def elem_to_dict(g: GroupElem) -> dict:

@@ -21,7 +21,9 @@ import numpy as np
 
 from .characters import Character, is_faithful, make_char
 from .field import is_prime
-from .groups import Params, d_scale_index, digit_dtype, mult_order
+from .groups import (
+    Params, d_scale_index, digit_dtype, key_cols, key_join, mult_order,
+)
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
 from .quiver import label_make, qa_basis, qa_isotypic
@@ -325,27 +327,10 @@ def swap_isomorphism(P: Params, x: GAElem) -> GAElem:
     """
     if len(x.keys) == 0:
         return ga_zero()
-    r, p, dsz = P.r, P.p, P.dsz
-    key, c = np.divmod(x.keys, r)
-    key, b = np.divmod(key, r)
-    key, a = np.divmod(key, r)
-    n, x2 = np.divmod(key, p)
-    n, d2 = np.divmod(n, dsz)
-    d1, x1 = np.divmod(n, p)
-    n2 = ((d2 * p + x2) * dsz + d1) * p + x1
+    d1, x1, d2, x2, a, b, c = key_cols(P, x.keys)
     # g1 <-> g2 and gz -> gz^-1; the cocycle forces the -ab correction
-    c2 = (-a * b - c) % r
-    keys = ((n2 * r + b) * r + a) * r + c2
+    keys = key_join(P, d2, x2, d1, x1, b, a, (-a * b - c) % P.r)
     return _dedupe(P, keys, x.coeffs.copy())
-
-
-def _index_perm(P: Params, u: int) -> np.ndarray:
-    """Packed-vector table for relabeling D-indices s -> s*u mod p."""
-    key = ("index_perm", u)
-    perm = P._cache.get(key)
-    if perm is None:
-        perm = P._cache[key] = d_scale_index(P, u)
-    return perm
 
 
 def fp_automorphism(P: Params, u1: int, u2: int, x: GAElem) -> GAElem:
@@ -362,16 +347,7 @@ def fp_automorphism(P: Params, u1: int, u2: int, x: GAElem) -> GAElem:
         raise ValueError("scalars must be nonzero mod p")
     if len(x.keys) == 0:
         return ga_zero()
-    r, dsz = P.r, P.dsz
-    perm1 = _index_perm(P, u1)
-    perm2 = _index_perm(P, u2)
-    key, c = np.divmod(x.keys, r)
-    key, b = np.divmod(key, r)
-    key, a = np.divmod(key, r)
-    n, x2 = np.divmod(key, p)
-    n, d2 = np.divmod(n, dsz)
-    d1, x1 = np.divmod(n, p)
-    n2 = ((perm1[d1] * p + (x1 * u1) % p) * dsz + perm2[d2]) * p \
-        + (x2 * u2) % p
-    keys = ((n2 * r + a) * r + b) * r + c
+    d1, x1, d2, x2, a, b, c = key_cols(P, x.keys)
+    keys = key_join(P, d_scale_index(P, u1)[d1], x1 * u1 % p,
+                    d_scale_index(P, u2)[d2], x2 * u2 % p, a, b, c)
     return _dedupe(P, keys, x.coeffs.copy())

@@ -24,11 +24,11 @@ import numpy as np
 
 from .characters import Character
 from .groups import (
-    GroupElem, Params, conjugate, d_digits, d_elem, d_pack, d_unpack,
-    digit_dtype, p_elem, slot_scale_index,
+    GroupElem, Params, conjugate, d_digits, d_elem, d_key, d_pack,
+    digit_dtype, key_join, p_elem, slot_scale_index,
 )
 from .groupalg import GAElem, _merge, _vmul_coeffs
-from .linalg import gf_inv_matrix
+from .linalg import gf_inv_matrix, gf_matmul
 
 _EMBED_LIMIT = 2048
 
@@ -76,19 +76,16 @@ def label_phi(P: Params, m) -> np.ndarray:
     return (np.asarray(m) @ np.arange(1, P.p, dtype=np.int64)) % P.p
 
 
-def _m_pack(P: Params, m) -> int:
-    """Arrow counts pack like a D-vector without its entry 0."""
-    return d_pack(P, (0, *m))
-
-
-def _m_unpack(P: Params, packed: int) -> tuple:
-    return d_unpack(P, packed)[1:]
-
-
 def _label_index(P: Params, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Label indices psi * dsz + packed m (the qa_labels order); only
     sides within the embedding limit have them."""
-    return psi * P.dsz + m.astype(np.int64) @ P.ell ** np.arange(m.shape[1])
+    return psi * P.dsz + d_key(P, m)
+
+
+def _label_cols(P: Params, js: np.ndarray):
+    """Vertex column and arrow-count matrix of label indices."""
+    psi, mk = np.divmod(np.asarray(js, dtype=np.int64), P.dsz)
+    return psi, d_digits(P, mk)
 
 
 def _sort_key(*cols) -> np.ndarray:
@@ -205,8 +202,7 @@ def qa_unit(P: Params, side: int) -> QuivAElem:
 
 def qa_labels(P: Params, side: int) -> list:
     """All p * ell^(p-1) basis labels in (psi, packed m) order."""
-    return [QuivLabel(side, psi, _m_unpack(P, mk))
-            for psi in range(P.p) for mk in range(P.dsz)]
+    return _leg_labels(side, *_label_cols(P, np.arange(P.dsz * P.p)))
 
 
 def qa_add(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
@@ -253,8 +249,13 @@ def _act(P: Params, k, psi: np.ndarray, m: np.ndarray):
 def _label_perm(P: Params, t: int) -> np.ndarray:
     """The L-action of the t-th generator power on label indices
     psi dsz + mk."""
-    psi, mk = np.divmod(np.arange(P.dsz * P.p), P.dsz)
-    return _label_index(P, *_act(P, t, psi, d_digits(P, mk)))
+    return _label_index(P, *_act(P, t, *_label_cols(
+        P, np.arange(P.dsz * P.p))))
+
+
+def _no_carry(P: Params, m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
+    """Rows where the arrow counts add without reaching ell."""
+    return (m_a < P.ell - m_b).all(axis=1)
 
 
 def _leg_join(P: Params, psi_a: np.ndarray, m_a: np.ndarray,
@@ -273,7 +274,7 @@ def _leg_join(P: Params, psi_a: np.ndarray, m_a: np.ndarray,
         hit &= alive[:, :, None]
     i, j, k = np.nonzero(hit)
     mb = m_b[j[:, None], gather[ks[k]]]
-    ok = (m_a[i] < P.ell - mb).all(axis=1)
+    ok = _no_carry(P, m_a[i], mb)
     return i[ok], j[ok], k[ok], m_a[i[ok]] + mb[ok]
 
 
@@ -350,21 +351,6 @@ def qa_isotypic(P: Params, u: QuivAElem, chi: Character) -> QuivAElem:
 # Embedding into the group algebra
 
 
-def _d_add_keys(P: Params, keys: np.ndarray, b: int) -> np.ndarray:
-    """Packed keys of the D-products key + b (digitwise mod ell)."""
-    if P.ell == 2:
-        return keys ^ b
-    out = np.zeros_like(keys)
-    mult = 1
-    a = keys
-    for _ in range(P.p - 1):
-        out += ((a + b) % P.ell) * mult
-        a = a // P.ell
-        b //= P.ell
-        mult *= P.ell
-    return out
-
-
 def _arrow_vector(P: Params, s: int) -> np.ndarray:
     """s_phi = sum_g phi(g^-1) d^g as a dense vector over packed D."""
     ctx = P.ctx
@@ -394,19 +380,17 @@ def _embed_tables(P: Params) -> dict:
     ctx, p, Dsz, ell = P.ctx, P.p, P.dsz, P.ell
 
     arrows = [None] + [_arrow_vector(P, s) for s in range(1, p)]
-    idx = np.arange(Dsz, dtype=np.int64)
+    digits = d_digits(P, np.arange(Dsz))
     S = np.zeros((Dsz, Dsz), dtype=np.int64)
     S[0, 0] = ctx.one
     for mk in range(1, Dsz):
-        s, t = 1, mk
-        while t % ell == 0:
-            t //= ell
-            s += 1
-        prev = S[:, mk - ell ** (s - 1)]
+        # S_m is the arrow of the first slot s of m times S_(m - e_s)
+        s = int(np.flatnonzero(digits[mk])[0]) + 1
+        prev = S[:, d_key(P, digits[mk] - (np.arange(1, p) == s))]
         arrow = arrows[s]
         col = np.zeros(Dsz, dtype=np.int64)
         for b in np.nonzero(arrow)[0]:
-            shifted = _d_add_keys(P, idx, int(b))
+            shifted = d_key(P, (digits + digits[b]) % ell)
             contrib = ctx.vscale(int(arrow[b]), prev)
             col[shifted] = ctx.vadd(col[shifted], contrib)
         S[:, mk] = col
@@ -420,12 +404,10 @@ def _embed_tables(P: Params) -> dict:
             F[y, xi] = ctx.mul(pinv, ctx.pow(P.zeta_p, (-xi * y) % p))
             Finv[xi, y] = ctx.pow(P.zeta_p, (xi * y) % p)
 
-    gkeys = np.zeros((2, Dsz, p), dtype=np.int64)
-    r3 = P.r ** 3
-    dk = np.arange(Dsz, dtype=np.int64)[:, None]
-    yy = np.arange(p, dtype=np.int64)[None, :]
-    gkeys[0] = (dk * p + yy) * (Dsz * p) * r3
-    gkeys[1] = (dk * p + yy) * r3
+    # the side-i keys d_i(v) x_i^y, one row per packed v
+    dk, yy = np.arange(Dsz)[:, None], np.arange(p)[None, :]
+    gkeys = np.stack([key_join(P, dk, yy, 0, 0, 0, 0, 0),
+                      key_join(P, 0, 0, dk, yy, 0, 0, 0)])
 
     tabs = {"S": S, "Sinv": Sinv, "F": F, "Finv": Finv, "gkeys": gkeys}
     P._cache["quiver_embed"] = tabs
@@ -437,10 +419,10 @@ def embed_columns(P: Params, js: np.ndarray) -> np.ndarray:
     d p + y: label j = psi dsz + mk lands on S[:, mk] ⊗ F[:, xi] with
     xi = psi + phi(m)."""
     tabs = _embed_tables(P)
-    psi, mk = np.divmod(np.asarray(js, dtype=np.int64), P.dsz)
-    xi = (psi + label_phi(P, d_digits(P, mk))) % P.p
-    return P.ctx.vmul(tabs["S"][:, None, mk],
-                      tabs["F"][None, :, xi]).reshape(P.dsz * P.p, len(mk))
+    psi, m = _label_cols(P, js)
+    xi = (psi + label_phi(P, m)) % P.p
+    return P.ctx.vmul(tabs["S"][:, None, d_key(P, m)],
+                      tabs["F"][None, :, xi]).reshape(P.dsz * P.p, len(psi))
 
 
 def qa_embed(P: Params, u: QuivAElem) -> GAElem:
@@ -450,16 +432,9 @@ def qa_embed(P: Params, u: QuivAElem) -> GAElem:
     xi = psi + phi(m): the D-part is the product of the arrow
     elements, the P-part the vertex idempotent pushed past them.
     """
-    tabs = _embed_tables(P)
-    ctx, p = P.ctx, P.p
-    C = np.zeros((P.dsz, p), dtype=np.int64)
-    for label, c in u.terms.items():
-        mk = _m_pack(P, label.m)
-        xi = (label.psi + label_phi(P, label.m)) % p
-        col = ctx.vscale(int(c), tabs["S"][:, mk])
-        C = ctx.vadd(C, ctx.vmul(col[:, None], tabs["F"][:, xi][None, :]))
-    keys = tabs["gkeys"][u.side - 1].reshape(-1)
-    flat = C.reshape(-1)
+    keys = _embed_tables(P)["gkeys"][u.side - 1].reshape(-1)
+    flat = gf_matmul(P.ctx, embed_columns(P, _label_index(P, u.psi, u.m)),
+                     u.coeffs[:, None])[:, 0]
     mask = flat != 0
     return GAElem(keys[mask], flat[mask])
 

@@ -24,7 +24,10 @@ import numpy as np
 from .characters import (
     Character, char_eval, h_element, make_char,
 )
-from .groups import Params, commutator, d_digits, digit_dtype, group_inv
+from .groups import (
+    Params, commutator, d_digits, digit_dtype, group_inv, key_cols, key_join,
+    key_n, key_z,
+)
 from .groupalg import (
     GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, _vmul_coeffs,
     block_idempotent, centralizes_block_H, ga_basis, ga_is_zero, ga_mul,
@@ -307,8 +310,8 @@ def _theta_collapse(P: Params, tctx: dict, keys: np.ndarray,
                     coeffs: np.ndarray) -> np.ndarray:
     """Absorb the Z-part as a theta power and bin onto N-keys: the field
     sums as a flat (Dsz p)^2 vector."""
-    vals = P.ctx.vmul(coeffs, tctx["theta_pow"][keys % P.r])
-    return _merge(P, keys // P.r ** 3, (P.dsz * P.p) ** 2, vals)
+    vals = P.ctx.vmul(coeffs, tctx["theta_pow"][key_z(P, keys)])
+    return _merge(P, key_n(P, keys), (P.dsz * P.p) ** 2, vals)
 
 
 def _fold_z(P: Params, tctx: dict, x: GAElem) -> GAElem:
@@ -316,8 +319,8 @@ def _fold_z(P: Params, tctx: dict, x: GAElem) -> GAElem:
 
     Z is central and the collapse reads theta on the c-coordinate, so a
     product of folded factors collapses to the same tensor."""
-    c = x.keys % P.r
-    return _dedupe(P, x.keys - c,
+    d1, x1, d2, x2, a, b, c = key_cols(P, x.keys)
+    return _dedupe(P, key_join(P, d1, x1, d2, x2, a, b, 0),
                    P.ctx.vmul(x.coeffs, tctx["theta_pow"][c]))
 
 
@@ -395,7 +398,8 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     tctx = _tt_ctx(P, theta)
     x, y = _fold_z(P, tctx, x), _fold_z(P, tctx, y)
     # the b of a right factor only reaches the b of the product
-    y = _dedupe(P, y.keys - y.keys // P.r % P.r * P.r, y.coeffs)
+    d1, x1, d2, x2, a, _, _ = key_cols(P, y.keys)
+    y = _dedupe(P, key_join(P, d1, x1, d2, x2, a, 0, 0), y.coeffs)
     if ga_is_zero(x) or ga_is_zero(y):
         return tt_zero(theta)
     tabs = _tables(P)

@@ -44,9 +44,9 @@ from .morita import (
     simple_make, simple_str, simples, swap_isomorphism,
 )
 from .quiver import (
-    _embed_tables, _sort_key, embed_columns, label_make, label_to_dict,
-    qa_basis, qa_embed, qa_embed_available, qa_from_columns, qa_labels,
-    qa_mul,
+    _embed_tables, _label_cols, _label_index, _leg_join, _sort_key,
+    embed_columns, label_make, label_to_dict, qa_basis, qa_embed,
+    qa_embed_available, qa_from_columns, qa_labels, qa_mul,
 )
 from .twisted import (
     _iota_table, _route_elem, _route_sums, _tt_ctx, _vertex_pairs,
@@ -163,23 +163,22 @@ def _check_group_relations(P: Params, theta: Character, suite: str,
 
 
 def _embed_side_data(P: Params, side: int) -> dict:
-    """Dense embedded basis of one side plus the label product data."""
+    """Dense embedded basis of one side plus its label columns."""
     js = np.arange(P.dsz * P.p)
-    digits = d_digits(P, js % P.dsz).astype(np.int64)
-    gate = (js // P.dsz + digits @ np.arange(1, P.p)) % P.p
     return {"labels": qa_labels(P, side), "E": embed_columns(P, js),
-            "digits": digits, "gate": gate}
+            "cols": _label_cols(P, js)}
 
 
 def _embed_want(P: Params, data: dict, u: int, vs) -> np.ndarray:
     """The embedded label-rule products of basis label u with the basis
-    labels vs, as columns: (psi_u, m_u + m_v) where the gate holds and
-    no arrow count overflows, else zero."""
+    labels vs, as columns, by the library's leg join (zero where the
+    rule kills the product)."""
+    psi, m = data["cols"]
     vs = np.asarray(vs)
-    ok = (vs // P.dsz == data["gate"][u]) & np.all(
-        data["digits"][u] + data["digits"][vs] < P.ell, axis=1)
+    _, j, _, prod = _leg_join(P, psi[[u]], m[[u]], psi[vs], m[vs],
+                              np.zeros(1, dtype=np.int64))
     want = np.zeros((len(data["E"]), len(vs)), dtype=np.int64)
-    want[:, ok] = data["E"][:, u + vs[ok] % P.dsz]
+    want[:, j] = data["E"][:, _label_index(P, psi[u], prod)]
     return want
 
 
@@ -565,13 +564,17 @@ def _check_pairing_recovery(P: Params, theta: Character, suite: str,
     return None
 
 
-def _brute_mf(ell: int, r: int) -> int:
-    x = ell % r
-    m = 1
-    while x != 1 % r and x != (r - 1) % r:
-        x = x * ell % r
-        m += 1
-    return m
+def _brute_mf(ell: int, rs: np.ndarray) -> np.ndarray:
+    """Least m >= 1 with ell^m = +-1 mod r for each modulus r > 1 of rs,
+    by multiplying all still open residues by ell until each closes."""
+    out = np.zeros(len(rs), dtype=np.int64)
+    open_, x, m = np.arange(len(rs)), ell % rs, 1
+    while len(open_):
+        done = (x == 1) | (x == rs[open_] - 1)
+        out[open_[done]] = m
+        open_, x = open_[~done], x[~done]
+        x, m = x * ell % rs[open_], m + 1
+    return out
 
 
 def _check_frobenius_mf(P: Params, theta: Character, suite: str,
@@ -590,12 +593,12 @@ def _check_frobenius_mf(P: Params, theta: Character, suite: str,
             return {"n": n, "got": mf_number(P.ell, P.ell ** n + 1)}
     bound = 1000 if suite == "quick" else 10 ** 4
     for ell in (2, 3, 5):
-        for r in range(2, bound + 1):
-            if math.gcd(ell, r) != 1:
-                continue
-            if mf_number(ell, r) != _brute_mf(ell, r):
+        rs = np.array([r for r in range(2, bound + 1)
+                       if math.gcd(ell, r) == 1])
+        for r, brute in zip(rs.tolist(), _brute_mf(ell, rs).tolist()):
+            if mf_number(ell, r) != brute:
                 return {"ell": ell, "r": r, "closed_form": mf_number(ell, r),
-                        "brute": _brute_mf(ell, r)}
+                        "brute": brute}
     recipe = {(2, 1): (3, 7), (2, 2): (5, 11), (2, 3): (9, 19),
               (2, 4): (17, 103)}
     for (ell, n), want in recipe.items():

@@ -99,6 +99,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="64 bits"):
             ga_from_terms(P, [(identity(P), 1), (g, 1)])
 
+    def test_basis_key_past_int64_rejected(self):
+        # the same guard as ga_from_terms, not an OverflowError
+        P = params_make(5, 13, 3)
+        with pytest.raises(ValueError, match="64 bits"):
+            ga_basis(P, unpack_key(P, 2 ** 63))
+
 
 class TestMulOracle:
     @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])

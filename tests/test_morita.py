@@ -7,8 +7,8 @@ import pytest
 
 from mfblocks.characters import char_frob_power, make_char
 from mfblocks.groups import (
-    d_elem, d_pack, d_unpack, group_mul, h_elem, identity, p_elem,
-    params_make,
+    GroupElem, _scale_side, d_elem, d_pack, d_scale_index, d_unpack,
+    group_mul, h_elem, identity, p_elem, pack_key, params_make, unpack_key,
 )
 from mfblocks.groupalg import (
     block_idempotent, ga_basis, ga_from_terms, ga_frobenius_twist, ga_mul,
@@ -19,7 +19,6 @@ from mfblocks.morita import (
     params_for_target, recover_theta, simple_kind, simple_make, simple_str,
     simples, swap_isomorphism,
 )
-from mfblocks.morita import _index_perm
 from mfblocks.twisted import b0_pi_inv, tt_eps
 
 
@@ -421,8 +420,8 @@ class TestFp:
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             for u in range(1, p):
-                perm = _index_perm(P, u)
-                assert _index_perm(P, u) is perm
+                perm = d_scale_index(P, u)
+                assert d_scale_index(P, u + p) is perm
                 for d in range(P.dsz):
                     v = d_unpack(P, d)
                     w = [0] * p
@@ -434,6 +433,40 @@ class TestFp:
         P = params_make(2, 7, 3)
         with pytest.raises(ValueError, match="nonzero"):
             fp_automorphism(P, 7, 1, ga_basis(P, identity(P)))
+
+
+class TestExactImages:
+    """Each key of an image against pack_key of the scalar map of its
+    group element."""
+
+    def check(self, P, rng, iso, scalar):
+        total = (P.dsz * P.p) ** 2 * P.r ** 3
+        for _ in range(10):
+            x = ga_from_terms(P, [(unpack_key(P, rng.randrange(total)),
+                                   rng.randrange(1, P.ctx.order))
+                                  for _ in range(8)])
+            y = iso(x)
+            want = {pack_key(P, scalar(unpack_key(P, k))): c
+                    for k, c in zip(x.keys.tolist(), x.coeffs.tolist())}
+            assert dict(zip(y.keys.tolist(), y.coeffs.tolist())) == want
+
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (5, 3, 2)])
+    def test_swap(self, ell, p, r):
+        P = params_make(ell, p, r)
+        self.check(P, random.Random(89 * p), lambda x: swap_isomorphism(P, x),
+                   lambda g: GroupElem(g.v2, g.x2, g.v1, g.x1, g.b, g.a,
+                                       (-g.a * g.b - g.c) % r))
+
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (5, 3, 2)])
+    def test_fp(self, ell, p, r):
+        P = params_make(ell, p, r)
+        rng = random.Random(97 * p)
+        for u1, u2 in [(1, 1), (2, p - 1), (p - 1, 2 % p)]:
+            self.check(
+                P, rng, lambda x: fp_automorphism(P, u1, u2, x),
+                lambda g: GroupElem(*_scale_side(P, g.v1, g.x1, u1),
+                                    *_scale_side(P, g.v2, g.x2, u2),
+                                    g.a, g.b, g.c))
 
 
 class TestFrobeniusCompatibility:

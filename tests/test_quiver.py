@@ -16,7 +16,7 @@ from mfblocks.quiver import (
     qa_degree, qa_embed, qa_isotypic, qa_L_action, qa_labels, qa_mul,
     qa_scale, qa_unit, qa_vertex, qa_zero,
 )
-from mfblocks.quiver import _embed_tables, _m_unpack, embed_columns
+from mfblocks.quiver import _embed_tables, embed_columns
 from mfblocks.groups import GroupElem, d_unpack, pack_key
 
 
@@ -29,7 +29,7 @@ def arrow(P, side, psi, s):
 
 def random_label(P, side, rng):
     return label_make(P, side, rng.randrange(P.p),
-                      _m_unpack(P, rng.randrange(P.dsz)))
+                      d_unpack(P, rng.randrange(P.dsz))[1:])
 
 
 def random_qa(P, side, rng, nterms):
@@ -443,7 +443,7 @@ class TestRadicalFiltration:
         P = params_make(2, 7, 3)
         ctx = P.ctx
         Dsz, p, r3 = P.dsz, P.p, P.r ** 3
-        n = Dsz * p
+        n, z = Dsz * p, (0,) * p
 
         def to_vec(x):
             vec = np.zeros(n, dtype=np.int64)
@@ -451,16 +451,16 @@ class TestRadicalFiltration:
             vec[flat] = x.coeffs
             return vec
 
-        from mfblocks.quiver import _d_add_keys
-        dkeys = np.arange(Dsz, dtype=np.int64)
-
         def aug_step(rows):
             """Products (d^g - 1) v over generators g and basis rows v."""
             out = []
             for g in range(p):
                 dg = conjugate(P, d_elem(P, 1, 0), p_elem(P, 1, g))
-                wkey = d_pack(P, dg.v1)
-                perm = (_d_add_keys(P, dkeys, wkey)[:, None] * p
+                # d^g d(w) by the scalar group product, every packed w
+                dw = [d_pack(P, group_mul(P, dg, GroupElem(
+                    d_unpack(P, w), 0, z, 0, 0, 0, 0)).v1)
+                    for w in range(Dsz)]
+                perm = (np.array(dw)[:, None] * p
                         + np.arange(p)[None, :]).reshape(-1)
                 for v in rows:
                     moved = np.zeros(n, dtype=np.int64)

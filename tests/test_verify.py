@@ -1,6 +1,7 @@
 """The named-check registry: statuses, skips, streaming, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,6 +260,18 @@ class TestInjectedDefects:
         assert row.witness == {"j": 1, "at": [1, 2], "defect": "extracted"
                                " scalar disagrees with the character route"}
 
+    def test_embed_sees_a_bent_label_rule(self, monkeypatch):
+        # the library's no-carry test off by one: the products that
+        # verify predicts through the leg join must stop matching the
+        # sampled group convolution
+        import mfblocks.quiver as Q
+        P, theta = desk()
+        monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
+            a + b < P_.ell - 1).all(axis=1))
+        (row,) = run_checks(P, theta, names=["embed_multiplicative"]).rows
+        assert row.status == "fail"
+        assert set(row.witness) == {"side", "u", "v"}
+
 
 class TestDimensions:
     def test_recipe_block_counts_without_labels(self):
@@ -277,3 +290,18 @@ class TestDimensions:
                             names=["dimensions"]).rows
         assert row.status == "skip"
         assert "table limit" in row.witness["reason"]
+
+
+class TestBruteMf:
+    def test_matches_the_loop_per_modulus(self):
+        # the array sweep of frobenius_mf against one modulus at a time
+        from mfblocks.verify import _brute_mf
+        for ell in (2, 3, 5):
+            rs = np.array([r for r in range(2, 3000) if math.gcd(ell, r) == 1])
+            want = []
+            for r in rs.tolist():
+                x, m = ell % r, 1
+                while x not in (1, r - 1):
+                    x, m = x * ell % r, m + 1
+                want.append(m)
+            assert _brute_mf(ell, rs).tolist() == want
