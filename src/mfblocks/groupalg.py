@@ -195,20 +195,20 @@ def _mul_lanes(P: Params, tabs: dict, gk: np.ndarray, hk: np.ndarray):
     hd1, hx1, hd2, hx2, ha, hb, hc = key_cols(P, hk)
     s1 = (-ga) % r
     s2 = (-gb) % r
-    w1 = tabs["scale"][s1, hd1]
-    w2 = tabs["scale"][s2, hd2]
-    y1 = tabs["xscale"][s1, hx1]
-    y2 = tabs["xscale"][s2, hx2]
-    t1 = tabs["trans"][gx1, w1]
-    t2 = tabs["trans"][gx2, w2]
+    # the D-parts of h, twisted by the H-part of g and shifted by its
+    # P-part, then added to those of g; each lane-sized temporary is
+    # dropped as soon as the next exists
+    v1 = tabs["trans"][gx1, tabs["scale"][s1, hd1]]
+    v2 = tabs["trans"][gx2, tabs["scale"][s2, hd2]]
     if P.ell == 2:
-        v1 = gd1 ^ t1
-        v2 = gd2 ^ t2
+        v1 ^= gd1
+        v2 ^= gd2
     else:
-        v1 = tabs["dadd"][gd1, t1]
-        v2 = tabs["dadd"][gd2, t2]
-    return key_join(P, v1, (gx1 + y1) % p, v2, (gx2 + y2) % p, (ga + ha) % r,
-                    (gb + hb) % r, (gc + hc - ha * gb) % r)
+        v1 = tabs["dadd"][gd1, v1]
+        v2 = tabs["dadd"][gd2, v2]
+    return key_join(P, v1, (gx1 + tabs["xscale"][s1, hx1]) % p,
+                    v2, (gx2 + tabs["xscale"][s2, hx2]) % p,
+                    (ga + ha) % r, (gb + hb) % r, (gc + hc - ha * gb) % r)
 
 
 def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:
