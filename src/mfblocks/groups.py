@@ -368,6 +368,12 @@ def key_z(P: Params, keys):
     return keys % P.r
 
 
+def key_drop(P: Params, keys, n: int):
+    """Packed group keys with their n lowest coordinates (c, then b,
+    then a) set to zero."""
+    return keys - keys % P.r ** n
+
+
 def key_n(P: Params, keys):
     """The N-part d1 x1 d2 x2 of packed group keys, as the flat index
     ((d1 p + x1) dsz + d2) p + x2 into (dsz p)^2."""

@@ -28,7 +28,7 @@ from .groups import (
     digit_dtype, key_join, p_elem, slot_scale_index,
 )
 from .groupalg import GAElem, _merge, _vmul_coeffs
-from .linalg import gf_inv_matrix, gf_matmul
+from .linalg import gf_inv_matrix
 
 _EMBED_LIMIT = 2048
 
@@ -381,6 +381,9 @@ def _embed_tables(P: Params) -> dict:
 
     arrows = [None] + [_arrow_vector(P, s) for s in range(1, p)]
     digits = d_digits(P, np.arange(Dsz))
+    # the D-additions v -> v + d_b, one per b on an arrow's support
+    shift = {b: d_key(P, (digits + digits[b]) % ell)
+             for b in {int(b) for a in arrows[1:] for b in np.nonzero(a)[0]}}
     S = np.zeros((Dsz, Dsz), dtype=np.int64)
     S[0, 0] = ctx.one
     for mk in range(1, Dsz):
@@ -389,10 +392,9 @@ def _embed_tables(P: Params) -> dict:
         prev = S[:, d_key(P, digits[mk] - (np.arange(1, p) == s))]
         arrow = arrows[s]
         col = np.zeros(Dsz, dtype=np.int64)
-        for b in np.nonzero(arrow)[0]:
-            shifted = d_key(P, (digits + digits[b]) % ell)
+        for b in np.nonzero(arrow)[0].tolist():
             contrib = ctx.vscale(int(arrow[b]), prev)
-            col[shifted] = ctx.vadd(col[shifted], contrib)
+            col[shift[b]] = ctx.vadd(col[shift[b]], contrib)
         S[:, mk] = col
     Sinv = gf_inv_matrix(ctx, S)
 
@@ -432,9 +434,15 @@ def qa_embed(P: Params, u: QuivAElem) -> GAElem:
     xi = psi + phi(m): the D-part is the product of the arrow
     elements, the P-part the vertex idempotent pushed past them.
     """
-    keys = _embed_tables(P)["gkeys"][u.side - 1].reshape(-1)
-    flat = gf_matmul(P.ctx, embed_columns(P, _label_index(P, u.psi, u.m)),
-                     u.coeffs[:, None])[:, 0]
+    tabs = _embed_tables(P)
+    ctx, p = P.ctx, P.p
+    C = np.zeros((P.dsz, p), dtype=np.int64)
+    for label, c in u.terms.items():
+        xi = (label.psi + label_phi(P, label.m)) % p
+        col = ctx.vscale(int(c), tabs["S"][:, d_key(P, label.m)])
+        C = ctx.vadd(C, ctx.vmul(col[:, None], tabs["F"][:, xi][None, :]))
+    keys = tabs["gkeys"][u.side - 1].reshape(-1)
+    flat = C.reshape(-1)
     mask = flat != 0
     return GAElem(keys[mask], flat[mask])
 

@@ -25,8 +25,8 @@ from .characters import (
     Character, char_eval, h_element, make_char,
 )
 from .groups import (
-    Params, commutator, d_digits, digit_dtype, group_inv, key_cols, key_join,
-    key_n, key_z,
+    Params, commutator, d_digits, digit_dtype, group_inv, key_drop, key_n,
+    key_z,
 )
 from .groupalg import (
     GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, _vmul_coeffs,
@@ -319,9 +319,8 @@ def _fold_z(P: Params, tctx: dict, x: GAElem) -> GAElem:
 
     Z is central and the collapse reads theta on the c-coordinate, so a
     product of folded factors collapses to the same tensor."""
-    d1, x1, d2, x2, a, b, c = key_cols(P, x.keys)
-    return _dedupe(P, key_join(P, d1, x1, d2, x2, a, b, 0),
-                   P.ctx.vmul(x.coeffs, tctx["theta_pow"][c]))
+    return _dedupe(P, key_drop(P, x.keys, 1), P.ctx.vmul(
+        x.coeffs, tctx["theta_pow"][key_z(P, x.keys)]))
 
 
 def _stage_b(P: Params, theta: Character, T4: np.ndarray) -> TTElem:
@@ -398,8 +397,7 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     tctx = _tt_ctx(P, theta)
     x, y = _fold_z(P, tctx, x), _fold_z(P, tctx, y)
     # the b of a right factor only reaches the b of the product
-    d1, x1, d2, x2, a, _, _ = key_cols(P, y.keys)
-    y = _dedupe(P, key_join(P, d1, x1, d2, x2, a, 0, 0), y.coeffs)
+    y = _dedupe(P, key_drop(P, y.keys, 2), y.coeffs)
     if ga_is_zero(x) or ga_is_zero(y):
         return tt_zero(theta)
     tabs = _tables(P)
