@@ -165,10 +165,7 @@ def quiver(ell, p_, r_, theta_e, fmt, dest, config_path) -> None:
         raise click.UsageError(f"out must be dot or json, got {fmt}")
     labs = [s for s, _ in simples(P, theta)]
     names = [simple_str(s) for s in labs]
-    try:
-        matrix = [[ext_dim(P, theta, a, b) for b in labs] for a in labs]
-    except ValueError as err:
-        raise click.ClickException(str(err))
+    matrix = [[ext_dim(P, theta, a, b) for b in labs] for a in labs]
     if fmt == "json":
         text = json.dumps({
             "params": {"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},

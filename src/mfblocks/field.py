@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-# Vectorized multiply via exp/log tables is only enabled for fields up to
-# this many elements; larger fields only ever see scalar arithmetic here.
-# The build is a one-time q-step scan, well under a second at the cap.
+# Fields up to this many elements multiply through exp/log tables; the
+# vector kernels of larger ones run the table-free product, which also
+# builds the tables in log2(q) doublings.
 _TABLE_LIMIT = 1 << 18
+
+
+def _reduce(x: np.ndarray, ell: int) -> None:
+    """x mod ell in place; floor division runs vectorized where the
+    remainder ufunc does not."""
+    x -= (x // ell) * ell
 
 
 def is_prime(n: int) -> bool:
@@ -100,13 +106,8 @@ class FieldContext:
         self.generator = generator
         self.zero = 0
         self.one = 1 % self.order
-        # x^k mod modulus for k in [d, 2d-2], packed, used by raw multiply
-        self._red = []
-        for k in range(d, 2 * d - 1):
-            digits = [0] * k + [1]
-            _, rem = _poly_divmod(digits, list(modulus), ell)
-            rem += [0] * (d - len(rem))
-            self._red.append(self._pack(rem[:d]))
+        # the digits of x^d = -(modulus below degree d)
+        self._fold = [(-c) % ell for c in modulus[:d]]
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._frob_table: np.ndarray | None = None
@@ -169,18 +170,6 @@ class FieldContext:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def scalar_mul(self, c: int, a: int) -> int:
-        """Multiply by a prime-field scalar c (digitwise)."""
-        c %= self.ell
-        if self.ell == 2:
-            return a if c else 0
-        v, m = 0, 1
-        for _ in range(self.d):
-            v += ((a % self.ell) * c % self.ell) * m
-            a //= self.ell
-            m *= self.ell
-        return v
-
     def _raw_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -209,11 +198,7 @@ class FieldContext:
             if ca:
                 for j, cb in enumerate(db):
                     conv[i + j] = (conv[i + j] + ca * cb) % ell
-        v = self._pack(conv[: self.d])
-        for k in range(self.d, 2 * self.d - 1):
-            if conv[k]:
-                v = self.add(v, self.scalar_mul(conv[k], self._red[k - self.d]))
-        return v
+        return self._pack(_poly_divmod(conv, list(self.modulus), ell)[1])
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
@@ -260,50 +245,85 @@ class FieldContext:
     # -- tables and vector kernels -------------------------------------------
 
     def _build_tables(self):
-        q = self.order
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            exp[i + q - 1] = v
-            log[v] = i
-            v = self._raw_mul(v, self.generator)
-        if v != 1:
+        q1 = self.order - 1
+        # g^n .. g^(2n-1) is g^0 .. g^(n-1) times g^n
+        exp = np.ones(2 * q1, dtype=np.int64)
+        n, gn = 1, self.generator
+        while n < q1:
+            m = min(n, q1 - n)
+            exp[n:n + m] = self._product(np.int64(gn), exp[:m])
+            n, gn = n + m, self._raw_mul(gn, gn)
+        # g generates F_q^x when it is nonzero and g^((q-1)/f) != 1 for
+        # every prime f of q - 1
+        if not 0 < self.generator < self.order \
+                or any(exp[q1 // f] == 1 for f in factorize(q1)):
             raise RuntimeError(f"generator {self.generator} does not have"
-                               f" order {q - 1}")
+                               f" order {q1}")
+        exp[q1:] = exp[:q1]
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp[:q1]] = np.arange(q1)
         self._exp = exp
         self._log = log
         # x^ell = g^(ell * log x); log holds 0 at 0, so that entry is
         # reset.  The indices are in range, and take writes out= in place
         # only in a mode other than "raise", which buffers a copy.
         frob = np.multiply(log, self.ell)
-        np.remainder(frob, q - 1, out=frob)
+        np.remainder(frob, q1, out=frob)
         np.take(exp, frob, out=frob, mode="clip")
         frob[0] = 0
         self._frob_table = frob
 
-    def _require_tables(self):
-        if self._exp is None:
-            raise ValueError(
-                f"vector kernels need exp/log tables (order {self.order} is"
-                f" over the table limit 2^{_TABLE_LIMIT.bit_length() - 1})"
-            )
+    def times_x(self, digits: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Base-ell digits of x b from those of b along axis: the digits
+        move up one place and the top one comes back as
+        top x^d = -top (modulus below degree d)."""
+        digits = np.moveaxis(digits, axis, 0)
+        out = np.empty_like(digits)
+        out[1:] = digits[:-1]
+        out[0] = 0
+        fold = np.array(self._fold, dtype=out.dtype)
+        out += digits[-1] * fold.reshape((-1,) + (1,) * (out.ndim - 1))
+        _reduce(out, self.ell)
+        return np.moveaxis(out, 0, axis)
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a b without tables: the sum of a_s (x^s b) over the digits a_s
+        of a.  At ell = 2 it runs on packed words, where x b is a shift
+        and a masked XOR of the folded modulus; otherwise on the digit
+        planes of b."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        d, ell = self.d, self.ell
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        if ell == 2:
+            fold = self.order | self._pack(self._fold)
+            acc = np.zeros(shape, dtype=np.int64)
+            for s in range(d):
+                acc ^= ((a >> s) & 1) * b
+                if s + 1 < d:
+                    b = (b << 1) ^ (b >> (d - 1)) * fold
+            return acc
+        # the sums stay below d (ell - 1)^2 before the one reduction
+        dtype = np.min_scalar_type(-(d * (ell - 1) ** 2 + 1))
+        b = b.reshape((1,) * (len(shape) - b.ndim) + b.shape)
+        planes = np.stack([self.digit_plane(b, k) for k in range(d)])
+        planes = planes.astype(dtype)
+        acc = np.zeros((d,) + shape, dtype=dtype)
+        for s in range(d):
+            acc += self.digit_plane(a, s).astype(dtype) * planes
+            if s + 1 < d:
+                planes = self.times_x(planes)
+        return self.pack_planes(acc)
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._require_tables()
+        if self._exp is None:
+            return self._product(a, b)
         q1 = self.order - 1
         out = self._exp[(self._log[a] + self._log[b]) % q1]
         nz = (a != 0) & (b != 0)
         return np.where(nz, out, 0)
 
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
-        if c == 0:
-            return np.zeros_like(a)
-        self._require_tables()
-        q1 = self.order - 1
-        out = self._exp[(int(self._log[c]) + self._log[a]) % q1]
-        return np.where(a != 0, out, 0)
+        return self.vmul(np.int64(c), a)
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.ell == 2:
@@ -331,8 +351,12 @@ class FieldContext:
         return out
 
     def vfrob(self, a: np.ndarray) -> np.ndarray:
-        self._require_tables()
-        return self._frob_table[a]
+        if self._frob_table is not None:
+            return self._frob_table[a]
+        out = a
+        for _ in range(self.ell - 1):
+            out = self._product(out, a)
+        return out
 
     def digit_plane(self, a: np.ndarray, k: int) -> np.ndarray:
         """k-th base-ell digit of every packed element."""

@@ -16,10 +16,12 @@ import numpy as np
 
 from .groups import (
     GroupElem, Params, d_digits, d_key, d_scale_index, group_inv, h_elem,
-    identity, key_array, key_cols, key_join, pack_key,
+    identity, key_array, key_cols, key_drop, key_join, key_z, pack_key,
 )
 
 _CHUNK = 1 << 22
+# Most int64 entries the product tables of _tables may hold (256 MB)
+_TABLE_ENTRIES = 1 << 25
 
 
 class GAElem:
@@ -54,19 +56,6 @@ def ga_zero() -> GAElem:
 
 def ga_is_zero(x: GAElem) -> bool:
     return len(x.keys) == 0
-
-
-def _vmul_coeffs(P: Params, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ctx = P.ctx
-    if ctx._exp is not None:
-        return ctx.vmul(a, b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-    aa, bb = np.broadcast_arrays(a, b)
-    flat = out.reshape(-1)
-    fa, fb = aa.reshape(-1), bb.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = ctx.mul(int(fa[i]), int(fb[i]))
-    return out
 
 
 def _merge(P: Params, inv: np.ndarray, size: int,
@@ -149,7 +138,7 @@ def ga_scale(P: Params, c: int, x: GAElem) -> GAElem:
         return ga_zero()
     if c == 1:
         return x
-    return GAElem(x.keys, _vmul_coeffs(P, np.int64(c), x.coeffs))
+    return GAElem(x.keys, P.ctx.vscale(c, x.coeffs))
 
 
 def ga_coeff(P: Params, x: GAElem, g: GroupElem) -> int:
@@ -158,6 +147,13 @@ def ga_coeff(P: Params, x: GAElem, g: GroupElem) -> int:
     if i < len(x.keys) and x.keys[i] == key:
         return int(x.coeffs[i])
     return 0
+
+
+def _table_entries(P: Params) -> int:
+    """Entries of the tables _tables builds: the full vectors, trans,
+    scale, xscale and, at ell > 2, dadd."""
+    return P.dsz * (2 * P.p + P.r) + P.r * P.p + \
+        (P.dsz ** 2 if P.ell > 2 else 0)
 
 
 def _tables(P: Params) -> dict:
@@ -170,6 +166,9 @@ def _tables(P: Params) -> dict:
     tabs = P._cache.get("ga_tables")
     if tabs is not None:
         return tabs
+    if _table_entries(P) > _TABLE_ENTRIES:
+        raise ValueError(f"product tables of {_table_entries(P)} entries"
+                         f" are over the bound of {_TABLE_ENTRIES}")
     ell, p = P.ell, P.p
     full = np.zeros((P.dsz, p), dtype=np.int64)
     full[:, 1:] = d_digits(P, np.arange(P.dsz))
@@ -222,7 +221,7 @@ def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:
         gk = x.keys[i0:i0 + rows_per_chunk][:, None]
         gc = x.coeffs[i0:i0 + rows_per_chunk][:, None]
         keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
-        coeffs = _vmul_coeffs(P, gc, y.coeffs[None, :])
+        coeffs = P.ctx.vmul(gc, y.coeffs[None, :])
         key_parts.append(keys.ravel())
         coeff_parts.append(coeffs.ravel())
     return _dedupe(P, np.concatenate(key_parts), np.concatenate(coeff_parts))
@@ -235,12 +234,7 @@ def ga_conjugate(P: Params, x: GAElem, g: GroupElem) -> GAElem:
 
 def ga_frobenius_twist(P: Params, x: GAElem) -> GAElem:
     """sigma: coefficients to the ell-th power, group elements fixed."""
-    ctx = P.ctx
-    if ctx._frob_table is not None:
-        return GAElem(x.keys, ctx.vfrob(x.coeffs))
-    out = np.array([ctx.frobenius(int(c), 1) for c in x.coeffs],
-                   dtype=np.int64)
-    return GAElem(x.keys, out)
+    return GAElem(x.keys, P.ctx.vfrob(x.coeffs))
 
 
 def block_idempotent(P: Params, theta) -> GAElem:
@@ -253,17 +247,29 @@ def block_idempotent(P: Params, theta) -> GAElem:
     return char_idempotent(P, theta)
 
 
+def _is_permuted(x: GAElem, keys: np.ndarray, coeffs: np.ndarray) -> bool:
+    """Whether the terms (keys, coeffs), keys unique, are those of x."""
+    order = np.argsort(keys)
+    return bool(np.array_equal(keys[order], x.keys)
+                and np.array_equal(coeffs[order], x.coeffs))
+
+
 def centralizes_block_H(P: Params, theta, x: GAElem) -> bool:
     """True iff x commutes with kH e_theta (generator check on H)."""
-    e = block_idempotent(P, theta)
-    if ga_mul(P, x, e) != x:
+    block_idempotent(P, theta)  # rejects a theta that labels no block
+    # x e_theta = x exactly when theta(gz)^-1 x gz = x; right
+    # translation by gz raises the c coordinate of every key by one
+    zc = P.ctx.pow(P.zeta_r, -theta.e % P.r)
+    gz = key_drop(P, x.keys, 1) + (key_z(P, x.keys) + 1) % P.r
+    if not _is_permuted(x, gz, P.ctx.vscale(zc, x.coeffs)):
         raise ValueError("x does not lie in the block (x e_theta != x)")
     # e_theta is central and absorbs into x, so commuting with h e_theta
-    # is the same as commuting with h alone; the latter is a single-lane
-    # product per side.
-    for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0), h_elem(P, 0, 0, 1)):
-        hb = ga_basis(P, h)
-        if ga_mul(P, x, hb) != ga_mul(P, hb, x):
+    # is x^h = x; gz is central in G, which leaves g1 and g2
+    tabs = _tables(P)
+    for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)):
+        hk = np.array([pack_key(P, group_inv(P, h)), pack_key(P, h)])
+        conj = _mul_lanes(P, tabs, _mul_lanes(P, tabs, hk[0], x.keys), hk[1])
+        if not _is_permuted(x, conj, x.coeffs):
             return False
     return True
 

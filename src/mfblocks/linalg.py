@@ -13,14 +13,14 @@ from the last by shifting the digits up and folding the top digit back
 through the modulus.  Every entry of the float product is a sum of at
 most d*k terms below ell^2, so it is exact in float32 while
 d*k*(ell-1)^2 < 2^24 and in float64 while it is below 2^53.
-Elimination uses the context's table-backed row kernels.
+Elimination uses the context's row kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldContext
+from .field import FieldContext, _reduce
 
 
 def _float_type(d: int, k: int, ell: int) -> type:
@@ -51,12 +51,6 @@ def _digits(ctx: FieldContext, X: np.ndarray, out: np.ndarray) -> None:
         rest = high
 
 
-def _reduce(x: np.ndarray, ell: int) -> None:
-    """x mod ell in place; floor division runs vectorized where the
-    remainder ufunc does not."""
-    x -= (x // ell) * ell
-
-
 def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of packed matrices, as one float matmul."""
     d, ell = ctx.d, ctx.ell
@@ -68,18 +62,10 @@ def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     _digits(ctx, A, left)
     digits = np.empty((k, d, n), dtype=_int_type(ell * ell))
     _digits(ctx, B, digits)
-    # x * b: the digits move up one place and the top one comes back as
-    # top * x^d = -top * (modulus below degree d)
-    fold = np.array([(-c) % ell for c in ctx.modulus[:d]],
-                    dtype=digits.dtype)[:, None]
     right = np.empty((d, k, d, n), dtype=ftype)
     right[0] = digits
     for s in range(1, d):
-        digits = np.roll(digits, 1, axis=1)
-        top = digits[:, :1].copy()
-        digits[:, :1] = 0
-        digits += top * fold
-        _reduce(digits, ell)
+        digits = ctx.times_x(digits, axis=1)
         right[s] = digits
     sums = left.reshape(m, d * k) @ right.reshape(d * k, d * n)
     # each operand and stage is dropped as soon as the next one exists,

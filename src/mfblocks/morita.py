@@ -122,7 +122,6 @@ def head_algebra(P: Params,
     checked by verify's idempotent_head.
     """
     _check_faithful(theta)
-    P.ctx._require_tables()
     basis = tt_unit(P, theta)
     out = []
     for s, _deg in simples(P, theta):
@@ -161,7 +160,6 @@ def ext_dim(P: Params, theta: Character, a: SimpleLabel,
     images eps_a * w * eps_b over the explicit degree-1 spanning set.
     """
     _check_faithful(theta)
-    P.ctx._require_tables()
     M = tt_sandwich(P, theta, tt_eps(P, theta, a), _degree_one_span(P, theta),
                     tt_eps(P, theta, b))
     return gf_rank(P.ctx, M)

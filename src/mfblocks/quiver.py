@@ -22,12 +22,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .characters import Character
+from .characters import Character, _exponent_of
 from .groups import (
     GroupElem, Params, conjugate, d_digits, d_elem, d_key, d_pack,
     digit_dtype, key_join, p_elem, slot_scale_index,
 )
-from .groupalg import GAElem, _merge, _vmul_coeffs
+from .groupalg import GAElem, _merge
 from .linalg import gf_inv_matrix
 
 _EMBED_LIMIT = 2048
@@ -222,8 +222,7 @@ def qa_scale(P: Params, c: int, u: QuivAElem) -> QuivAElem:
         return qa_zero(u.side)
     if c == 1:
         return u
-    return QuivAElem(u.side, u.psi, u.m,
-                     _vmul_coeffs(P, np.int64(c), u.coeffs))
+    return QuivAElem(u.side, u.psi, u.m, P.ctx.vscale(c, u.coeffs))
 
 
 def _label_act_table(P: Params):
@@ -292,7 +291,7 @@ def qa_mul(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
     i, j, _, m = _leg_join(P, u.psi, u.m, v.psi, v.m,
                            np.zeros(1, dtype=np.int64))
     return qa_from_columns(P, u.side, u.psi[i], m,
-                           _vmul_coeffs(P, u.coeffs[i], v.coeffs[j]))
+                           P.ctx.vmul(u.coeffs[i], v.coeffs[j]))
 
 
 def qa_degree(u: QuivAElem) -> int:
@@ -300,19 +299,6 @@ def qa_degree(u: QuivAElem) -> int:
     if not len(u.coeffs):
         raise ValueError("zero element has no degree")
     return int(u.m.sum(axis=1, dtype=np.int64).min())
-
-
-def _l_exponent(P: Params, side: int, w: GroupElem) -> int:
-    zero = (0,) * P.p
-    if w.v1 != zero or w.v2 != zero or w.x1 != 0 or w.x2 != 0:
-        raise ValueError(f"element lies outside L{side}")
-    if side == 1:
-        if w.b != 0 or w.c != 0:
-            raise ValueError("element lies outside L1")
-        return w.a
-    if w.a != 0 or w.c != 0:
-        raise ValueError("element lies outside L2")
-    return w.b
 
 
 def qa_L_action(P: Params, u: QuivAElem, w: GroupElem) -> QuivAElem:
@@ -323,7 +309,7 @@ def qa_L_action(P: Params, u: QuivAElem, w: GroupElem) -> QuivAElem:
     g0^{-t} where t is the L_i coordinate of w, row t of the L-action
     table.
     """
-    t = _l_exponent(P, u.side, w) % P.r
+    t = _exponent_of(P, f"L{u.side}", w) % P.r
     if t == 0 or not len(u.coeffs):
         return u
     return qa_from_columns(P, u.side, *_act(P, t, u.psi, u.m), u.coeffs)
@@ -344,7 +330,7 @@ def qa_isotypic(P: Params, u: QuivAElem, chi: Character) -> QuivAElem:
     psi, m = _act(P, np.arange(r), u.psi, u.m)
     return qa_from_columns(
         P, u.side, psi.ravel(), m.reshape(-1, P.p - 1),
-        _vmul_coeffs(P, u.coeffs[:, None], weights[None, :]).ravel())
+        P.ctx.vmul(u.coeffs[:, None], weights[None, :]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +352,7 @@ def _arrow_vector(P: Params, s: int) -> np.ndarray:
 
 def qa_embed_available(P: Params) -> bool:
     """Whether the dense change-of-basis tables fit at these parameters."""
-    return P.dsz * P.p <= _EMBED_LIMIT and P.ctx._exp is not None
+    return P.dsz * P.p <= _EMBED_LIMIT
 
 
 def _embed_tables(P: Params) -> dict:
@@ -375,7 +361,7 @@ def _embed_tables(P: Params) -> dict:
     if tabs is not None:
         return tabs
     n = P.dsz * P.p
-    if n > _EMBED_LIMIT or P.ctx._exp is None:
+    if n > _EMBED_LIMIT:
         raise ValueError(f"embedding tables of size {n} are too large")
     ctx, p, Dsz, ell = P.ctx, P.p, P.dsz, P.ell
 

@@ -29,9 +29,8 @@ from .groups import (
     key_z,
 )
 from .groupalg import (
-    GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, _vmul_coeffs,
-    block_idempotent, centralizes_block_H, ga_basis, ga_is_zero, ga_mul,
-    ga_sum,
+    GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, block_idempotent,
+    centralizes_block_H, ga_basis, ga_is_zero, ga_mul, ga_sum,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
@@ -177,7 +176,7 @@ def tt_scale(P: Params, c: int, t: TTElem) -> TTElem:
     if c == 1:
         return t
     return TTElem(t.theta, t.cols._replace(
-        coeffs=_vmul_coeffs(P, np.int64(c), t.cols.coeffs)))
+        coeffs=P.ctx.vscale(c, t.cols.coeffs)))
 
 
 def _check_theta(t: TTElem, theta: Character) -> None:
@@ -407,7 +406,7 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
         gk = x.keys[i0:i0 + rows][:, None]
         gc = x.coeffs[i0:i0 + rows][:, None]
         keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
-        coeffs = _vmul_coeffs(P, gc, y.coeffs[None, :])
+        coeffs = P.ctx.vmul(gc, y.coeffs[None, :])
         part = _theta_collapse(P, tctx, keys.ravel(), coeffs.ravel())
         flat = part if flat is None else P.ctx.vadd(flat, part)
     return _stage_b(P, theta, flat.reshape(P.dsz, P.p, P.dsz, P.p))
@@ -463,9 +462,8 @@ def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
     cnt = np.searchsorted(q2, q1, "right") - lo
     x1 = np.repeat(np.arange(len(q1)), cnt)
     x2 = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(x1))
-    coeffs = _vmul_coeffs(P, _vmul_coeffs(P, a.coeffs[i1[x1]],
-                                          b.coeffs[j1[x1]]),
-                          tctx["W"][k1[x1], k2[x2]])
+    coeffs = P.ctx.vmul(P.ctx.vmul(a.coeffs[i1[x1]], b.coeffs[j1[x1]]),
+                        tctx["W"][k1[x1], k2[x2]])
     key = id1.ravel()[x1] * len(labels2) + id2.ravel()[x2]
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     merged, sel = _merge_terms(P, coeffs, first, inv)

@@ -32,11 +32,10 @@ from .groups import (
     subgroup_elements,
 )
 from .groupalg import (
-    _CHUNK, _mul_lanes, _tables, _vmul_coeffs, block_idempotent,
-    centralizes_block_H, ga_mul, ga_frobenius_twist, ga_from_terms,
-    side_inv_index, side_mul_table,
+    _CHUNK, _TABLE_ENTRIES, _mul_lanes, _table_entries, _tables,
+    block_idempotent, centralizes_block_H, ga_mul, ga_frobenius_twist,
+    ga_from_terms, side_inv_index, side_mul_table,
 )
-from .field import _TABLE_LIMIT
 from .linalg import gf_matmul
 from .morita import (
     commutation_pairing, ext_dim, fp_automorphism, head_algebra, mf_number,
@@ -56,27 +55,28 @@ from .twisted import (
 )
 
 
+# dimensions builds one label row per arrow class, ell^(p-1) of them
+_LABEL_ROWS_LIMIT = 1 << 18
+
+
 class SkipCheck(Exception):
     """A check that cannot run at the given parameters."""
 
 
-def _need_group_keys(P: Params) -> None:
+def _need_group_algebra(P: Params) -> None:
     if key_bits(P) > 63:
         raise SkipCheck(f"group keys need {key_bits(P)} bits, more than the"
                         f" 63 of an int64 key")
+    if _table_entries(P) > _TABLE_ENTRIES:
+        raise SkipCheck(f"product tables need {_table_entries(P)} entries,"
+                        f" more than the bound of {_TABLE_ENTRIES}")
 
 
 def _need_embed(P: Params) -> None:
-    _need_group_keys(P)
+    _need_group_algebra(P)
     if not qa_embed_available(P):
         raise SkipCheck(
             f"side dimension {P.dsz * P.p} is beyond the embedding tables")
-
-
-def _need_kernels(P: Params) -> None:
-    if P.ctx._exp is None:
-        raise SkipCheck(
-            f"field order {P.ctx.order} is beyond the kernel tables")
 
 
 def _random_label(P: Params, side: int, rng: random.Random, deg: int):
@@ -118,9 +118,9 @@ def _random_ga(P: Params, rng: random.Random, nterms: int):
 
 def _check_dimensions(P: Params, theta: Character, suite: str,
                       rng: random.Random) -> Optional[dict]:
-    if P.dsz > _TABLE_LIMIT:
+    if P.dsz > _LABEL_ROWS_LIMIT:
         raise SkipCheck(f"ell^(p-1) = {P.dsz} arrow classes are over the"
-                        f" table limit 2^{_TABLE_LIMIT.bit_length() - 1}")
+                        f" table limit 2^{_LABEL_ROWS_LIMIT.bit_length() - 1}")
     # a side label is a vertex psi < p with an arrow-count row m; the
     # rows are the digit matrix of the packed classes
     digits = d_digits(P, np.arange(P.dsz))
@@ -409,7 +409,6 @@ def _check_simple_census(P: Params, theta: Character, suite: str,
 
 def _check_idempotent_head(P: Params, theta: Character, suite: str,
                            rng: random.Random) -> Optional[dict]:
-    _need_kernels(P)
     labs = [s for s, _ in simples(P, theta)]
     eps = [tt_eps(P, theta, s) for s in labs]
     for s, e in zip(labs, eps):
@@ -440,7 +439,6 @@ def _check_idempotent_head(P: Params, theta: Character, suite: str,
 
 def _check_ext_quiver(P: Params, theta: Character, suite: str,
                       rng: random.Random) -> Optional[dict]:
-    _need_kernels(P)
     labs = [s for s, _ in simples(P, theta)]
     unit = labs[0]
     left = [s for s in labs if simple_kind(s) == "left"]
@@ -508,10 +506,10 @@ def _pairing_defect(P: Params, theta: Character, table) -> Optional[dict]:
         "unit row or column is not one":  # at 0, e: T(e, 0); 1, f: T(0, f)
             np.stack([T[:, 0], T[0]]) != P.ctx.one,
         "pairing is not multiplicative in the first slot":  # at e, g, f
-            T[plus] != _vmul_coeffs(P, T[:, None, :], T[None, :, :]),
+            T[plus] != P.ctx.vmul(T[:, None, :], T[None, :, :]),
         "pairing is not multiplicative in the second slot":  # at e, f, g
-            T[i[:, None, None], plus] != _vmul_coeffs(
-                P, T[:, :, None], T[:, None, :]),
+            T[i[:, None, None], plus] != P.ctx.vmul(T[:, :, None],
+                                                    T[:, None, :]),
     }
     for defect, bad in defects.items():
         if bad.any():
@@ -610,7 +608,7 @@ def _check_frobenius_mf(P: Params, theta: Character, suite: str,
 
 def _check_isomorphisms(P: Params, theta: Character, suite: str,
                         rng: random.Random) -> Optional[dict]:
-    _need_group_keys(P)
+    _need_group_algebra(P)
     n = 30 if suite == "quick" else 100
     for _ in range(n):
         x = _random_ga(P, rng, 3)

@@ -97,15 +97,6 @@ class TestQuiver:
         b = run("quiver", "--ell", "3", "--p", "5", "--r", "2")
         assert a.output == b.output
 
-    def test_field_beyond_tables_is_a_clean_error(self):
-        # (2,11,5) needs F_{2^20}, over the 2^18 limit of the rank kernels
-        res = run("quiver", "--ell", "2", "--p", "11", "--r", "5")
-        assert res.exit_code == 1
-        assert "Traceback" not in res.output
-        lines = res.output.strip().splitlines()
-        assert len(lines) == 1
-        assert "1048576" in lines[0] and "2^18" in lines[0]
-
     def test_output_file(self, tmp_path):
         dest = tmp_path / "q.json"
         res = run("quiver", "--ell", "3", "--p", "5", "--r", "2",

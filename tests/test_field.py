@@ -1,11 +1,14 @@
 """Field layer: deterministic construction, exact arithmetic, Frobenius."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol
 from sympy.polys.domains import GF
 
-from mfblocks.field import field_make, field_frobenius, root_of_unity
+from mfblocks.field import (
+    FieldContext, field_frobenius, field_make, root_of_unity,
+)
 
 X = Symbol("x")
 
@@ -62,6 +65,12 @@ class TestConstruction:
                 v = ctx.mul(v, g)
                 n += 1
             assert not (v == 1 and n == ctx.order - 1)
+
+    def test_generator_of_lower_order_rejected(self):
+        # x^3 has order 5 in F_16, so its powers repeat before q - 1
+        ctx = field_make(2, 4)
+        with pytest.raises(RuntimeError, match="order 15"):
+            FieldContext(2, 4, ctx.modulus, generator=8)
 
     def test_deterministic(self):
         a, b = field_make(3, 4), field_make(3, 4)
@@ -184,3 +193,49 @@ class TestRootsOfUnity:
         ctx = field_make(2, 6)
         with pytest.raises(ValueError):
             root_of_unity(ctx, 5)
+
+
+class TestTableFree:
+    """The table-free vector kernels against the tables and the scalar
+    product."""
+
+    @pytest.mark.parametrize("ell,d", [(2, 1), (2, 6), (2, 10), (3, 4),
+                                       (5, 3), (7, 2), (7, 1)])
+    def test_kernels_match_tables_and_scalars(self, ell, d):
+        ctx = field_make(ell, d)
+        free = FieldContext(ell, d, ctx.modulus, ctx.generator,
+                            build_tables=False)
+        rng = np.random.default_rng(100 * ell + d)
+        a = rng.integers(0, ctx.order, 200)
+        b = rng.integers(0, ctx.order, 200)
+        a[:5] = 0
+        b[3:8] = 0
+        # without tables the scalar product is the schoolbook one
+        prod = [free.mul(int(x), int(y)) for x, y in zip(a, b)]
+        frob = [free.frobenius(int(x), 1) for x in a]
+        for kernels in (ctx, free):
+            assert kernels.vmul(a, b).tolist() == prod
+            assert kernels.vfrob(a).tolist() == frob
+            for c in (0, 1, int(a[10]), ctx.order - 1):
+                want = [free.mul(c, int(y)) for y in b]
+                assert kernels.vscale(c, b).tolist() == want
+                assert kernels.vmul(np.int64(c), b).tolist() == want
+            outer = [[free.mul(int(x), int(y)) for y in b[:20]]
+                     for x in a[:30]]
+            assert kernels.vmul(a[:30, None], b[None, :20]).tolist() == outer
+            assert kernels.vmul(b[None, :20], a[:30, None]).tolist() == \
+                outer
+
+    @pytest.mark.parametrize("ell,d", [(2, 20), (3, 12)])
+    def test_beyond_the_table_limit(self, ell, d):
+        # no tables here: the scalar product is the schoolbook one
+        ctx = field_make(ell, d)
+        rng = np.random.default_rng(d)
+        a = rng.integers(0, ctx.order, 100)
+        b = rng.integers(0, ctx.order, 100)
+        a[0] = 0
+        assert ctx.vmul(a, b).tolist() == \
+            [ctx.mul(int(x), int(y)) for x, y in zip(a, b)]
+        assert ctx.vscale(int(b[1]), a).tolist() == \
+            [ctx.mul(int(b[1]), int(x)) for x in a]
+        assert ctx.vfrob(a).tolist() == [ctx.pow(int(x), ell) for x in a]

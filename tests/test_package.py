@@ -1,5 +1,5 @@
-"""Rules on the package as a whole: no assert in the library, and no
-sympy at import."""
+"""Rules on the package as a whole: no assert in the library, no sympy
+at import, and the field's tables known to the field alone."""
 
 import ast
 import os
@@ -17,6 +17,23 @@ def test_library_has_no_assert():
              for path in sorted((SRC / "mfblocks").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_tables_are_the_fields_own():
+    # whether a field has exp/log tables is decided in field.py; every
+    # other module calls the vector kernels, which work at any order
+    private = {"_exp", "_log", "_frob_table", "_TABLE_LIMIT",
+               "_require_tables"}
+    found = []
+    for path in sorted((SRC / "mfblocks").glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                or getattr(node, "name", None)
+            if name in private:
+                found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
 

@@ -207,6 +207,56 @@ class TestIota:
             b0_iota(P, make_char(P, "Z", 3), qa_vertex(P, 1, 0))
 
 
+def centralizes_by_products(P, theta, x):
+    """The B_0 membership gate by seven group-algebra products:
+    x e_theta = x, then x h = h x for the three generators of H."""
+    e = block_idempotent(P, theta)
+    if ga_mul(P, x, e) != x:
+        raise ValueError("x does not lie in the block (x e_theta != x)")
+    for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0), h_elem(P, 0, 0, 1)):
+        hb = ga_basis(P, h)
+        if ga_mul(P, x, hb) != ga_mul(P, hb, x):
+            return False
+    return True
+
+
+class TestMembershipGate:
+    """centralizes_block_H's key maps against the product definition."""
+
+    @staticmethod
+    def outcome(gate, P, theta, x):
+        try:
+            return gate(P, theta, x)
+        except ValueError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("ell,p,r,e", [(2, 7, 3, 1), (2, 7, 3, 2),
+                                           (3, 5, 2, 1), (5, 3, 2, 1),
+                                           (7, 3, 2, 1)])
+    def test_matches_the_products(self, ell, p, r, e):
+        rng = random.Random(f"gate:{ell}:{p}:{r}:{e}")
+        P = params_make(ell, p, r)
+        theta = make_char(P, "Z", e)
+        block = block_idempotent(P, theta)
+        members = [b0_iota(P, theta, random_qa(P, side, rng, 2, 1))
+                   for side in (1, 2) for _ in range(3)]
+        members += [b0_pi_inv(P, theta, random_tt(P, theta, rng, 2))
+                    for _ in range(3)]
+        in_block = [ga_mul(P, _random_ga(P, rng, 3), block)
+                    for _ in range(4)]
+        in_block += [ga_mul(P, ga_basis(P, h_elem(P, 1, 0, 0)), x)
+                     for x in members[:2]]
+        outside = [_random_ga(P, rng, 3) for _ in range(3)]
+        outside += [ga_add(P, members[0], ga_basis(P, h_elem(P, 0, 0, 0)))]
+        kinds = {True: 0, False: 0, "raise": 0}
+        for x in members + in_block + outside:
+            want = self.outcome(centralizes_by_products, P, theta, x)
+            assert self.outcome(centralizes_block_H, P, theta, x) == want
+            kinds[want if isinstance(want, bool) else "raise"] += 1
+        assert kinds[True] >= len(members) and kinds[False] >= 2
+        assert kinds["raise"] == len(outside)
+
+
 class TestPi:
     def test_unit(self):
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:

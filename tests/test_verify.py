@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mfblocks.characters import make_char
+from mfblocks.groupalg import _tables, _table_entries
 from mfblocks.groups import params_make
 from mfblocks.morita import PairingTable
 from mfblocks.verify import (
@@ -84,18 +85,34 @@ class TestRunChecks:
 
 class TestSkips:
     def test_large_parameters_skip_gated_checks(self):
+        # F_{2^20} has no exp/log tables, and head and Ext run anyway;
+        # the side dimension 11264 is past the embedding tables
         P = params_make(2, 11, 5)
         theta = make_char(P, "Z", 1)
         names = ["embed_multiplicative", "corner_maps", "product_gate",
                  "idempotent_head", "ext_quiver", "pairing_recovery"]
         rep = run_checks(P, theta, names=names)
         status = {row.check: row.status for row in rep.rows}
-        assert status["pairing_recovery"] == "pass"
-        for name in names[:5]:
+        for name in names[3:]:
+            assert status[name] == "pass"
+        for name in names[:3]:
             assert status[name] == "skip"
             row = next(r for r in rep.rows if r.check == name)
             assert "reason" in row.witness
         assert rep.passed
+
+    def test_product_tables_past_their_bound_skip(self):
+        # at (3,11,5) the keys fit in 46 bits, but dadd alone would hold
+        # 3^20 entries; the skip comes before any allocation
+        P = params_make(3, 11, 5)
+        t0 = time.perf_counter()
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["isomorphisms"]).rows
+        assert time.perf_counter() - t0 < 1.0
+        assert row.status == "skip"
+        assert f"{_table_entries(P)} entries" in row.witness["reason"]
+        with pytest.raises(ValueError, match="over the bound"):
+            _tables(P)
 
     def test_group_keys_past_int64_skip(self):
         # at (5,13,3) a group key needs dsz^2 p^2 r^3 - 1 < 2^68
