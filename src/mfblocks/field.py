@@ -1,7 +1,9 @@
 """Exact arithmetic in the finite field F_{ell^d}.
 
 Elements are plain ints in [0, ell^d): the base-ell packed little-endian
-digit vector of the polynomial representative of degree < d.  All arithmetic
+digit vector of the polynomial representative of degree < d.  `digits` and
+`undigits` are the one array codec of that layout (the D-vectors of `groups`
+are base-ell digit vectors too, and use it).  All arithmetic
 is exact; the modulus and the multiplicative generator are chosen
 deterministically so every downstream value is reproducible bit for bit.
 
@@ -24,6 +26,39 @@ def _reduce(x: np.ndarray, ell: int) -> None:
     """x mod ell in place; floor division runs vectorized where the
     remainder ufunc does not."""
     x -= (x // ell) * ell
+
+
+def digits(x, ell: int, n: int, axis: int = -1,
+           dtype=np.int64) -> np.ndarray:
+    """The n little-endian base-ell digits of the non-negative ints
+    x < ell^n, along a new axis at position axis.
+
+    One pass: the quotient is carried in the narrowest signed type that
+    holds ell^n and each digit is written in place into one output.
+    """
+    x = np.asarray(x)
+    axis = axis % (x.ndim + 1)
+    out = np.empty(x.shape[:axis] + (n,) + x.shape[axis:], dtype=dtype)
+    planes = np.moveaxis(out, axis, 0)
+    rest = x.astype(np.min_scalar_type(-(ell ** n)))
+    for s in range(n - 1):
+        high = rest // ell
+        rest -= high * ell
+        planes[s] = rest
+        rest = high
+    planes[n - 1] = rest
+    return out
+
+
+def undigits(D, ell: int, axis: int = -1) -> np.ndarray:
+    """The int64 packing of base-ell digits in [0, ell) along axis, the
+    inverse of digits."""
+    D = np.moveaxis(np.asarray(D), axis, 0)
+    out = D[-1].astype(np.int64)
+    for s in range(len(D) - 2, -1, -1):
+        out *= ell
+        out += D[s]
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -167,9 +202,6 @@ class FieldContext:
             m *= self.ell
         return v
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def _raw_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -305,11 +337,11 @@ class FieldContext:
         # the sums stay below d (ell - 1)^2 before the one reduction
         dtype = np.min_scalar_type(-(d * (ell - 1) ** 2 + 1))
         b = b.reshape((1,) * (len(shape) - b.ndim) + b.shape)
-        planes = np.stack([self.digit_plane(b, k) for k in range(d)])
-        planes = planes.astype(dtype)
+        planes = digits(b, ell, d, axis=0, dtype=dtype)
+        a = digits(a, ell, d, axis=0, dtype=dtype)
         acc = np.zeros((d,) + shape, dtype=dtype)
         for s in range(d):
-            acc += self.digit_plane(a, s).astype(dtype) * planes
+            acc += a[s] * planes
             if s + 1 < d:
                 planes = self.times_x(planes)
         return self.pack_planes(acc)
@@ -325,30 +357,21 @@ class FieldContext:
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
         return self.vmul(np.int64(c), a)
 
+    def _planes(self, a: np.ndarray) -> np.ndarray:
+        """The digit planes of a, axis 0, in a type that holds 2 ell."""
+        return digits(a, self.ell, self.d, axis=0,
+                      dtype=np.min_scalar_type(-2 * self.ell))
+
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.ell == 2:
             return a ^ b
-        out = np.zeros_like(a)
-        m = 1
-        aa, bb = a, b
-        for _ in range(self.d):
-            out += ((aa % self.ell + bb % self.ell) % self.ell) * m
-            aa = aa // self.ell
-            bb = bb // self.ell
-            m *= self.ell
-        return out
+        return undigits((self._planes(a) + self._planes(b)) % self.ell,
+                        self.ell, axis=0)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.ell == 2:
             return a.copy()
-        out = np.zeros_like(a)
-        m = 1
-        aa = a
-        for _ in range(self.d):
-            out += ((-(aa % self.ell)) % self.ell) * m
-            aa = aa // self.ell
-            m *= self.ell
-        return out
+        return undigits(-self._planes(a) % self.ell, self.ell, axis=0)
 
     def vfrob(self, a: np.ndarray) -> np.ndarray:
         if self._frob_table is not None:
@@ -360,17 +383,32 @@ class FieldContext:
 
     def digit_plane(self, a: np.ndarray, k: int) -> np.ndarray:
         """k-th base-ell digit of every packed element."""
-        if self.ell == 2:
-            return (a >> k) & 1
-        return (a // (self.ell**k)) % self.ell
+        return digits(a, self.ell, self.d, axis=0)[k]
 
     def pack_planes(self, planes) -> np.ndarray:
-        acc = np.zeros_like(planes[0], dtype=np.int64)
-        m = 1
-        for pl in planes:
-            acc += (pl.astype(np.int64) % self.ell) * m
-            m *= self.ell
-        return acc
+        """The packed elements of digit planes, each taken mod ell."""
+        return undigits(np.asarray(planes) % self.ell, self.ell, axis=0)
+
+    def bin_sum(self, bins: np.ndarray, size: int,
+                coeffs: np.ndarray) -> np.ndarray:
+        """Field sums of coeffs binned by bins into size slots.
+
+        At ell = 2 addition is XOR.  Otherwise each digit plane is
+        summed by one bincount, an exact float64 integer sum, and the
+        sums are reduced mod ell once and packed.  The sums are held in
+        the narrowest type that fits len(coeffs) (ell - 1) and ell: with
+        few coefficients and many slots, the reduction is the cost.
+        """
+        if self.ell == 2:
+            out = np.zeros(size, dtype=np.int64)
+            np.bitwise_xor.at(out, bins, coeffs)
+            return out
+        top = max(len(coeffs), 1) * self.ell
+        sums = np.empty((self.d, size), dtype=np.min_scalar_type(-top))
+        for k, plane in enumerate(self._planes(coeffs)):
+            sums[k] = np.bincount(bins, weights=plane, minlength=size)
+        _reduce(sums, self.ell)
+        return undigits(sums, self.ell, axis=0)
 
     def __repr__(self):
         return f"FieldContext(ell={self.ell}, d={self.d}, modulus={self.modulus})"
@@ -383,6 +421,9 @@ def field_make(ell: int, d: int) -> FieldContext:
         raise ValueError(f"ell = {ell} is not prime")
     if not 1 <= d <= 24:
         raise ValueError(f"extension degree d = {d} outside [1, 24]")
+    if ell**d - 1 >= 2**63:
+        raise ValueError(f"field order {ell}^{d} = {ell**d} has elements"
+                         f" past the int64 bound 2^63")
     modulus = None
     for low in range(ell**d):
         digits, v = [], low

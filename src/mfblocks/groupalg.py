@@ -3,8 +3,8 @@
 Elements of kG are kept as two parallel numpy arrays: packed group keys
 (sorted, unique) and packed nonzero field coefficients.  Products run
 fully vectorized: component-wise unpacking of the key lanes, small
-precomputed action tables for the side twists, and a bincount-based
-merge of colliding support elements.
+precomputed action tables for the side twists, and the field's binned
+sum to merge colliding support elements.
 """
 
 from __future__ import annotations
@@ -58,26 +58,6 @@ def ga_is_zero(x: GAElem) -> bool:
     return len(x.keys) == 0
 
 
-def _merge(P: Params, inv: np.ndarray, size: int,
-           coeffs: np.ndarray) -> np.ndarray:
-    """Field sums of coeffs binned by inv into size slots.
-
-    At ell = 2 addition is XOR.  Otherwise the sum runs digit plane by
-    digit plane; every bincount is an exact float64 integer sum,
-    reduced mod ell once and packed in place.
-    """
-    ctx = P.ctx
-    out = np.zeros(size, dtype=np.int64)
-    if ctx.ell == 2:
-        np.bitwise_xor.at(out, inv, coeffs)
-        return out
-    for k in range(ctx.d):
-        plane = ctx.digit_plane(coeffs, k).astype(np.float64)
-        sums = np.bincount(inv, weights=plane, minlength=size)
-        out += sums.astype(np.int64) % ctx.ell * ctx.ell ** k
-    return out
-
-
 def _dedupe(P: Params, keys: np.ndarray, coeffs: np.ndarray) -> GAElem:
     """Sort, merge equal keys with field addition, drop zeros."""
     if keys.size == 0:
@@ -87,7 +67,7 @@ def _dedupe(P: Params, keys: np.ndarray, coeffs: np.ndarray) -> GAElem:
         order = np.argsort(keys)
         merged = coeffs[order]
     else:
-        merged = _merge(P, inv, uk.size, coeffs)
+        merged = P.ctx.bin_sum(inv, uk.size, coeffs)
     mask = merged != 0
     return GAElem(uk[mask], merged[mask])
 

@@ -23,7 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import factorize, field_make, is_prime, root_of_unity
+from .field import (
+    digits, factorize, field_make, is_prime, root_of_unity, undigits,
+)
 
 
 def mult_order(a: int, n: int) -> int:
@@ -305,18 +307,14 @@ def d_digits(P: Params, packed: np.ndarray) -> np.ndarray:
     Column j holds the base-ell digit of ell^j, that is entry j + 1 of
     the vector; arrow multiplicities of labels pack the same way.
     """
-    t = np.array(packed, dtype=np.int64).ravel()
-    out = np.empty((t.size, P.p - 1), dtype=digit_dtype(P))
-    for j in range(P.p - 1):
-        t, out[:, j] = np.divmod(t, P.ell)
-    return out
+    return digits(np.ravel(packed), P.ell, P.p - 1, axis=1,
+                  dtype=digit_dtype(P))
 
 
-def d_key(P: Params, digits: np.ndarray) -> np.ndarray:
+def d_key(P: Params, rows: np.ndarray) -> np.ndarray:
     """Packed D-vectors of digit rows (the last axis), the int64 inverse
     of d_digits."""
-    digits = np.asarray(digits, dtype=np.int64)
-    return digits @ P.ell ** np.arange(digits.shape[-1], dtype=np.int64)
+    return undigits(rows, P.ell, axis=-1)
 
 
 def slot_scale_index(P: Params, u: int) -> np.ndarray:
@@ -335,8 +333,8 @@ def d_scale_index(P: Params, u: int) -> np.ndarray:
     key = ("d_scale", int(u) % P.p)
     perm = P._cache.get(key)
     if perm is None:
-        digits = d_digits(P, np.arange(P.dsz))[:, slot_scale_index(P, u)]
-        perm = P._cache[key] = d_key(P, digits)
+        rows = d_digits(P, np.arange(P.dsz))[:, slot_scale_index(P, u)]
+        perm = P._cache[key] = d_key(P, rows)
     return perm
 
 
@@ -412,14 +410,3 @@ def unpack_key(P: Params, key: int) -> GroupElem:
 def elem_to_dict(g: GroupElem) -> dict:
     return {"v1": list(g.v1), "x1": g.x1, "v2": list(g.v2), "x2": g.x2,
             "h": [g.a, g.b, g.c]}
-
-
-def elem_from_dict(P: Params, data: dict) -> GroupElem:
-    ell, p, r = P.ell, P.p, P.r
-    v1 = _normalize([t % ell for t in data["v1"]], ell)
-    v2 = _normalize([t % ell for t in data["v2"]], ell)
-    if len(v1) != p or len(v2) != p:
-        raise ValueError(f"v-vectors must have length p = {p}")
-    a, b, c = data["h"]
-    return GroupElem(v1, data["x1"] % p, v2, data["x2"] % p,
-                     a % r, b % r, c % r)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldContext, _reduce
+from .field import FieldContext, _reduce, digits, undigits
 
 
 def _float_type(d: int, k: int, ell: int) -> type:
@@ -40,17 +40,6 @@ def _int_type(top: int) -> np.dtype:
     return np.min_scalar_type(-(top + 1))
 
 
-def _digits(ctx: FieldContext, X: np.ndarray, out: np.ndarray) -> None:
-    """Write the base-ell digits of packed X into out[:, s] for each s."""
-    ell = ctx.ell
-    rest = X.astype(_int_type(ctx.order - 1))
-    for s in range(ctx.d):
-        high = rest // ell
-        rest -= high * ell
-        out[:, s] = rest
-        rest = high
-
-
 def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of packed matrices, as one float matmul."""
     d, ell = ctx.d, ctx.ell
@@ -58,15 +47,13 @@ def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
     (m, k), n = A.shape, B.shape[1]
     ftype = _float_type(d, k, ell)
-    left = np.empty((m, d, k), dtype=ftype)
-    _digits(ctx, A, left)
-    digits = np.empty((k, d, n), dtype=_int_type(ell * ell))
-    _digits(ctx, B, digits)
+    left = digits(A, ell, d, axis=1, dtype=ftype)
+    planes = digits(B, ell, d, axis=1, dtype=_int_type(ell * ell))
     right = np.empty((d, k, d, n), dtype=ftype)
-    right[0] = digits
+    right[0] = planes
     for s in range(1, d):
-        digits = ctx.times_x(digits, axis=1)
-        right[s] = digits
+        planes = ctx.times_x(planes, axis=1)
+        right[s] = planes
     sums = left.reshape(m, d * k) @ right.reshape(d * k, d * n)
     # each operand and stage is dropped as soon as the next one exists,
     # and the reduction runs in the narrowest type: peak memory is the
@@ -75,11 +62,7 @@ def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     red = sums.astype(_int_type(d * k * (ell - 1) ** 2)).reshape(m, d, n)
     del sums
     _reduce(red, ell)
-    out = red[:, d - 1].astype(np.int64)
-    for s in range(d - 2, -1, -1):
-        out *= ell
-        out += red[:, s]
-    return out
+    return undigits(red, ell, axis=1)
 
 
 def gf_apply_axis(ctx: FieldContext, M: np.ndarray, T: np.ndarray,

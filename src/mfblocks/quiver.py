@@ -27,7 +27,7 @@ from .groups import (
     GroupElem, Params, conjugate, d_digits, d_elem, d_key, d_pack,
     digit_dtype, key_join, p_elem, slot_scale_index,
 )
-from .groupalg import GAElem, _merge
+from .groupalg import GAElem
 from .linalg import gf_inv_matrix
 
 _EMBED_LIMIT = 2048
@@ -108,7 +108,7 @@ def _merge_terms(P: Params, coeffs: np.ndarray, first: np.ndarray,
     if len(first) == len(coeffs):
         merged = coeffs[first]
     else:
-        merged = _merge(P, inv.ravel(), len(first), coeffs)
+        merged = P.ctx.bin_sum(inv.ravel(), len(first), coeffs)
     live = merged != 0
     return merged[live], first[live]
 

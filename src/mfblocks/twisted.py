@@ -29,7 +29,7 @@ from .groups import (
     key_z,
 )
 from .groupalg import (
-    GAElem, _CHUNK, _dedupe, _merge, _mul_lanes, _tables, block_idempotent,
+    GAElem, _CHUNK, _dedupe, _mul_lanes, _tables, block_idempotent,
     centralizes_block_H, ga_basis, ga_is_zero, ga_mul, ga_sum,
 )
 from .linalg import gf_apply_axis, gf_matmul
@@ -290,10 +290,6 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
     return tab
 
 
-def _iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
-    return _route_elem(P, _iota_table(P, theta, a.side), a)
-
-
 def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     """Corner embedding of a side algebra into B_0.
 
@@ -302,7 +298,7 @@ def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     table.  verify's corner_maps compares it with the closed route on
     every basis label.
     """
-    return _iota(P, theta, a)
+    return _route_elem(P, _iota_table(P, theta, a.side), a)
 
 
 def _theta_collapse(P: Params, tctx: dict, keys: np.ndarray,
@@ -310,7 +306,7 @@ def _theta_collapse(P: Params, tctx: dict, keys: np.ndarray,
     """Absorb the Z-part as a theta power and bin onto N-keys: the field
     sums as a flat (Dsz p)^2 vector."""
     vals = P.ctx.vmul(coeffs, tctx["theta_pow"][key_z(P, keys)])
-    return _merge(P, key_n(P, keys), (P.dsz * P.p) ** 2, vals)
+    return P.ctx.bin_sum(key_n(P, keys), (P.dsz * P.p) ** 2, vals)
 
 
 def _fold_z(P: Params, tctx: dict, x: GAElem) -> GAElem:
@@ -375,9 +371,9 @@ def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
     _check_theta(t, theta)
     c, one = t.cols, np.ones(1, dtype=np.int64)
     # the term's coefficient rides on its side-1 leg
-    parts = [ga_mul(P, _iota(P, theta, QuivAElem(
+    parts = [ga_mul(P, b0_iota(P, theta, QuivAElem(
         1, c.psi1[i:i + 1], c.m1[i:i + 1], c.coeffs[i:i + 1])),
-        _iota(P, theta, QuivAElem(2, c.psi2[i:i + 1], c.m2[i:i + 1], one)))
+        b0_iota(P, theta, QuivAElem(2, c.psi2[i:i + 1], c.m2[i:i + 1], one)))
         for i in range(len(c.coeffs))]
     return ga_sum(P, parts)
 

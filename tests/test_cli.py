@@ -62,6 +62,11 @@ class TestVerify:
         assert res.exit_code != 0
         assert "coprime" in res.output
 
+    def test_field_past_int64_error(self):
+        res = run("verify", "--ell", "101", "--p", "11", "--r", "5")
+        assert res.exit_code == 1
+        assert "101^10" in res.output and "2^63" in res.output
+
     def test_non_faithful_theta_error(self):
         res = run("verify", "--ell", "2", "--p", "19", "--r", "9",
                   "--theta", "3")

@@ -1,5 +1,7 @@
 """Field layer: deterministic construction, exact arithmetic, Frobenius."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,11 @@ from sympy import Poly, Symbol
 from sympy.polys.domains import GF
 
 from mfblocks.field import (
-    FieldContext, field_frobenius, field_make, root_of_unity,
+    FieldContext, digits, field_frobenius, field_make, root_of_unity,
+    undigits,
+)
+from mfblocks.groups import (
+    d_digits, d_key, d_pack, d_unpack, digit_dtype, params_make,
 )
 
 X = Symbol("x")
@@ -83,6 +89,15 @@ class TestConstruction:
             field_make(2, 0)
         with pytest.raises(ValueError):
             field_make(2, 25)
+
+    def test_order_past_int64_refused(self):
+        # (101, 11, 5) is admissible with d = lcm(10, 1) = 10, and
+        # 101^10 > 2^63: refused before the modulus search
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match="101\\^10 = 110462212541120451001"):
+            params_make(101, 11, 5)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestArithmetic:
@@ -239,3 +254,94 @@ class TestTableFree:
         assert ctx.vscale(int(b[1]), a).tolist() == \
             [ctx.mul(int(b[1]), int(x)) for x in a]
         assert ctx.vfrob(a).tolist() == [ctx.pow(int(x), ell) for x in a]
+
+
+class TestCodec:
+    """digits and undigits against the scalar digit loops."""
+
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (131, 3, 2)])
+    def test_d_vectors(self, ell, p, r):
+        P = params_make(ell, p, r)
+        packed = np.arange(P.dsz)
+        rows = d_digits(P, packed)
+        assert rows.dtype == digit_dtype(P)
+        assert rows.tolist() == [list(d_unpack(P, t)[1:])
+                                 for t in range(P.dsz)]
+        assert d_key(P, rows).tolist() == packed.tolist()
+        assert [d_pack(P, (0,) + tuple(row)) for row in rows.tolist()] == \
+            packed.tolist()
+
+    @pytest.mark.parametrize("ell,d,count", [(3, 4, None), (3, 12, 200)])
+    def test_field_elements(self, ell, d, count):
+        ctx = field_make(ell, d)
+        if count is None:
+            x = np.arange(ctx.order)
+        else:
+            x = np.random.default_rng(12).integers(0, ctx.order, count)
+        D = digits(x, ell, d)
+        assert D.tolist() == [ctx.to_coeffs(int(v)) for v in x]
+        assert undigits(D, ell).tolist() == x.tolist()
+        assert [ctx.from_coeffs(row) for row in D.tolist()] == x.tolist()
+
+    def test_axes_dtypes_and_shapes(self):
+        x = np.random.default_rng(3).integers(0, 5 ** 3, (4, 6))
+        want = np.array([[[int(v) // 5 ** s % 5 for s in range(3)]
+                          for v in row] for row in x])
+        for axis in (0, 1, 2, -1):
+            for dtype in (np.int8, np.float32, np.int64):
+                D = digits(x, 5, 3, axis=axis, dtype=dtype)
+                assert D.dtype == dtype
+                assert np.array_equal(np.moveaxis(D, axis, -1), want)
+                packed = undigits(D.astype(np.int64), 5, axis=axis)
+                assert packed.dtype == np.int64
+                assert np.array_equal(packed, x)
+        # a 0-d input gets one axis of digits and packs back to 0-d
+        D = digits(np.int64(47), 5, 3, axis=0)
+        assert D.tolist() == [2, 4, 1]
+        assert undigits(D, 5, axis=0).shape == ()
+        assert int(undigits(D, 5, axis=0)) == 47
+
+    def test_wide_digits(self):
+        # at ell = 131 a digit passes int8; the quotient needs int32
+        x = np.array([0, 1, 130, 131, 131 ** 3 - 1, 123456])
+        D = digits(x, 131, 3, dtype=np.int64)
+        assert D.tolist() == [[int(v) // 131 ** s % 131 for s in range(3)]
+                              for v in x]
+        assert undigits(D, 131).tolist() == x.tolist()
+
+
+class TestDigitKernels:
+    """vadd, vneg and bin_sum against the scalar add and neg."""
+
+    @pytest.mark.parametrize("ell,d", [(2, 6), (3, 4), (5, 3), (7, 2),
+                                       (3, 12), (131, 2)])
+    def test_against_scalars(self, ell, d):
+        ctx = field_make(ell, d)
+        rng = np.random.default_rng(10 * ell + d)
+        a = rng.integers(0, ctx.order, 300)
+        b = rng.integers(0, ctx.order, 300)
+        a[:6] = 0
+        b[3:9] = 0
+        b[20:30] = a[20:30]
+        assert ctx.vadd(a, b).tolist() == \
+            [ctx.add(int(x), int(y)) for x, y in zip(a, b)]
+        assert ctx.vneg(a).tolist() == [ctx.neg(int(x)) for x in a]
+        assert ctx.vadd(a, ctx.vneg(a)).tolist() == [0] * len(a)
+        # repeated bins, a bin of zeros, a bin that cancels and empty bins
+        bins = rng.integers(0, 40, 300)
+        bins[:6] = 41
+        bins[300 - 2 * ell:] = 42
+        a[300 - 2 * ell:300 - ell] = a[300 - ell:] = 7 % ctx.order
+        want = [0] * 45
+        for k, c in zip(bins.tolist(), a.tolist()):
+            want[k] = ctx.add(want[k], c)
+        assert ctx.bin_sum(bins, 45, a).tolist() == want
+        assert want[41] == 0 and want[42] == 0 and want[44] == 0
+        assert ctx.bin_sum(bins[:0], 3, a[:0]).tolist() == [0, 0, 0]
+        # one bin takes every term: its digit sums pass a byte
+        top = np.full(300, ctx.order - 1)
+        total = 0
+        for c in top.tolist():
+            total = ctx.add(total, c)
+        assert ctx.bin_sum(np.zeros(300, dtype=np.int64), 1, top).tolist() \
+            == [total]

@@ -1,5 +1,6 @@
 """Rules on the package as a whole: no assert in the library, no sympy
-at import, and the field's tables known to the field alone."""
+at import, and the field's tables and digit layout known to the field
+alone."""
 
 import ast
 import os
@@ -34,6 +35,29 @@ def test_tables_are_the_fields_own():
                 or getattr(node, "name", None)
             if name in private:
                 found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_digit_layout_is_the_fields_own():
+    # the packed base-ell layout is written once, in field.py: other
+    # modules call its codec and kernels.  linalg also reads ell and d
+    # for its exactness bound and the shape of its F_ell-linear product
+    private = {"digit_plane", "pack_planes", "_merge", "_digits"}
+    found = []
+    for path in sorted((SRC / "mfblocks").glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                or getattr(node, "name", None)
+            if name in private:
+                found.append(f"{path.name}:{node.lineno} {name}")
+            # ctx.ell, P.ctx.d: the field's own ell and d
+            if path.name != "linalg.py" and isinstance(node, ast.Attribute) \
+                    and node.attr in ("ell", "d") \
+                    and "ctx" in (getattr(node.value, "id", None),
+                                  getattr(node.value, "attr", None)):
+                found.append(f"{path.name}:{node.lineno} ctx.{node.attr}")
     assert found == []
 
 
