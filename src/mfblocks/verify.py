@@ -27,8 +27,8 @@ from .characters import (
     make_char,
 )
 from .groups import (
-    Params, commutator, conjugate, d_digits, d_elem, elem_to_dict, group_inv,
-    group_mul, h_elem, identity, key_bits, p_elem, pack_key,
+    Params, commutator, conjugate, d_digits, d_elem, d_key, elem_to_dict,
+    group_inv, group_mul, h_elem, identity, key_bits, p_elem, pack_key,
     subgroup_elements,
 )
 from .groupalg import (
@@ -44,7 +44,7 @@ from .morita import (
 )
 from .quiver import (
     _embed_tables, _label_cols, _label_index, _leg_join, _sort_key,
-    embed_columns, label_make, label_to_dict, qa_basis, qa_embed,
+    embed_columns, label_make, label_phi, label_to_dict, qa_basis, qa_embed,
     qa_embed_available, qa_from_columns, qa_labels, qa_mul,
 )
 from .twisted import (
@@ -163,10 +163,12 @@ def _check_group_relations(P: Params, theta: Character, suite: str,
 
 
 def _embed_side_data(P: Params, side: int) -> dict:
-    """Dense embedded basis of one side plus its label columns."""
+    """Dense embedded basis of one side, label columns and slots."""
     js = np.arange(P.dsz * P.p)
+    psi, m = _label_cols(P, js)
     return {"labels": qa_labels(P, side), "E": embed_columns(P, js),
-            "cols": _label_cols(P, js)}
+            "cols": (psi, m),
+            "slot": d_key(P, m) * P.p + (psi + label_phi(P, m)) % P.p}
 
 
 def _embed_want(P: Params, data: dict, u: int, vs) -> np.ndarray:
@@ -228,32 +230,60 @@ def _embed_sampled(P: Params, rng: random.Random,
     return None
 
 
-def _embed_all_pairs(P: Params) -> Optional[dict]:
-    """Every basis pair at once: convolution as a gather plus matmul.
+def _embed_products(P: Params, data: dict, delta: np.ndarray):
+    """Each label u with its products E_u * E_v over all v as columns,
+    from the factors of E and the D-parts delta of the side table."""
+    ctx, p, dsz, n, y = P.ctx, P.p, P.dsz, P.dsz * P.p, np.arange(P.p)
+    S, F = (_embed_tables(P)[k] for k in "SF")
+    Z = np.empty((p, dsz * dsz, dsz), dtype=np.int64)
+    for t in range(p):  # Z[t, (d', a_v), a_u], left rows S[δ(d, t, d'), a_v]
+        Z[t] = gf_matmul(ctx, S[delta[:, t].T].transpose(0, 2, 1).reshape(
+            -1, dsz), S)
+    # W[(y', b_u, b_v), y] = F[y, b_u] F[y' - y, b_v]
+    W = ctx.vmul(F[y, y[:, None, None]], F[(y[:, None, None, None] - y) % p,
+                                          y[:, None]]).reshape(p ** 3, p)
+    a, b = np.divmod(data["slot"], p)
+    for au in range(dsz):
+        X = gf_matmul(ctx, W, Z[:, :, au]).reshape(p, p, p, dsz, dsz)
+        X = X.transpose(1, 3, 0, 4, 2).reshape(p, n, n)
+        for u in np.flatnonzero(a == au).tolist():
+            yield u, X[b[u]][:, data["slot"]]
 
-    For a fixed left factor u the group product with all right factors
-    is the matrix C_u E; the label rule predicts each column as another
-    embedded label (or zero), so one exact matmul per u settles all of
-    its pairs.
+
+def _embed_all_pairs(P: Params) -> Optional[dict]:
+    """Every basis pair at once, through the Kronecker factors of E.
+
+    Label j embeds as E[:, j] = S[:, a_j] ⊗ F[:, b_j] over the side
+    indices d p + y, and (d y)^-1 (d' y') has P-part y' - y and a
+    D-part δ(d, y, d') free of y'.  So, exactly,
+
+      (E_u * E_v)[d' p + y'] = sum_y F[y, b_u] F[y'-y, b_v] Z[a_u, y, d', a_v]
+      Z[a_u, y, d', a_v] = sum_d S[d, a_u] S[δ(d, y, d'), a_v]
+
+    for every pair, each compared with the label rule.  Two gates make
+    this a check, not a trusted formula: E is kron(S, F) at each label's
+    slot a p + b, and every side-table entry has the shape above.  The
+    sides share their dense data, so one pass serves both.
     """
-    n = P.dsz * P.p
-    K = side_mul_table(P)[:, side_inv_index(P)]
-    for side in (1, 2):
-        data = _embed_side_data(P, side)
-        E = data["E"]
-        block = max(1, 2048 // n)
-        for start in range(0, n, block):
-            us = list(range(start, min(start + block, n)))
-            C = np.concatenate([E[:, u][K] for u in us], axis=0)
-            R = gf_matmul(P.ctx, C, E)
-            for t, u in enumerate(us):
-                got = R[t * n:(t + 1) * n]
-                want = _embed_want(P, data, u, np.arange(n))
-                if not np.array_equal(got, want):
-                    v = int(np.flatnonzero(np.any(got != want, axis=0))[0])
-                    return {"side": side,
-                            "u": label_to_dict(data["labels"][u]),
-                            "v": label_to_dict(data["labels"][v])}
+    p, dsz, n, y = P.p, P.dsz, P.dsz * P.p, np.arange(P.p)
+    data, tabs = _embed_side_data(P, 1), _embed_tables(P)
+    kron = P.ctx.vmul(tabs["S"][:, None, :, None], tabs["F"][None, :, None])
+    bad = np.flatnonzero(
+        (data["E"] != kron.reshape(n, n)[:, data["slot"]]).any(axis=0))
+    if len(bad):
+        return {"side": 1, "u": label_to_dict(data["labels"][bad[0]]),
+                "defect": "embedded column is not S ⊗ F"}
+    T = side_mul_table(P)[side_inv_index(P)].reshape(dsz, p, dsz, p)
+    bad = np.argwhere(T - T[..., :1] // p * p != (y - y[:, None])[:, None] % p)
+    if len(bad):
+        return {"at": (bad[0, ::2] * p + bad[0, 1::2]).tolist(),
+                "defect": "side table is not D ⋊ P"}
+    for u, got in _embed_products(P, data, T[..., 0] // p):
+        want = _embed_want(P, data, u, np.arange(n))
+        if not np.array_equal(got, want):
+            v = int(np.flatnonzero(np.any(got != want, axis=0))[0])
+            return {"side": 1, "u": label_to_dict(data["labels"][u]),
+                    "v": label_to_dict(data["labels"][v])}
     return None
 
 

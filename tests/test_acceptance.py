@@ -62,7 +62,7 @@ def test_group_presentation_exhaustive_and_action_kernel_is_z():
 def test_embedding_multiplicative_on_all_200704_basis_pairs():
     t0 = time.perf_counter()
     run_one((2, 7, 3), "embed_multiplicative", suite="full")
-    assert time.perf_counter() - t0 < 600.0
+    assert time.perf_counter() - t0 < 120.0
     t0 = time.perf_counter()
     run_one((2, 7, 3), "embed_multiplicative", suite="quick")
     assert time.perf_counter() - t0 < 1.0

@@ -1,5 +1,6 @@
 """The named-check registry: statuses, skips, streaming, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -12,9 +13,13 @@ import numpy as np
 import pytest
 
 from mfblocks.characters import make_char
-from mfblocks.groupalg import _tables, _table_entries
+from mfblocks.groupalg import (
+    _tables, _table_entries, side_inv_index, side_mul_table,
+)
 from mfblocks.groups import params_make
+from mfblocks.linalg import gf_matmul
 from mfblocks.morita import PairingTable
+from mfblocks.quiver import label_to_dict, qa_labels
 from mfblocks.verify import (
     CHECK_STATEMENTS, CheckRow, VerifyReport, check_names, run_checks,
 )
@@ -286,6 +291,88 @@ class TestInjectedDefects:
         monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
             a + b < P_.ell - 1).all(axis=1))
         (row,) = run_checks(P, theta, names=["embed_multiplicative"]).rows
+        assert row.status == "fail"
+        assert set(row.witness) == {"side", "u", "v"}
+
+
+class TestFactoredEmbed:
+    """The full embed_multiplicative check multiplies through the
+    Kronecker factors of the embedding, once for both sides."""
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+    def test_sides_share_the_dense_data(self, cfg):
+        # one dense pass covers both sides only while this holds
+        import mfblocks.verify as V
+        P, _ = desk(*cfg)
+        one, two = (V._embed_side_data(P, side) for side in (1, 2))
+        for key in ("E", "slot"):
+            assert np.array_equal(one[key], two[key]), key
+        for c1, c2 in zip(one["cols"], two["cols"]):
+            assert np.array_equal(c1, c2)
+        assert [(lab.psi, lab.m) for lab in one["labels"]] == \
+            [(lab.psi, lab.m) for lab in two["labels"]]
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+    def test_blocks_match_the_gather_route(self, cfg):
+        # the gather C_u[k, h] = E[k h^-1, u] times E is the group
+        # convolution of u with every label, term by term
+        import mfblocks.verify as V
+        P, _ = desk(*cfg)
+        data = V._embed_side_data(P, 1)
+        E, table, inv = data["E"], side_mul_table(P), side_inv_index(P)
+        delta = table[inv].reshape(P.dsz, P.p, P.dsz, P.p)[..., 0] // P.p
+        # the first five a_u (arrow rows with one and two nonzero
+        # digits), one u of each with a different b_u
+        seen = set()
+        for i, (u, got) in enumerate(itertools.islice(
+                V._embed_products(P, data, delta), 5 * P.p)):
+            seen.add(u)
+            if i % (P.p + 1) == 0:
+                want = gf_matmul(P.ctx, E[:, u][table[:, inv]], E)
+                assert np.array_equal(got, want), u
+        assert len(seen) == 5 * P.p
+
+    def test_a_bent_embedded_column_fails_the_full_suite(self, monkeypatch):
+        import mfblocks.verify as V
+        P, theta = desk(3, 5, 2)
+        true = V.embed_columns
+
+        def bent(P_, js):
+            E = true(P_, js).copy()
+            E[7, 11] = P_.ctx.add(int(E[7, 11]), P_.ctx.one)
+            return E
+        monkeypatch.setattr(V, "embed_columns", bent)
+        (row,) = run_checks(P, theta, suite="full",
+                            names=["embed_multiplicative"]).rows
+        assert row.status == "fail"
+        assert row.witness == {"side": 1,
+                               "u": label_to_dict(qa_labels(P, 1)[11]),
+                               "defect": "embedded column is not S ⊗ F"}
+
+    @pytest.mark.parametrize("swap", [(10, 17), (10, 15), (11, 16)])
+    def test_a_bent_side_table_fails_the_shape_gate(self, monkeypatch,
+                                                    swap):
+        # (3,5,2): index d p + y; the swaps change the P-part, the
+        # D-part read at y' = 0, and the D-part at y' = 1
+        P, theta = desk(3, 5, 2)
+        side_inv_index(P)
+        bent = side_mul_table(P).copy()
+        bent[3, list(swap)] = bent[3, list(swap[::-1])]
+        monkeypatch.setitem(P._cache, "side_mul_table", bent)
+        (row,) = run_checks(P, theta, suite="full",
+                            names=["embed_multiplicative"]).rows
+        assert row.status == "fail"
+        assert row.witness["defect"] == "side table is not D ⋊ P"
+        # the entry g^-1 g' sits at [g, g'], so the bent row is g = 3^-1
+        assert row.witness["at"][0] == side_inv_index(P)[3]
+
+    def test_a_bent_label_rule_fails_the_full_suite(self, monkeypatch):
+        import mfblocks.quiver as Q
+        P, theta = desk(3, 5, 2)
+        monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
+            a + b < P_.ell - 1).all(axis=1))
+        (row,) = run_checks(P, theta, suite="full",
+                            names=["embed_multiplicative"]).rows
         assert row.status == "fail"
         assert set(row.witness) == {"side", "u", "v"}
 
