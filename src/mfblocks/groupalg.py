@@ -4,7 +4,8 @@ Elements of kG are kept as two parallel numpy arrays: packed group keys
 (sorted, unique) and packed nonzero field coefficients.  Products run
 fully vectorized: component-wise unpacking of the key lanes, small
 precomputed action tables for the side twists, and the field's binned
-sum to merge colliding support elements.
+sum to merge colliding support elements.  Block products run through
+kG e_theta ~ k_theta[G/Z], on one key per Z-coset.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .groups import (
     GroupElem, Params, d_digits, d_key, d_scale_index, group_inv, h_elem,
-    identity, key_array, key_cols, key_drop, key_join, key_z, pack_key,
+    key_array, key_cols, key_drop, key_join, key_z, pack_key,
 )
 
 _CHUNK = 1 << 22
@@ -87,10 +88,6 @@ def ga_basis(P: Params, g: GroupElem, coeff: int = 1) -> GAElem:
                   np.array([coeff], dtype=np.int64))
 
 
-def ga_unit(P: Params) -> GAElem:
-    return ga_basis(P, identity(P))
-
-
 def ga_sum(P: Params, xs) -> GAElem:
     """Sum of a list of elements with one merge."""
     if len(xs) <= 1:
@@ -101,32 +98,6 @@ def ga_sum(P: Params, xs) -> GAElem:
 
 def ga_add(P: Params, x: GAElem, y: GAElem) -> GAElem:
     return ga_sum(P, [x, y])
-
-
-def ga_neg(P: Params, x: GAElem) -> GAElem:
-    if P.ell == 2:
-        return x
-    return GAElem(x.keys, P.ctx.vneg(x.coeffs))
-
-
-def ga_sub(P: Params, x: GAElem, y: GAElem) -> GAElem:
-    return ga_add(P, x, ga_neg(P, y))
-
-
-def ga_scale(P: Params, c: int, x: GAElem) -> GAElem:
-    if c == 0:
-        return ga_zero()
-    if c == 1:
-        return x
-    return GAElem(x.keys, P.ctx.vscale(c, x.coeffs))
-
-
-def ga_coeff(P: Params, x: GAElem, g: GroupElem) -> int:
-    key = pack_key(P, g)
-    i = np.searchsorted(x.keys, key)
-    if i < len(x.keys) and x.keys[i] == key:
-        return int(x.coeffs[i])
-    return 0
 
 
 def _table_entries(P: Params) -> int:
@@ -207,24 +178,52 @@ def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:
     return _dedupe(P, np.concatenate(key_parts), np.concatenate(coeff_parts))
 
 
-def ga_conjugate(P: Params, x: GAElem, g: GroupElem) -> GAElem:
-    gi = ga_basis(P, group_inv(P, g))
-    return ga_mul(P, ga_mul(P, gi, x), ga_basis(P, g))
-
-
 def ga_frobenius_twist(P: Params, x: GAElem) -> GAElem:
     """sigma: coefficients to the ell-th power, group elements fixed."""
     return GAElem(x.keys, P.ctx.vfrob(x.coeffs))
 
 
-def block_idempotent(P: Params, theta) -> GAElem:
-    """e_theta, the central idempotent of the block kG e_theta."""
-    from .characters import char_idempotent
+def _theta_pow(P: Params, theta) -> np.ndarray:
+    """theta(gz)^c for c < r; rejects a theta that labels no block."""
     if theta.group != "Z":
         raise ValueError("block labels are characters of Z")
     if math.gcd(theta.e, P.r) != 1:
         raise ValueError("theta must be faithful on Z")
+    return np.array([P.ctx.pow(P.zeta_r, theta.e * c % P.r)
+                     for c in range(P.r)], dtype=np.int64)
+
+
+def block_idempotent(P: Params, theta) -> GAElem:
+    """e_theta, the central idempotent of the block kG e_theta."""
+    from .characters import char_idempotent
+    _theta_pow(P, theta)
     return char_idempotent(P, theta)
+
+
+def _absorb_z(P: Params, tp: np.ndarray, keys: np.ndarray,
+              coeffs: np.ndarray):
+    """Keys moved to c = 0, each coefficient times theta(gz)^c."""
+    z = key_z(P, keys)
+    return keys - z, P.ctx.vmul(coeffs, tp[z])
+
+
+def block_fold(P: Params, theta, x: GAElem) -> GAElem:
+    """phi(x) in k_theta[G/Z], one key per Z-coset (c = 0).
+
+    Z is central, so phi: g gz^c -> theta(gz)^c g is an algebra map on
+    all of kG; it is injective on kG e_theta and sends e_theta to 1."""
+    return _dedupe(P, *_absorb_z(P, _theta_pow(P, theta), x.keys, x.coeffs))
+
+
+def block_unfold(P: Params, theta, f: GAElem) -> GAElem:
+    """The inverse of phi on the block: a folded key g goes to g e_theta
+    = r^-1 sum_c theta(gz)^-c g gz^c, whose keys stay sorted."""
+    tp, r = _theta_pow(P, theta), P.r
+    if key_z(P, f.keys).any():
+        raise ValueError("a folded element has its keys at c = 0")
+    w = P.ctx.vscale(P.ctx.inv(P.ctx.from_int(r)), tp[-np.arange(r) % r])
+    return GAElem((f.keys[:, None] + np.arange(r)).ravel(),
+                  P.ctx.vmul(f.coeffs[:, None], w).ravel())
 
 
 def _is_permuted(x: GAElem, keys: np.ndarray, coeffs: np.ndarray) -> bool:
@@ -234,24 +233,57 @@ def _is_permuted(x: GAElem, keys: np.ndarray, coeffs: np.ndarray) -> bool:
                 and np.array_equal(coeffs[order], x.coeffs))
 
 
-def centralizes_block_H(P: Params, theta, x: GAElem) -> bool:
-    """True iff x commutes with kH e_theta (generator check on H)."""
-    block_idempotent(P, theta)  # rejects a theta that labels no block
-    # x e_theta = x exactly when theta(gz)^-1 x gz = x; right
-    # translation by gz raises the c coordinate of every key by one
-    zc = P.ctx.pow(P.zeta_r, -theta.e % P.r)
+def _fold_block(P: Params, theta, x: GAElem):
+    """theta's powers and phi(x) for x in kG e_theta; x outside raises.
+
+    x e_theta = x exactly when theta(gz)^-1 x gz = x, and right
+    translation by gz raises the c coordinate of every key by one."""
+    tp = _theta_pow(P, theta)
     gz = key_drop(P, x.keys, 1) + (key_z(P, x.keys) + 1) % P.r
-    if not _is_permuted(x, gz, P.ctx.vscale(zc, x.coeffs)):
+    if not _is_permuted(x, gz, P.ctx.vscale(int(tp[-1]), x.coeffs)):
         raise ValueError("x does not lie in the block (x e_theta != x)")
-    # e_theta is central and absorbs into x, so commuting with h e_theta
-    # is x^h = x; gz is central in G, which leaves g1 and g2
+    return tp, _dedupe(P, *_absorb_z(P, tp, x.keys, x.coeffs))
+
+
+def _folded_lanes(P: Params, tp: np.ndarray, pairs) -> tuple:
+    """The unmerged terms of phi(x) phi(y) over pairs of folded factors,
+    side by side: each lane's Z-part, the H-cocycle, is absorbed as a
+    theta power."""
+    tabs, parts = _tables(P), [(np.zeros(0, dtype=np.int64),) * 2]
+    for fx, fy in pairs:
+        rows = max(1, _CHUNK // max(1, len(fy.keys)))
+        parts += [_absorb_z(P, tp, _mul_lanes(
+            P, tabs, fx.keys[i0:i0 + rows, None], fy.keys[None, :]).ravel(),
+            P.ctx.vmul(fx.coeffs[i0:i0 + rows, None], fy.coeffs).ravel())
+            for i0 in range(0, len(fx.keys), rows)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def block_mul(P: Params, theta, x: GAElem, y: GAElem) -> GAElem:
+    """x y for x in kG e_theta and any y, formed in k_theta[G/Z] on r
+    times fewer keys per factor; x outside the block raises."""
+    tp, fx = _fold_block(P, theta, x)
+    return block_unfold(P, theta, _dedupe(
+        P, *_folded_lanes(P, tp, [(fx, block_fold(P, theta, y))])))
+
+
+def _centralizes_folded(P: Params, tp: np.ndarray, f: GAElem) -> bool:
+    """Whether phi(x) = f is fixed by conjugation with g1 and g2."""
     tabs = _tables(P)
     for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)):
         hk = np.array([pack_key(P, group_inv(P, h)), pack_key(P, h)])
-        conj = _mul_lanes(P, tabs, _mul_lanes(P, tabs, hk[0], x.keys), hk[1])
-        if not _is_permuted(x, conj, x.coeffs):
+        conj = _mul_lanes(P, tabs, _mul_lanes(P, tabs, hk[0], f.keys), hk[1])
+        if not _is_permuted(f, *_absorb_z(P, tp, conj, f.coeffs)):
             return False
     return True
+
+
+def centralizes_block_H(P: Params, theta, x: GAElem) -> bool:
+    """True iff x in kG e_theta commutes with kH e_theta; x outside the
+    block raises.  e_theta absorbs into x, so this is x^h = x for h = g1,
+    g2 (gz is central), tested on phi(x), one key per Z-coset: phi is
+    injective on the block and commutes with conjugation."""
+    return _centralizes_folded(P, *_fold_block(P, theta, x))
 
 
 def side_mul_table(P: Params) -> np.ndarray:

@@ -25,12 +25,13 @@ from .characters import (
     Character, char_eval, h_element, make_char,
 )
 from .groups import (
-    Params, commutator, d_digits, digit_dtype, group_inv, key_drop, key_n,
-    key_z,
+    Params, commutator, d_digits, digit_dtype, group_inv, key_cols, key_drop,
+    key_n,
 )
 from .groupalg import (
-    GAElem, _CHUNK, _dedupe, _mul_lanes, _tables, block_idempotent,
-    centralizes_block_H, ga_basis, ga_is_zero, ga_mul, ga_sum,
+    GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
+    _mul_lanes, _tables, _theta_pow, block_fold, block_idempotent,
+    block_unfold, ga_basis,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
@@ -220,12 +221,9 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
                     acc = ctx.add(acc, ctx.mul(int(c_inv[e, f]), z))
             W[t, tq] = ctx.mul(rinv2, acc)
 
-    theta_pow = np.array([ctx.pow(P.zeta_r, (theta.e * c) % r)
-                          for c in range(r)], dtype=np.int64)
-
     tctx = {"e_theta": e_theta, "h1": h1, "h2": h2, "h_inv_ga": h_inv_ga,
-            "c_tab": c_tab, "c_inv": c_inv, "W": W, "theta_pow": theta_pow,
-            "iota": {}}
+            "c_tab": c_tab, "c_inv": c_inv, "W": W,
+            "theta_pow": _theta_pow(P, theta), "iota": {}}
     P._cache[cache_key] = tctx
     return tctx
 
@@ -260,16 +258,12 @@ def _route_elem(P: Params, route: dict, a: QuivAElem) -> GAElem:
     return GAElem(route["keys"][live], sums[live])
 
 
-def _iota_table(P: Params, theta: Character, side: int) -> dict:
-    """The corner embedding of one side as a linear route, built once.
-
+def _iota_basis(P: Params) -> dict:
+    """The embedded basis E and the iota matrix M, once per Params:
     M[e] holds the embedded chi_e-isotypic part of every basis label,
     r^-1 sum_t zeta^(-e t) E[:, pi_t] with pi_t the L-action on label
-    indices; the lanes are the side keys times the keys of
-    h_inv[e] e_theta, one key map for all e.
-    """
-    tctx = _tt_ctx(P, theta)
-    tab = tctx["iota"].get(side)
+    indices, which depends on neither the side nor theta."""
+    tab = P._cache.get("iota_basis")
     if tab is not None:
         return tab
     ctx, r, rinv = P.ctx, P.r, P.ctx.inv(P.ctx.from_int(P.r))
@@ -278,13 +272,29 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
     V = [ctx.vscale(ctx.mul(rinv, ctx.pow(P.zeta_r, c)), E) for c in range(r)]
     M = np.stack([reduce(ctx.vadd, (V[-e * t % r][:, _label_perm(P, t)]
                                     for t in range(r))) for e in range(r)])
-    xs = [ga_mul(P, h, tctx["e_theta"]) for h in tctx["h_inv_ga"][side]]
+    tab = P._cache["iota_basis"] = {"E": E, "M": M}
+    return tab
+
+
+def _iota_table(P: Params, theta: Character, side: int) -> dict:
+    """The folded corner embedding of one side as a linear route.
+
+    Component e rides on phi(h_inv[e] e_theta), a single key; the lanes
+    are the side keys times those r keys, one key map for all e, and
+    keep c = 0 because the side keys have trivial H-part.
+    """
+    tctx = _tt_ctx(P, theta)
+    tab = tctx["iota"].get(side)
+    if tab is not None:
+        return tab
+    xs = [block_fold(P, theta, h) for h in tctx["h_inv_ga"][side]]
     lanes = _mul_lanes(P, _tables(P),
                        _embed_tables(P)["gkeys"][side - 1].reshape(1, -1),
                        np.concatenate([x.keys for x in xs])[:, None])
     keys = np.unique(lanes)
-    tab = {"keys": keys, "pos": np.searchsorted(keys, lanes), "M": M,
-           "comp": np.repeat(np.arange(r), [len(x) for x in xs]),
+    tab = {"keys": keys, "pos": np.searchsorted(keys, lanes),
+           "M": _iota_basis(P)["M"],
+           "comp": np.repeat(np.arange(P.r), [len(x) for x in xs]),
            "w": np.concatenate([x.coeffs for x in xs])}
     tctx["iota"][side] = tab
     return tab
@@ -294,118 +304,104 @@ def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     """Corner embedding of a side algebra into B_0.
 
     Each isotypic component rides its own h-element: the image is
-    sum_chi embed(a^chi) h_chi^{-1} e_theta, read off the side's
-    table.  verify's corner_maps compares it with the closed route on
-    every basis label.
+    sum_chi embed(a^chi) h_chi^{-1} e_theta, read off the side's folded
+    table and unfolded once.  verify's corner_maps compares the table
+    with the closed route on every basis label.
     """
-    return _route_elem(P, _iota_table(P, theta, a.side), a)
+    return block_unfold(P, theta,
+                        _route_elem(P, _iota_table(P, theta, a.side), a))
 
 
-def _theta_collapse(P: Params, tctx: dict, keys: np.ndarray,
-                    coeffs: np.ndarray) -> np.ndarray:
-    """Absorb the Z-part as a theta power and bin onto N-keys: the field
-    sums as a flat (Dsz p)^2 vector."""
-    vals = P.ctx.vmul(coeffs, tctx["theta_pow"][key_z(P, keys)])
-    return P.ctx.bin_sum(key_n(P, keys), (P.dsz * P.p) ** 2, vals)
+def _theta_collapse(P: Params, keys: np.ndarray,
+                    coeffs: np.ndarray) -> tuple:
+    """Collapse of folded terms (keys at c = 0, the Z-parts already
+    absorbed as theta powers) onto their N-parts: only the live N-keys
+    are merged, and they come back sorted with their nonzero sums."""
+    f = _dedupe(P, key_n(P, keys), coeffs)
+    return f.keys, f.coeffs
 
 
-def _fold_z(P: Params, tctx: dict, x: GAElem) -> GAElem:
-    """x with its Z-part absorbed as a theta power, keys moved to c = 0.
+def _stage_b(P: Params, theta: Character, nkeys: np.ndarray,
+             sums: np.ndarray) -> TTElem:
+    """Label coordinates of a collapse, given by its live N-keys
+    ((d1 p + x1) Dsz + d2) p + x2 and their sums.
 
-    Z is central and the collapse reads theta on the c-coordinate, so a
-    product of folded factors collapses to the same tensor."""
-    return _dedupe(P, key_drop(P, x.keys, 1), P.ctx.vmul(
-        x.coeffs, tctx["theta_pow"][key_z(P, x.keys)]))
-
-
-def _stage_b(P: Params, theta: Character, T4: np.ndarray) -> TTElem:
-    """Label coordinates of an N-coefficient tensor (Dsz, p, Dsz, p).
-
-    Both D-legs are cut down to the rows actually present before any
-    transform runs, so the P-leg rewrites cost only the support of the
-    element; the S-expansions back to full D-coordinates come last.
+    The sums fill a tensor over the live D-rows of each leg only, never
+    the dense (Dsz p)^2 one, so the P-leg rewrites cost only the support;
+    the S-expansions come last, the second on the first's live rows.
     """
-    tabs = _embed_tables(P)
-    ctx, Dsz = P.ctx, P.dsz
-    if not T4.any():
+    if not len(sums):
         return tt_zero(theta)
-
-    rows = []
-    for axis in (0, 2):
-        live = np.flatnonzero(
-            np.moveaxis(T4, axis, 0).reshape(Dsz, -1).any(axis=1))
-        rows.append(live)
-        T4 = np.take(T4, live, axis=axis)
+    tabs, ctx, p = _embed_tables(P), P.ctx, P.p
+    d1, x1, d2, x2 = np.unravel_index(nkeys, (P.dsz, p, P.dsz, p))
+    rows1, i1 = np.unique(d1, return_inverse=True)
+    rows2, i2 = np.unique(d2, return_inverse=True)
+    T4 = np.zeros((len(rows1), p, len(rows2), p), dtype=np.int64)
+    T4[i1, x1, i2, x2] = sums
     T4 = gf_apply_axis(ctx, tabs["Finv"], T4, 1)
     T4 = gf_apply_axis(ctx, tabs["Finv"], T4, 3)
-    T4 = gf_apply_axis(ctx, tabs["Sinv"][:, rows[0]], T4, 0)
-    T4 = gf_apply_axis(ctx, tabs["Sinv"][:, rows[1]], T4, 2)
+    T4 = gf_apply_axis(ctx, tabs["Sinv"][:, rows1], T4, 0)
+    # only the live rows of the first leg meet the second expansion
+    rows1 = np.flatnonzero(T4.reshape(P.dsz, -1).any(axis=1))
+    T4 = gf_apply_axis(ctx, tabs["Sinv"][:, rows2], T4[rows1], 2)
 
-    mk1, xi1, mk2, xi2 = np.nonzero(T4)
-    m1, m2 = d_digits(P, mk1), d_digits(P, mk2)
+    live = np.nonzero(T4)
+    (i1, xi1, mk2, xi2), vals = live, T4[live]
+    m1, m2 = d_digits(P, rows1[i1]), d_digits(P, mk2)
     return tt_from_columns(P, theta, xi1 - label_phi(P, m1), m1,
-                           xi2 - label_phi(P, m2), m2,
-                           T4[mk1, xi1, mk2, xi2])
+                           xi2 - label_phi(P, m2), m2, vals)
 
 
 def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
     """Coefficient collapse B_0 -> A_1 (x) A_2.
 
     Every support element n h e_theta contributes its coefficient to
-    n; a Z-component of h is first absorbed into a theta power.  The
-    collapsed N-tensor is then rewritten in label coordinates one leg
-    at a time.
+    n; a Z-component of h is first absorbed into a theta power.  Once x
+    passes the block gate, the B_0 gate and the collapse run on phi(x);
+    the collapsed N-tensor is then rewritten in label coordinates.
     """
-    tctx = _tt_ctx(P, theta)
-    if ga_is_zero(x):
-        return tt_zero(theta)
-    if not centralizes_block_H(P, theta, x):
+    tp, f = _fold_block(P, theta, x)
+    if not _centralizes_folded(P, tp, f):
         raise ValueError(
             "x does not lie in B_0 (fails to centralize kH e_theta)")
-    T4 = _theta_collapse(P, tctx, x.keys, x.coeffs)
-    return _stage_b(P, theta, T4.reshape(P.dsz, P.p, P.dsz, P.p))
+    return _stage_b(P, theta, *_theta_collapse(P, f.keys, f.coeffs))
 
 
 def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
-    """Inverse of the collapse: sum of c iota_1(u) iota_2(v)."""
+    """Inverse of the collapse: sum of c iota_1(u) iota_2(v), each
+    product formed from the folded routes, summed and unfolded once."""
     _check_theta(t, theta)
     c, one = t.cols, np.ones(1, dtype=np.int64)
+    routes = [_iota_table(P, theta, side) for side in (1, 2)]
     # the term's coefficient rides on its side-1 leg
-    parts = [ga_mul(P, b0_iota(P, theta, QuivAElem(
-        1, c.psi1[i:i + 1], c.m1[i:i + 1], c.coeffs[i:i + 1])),
-        b0_iota(P, theta, QuivAElem(2, c.psi2[i:i + 1], c.m2[i:i + 1], one)))
+    pairs = [(_route_elem(P, routes[0], QuivAElem(
+        1, c.psi1[[i]], c.m1[[i]], c.coeffs[[i]])), _route_elem(
+        P, routes[1], QuivAElem(2, c.psi2[[i]], c.m2[[i]], one)))
         for i in range(len(c.coeffs))]
-    return ga_sum(P, parts)
+    return block_unfold(P, theta, _dedupe(
+        P, *_folded_lanes(P, _tt_ctx(P, theta)["theta_pow"], pairs)))
 
 
 def b0_pi_product(P: Params, theta: Character, x: GAElem,
                   y: GAElem) -> TTElem:
     """pi(x y) for x, y in B_0, without materializing the product.
 
-    Honest group convolution: every coefficient lane of x y is formed
-    by the vectorized group product and binned straight into the
-    theta-collapsed N-tensor.  Both factors are first folded onto
-    c = 0, which leaves the collapse unchanged and cuts the lanes r^2
-    fold.  This is the oracle route the twisted multiplication is
+    Honest group convolution in k_theta[G/Z]: phi is an algebra map on
+    kG, so the folded lanes of phi(x) phi(y) collapse to the tensor of
+    x y, merged on their live N-keys only.  The lane n (a, b) n' (a', b')
+    has N-part n (a, b)-twisted n' and Z-part -a' b, so for each b of x
+    the right factor is first merged onto its N-part with weight
+    theta(gz)^(-a' b).  This is the oracle the twisted multiplication is
     gated against; it never touches the W-table.
     """
-    tctx = _tt_ctx(P, theta)
-    x, y = _fold_z(P, tctx, x), _fold_z(P, tctx, y)
-    # the b of a right factor only reaches the b of the product
-    y = _dedupe(P, key_drop(P, y.keys, 2), y.coeffs)
-    if ga_is_zero(x) or ga_is_zero(y):
-        return tt_zero(theta)
-    tabs = _tables(P)
-    flat = None
-    rows = max(1, _CHUNK // len(y.keys))
-    for i0 in range(0, len(x.keys), rows):
-        gk = x.keys[i0:i0 + rows][:, None]
-        gc = x.coeffs[i0:i0 + rows][:, None]
-        keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
-        coeffs = P.ctx.vmul(gc, y.coeffs[None, :])
-        part = _theta_collapse(P, tctx, keys.ravel(), coeffs.ravel())
-        flat = part if flat is None else P.ctx.vadd(flat, part)
-    return _stage_b(P, theta, flat.reshape(P.dsz, P.p, P.dsz, P.p))
+    tp = _tt_ctx(P, theta)["theta_pow"]
+    x, y = block_fold(P, theta, x), block_fold(P, theta, y)
+    xb, ya = key_cols(P, x.keys)[5], key_cols(P, y.keys)[4]
+    pairs = [(GAElem(x.keys[xb == b], x.coeffs[xb == b]), _dedupe(
+        P, key_drop(P, y.keys, 3), P.ctx.vmul(y.coeffs, tp[-ya * b % P.r])))
+        for b in np.unique(xb)]
+    return _stage_b(P, theta, *_theta_collapse(
+        P, *_folded_lanes(P, tp, pairs)))
 
 
 # ---------------------------------------------------------------------------

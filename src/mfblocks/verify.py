@@ -28,13 +28,13 @@ from .characters import (
 )
 from .groups import (
     Params, commutator, conjugate, d_digits, d_elem, d_key, elem_to_dict,
-    group_inv, group_mul, h_elem, identity, key_bits, p_elem, pack_key,
-    subgroup_elements,
+    group_inv, group_mul, h_elem, identity, key_bits, key_drop, key_z,
+    p_elem, pack_key, subgroup_elements,
 )
 from .groupalg import (
-    _CHUNK, _TABLE_ENTRIES, _mul_lanes, _table_entries, _tables,
-    block_idempotent, centralizes_block_H, ga_mul, ga_frobenius_twist,
-    ga_from_terms, side_inv_index, side_mul_table,
+    _CHUNK, _TABLE_ENTRIES, _mul_lanes, _table_entries, _tables, _theta_pow,
+    block_fold, block_idempotent, block_mul, centralizes_block_H, ga_mul,
+    ga_frobenius_twist, ga_from_terms, side_inv_index, side_mul_table,
 )
 from .linalg import gf_matmul
 from .morita import (
@@ -48,7 +48,7 @@ from .quiver import (
     qa_embed_available, qa_from_columns, qa_labels, qa_mul,
 )
 from .twisted import (
-    _iota_table, _route_elem, _route_sums, _tt_ctx, _vertex_pairs,
+    _iota_basis, _iota_table, _route_sums, _tt_ctx, _vertex_pairs,
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
     tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree, tt_sandwich, tt_sub,
     tt_to_json, tt_unit,
@@ -211,21 +211,21 @@ def _embed_sampled(P: Params, rng: random.Random,
     """
     n = P.dsz * P.p
     K = side_mul_table(P)[:, side_inv_index(P)]
-    data = {side: _embed_side_data(P, side) for side in (1, 2)}
-    group = 13
+    # the sides share their dense data; only the witness names a side
+    data = _embed_side_data(P, 1)
+    E, group = data["E"], 13
     for side in (1, 2):
-        E = data[side]["E"]
         remaining = (count + 1) // 2
         while remaining > 0:
             u = rng.randrange(n)
             vs = [rng.randrange(n) for _ in range(min(group, remaining))]
             got = gf_matmul(P.ctx, E[:, u][K], E[:, vs])
-            want = _embed_want(P, data[side], u, vs)
+            want = _embed_want(P, data, u, vs)
             if not np.array_equal(got, want):
                 v = vs[int(np.flatnonzero(np.any(got != want, axis=0))[0])]
-                return {"side": side,
-                        "u": label_to_dict(data[side]["labels"][u]),
-                        "v": label_to_dict(data[side]["labels"][v])}
+                labels = qa_labels(P, side)
+                return {"side": side, "u": label_to_dict(labels[u]),
+                        "v": label_to_dict(labels[v])}
             remaining -= len(vs)
     return None
 
@@ -296,13 +296,13 @@ def _check_embed_multiplicative(P: Params, theta: Character, suite: str,
 
 
 def _closed_route(P: Params, theta: Character, side: int) -> dict:
-    """The closed corner route of one side, as a linear route: label j
-    goes to the sum over t of g_t^-1 (embed(j) e_triv e_theta) g_t, with
-    g_t the L_side powers and e_triv the trivial idempotent of the other
-    L.  The lanes are one key map of the side keys times the keys of
-    e_triv e_theta and one key map of the r conjugations."""
+    """The folded closed corner route of one side: label j goes to phi
+    of sum_t g_t^-1 (embed(j) e_triv e_theta) g_t, g_t the L_side powers
+    and e_triv the trivial idempotent of the other L.  Its lanes are the
+    side keys times phi(e_triv e_theta), then the r conjugations."""
     other = make_char(P, f"L{3 - side}", 0)
-    e = ga_mul(P, char_idempotent(P, other), block_idempotent(P, theta))
+    e = block_fold(P, theta, ga_mul(P, char_idempotent(P, other),
+                                    block_idempotent(P, theta)))
     hs = [h_elem(P, t, 0, 0) if side == 1 else h_elem(P, 0, t, 0)
           for t in range(P.r)]
     g = np.array([pack_key(P, h) for h in hs])
@@ -311,18 +311,18 @@ def _closed_route(P: Params, theta: Character, side: int) -> dict:
     base = _mul_lanes(P, tabs, _embed_tables(P)["gkeys"][side - 1].reshape(
         1, -1), e.keys[:, None])
     lanes = _mul_lanes(P, tabs, _mul_lanes(P, tabs, gi[:, None, None], base),
-                       g[:, None, None])
+                       g[:, None, None]).reshape(-1, n)
+    # the side keys have trivial H-part, so the shift is one per row
+    z = key_z(P, lanes)
+    if (z != z[:, :1]).any():
+        raise ValueError("a closed-route lane row has no single Z-shift")
+    lanes = key_drop(P, lanes, 1)
     keys = np.unique(lanes)
-    return {"keys": keys, "pos": np.searchsorted(keys, lanes).reshape(-1, n),
-            "M": embed_columns(P, np.arange(n))[None],
-            "comp": np.zeros(lanes.size // n, dtype=np.int64),
-            "w": np.tile(e.coeffs, P.r)}
-
-
-def _corner_closed(P: Params, theta: Character, side: int) -> Callable:
-    """The closed corner route of one side on side elements."""
-    route = _closed_route(P, theta, side)
-    return lambda a: _route_elem(P, route, a)
+    return {"keys": keys, "pos": np.searchsorted(keys, lanes),
+            "M": _iota_basis(P)["E"][None],
+            "comp": np.zeros(len(lanes), dtype=np.int64),
+            "w": P.ctx.vmul(np.tile(e.coeffs, P.r),
+                            _theta_pow(P, theta)[z[:, 0]])}
 
 
 def _check_corner_maps(P: Params, theta: Character, suite: str,
@@ -350,7 +350,8 @@ def _check_corner_maps(P: Params, theta: Character, suite: str,
         for _ in range(n_hom):
             a = _random_qa(P, side, rng, 2, 1)
             b = _random_qa(P, side, rng, 2, 1)
-            lhs = ga_mul(P, b0_iota(P, theta, a), b0_iota(P, theta, b))
+            lhs = block_mul(P, theta, b0_iota(P, theta, a),
+                            b0_iota(P, theta, b))
             if lhs != b0_iota(P, theta, qa_mul(P, a, b)):
                 return {"side": side, "defect": "corner map not"
                         " multiplicative"}
@@ -364,8 +365,8 @@ def _check_corner_maps(P: Params, theta: Character, suite: str,
     for d1, d2 in profiles:
         lu = _random_label(P, 1, rng, d1)
         lv = _random_label(P, 2, rng, d2)
-        prod = ga_mul(P, b0_iota(P, theta, qa_basis(P, lu)),
-                      b0_iota(P, theta, qa_basis(P, lv)))
+        prod = block_mul(P, theta, b0_iota(P, theta, qa_basis(P, lu)),
+                         b0_iota(P, theta, qa_basis(P, lv)))
         if b0_pi(P, theta, prod) != tt_from_terms(P, theta,
                                                   [(lu, lv, P.ctx.one)]):
             return {"u": label_to_dict(lu), "v": label_to_dict(lv),

@@ -8,9 +8,12 @@ import pytest
 import mfblocks.groupalg as galg
 from mfblocks.characters import make_char
 from mfblocks.groupalg import (
-    block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_coeff,
-    ga_conjugate, ga_from_terms, ga_frobenius_twist, ga_mul, ga_neg,
-    ga_scale, ga_sub, ga_unit, ga_zero, side_inv_index, side_mul_table,
+    block_fold, block_idempotent, block_mul, block_unfold,
+    centralizes_block_H, ga_add, ga_basis, ga_from_terms, ga_frobenius_twist,
+    ga_mul, ga_zero, side_inv_index, side_mul_table,
+)
+from reference import (
+    ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub, ga_unit,
 )
 from mfblocks.groups import (
     GroupElem, conjugate, d_pack, d_unpack, group_mul, h_elem, identity,
@@ -202,6 +205,52 @@ class TestCentralizer:
         theta = make_char(P, "Z", 1)
         with pytest.raises(ValueError, match="block"):
             centralizes_block_H(P, theta, ga_unit(P))
+
+
+FAITHFUL = [((2, 7, 3), 1), ((2, 7, 3), 2), ((3, 5, 2), 1)]
+
+
+class TestBlockFold:
+    """kG e_theta against k_theta[G/Z], one key per Z-coset."""
+
+    @pytest.mark.parametrize("cfg,e", FAITHFUL)
+    def test_unfold_inverts_fold_on_the_block(self, cfg, e):
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", e)
+        rng = random.Random(f"fold:{cfg}:{e}")
+        block = block_idempotent(P, theta)
+        assert block_fold(P, theta, block) == ga_unit(P)
+        for n in (1, 3, 12):
+            x = ga_mul(P, random_ga(P, rng, n), block)
+            f = block_fold(P, theta, x)
+            assert len(f) * P.r == len(x)
+            assert block_unfold(P, theta, f) == x
+
+    @pytest.mark.parametrize("cfg,e", FAITHFUL)
+    def test_block_mul_is_the_group_product(self, cfg, e):
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", e)
+        rng = random.Random(f"bmul:{cfg}:{e}")
+        block = block_idempotent(P, theta)
+        for nx, ny in ((1, 1), (4, 7), (10, 3)):
+            x = ga_mul(P, random_ga(P, rng, nx), block)
+            for y in (random_ga(P, rng, ny), ga_mul(
+                    P, random_ga(P, rng, ny), block), ga_zero()):
+                assert block_mul(P, theta, x, y) == ga_mul(P, x, y)
+        assert block_mul(P, theta, ga_zero(), x) == ga_zero()
+
+    def test_left_factor_outside_the_block_raises(self):
+        P = params_make(2, 7, 3)
+        theta = make_char(P, "Z", 1)
+        x = random_ga(P, random.Random(4), 3)
+        with pytest.raises(ValueError, match="block"):
+            block_mul(P, theta, x, block_idempotent(P, theta))
+
+    def test_unfold_refuses_an_unfolded_key(self):
+        P = params_make(3, 5, 2)
+        theta = make_char(P, "Z", 1)
+        with pytest.raises(ValueError, match="c = 0"):
+            block_unfold(P, theta, ga_basis(P, h_elem(P, 0, 0, 1)))
 
 
 class TestFrobeniusTwist:

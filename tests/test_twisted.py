@@ -8,8 +8,8 @@ import pytest
 from mfblocks.characters import char_idempotent, make_char
 from mfblocks.groups import h_elem, p_elem, params_make
 from mfblocks.groupalg import (
-    block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_conjugate,
-    ga_from_terms, ga_mul, ga_scale, ga_zero,
+    block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_from_terms,
+    ga_mul, ga_zero,
 )
 from mfblocks.linalg import gf_rank
 from mfblocks.quiver import (
@@ -23,11 +23,43 @@ from mfblocks.twisted import (
     tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
 )
 from mfblocks.twisted import _stage_b, _theta_collapse, _tt_ctx
-from mfblocks.twisted import _label_perm, _route_sums
-from mfblocks.verify import _corner_closed, _random_ga
+from mfblocks.twisted import (
+    _iota_basis, _iota_table, _label_perm, _route_elem, _route_sums,
+    tt_from_columns,
+)
+from mfblocks.verify import _random_ga
 from mfblocks.verify import _closed_route
-from mfblocks.groupalg import GAElem, ga_sum
-from mfblocks.quiver import qa_L_action, qa_labels
+from mfblocks.groupalg import GAElem, block_fold, block_unfold, ga_sum
+from mfblocks.groups import d_digits, key_n, key_z
+from mfblocks.linalg import gf_apply_axis
+from mfblocks.quiver import _embed_tables, label_phi, qa_L_action, qa_labels
+import mfblocks.twisted as twisted_mod
+from reference import ga_conjugate, ga_scale
+
+
+def _corner_closed(P, theta, side):
+    """verify's folded closed corner route of one side, unfolded, on
+    side elements."""
+    route = _closed_route(P, theta, side)
+    return lambda a: block_unfold(P, theta, _route_elem(P, route, a))
+
+
+def dense_pi_product(P, theta, x, y):
+    """pi(x y) the long way: the honest product x y binned into the
+    dense (Dsz p)^2 vector with its Z-parts as theta powers, then the
+    full-tensor transform on every D-row."""
+    tctx, tabs, ctx = _tt_ctx(P, theta), _embed_tables(P), P.ctx
+    xy = ga_mul(P, x, y)
+    vals = ctx.vmul(xy.coeffs, tctx["theta_pow"][key_z(P, xy.keys)])
+    T4 = ctx.bin_sum(key_n(P, xy.keys), (P.dsz * P.p) ** 2, vals).reshape(
+        P.dsz, P.p, P.dsz, P.p)
+    for M, axis in ((tabs["Finv"], 1), (tabs["Finv"], 3),
+                    (tabs["Sinv"], 0), (tabs["Sinv"], 2)):
+        T4 = gf_apply_axis(ctx, M, T4, axis)
+    mk1, xi1, mk2, xi2 = np.nonzero(T4)
+    m1, m2 = d_digits(P, mk1), d_digits(P, mk2)
+    return tt_from_columns(P, theta, xi1 - label_phi(P, m1), m1,
+                           xi2 - label_phi(P, m2), m2, T4[mk1, xi1, mk2, xi2])
 
 
 class Simple:
@@ -276,11 +308,9 @@ class TestPi:
                 theta = make_char(P, "Z", e)
                 for _ in range(3):
                     x, y = _random_ga(P, rng, 30), _random_ga(P, rng, 30)
-                    xy = ga_mul(P, x, y)
-                    flat = _theta_collapse(P, _tt_ctx(P, theta), xy.keys,
-                                           xy.coeffs)
-                    want = _stage_b(P, theta, flat.reshape(
-                        P.dsz, P.p, P.dsz, P.p))
+                    f = block_fold(P, theta, ga_mul(P, x, y))
+                    want = _stage_b(P, theta, *_theta_collapse(
+                        P, f.keys, f.coeffs))
                     assert not tt_is_zero(want)
                     assert b0_pi_product(P, theta, x, y) == want
 
@@ -823,4 +853,67 @@ class TestIotaTable:
                             h_elem(P, 0, t, 0)
                         want = ga_add(P, want, ga_conjugate(P, base, g))
                     live = dense[:, j] != 0
-                    assert GAElem(route["keys"][live], dense[live, j]) == want
+                    assert block_unfold(P, theta, GAElem(
+                        route["keys"][live], dense[live, j])) == want
+
+
+FAITHFUL = [((2, 7, 3), 1), ((2, 7, 3), 2), ((3, 5, 2), 1)]
+
+
+class TestFoldedOracle:
+    """The block's oracle runs in k_theta[G/Z]; its answers are those
+    of the dense, unfolded route."""
+
+    @pytest.mark.parametrize("cfg,e", FAITHFUL)
+    def test_product_matches_the_dense_reference(self, cfg, e):
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", e)
+        rng = random.Random(f"dense:{cfg}:{e}")
+        # vertex terms keep the honest unfolded product under a million
+        # lanes at (2,7,3)
+        pairs = [(b0_pi_inv(P, theta, random_tt(P, theta, rng, 1, 0)),
+                  b0_pi_inv(P, theta, random_tt(P, theta, rng, 1, 0)))
+                 for _ in range(2)]
+        block = block_idempotent(P, theta)
+        pairs += [(ga_mul(P, _random_ga(P, rng, 30), block),
+                   _random_ga(P, rng, 30)) for _ in range(2)]
+        pairs += [(block, ga_zero())]
+        nonzero = 0
+        for x, y in pairs:
+            want = dense_pi_product(P, theta, x, y)
+            assert b0_pi_product(P, theta, x, y) == want
+            nonzero += not tt_is_zero(want)
+        assert nonzero >= 2
+
+    @pytest.mark.parametrize("cfg,e", FAITHFUL)
+    def test_one_live_row_per_leg_transforms_one_row(self, cfg, e,
+                                                     monkeypatch):
+        # vertex labels embed with D-part zero, so the collapse lives
+        # on the D-row 0 of each leg
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", e)
+        x = ga_mul(P, b0_iota(P, theta, qa_vertex(P, 1, 0)),
+                   b0_iota(P, theta, qa_vertex(P, 2, 0)))
+        shapes = []
+
+        def spy(ctx, M, T, axis):
+            shapes.append(T.shape)
+            return gf_apply_axis(ctx, M, T, axis)
+        monkeypatch.setattr(twisted_mod, "gf_apply_axis", spy)
+        got = b0_pi_product(P, theta, x, _tt_ctx(P, theta)["e_theta"])
+        assert got == b0_pi(P, theta, x)
+        assert shapes[0] == (1, P.p, 1, P.p)
+        assert max(np.prod(s) for s in shapes) <= P.dsz * P.p * P.p
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+    def test_one_iota_matrix_serves_both_sides_and_every_theta(self, cfg):
+        P = params_make(*cfg)
+        M, E = _iota_basis(P)["M"], _iota_basis(P)["E"]
+        for e in range(1, P.r):
+            if np.gcd(e, P.r) != 1:
+                continue
+            theta = make_char(P, "Z", e)
+            for side in (1, 2):
+                assert _iota_table(P, theta, side)["M"] is M
+                assert np.shares_memory(
+                    _closed_route(P, theta, side)["M"], E)
