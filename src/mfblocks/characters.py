@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .groups import GroupElem, Params, group_inv, h_elem, subgroup_elements
+from .groups import (
+    GroupElem, Params, group_inv, h_elem, root_powers, subgroup_elements,
+)
 from .groupalg import GAElem, ga_from_terms
 
 _Z_GROUPS = ("Z", "L1", "L2")
@@ -76,8 +78,7 @@ def _exponent_of(P: Params, group: str, g: GroupElem) -> int:
 def char_eval(P: Params, chi: Character, g: GroupElem) -> int:
     """Value of chi on g, as a packed field element."""
     k = _exponent_of(P, chi.group, g)
-    zeta = P.zeta_r if chi.group in _Z_GROUPS else P.zeta_p
-    return P.ctx.pow(zeta, (chi.e * k) % chi.order)
+    return int(root_powers(P, chi.order)[chi.e * k % chi.order])
 
 
 def char_idempotent(P: Params, chi: Character) -> GAElem:

@@ -17,12 +17,16 @@ import numpy as np
 
 from .groups import (
     GroupElem, Params, d_digits, d_key, d_scale_index, group_inv, h_elem,
-    key_array, key_cols, key_drop, key_join, key_z, pack_key,
+    key_array, key_cols, key_drop, key_join, key_z, l_fourier, pack_key,
+    root_powers,
 )
 
 _CHUNK = 1 << 22
 # Most int64 entries the product tables of _tables may hold (256 MB)
 _TABLE_ENTRIES = 1 << 25
+# Largest side dimension dsz p of the dense side tables: the side
+# multiplication table here and the embedding tables of quiver
+_EMBED_LIMIT = 2048
 
 
 class GAElem:
@@ -189,8 +193,7 @@ def _theta_pow(P: Params, theta) -> np.ndarray:
         raise ValueError("block labels are characters of Z")
     if math.gcd(theta.e, P.r) != 1:
         raise ValueError("theta must be faithful on Z")
-    return np.array([P.ctx.pow(P.zeta_r, theta.e * c % P.r)
-                     for c in range(P.r)], dtype=np.int64)
+    return root_powers(P, P.r)[theta.e * np.arange(P.r) % P.r]
 
 
 def block_idempotent(P: Params, theta) -> GAElem:
@@ -217,13 +220,13 @@ def block_fold(P: Params, theta, x: GAElem) -> GAElem:
 
 def block_unfold(P: Params, theta, f: GAElem) -> GAElem:
     """The inverse of phi on the block: a folded key g goes to g e_theta
-    = r^-1 sum_c theta(gz)^-c g gz^c, whose keys stay sorted."""
-    tp, r = _theta_pow(P, theta), P.r
+    = r^-1 sum_c theta(gz)^-c g gz^c, whose keys stay sorted; the
+    weights are row theta.e of the Fourier matrix."""
+    _theta_pow(P, theta)
     if key_z(P, f.keys).any():
         raise ValueError("a folded element has its keys at c = 0")
-    w = P.ctx.vscale(P.ctx.inv(P.ctx.from_int(r)), tp[-np.arange(r) % r])
-    return GAElem((f.keys[:, None] + np.arange(r)).ravel(),
-                  P.ctx.vmul(f.coeffs[:, None], w).ravel())
+    return GAElem((f.keys[:, None] + np.arange(P.r)).ravel(), P.ctx.vmul(
+        f.coeffs[:, None], l_fourier(P)[theta.e]).ravel())
 
 
 def _is_permuted(x: GAElem, keys: np.ndarray, coeffs: np.ndarray) -> bool:
@@ -293,7 +296,7 @@ def side_mul_table(P: Params) -> np.ndarray:
         return table
     p, Dsz = P.p, P.dsz
     n = Dsz * p
-    if n > 2048:
+    if n > _EMBED_LIMIT:
         raise ValueError(f"side table of size {n} is too large")
     tabs = _tables(P)
     idx = np.arange(n, dtype=np.int64)

@@ -103,6 +103,33 @@ def params_make(ell: int, p: int, r: int) -> Params:
     return Params(ell, p, r)
 
 
+def root_powers(P: Params, order: int) -> np.ndarray:
+    """zeta^k for k < order, zeta = zeta_r or zeta_p by the order: the
+    one power table of each root of unity, built once per Params.  Any
+    power is a lookup at its exponent mod order."""
+    key = ("root_powers", order)
+    tab = P._cache.get(key)
+    if tab is None:
+        zeta = {P.r: P.zeta_r, P.p: P.zeta_p}[order]
+        tab = P._cache[key] = np.array(
+            [P.ctx.pow(zeta, k) for k in range(order)], dtype=np.int64)
+    return tab
+
+
+def l_fourier(P: Params) -> np.ndarray:
+    """D[e, t] = r^-1 zeta_r^(-e t), built once per Params from the
+    table of zeta_r: row e weighs the r powers t of a cyclic group of
+    order r (L_1, L_2 or Z) into the part of the character of exponent
+    e."""
+    D = P._cache.get("l_fourier")
+    if D is None:
+        e = np.arange(P.r)
+        D = P._cache["l_fourier"] = P.ctx.vscale(
+            P.ctx.inv(P.ctx.from_int(P.r)),
+            root_powers(P, P.r)[-np.outer(e, e) % P.r])
+    return D
+
+
 class GroupElem:
     """Group element in the normal form d1(v1)*x1 * d2(v2)*x2 * g1^a g2^b gz^c.
 

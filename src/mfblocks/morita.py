@@ -23,6 +23,7 @@ from .characters import Character, is_faithful, make_char
 from .field import is_prime
 from .groups import (
     Params, d_scale_index, digit_dtype, key_cols, key_join, mult_order,
+    root_powers,
 )
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
@@ -261,11 +262,10 @@ def recover_theta(table: PairingTable, P: Params) -> frozenset:
     r = table.r
     if r != P.r:
         raise ValueError("table size does not match the parameters")
-    v = table.value(1, 1)
-    t = next((k for k in range(r) if P.ctx.pow(P.zeta_r, k) == v), None)
-    if t is None or math.gcd(t, r) != 1:
+    t = np.flatnonzero(root_powers(P, r) == table.value(1, 1))
+    if not len(t) or math.gcd(int(t[0]), r) != 1:
         raise ValueError("degenerate pairing table")
-    j = pow((-t) % r, -1, r)
+    j = pow(-int(t[0]) % r, -1, r)
     return frozenset({j, (r - j) % r})
 
 
@@ -286,6 +286,8 @@ def mf_number(ell: int, r: int) -> int:
     Computed through the multiplicative order d: the minimum is d/2
     when -1 is a power of ell (necessarily the d/2-th), else d.
     """
+    if not is_prime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
     if not isinstance(r, int) or r <= 1:
         raise ValueError(f"r must be an integer > 1, got {r}")
     if math.gcd(ell, r) != 1:

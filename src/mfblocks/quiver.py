@@ -25,12 +25,10 @@ import numpy as np
 from .characters import Character, _exponent_of
 from .groups import (
     GroupElem, Params, conjugate, d_digits, d_elem, d_key, d_pack,
-    digit_dtype, key_join, p_elem, slot_scale_index,
+    digit_dtype, key_join, l_fourier, p_elem, root_powers, slot_scale_index,
 )
-from .groupalg import GAElem
+from .groupalg import _EMBED_LIMIT, GAElem
 from .linalg import gf_inv_matrix
-
-_EMBED_LIMIT = 2048
 
 
 class QuivLabel:
@@ -245,13 +243,6 @@ def _act(P: Params, k, psi: np.ndarray, m: np.ndarray):
     return np.multiply.outer(psi, scale[k]) % P.p, m[:, gather[k]]
 
 
-def _label_perm(P: Params, t: int) -> np.ndarray:
-    """The L-action of the t-th generator power on label indices
-    psi dsz + mk."""
-    return _label_index(P, *_act(P, t, *_label_cols(
-        P, np.arange(P.dsz * P.p))))
-
-
 def _no_carry(P: Params, m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
     """Rows where the arrow counts add without reaching ell."""
     return (m_a < P.ell - m_b).all(axis=1)
@@ -323,31 +314,14 @@ def qa_isotypic(P: Params, u: QuivAElem, chi: Character) -> QuivAElem:
                          f"got {chi.group}")
     if not len(u.coeffs):
         return u
-    ctx, r = P.ctx, P.r
-    rinv = ctx.inv(ctx.from_int(r))
-    weights = np.array([ctx.mul(rinv, ctx.pow(P.zeta_r, (-chi.e * t) % r))
-                        for t in range(r)], dtype=np.int64)
-    psi, m = _act(P, np.arange(r), u.psi, u.m)
+    psi, m = _act(P, np.arange(P.r), u.psi, u.m)
     return qa_from_columns(
         P, u.side, psi.ravel(), m.reshape(-1, P.p - 1),
-        P.ctx.vmul(u.coeffs[:, None], weights[None, :]).ravel())
+        P.ctx.vmul(u.coeffs[:, None], l_fourier(P)[chi.e][None, :]).ravel())
 
 
 # ---------------------------------------------------------------------------
 # Embedding into the group algebra
-
-
-def _arrow_vector(P: Params, s: int) -> np.ndarray:
-    """s_phi = sum_g phi(g^-1) d^g as a dense vector over packed D."""
-    ctx = P.ctx
-    vec = np.zeros(P.dsz, dtype=np.int64)
-    d1 = d_elem(P, 1, 0)
-    for g in range(P.p):
-        dg = conjugate(P, d1, p_elem(P, 1, g))
-        val = ctx.pow(P.zeta_p, (-s * g) % P.p)
-        key = d_pack(P, dg.v1)
-        vec[key] = ctx.add(int(vec[key]), val)
-    return vec
 
 
 def qa_embed_available(P: Params) -> bool:
@@ -364,36 +338,34 @@ def _embed_tables(P: Params) -> dict:
     if n > _EMBED_LIMIT:
         raise ValueError(f"embedding tables of size {n} are too large")
     ctx, p, Dsz, ell = P.ctx, P.p, P.dsz, P.ell
+    zp, y = root_powers(P, p), np.arange(p)
 
-    arrows = [None] + [_arrow_vector(P, s) for s in range(1, p)]
+    # the arrow of exponent s is s_phi = sum_g zeta_p^(-s g) d^g over
+    # the p conjugates d^g of d = d_1^0, which are distinct; shift[g] is
+    # the D-addition v -> v + d^g on packed vectors
     digits = d_digits(P, np.arange(Dsz))
-    # the D-additions v -> v + d_b, one per b on an arrow's support
-    shift = {b: d_key(P, (digits + digits[b]) % ell)
-             for b in {int(b) for a in arrows[1:] for b in np.nonzero(a)[0]}}
+    conj = [conjugate(P, d_elem(P, 1, 0), p_elem(P, 1, g)) for g in range(p)]
+    shift = [d_key(P, (digits + digits[d_pack(P, c.v1)]) % ell) for c in conj]
     S = np.zeros((Dsz, Dsz), dtype=np.int64)
     S[0, 0] = ctx.one
     for mk in range(1, Dsz):
         # S_m is the arrow of the first slot s of m times S_(m - e_s)
         s = int(np.flatnonzero(digits[mk])[0]) + 1
         prev = S[:, d_key(P, digits[mk] - (np.arange(1, p) == s))]
-        arrow = arrows[s]
         col = np.zeros(Dsz, dtype=np.int64)
-        for b in np.nonzero(arrow)[0].tolist():
-            contrib = ctx.vscale(int(arrow[b]), prev)
-            col[shift[b]] = ctx.vadd(col[shift[b]], contrib)
+        for g, idx in enumerate(shift):
+            contrib = ctx.vscale(int(zp[-s * g % p]), prev)
+            col[idx] = ctx.vadd(col[idx], contrib)
         S[:, mk] = col
     Sinv = gf_inv_matrix(ctx, S)
 
-    pinv = ctx.inv(ctx.from_int(p))
-    F = np.zeros((p, p), dtype=np.int64)
-    Finv = np.zeros((p, p), dtype=np.int64)
-    for y in range(p):
-        for xi in range(p):
-            F[y, xi] = ctx.mul(pinv, ctx.pow(P.zeta_p, (-xi * y) % p))
-            Finv[xi, y] = ctx.pow(P.zeta_p, (xi * y) % p)
+    # F[y, xi] = p^-1 zeta_p^(-xi y) and its inverse Finv[xi, y] =
+    # zeta_p^(xi y), both symmetric
+    F = ctx.vscale(ctx.inv(ctx.from_int(p)), zp[-np.outer(y, y) % p])
+    Finv = zp[np.outer(y, y) % p]
 
     # the side-i keys d_i(v) x_i^y, one row per packed v
-    dk, yy = np.arange(Dsz)[:, None], np.arange(p)[None, :]
+    dk, yy = np.arange(Dsz)[:, None], y[None, :]
     gkeys = np.stack([key_join(P, dk, yy, 0, 0, 0, 0, 0),
                       key_join(P, 0, 0, dk, yy, 0, 0, 0)])
 

@@ -26,17 +26,17 @@ from .characters import (
 )
 from .groups import (
     Params, commutator, d_digits, digit_dtype, group_inv, key_cols, key_drop,
-    key_n,
+    key_n, l_fourier, root_powers,
 )
 from .groupalg import (
     GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
     _mul_lanes, _tables, _theta_pow, block_fold, block_idempotent,
-    block_unfold, ga_basis,
+    block_unfold, ga_basis, ga_zero,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
     QuivAElem, _act, _canon_rows, _embed_tables, _label_act_table,
-    _label_index, _label_perm, _leg_join, _leg_labels, _merge_terms,
+    _label_index, _leg_join, _leg_labels, _merge_terms,
     _same_columns, _sort_key, embed_columns, label_phi, label_to_dict,
 )
 
@@ -208,18 +208,10 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
             c_tab[e, f] = char_eval(P, theta, commutator(P, h2[f], h1[e]))
     c_inv = np.array([[ctx.inv(int(c)) for c in row] for row in c_tab],
                      dtype=np.int64)
-
-    rinv = ctx.inv(ctx.from_int(r))
-    rinv2 = ctx.mul(rinv, rinv)
-    W = np.zeros((r, r), dtype=np.int64)
-    for t in range(r):
-        for tq in range(r):
-            acc = 0
-            for e in range(r):
-                for f in range(r):
-                    z = ctx.pow(P.zeta_r, (-(e * t + f * tq)) % r)
-                    acc = ctx.add(acc, ctx.mul(int(c_inv[e, f]), z))
-            W[t, tq] = ctx.mul(rinv2, acc)
+    # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta_r^-(e t + f t'), the
+    # Fourier transform of c_inv on both slots
+    D = l_fourier(P)
+    W = gf_matmul(ctx, gf_matmul(ctx, D.T, c_inv), D)
 
     tctx = {"e_theta": e_theta, "h1": h1, "h2": h2, "h_inv_ga": h_inv_ga,
             "c_tab": c_tab, "c_inv": c_inv, "W": W,
@@ -232,56 +224,50 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
 # The maps iota and pi
 
 
-def _route_sums(P: Params, route: dict, Y: np.ndarray) -> np.ndarray:
-    """Dense image of label combinations under a linear route.
+def _route_cols(P: Params, route: dict, psi: np.ndarray, m: np.ndarray,
+                coeffs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Dense columns over a route's keys of the labels (psi, m), built
+    on demand; with coeffs, the one column of their combination.
 
-    Y[c] holds the combinations' columns of M[c]; lane row f carries
-    w[f] Y[comp[f]] to the key rows pos[f], which are distinct within a
-    row (a group product with a fixed factor, or a conjugation, is
-    injective), so each row is one scatter."""
-    ctx = P.ctx
-    out = np.zeros((len(route["keys"]), Y.shape[2]), dtype=np.int64)
-    for row, c, w in zip(route["pos"], route["comp"], route["w"]):
-        out[row] = ctx.vadd(out[row], ctx.vscale(int(w), Y[c]))
+    Lane row f carries, per label, sum_t w[f] mix[comp[f], t] times the
+    embedded label moved by the t-th L-generator power (t below the
+    width of the route's mix) to the key rows pos[f].  Those are
+    distinct within a row (a group product with a fixed factor, or a
+    conjugation, is injective), so each row is one scatter."""
+    ctx, T = P.ctx, route["mix"].shape[1]
+    moved = _label_index(P, *_act(P, np.arange(T), psi, m))
+    # X[:, j, t] is the embedded label j moved by t
+    X = embed_columns(P, moved.ravel()).reshape(P.dsz * P.p, len(psi), T)
+    if coeffs is not None:
+        X = reduce(ctx.vadd, (ctx.vscale(int(cj), X[:, [j]])
+                              for j, cj in enumerate(coeffs)))
+    wt = ctx.vmul(route["w"][:, None], route["mix"][route["comp"]])
+    out = np.zeros((len(route["keys"]), X.shape[1]), dtype=np.int64)
+    for row, wrow in zip(route["pos"], wt):
+        s = reduce(ctx.vadd, (ctx.vscale(int(x), X[:, :, t])
+                              for t, x in enumerate(wrow)))
+        # an all-zero target needs no addition
+        out[row] = ctx.vadd(out[row], s) if out[row].any() else s
     return out
 
 
 def _route_elem(P: Params, route: dict, a: QuivAElem) -> GAElem:
     """Image of a side element under a linear route: the label
-    coefficients are combined per component before the lanes scatter."""
-    js, cs = _label_index(P, a.psi, a.m), a.coeffs
-    c, n, _ = route["M"].shape
-    Y = gf_matmul(P.ctx, route["M"][:, :, js].reshape(c * n, len(js)),
-                  cs[:, None])
-    sums = _route_sums(P, route, Y.reshape(c, n, 1))[:, 0]
+    coefficients are combined before the lanes scatter."""
+    if not len(a.coeffs):
+        return ga_zero()
+    sums = _route_cols(P, route, a.psi, a.m, a.coeffs)[:, 0]
     live = sums != 0
     return GAElem(route["keys"][live], sums[live])
-
-
-def _iota_basis(P: Params) -> dict:
-    """The embedded basis E and the iota matrix M, once per Params:
-    M[e] holds the embedded chi_e-isotypic part of every basis label,
-    r^-1 sum_t zeta^(-e t) E[:, pi_t] with pi_t the L-action on label
-    indices, which depends on neither the side nor theta."""
-    tab = P._cache.get("iota_basis")
-    if tab is not None:
-        return tab
-    ctx, r, rinv = P.ctx, P.r, P.ctx.inv(P.ctx.from_int(P.r))
-    E = embed_columns(P, np.arange(P.dsz * P.p))
-    # the pi_t permute columns, so the r scaled copies of E serve all e
-    V = [ctx.vscale(ctx.mul(rinv, ctx.pow(P.zeta_r, c)), E) for c in range(r)]
-    M = np.stack([reduce(ctx.vadd, (V[-e * t % r][:, _label_perm(P, t)]
-                                    for t in range(r))) for e in range(r)])
-    tab = P._cache["iota_basis"] = {"E": E, "M": M}
-    return tab
 
 
 def _iota_table(P: Params, theta: Character, side: int) -> dict:
     """The folded corner embedding of one side as a linear route.
 
-    Component e rides on phi(h_inv[e] e_theta), a single key; the lanes
-    are the side keys times those r keys, one key map for all e, and
-    keep c = 0 because the side keys have trivial H-part.
+    Component e, the chi_e-isotypic part (row e of the mix D), rides on
+    phi(h_inv[e] e_theta), a single key; the lanes are the side keys
+    times those r keys, one key map for all e, and keep c = 0 because
+    the side keys have trivial H-part.  No columns are stored.
     """
     tctx = _tt_ctx(P, theta)
     tab = tctx["iota"].get(side)
@@ -293,7 +279,7 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
                        np.concatenate([x.keys for x in xs])[:, None])
     keys = np.unique(lanes)
     tab = {"keys": keys, "pos": np.searchsorted(keys, lanes),
-           "M": _iota_basis(P)["M"],
+           "mix": l_fourier(P),
            "comp": np.repeat(np.arange(P.r), [len(x) for x in xs]),
            "w": np.concatenate([x.coeffs for x in xs])}
     tctx["iota"][side] = tab
@@ -304,9 +290,10 @@ def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
     """Corner embedding of a side algebra into B_0.
 
     Each isotypic component rides its own h-element: the image is
-    sum_chi embed(a^chi) h_chi^{-1} e_theta, read off the side's folded
-    table and unfolded once.  verify's corner_maps compares the table
-    with the closed route on every basis label.
+    sum_chi embed(a^chi) h_chi^{-1} e_theta, formed on demand from the
+    S ⊗ F columns of the L-moves of a's labels through the side's
+    folded route, and unfolded once.  verify's corner_maps compares the
+    route with the closed one on every basis label.
     """
     return block_unfold(P, theta,
                         _route_elem(P, _iota_table(P, theta, a.side), a))
@@ -574,7 +561,7 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
     m[0, step.e % P.p - 1] += 1
     m[0, -step.e % P.p - 1] += 1
     psi, m = _act(P, np.arange(P.r), np.zeros(1, dtype=np.int64), m)
-    weights = [P.ctx.pow(P.zeta_r, (-weight.e * t) % P.r) for t in range(P.r)]
+    weights = root_powers(P, P.r)[-weight.e * np.arange(P.r) % P.r]
     return _leg_tensor(P, theta, side, psi.ravel(), m.reshape(-1, P.p - 1),
                        weights, [0])
 

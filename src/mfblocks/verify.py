@@ -48,7 +48,7 @@ from .quiver import (
     qa_embed_available, qa_from_columns, qa_labels, qa_mul,
 )
 from .twisted import (
-    _iota_basis, _iota_table, _route_sums, _tt_ctx, _vertex_pairs,
+    _iota_table, _route_cols, _tt_ctx, _vertex_pairs,
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
     tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree, tt_sandwich, tt_sub,
     tt_to_json, tt_unit,
@@ -299,7 +299,9 @@ def _closed_route(P: Params, theta: Character, side: int) -> dict:
     """The folded closed corner route of one side: label j goes to phi
     of sum_t g_t^-1 (embed(j) e_triv e_theta) g_t, g_t the L_side powers
     and e_triv the trivial idempotent of the other L.  Its lanes are the
-    side keys times phi(e_triv e_theta), then the r conjugations."""
+    side keys times phi(e_triv e_theta), then the r conjugations; its
+    mix is the single move t = 0, so a label's column is its own
+    embedding."""
     other = make_char(P, f"L{3 - side}", 0)
     e = block_fold(P, theta, ga_mul(P, char_idempotent(P, other),
                                     block_idempotent(P, theta)))
@@ -319,7 +321,7 @@ def _closed_route(P: Params, theta: Character, side: int) -> dict:
     lanes = key_drop(P, lanes, 1)
     keys = np.unique(lanes)
     return {"keys": keys, "pos": np.searchsorted(keys, lanes),
-            "M": _iota_basis(P)["E"][None],
+            "mix": np.full((1, 1), P.ctx.one, dtype=np.int64),
             "comp": np.zeros(len(lanes), dtype=np.int64),
             "w": P.ctx.vmul(np.tile(e.coeffs, P.r),
                             _theta_pow(P, theta)[z[:, 0]])}
@@ -328,19 +330,20 @@ def _closed_route(P: Params, theta: Character, side: int) -> dict:
 def _check_corner_maps(P: Params, theta: Character, suite: str,
                        rng: random.Random) -> Optional[dict]:
     _need_embed(P)
-    # b0_iota's table against the closed route on every basis label, in
-    # blocks of labels as dense matrices over the union of their keys
+    # b0_iota's route against the closed route on every basis label, as
+    # dense matrices over the union of their keys; the blocks of labels
+    # are small, since each block's columns are built on demand
     for side in (1, 2):
         routes = (_iota_table(P, theta, side), _closed_route(P, theta, side))
         keys = reduce(np.union1d, [rt["keys"] for rt in routes])
-        block, n = max(1, (_CHUNK >> 3) // len(keys)), P.dsz * P.p
+        block, n = max(1, (_CHUNK >> 5) // len(keys)), P.dsz * P.p
         for j0 in range(0, n, block):
             js = np.arange(j0, min(j0 + block, n))
             got, want = (np.zeros((len(keys), len(js)), dtype=np.int64)
                          for _ in routes)
             for dense, rt in zip((got, want), routes):
-                dense[np.searchsorted(keys, rt["keys"])] = _route_sums(
-                    P, rt, rt["M"][:, :, js])
+                dense[np.searchsorted(keys, rt["keys"])] = _route_cols(
+                    P, rt, *_label_cols(P, js))
             bad = np.flatnonzero((got != want).any(axis=0))
             if len(bad):
                 return {"routes_disagree_at": label_to_dict(

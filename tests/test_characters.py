@@ -9,8 +9,8 @@ from mfblocks.characters import (
     h_element, is_faithful, make_char,
 )
 from mfblocks.groups import (
-    conjugate, group_inv, group_mul, h_elem, identity, p_elem, params_make,
-    subgroup_elements,
+    conjugate, group_inv, group_mul, h_elem, identity, l_fourier, p_elem,
+    params_make, root_powers, subgroup_elements,
 )
 from mfblocks.groupalg import ga_add, ga_mul, ga_zero
 from reference import ga_coeff, ga_unit
@@ -43,6 +43,20 @@ class TestEval:
                 rhs = P.ctx.mul(char_eval(P, chi, p_elem(P, 2, x)),
                                 char_eval(P, chi, p_elem(P, 2, y)))
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5),
+                                     (2, 19, 9)])
+    def test_tables_are_the_scalar_powers(self, cfg):
+        # the power tables and D against ctx.pow on the roots themselves
+        P = params_make(*cfg)
+        ctx, r = P.ctx, P.r
+        for zeta, order in ((P.zeta_r, r), (P.zeta_p, P.p)):
+            assert root_powers(P, order).tolist() == [
+                ctx.pow(zeta, k) for k in range(order)]
+        rinv = ctx.inv(ctx.from_int(r))
+        assert l_fourier(P).tolist() == [
+            [ctx.mul(rinv, ctx.pow(P.zeta_r, -e * t % r)) for t in range(r)]
+            for e in range(r)]
 
     def test_outside_subgroup(self):
         P = params_make(2, 7, 3)

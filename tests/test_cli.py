@@ -40,6 +40,15 @@ class TestMf:
         assert res.exit_code != 0
         assert "coprime" in res.output
 
+    def test_non_prime_ell_error(self):
+        # the message params_for_target gives, in both modes
+        for ell in ("4", "1", "0", "-2"):
+            for mode in (("--r", "7"), ("--n", "2")):
+                res = run("mf", "--ell", ell, *mode)
+                assert res.exit_code == 1
+                assert res.output.splitlines() == [
+                    f"Error: ell must be prime, got {ell}"]
+
     def test_mode_flags_are_exclusive(self):
         assert run("mf", "--ell", "2").exit_code != 0
         assert run("mf", "--ell", "2", "--n", "1", "--r", "3").exit_code != 0

@@ -291,6 +291,11 @@ class TestMf:
             mf_number(2, 4)
         with pytest.raises(ValueError, match="r must be"):
             mf_number(2, 1)
+        # ell is the characteristic, a prime: ell^m = +-1 mod r means
+        # nothing for the others
+        for ell in (4, 1, 0, -2, 9):
+            with pytest.raises(ValueError, match="ell must be prime"):
+                mf_number(ell, 7)
 
 
 class TestParamsForTarget:

@@ -1,14 +1,36 @@
 """Rules on the package as a whole: no assert in the library, no sympy
-at import, and the field's tables and digit layout known to the field
-alone."""
+at import, the field's tables and digit layout known to the field
+alone, one power table per root of unity, no cached iota matrix, and a
+library or CLI caller for every function."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+import mfblocks
+from mfblocks import make_char, params_make, run_checks
+from mfblocks.groups import l_fourier
+from mfblocks.twisted import _iota_table
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The functions that only the tests call, as references.  The list may
+# only shrink: a function leaves it when the library calls it, when it
+# moves to tests/reference.py or when it is deleted, and none joins it.
+TEST_ONLY = {
+    "characters.char_conjugate",
+    "field.FieldContext.add", "field.FieldContext.digit_plane",
+    "field.FieldContext.from_coeffs", "field.FieldContext.neg",
+    "field.field_frobenius",
+    "groups.unpack_key",
+    "quiver.qa_L_action", "quiver.qa_degree", "quiver.qa_scale",
+    "quiver.qa_unit", "quiver.qa_vertex",
+}
 
 
 def test_library_has_no_assert():
@@ -70,3 +92,90 @@ def test_import_does_not_load_sympy():
         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_roots_of_unity_are_read_by_root_powers_alone():
+    # every power of zeta_r or zeta_p is a lookup in the one table that
+    # groups.root_powers builds; Params sets the roots, and no other code
+    # reads them, so none calls pow on them
+    found, tables = [], 0
+    for path in sorted((SRC / "mfblocks").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for fn in ast.walk(tree):
+            if path.name == "groups.py" and isinstance(fn, ast.FunctionDef) \
+                    and fn.name == "root_powers":
+                tables += 1
+                inside |= {id(node) for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("zeta_r", "zeta_p")
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in inside]
+    assert tables == 1
+    assert found == []
+
+
+def _arrays(obj):
+    """The numpy arrays held by obj, through dicts, lists, tuples and
+    slotted elements."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+    elif hasattr(obj, "__slots__"):
+        for name in obj.__slots__:
+            yield from _arrays(getattr(obj, name, None))
+
+
+def test_no_cache_entry_holds_an_iota_matrix():
+    # the corner routes build their columns on demand: after the two
+    # checks that use them most, no cached array, nested ones included,
+    # has the r n^2 entries of a stored iota matrix (n = dsz p)
+    P = params_make(2, 7, 3)
+    theta = make_char(P, "Z", 1)
+    rows = run_checks(P, theta, suite="quick",
+                      names=["corner_maps", "product_gate"]).rows
+    assert [row.status for row in rows] == ["pass", "pass"]
+    assert "iota_basis" not in P._cache
+    n = P.dsz * P.p
+    assert max(a.size for a in _arrays(P._cache)) < P.r * n * n
+    # both sides mix their columns with the one cached Fourier matrix
+    for side in (1, 2):
+        assert _iota_table(P, theta, side)["mix"] is l_fourier(P)
+
+
+def _names(node) -> Counter:
+    return Counter(getattr(sub, "id", None) or getattr(sub, "attr", None)
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def _functions(mod: str, tree):
+    """Module-level functions and class methods, with their owner."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield mod, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{mod}.{node.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_every_function_has_a_library_or_cli_caller():
+    # a function is called when code outside its own body names it.  A
+    # decorated function is reached through its decorator (a CLI command,
+    # a property), a dunder through Python, and a name in __all__ is the
+    # package's API
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "mfblocks").glob("*.py"))}
+    total = sum((_names(tree) for tree in trees.values()), Counter())
+    uncalled = {f"{owner}.{fn.name}" for mod, tree in trees.items()
+                for owner, fn in _functions(mod, tree)
+                if not fn.decorator_list and not fn.name.startswith("__")
+                and fn.name not in mfblocks.__all__
+                and total[fn.name] == _names(fn)[fn.name]}
+    assert uncalled == TEST_ONLY

@@ -291,6 +291,18 @@ class TestEmbedColumns:
                 assert np.array_equal(E[:, j], col), lab
 
     @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2)])
+    def test_fourier_factors_are_the_scalar_sums(self, ell, p, r):
+        # F[y, xi] = p^-1 zeta_p^(-xi y) and Finv[xi, y] = zeta_p^(xi y)
+        P = params_make(ell, p, r)
+        ctx, tabs = P.ctx, _embed_tables(P)
+        pinv = ctx.inv(ctx.from_int(p))
+        for y in range(p):
+            for xi in range(p):
+                assert tabs["F"][y, xi] == ctx.mul(
+                    pinv, ctx.pow(P.zeta_p, -xi * y % p))
+                assert tabs["Finv"][xi, y] == ctx.pow(P.zeta_p, xi * y % p)
+
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2)])
     def test_side_keys_follow_pack_key(self, ell, p, r):
         P = params_make(ell, p, r)
         gkeys = _embed_tables(P)["gkeys"]

@@ -24,15 +24,17 @@ from mfblocks.twisted import (
 )
 from mfblocks.twisted import _stage_b, _theta_collapse, _tt_ctx
 from mfblocks.twisted import (
-    _iota_basis, _iota_table, _label_perm, _route_elem, _route_sums,
-    tt_from_columns,
+    _iota_table, _route_cols, _route_elem, tt_from_columns,
 )
 from mfblocks.verify import _random_ga
 from mfblocks.verify import _closed_route
 from mfblocks.groupalg import GAElem, block_fold, block_unfold, ga_sum
-from mfblocks.groups import d_digits, key_n, key_z
+from mfblocks.groups import d_digits, key_n, key_z, l_fourier
 from mfblocks.linalg import gf_apply_axis
-from mfblocks.quiver import _embed_tables, label_phi, qa_L_action, qa_labels
+from mfblocks.quiver import (
+    _act, _embed_tables, _label_cols, _label_index, label_phi, qa_L_action,
+    qa_labels,
+)
 import mfblocks.twisted as twisted_mod
 from reference import ga_conjugate, ga_scale
 
@@ -141,6 +143,27 @@ class TestContext:
                     want = ctx.mul(rinv,
                                    ctx.pow(P.zeta_r, (-j * t * tq) % r))
                     assert int(W[t, tq]) == want
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])
+    def test_weight_table_is_the_scalar_sum(self, cfg):
+        # W = D^T c_inv D against its defining r^4 scalar sum
+        # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta_r^-(e t + f t')
+        P = params_make(*cfg)
+        ctx, r = P.ctx, P.r
+        rinv2 = ctx.inv(ctx.from_int(r * r))
+        for j in range(1, r):
+            if np.gcd(j, r) != 1:
+                continue
+            tctx = _tt_ctx(P, make_char(P, "Z", j))
+            for t in range(r):
+                for tq in range(r):
+                    acc = 0
+                    for e in range(r):
+                        for f in range(r):
+                            acc = ctx.add(acc, ctx.mul(
+                                int(tctx["c_inv"][e, f]),
+                                ctx.pow(P.zeta_r, -(e * t + f * tq) % r)))
+                    assert tctx["W"][t, tq] == ctx.mul(rinv2, acc)
 
     def test_weight_rows_sum_to_unit_indicator(self):
         # row sums delta_{t,0} make the full vertex sum a two-sided unit
@@ -816,6 +839,17 @@ class TestIotaTable:
                 want = ga_mul(P, ga_sum(P, parts), tctx["e_theta"])
                 assert b0_iota(P, theta, a) == want, lab
 
+    def test_zero_embeds_as_zero(self):
+        # the empty element, and an empty label-rule product
+        P = params_make(2, 7, 3)
+        theta = make_char(P, "Z", 1)
+        for side in (1, 2):
+            a = qa_basis(P, label_make(P, side, 1, (0,) * 6))
+            b = qa_basis(P, label_make(P, side, 2, (0,) * 6))
+            for z in (qa_zero(side), qa_mul(P, a, b)):
+                assert len(z.coeffs) == 0
+                assert b0_iota(P, theta, z) == ga_zero()
+
     def test_label_perm_is_the_L_action(self):
         for cfg in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(*cfg)
@@ -827,7 +861,9 @@ class TestIotaTable:
                         h_elem(P, 0, t, 0)
                     want = [index[next(iter(qa_L_action(
                         P, qa_basis(P, lab), w).terms))] for lab in labels]
-                    assert _label_perm(P, t).tolist() == want
+                    got = _label_index(P, *_act(P, t, *_label_cols(
+                        P, np.arange(len(labels)))))
+                    assert got.tolist() == want
 
     def test_batched_closed_route_is_the_conjugate_average(self):
         # every label of a side through the route at once, against r
@@ -839,7 +875,7 @@ class TestIotaTable:
             n = P.dsz * P.p
             for side in (1, 2):
                 route = _closed_route(P, theta, side)
-                dense = _route_sums(P, route, route["M"])
+                dense = _route_cols(P, route, *_label_cols(P, np.arange(n)))
                 assert dense.shape == (len(route["keys"]), n)
                 e_triv = char_idempotent(P, make_char(P, f"L{3 - side}", 0))
                 labels = qa_labels(P, side)
@@ -907,13 +943,22 @@ class TestFoldedOracle:
 
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
     def test_one_iota_matrix_serves_both_sides_and_every_theta(self, cfg):
+        # the iota routes of both sides and every theta mix their
+        # columns with the one cached Fourier matrix D; the closed route
+        # mixes with the single move t = 0.  No route stores columns.
         P = params_make(*cfg)
-        M, E = _iota_basis(P)["M"], _iota_basis(P)["E"]
+        D = l_fourier(P)
+        n = P.dsz * P.p
         for e in range(1, P.r):
             if np.gcd(e, P.r) != 1:
                 continue
             theta = make_char(P, "Z", e)
             for side in (1, 2):
-                assert _iota_table(P, theta, side)["M"] is M
-                assert np.shares_memory(
-                    _closed_route(P, theta, side)["M"], E)
+                assert _iota_table(P, theta, side)["mix"] is D
+                closed = _closed_route(P, theta, side)
+                assert closed["mix"].tolist() == [[P.ctx.one]]
+                for route in (_iota_table(P, theta, side), closed):
+                    assert "M" not in route
+                    assert max(a.size for a in route.values()) < P.r * n * n
+        assert l_fourier(P) is D
+        assert "iota_basis" not in P._cache
