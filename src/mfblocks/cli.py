@@ -165,7 +165,8 @@ def quiver(ell, p_, r_, theta_e, fmt, dest, config_path) -> None:
         raise click.UsageError(f"out must be dot or json, got {fmt}")
     labs = [s for s, _ in simples(P, theta)]
     names = [simple_str(s) for s in labs]
-    matrix = [[ext_dim(P, theta, a, b) for b in labs] for a in labs]
+    ranks = ext_dim(P, theta, [(a, b) for a in labs for b in labs])
+    matrix = [ranks[i:i + len(labs)] for i in range(0, len(ranks), len(labs))]
     if fmt == "json":
         text = json.dumps({
             "params": {"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},

@@ -279,7 +279,7 @@ class FieldContext:
     def _build_tables(self):
         q1 = self.order - 1
         # g^n .. g^(2n-1) is g^0 .. g^(n-1) times g^n
-        exp = np.ones(2 * q1, dtype=np.int64)
+        exp = np.ones(2 * q1 + 1, dtype=np.int64)
         n, gn = 1, self.generator
         while n < q1:
             m = min(n, q1 - n)
@@ -291,15 +291,19 @@ class FieldContext:
                 or any(exp[q1 // f] == 1 for f in factorize(q1)):
             raise RuntimeError(f"generator {self.generator} does not have"
                                f" order {q1}")
-        exp[q1:] = exp[:q1]
-        log = np.zeros(self.order, dtype=np.int64)
-        log[exp[:q1]] = np.arange(q1)
+        # log holds the sentinel 2(q-1) at 0 and exp a zero there: a log
+        # sum with a zero operand reaches it or more, and a clipped
+        # gather lands on it
+        exp[q1:2 * q1] = exp[:q1]
+        exp[2 * q1] = 0
+        log = np.full(self.order, 2 * q1, dtype=np.int32)
+        log[exp[:q1]] = np.arange(q1, dtype=np.int32)
         self._exp = exp
         self._log = log
-        # x^ell = g^(ell * log x); log holds 0 at 0, so that entry is
-        # reset.  The indices are in range, and take writes out= in place
-        # only in a mode other than "raise", which buffers a copy.
-        frob = np.multiply(log, self.ell)
+        # x^ell = g^(ell * log x); the sentinel entry at 0 is reset.  The
+        # indices are in range, and take writes out= in place only in a
+        # mode other than "raise", which buffers a copy.
+        frob = np.multiply(log, self.ell, dtype=np.int64)
         np.remainder(frob, q1, out=frob)
         np.take(exp, frob, out=frob, mode="clip")
         frob[0] = 0
@@ -349,10 +353,7 @@ class FieldContext:
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._exp is None:
             return self._product(a, b)
-        q1 = self.order - 1
-        out = self._exp[(self._log[a] + self._log[b]) % q1]
-        nz = (a != 0) & (b != 0)
-        return np.where(nz, out, 0)
+        return np.take(self._exp, self._log[a] + self._log[b], mode="clip")
 
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
         return self.vmul(np.int64(c), a)

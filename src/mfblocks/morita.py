@@ -15,7 +15,7 @@ by.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,10 +27,11 @@ from .groups import (
 )
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
-from .quiver import label_make, qa_basis, qa_isotypic
+from .quiver import _same_columns, _sort_key, label_make, qa_basis, \
+    qa_isotypic
 from .twisted import (
-    TTElem, _leg_tensor, tt_eps, tt_from_columns, tt_is_zero, tt_mul,
-    tt_sandwich, tt_scale, tt_sub, tt_tilde, tt_unit,
+    TTElem, _Cols, _leg_tensor, tt_batch, tt_cross, tt_eps, tt_from_columns,
+    tt_mul, tt_rows, tt_tilde, tt_unit,
 )
 
 
@@ -112,24 +113,62 @@ def simples(P: Params, theta: Character) -> List[Tuple[SimpleLabel, int]]:
     return out
 
 
-def head_algebra(P: Params,
-                 theta: Character) -> List[Tuple[SimpleLabel, int]]:
+def _block_ranks(P: Params, t: TTElem, blocks: int, n: int) -> list:
+    """Ranks of the row blocks [i n, (i + 1) n) of a batch, i < blocks,
+    each as the coefficient matrix of its rows over its label pairs."""
+    c = t.cols
+    _, col = np.unique(_sort_key(*c[1:5]), return_inverse=True)
+    bounds = np.searchsorted(c.rows, np.arange(blocks + 1) * n)
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            out.append(0)
+            continue
+        _, i = np.unique(c.rows[lo:hi], return_inverse=True)
+        _, j = np.unique(col[lo:hi], return_inverse=True)
+        M = np.zeros((i.max() + 1, j.max() + 1), dtype=np.int64)
+        M[i, j] = c.coeffs[lo:hi]
+        out.append(gf_rank(P.ctx, M))
+    return out
+
+
+class HeadBatch(NamedTuple):
+    """The simple labels, their idempotents eps, and with n = p^2 the
+    batches over the rows i n + j: E holding eps_i, X the j-th vertex
+    pair, and XE = X E."""
+
+    labels: list
+    eps: list
+    E: TTElem
+    X: TTElem
+    XE: TTElem
+
+
+def head_batch(P: Params, theta: Character) -> HeadBatch:
+    _check_faithful(theta)
+    labs = [s for s, _ in simples(P, theta)]
+    eps = [tt_eps(P, theta, s) for s in labs]
+    E, X = tt_cross(tt_batch(P, theta, eps), tt_rows(tt_unit(P, theta)),
+                    P.p ** 2)
+    return HeadBatch(labs, eps, E, X, tt_mul(P, theta, X, E))
+
+
+def head_algebra(P: Params, theta: Character,
+                 head: HeadBatch = None) -> List[Tuple[SimpleLabel, int]]:
     """Block decomposition of the degree-0 part of the twisted model.
 
     The span of the p^2 vertex pairs is a subalgebra complementing the
     radical.  Each simple class contributes the corner eps x eps cut
     out by its idempotent; the returned dimensions are exact ranks.
-    That the idempotents are central and the blocks fill the head is
-    checked by verify's idempotent_head.
+    All classes and vertex pairs x run as the rows of one batch, head
+    when given (verify's idempotent_head shares it).  That the
+    idempotents are central and the blocks fill the head is checked by
+    verify's idempotent_head.
     """
-    _check_faithful(theta)
-    basis = tt_unit(P, theta)
-    out = []
-    for s, _deg in simples(P, theta):
-        eps = tt_eps(P, theta, s)
-        out.append((s, gf_rank(P.ctx, tt_sandwich(P, theta, eps, basis,
-                                                  eps))))
-    return out
+    head = head or head_batch(P, theta)
+    Z = tt_mul(P, theta, head.E, head.XE)
+    return list(zip(head.labels, _block_ranks(P, Z, len(head.labels),
+                                              P.p ** 2)))
 
 
 def _degree_one_span(P: Params, theta: Character) -> TTElem:
@@ -153,17 +192,35 @@ def _degree_one_span(P: Params, theta: Character) -> TTElem:
     return span
 
 
-def ext_dim(P: Params, theta: Character, a: SimpleLabel,
-            b: SimpleLabel) -> int:
-    """dim of the (a, b) corner of the degree-1 layer.
+def ext_dim(P: Params, theta: Character, pairs) -> List[int]:
+    """dim of the (a, b) corner of the degree-1 layer, per pair (a, b).
 
     Counts arrows a -> b in the quiver: the exact rank of the sandwich
     images eps_a * w * eps_b over the explicit degree-1 spanning set.
+    The terms w run as the rows of one batch: w eps_b is one product
+    per target b, and eps_a times the stacked rows of its targets one
+    product per source a.
     """
     _check_faithful(theta)
-    M = tt_sandwich(P, theta, tt_eps(P, theta, a), _degree_one_span(P, theta),
-                    tt_eps(P, theta, b))
-    return gf_rank(P.ctx, M)
+    pairs = list(pairs)
+    span = _degree_one_span(P, theta)
+    n = len(span.cols.coeffs)
+    rows = tt_rows(span)
+    eps = {s: tt_eps(P, theta, s)
+           for s in dict.fromkeys(s for pair in pairs for s in pair)}
+    right = {b: tt_mul(P, theta, rows, eps[b])
+             for b in dict.fromkeys(b for _, b in pairs)}
+    ranks = {}
+    for a in dict.fromkeys(a for a, _ in pairs):
+        targets = list(dict.fromkeys(b for x, b in pairs if x == a))
+        # target i takes the rows i n .. (i + 1) n - 1
+        parts = [right[b].cols._replace(rows=right[b].cols.rows + i * n)
+                 for i, b in enumerate(targets)]
+        stack = TTElem(theta, _Cols(*map(np.concatenate, zip(*parts))))
+        Z = tt_mul(P, theta, eps[a], stack)
+        ranks.update(zip(((a, b) for b in targets),
+                         _block_ranks(P, Z, len(targets), n)))
+    return [ranks[pair] for pair in pairs]
 
 
 class PairingTable:
@@ -209,20 +266,30 @@ def _iso_leg(P: Params, theta: Character, side: int, e: int) -> TTElem:
                        np.arange(P.p))
 
 
-def _extract_scalar(P: Params, theta: Character, S: TTElem,
-                    T: TTElem) -> Optional[int]:
-    """The unique c with S*T = c*T*S, or None when both products are 0."""
-    ST = tt_mul(P, theta, S, T)
-    TS = tt_mul(P, theta, T, S)
-    if tt_is_zero(TS):
-        if tt_is_zero(ST):
-            return None
+def _commutation_scalars(P: Params, theta: Character, S: TTElem,
+                         T: TTElem, n: int) -> list:
+    """Per row i < n of the products of S and T (batches, or one of
+    them a single element), the unique c with S T = c T S, or None when
+    both products are 0.  Both products are sorted by (row, label
+    pair), so c is read by comparing columns."""
+    ST = tt_mul(P, theta, S, T).cols
+    TS = tt_mul(P, theta, T, S).cols
+    n_st = np.bincount(ST.rows, minlength=n)
+    n_ts = np.bincount(TS.rows, minlength=n)
+    # where T S is nonzero, S T is 0 (c = 0) or holds the same labels
+    keep = n_st[TS.rows] > 0
+    if (n_st[n_ts == 0] > 0).any() or not _same_columns(
+            ST[:5], tuple(x[keep] for x in TS[:5])):
         raise ValueError("no unique commutation scalar")
-    key = next(iter(TS.terms))
-    c = P.ctx.mul(ST.terms.get(key, 0), P.ctx.inv(TS.terms[key]))
-    if not tt_is_zero(tt_sub(P, ST, tt_scale(P, c, TS))):
+    ts = TS.coeffs[keep]
+    live = np.flatnonzero(n_st)
+    first = np.searchsorted(ST.rows, live)
+    c = np.zeros(n, dtype=np.int64)
+    c[live] = [P.ctx.mul(int(x), P.ctx.inv(int(y)))
+               for x, y in zip(ST.coeffs[first], ts[first])]
+    if not np.array_equal(ST.coeffs, P.ctx.vmul(c[ST.rows], ts)):
         raise ValueError("no unique commutation scalar")
-    return c
+    return [None if not n_ts[i] else int(c[i]) for i in range(n)]
 
 
 def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
@@ -230,28 +297,32 @@ def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
     """Extract the full commutation table from products in the model.
 
     The scalars come from the two loop families S~ and T~ built on the
-    steps phi_e, zeta_e.  Where a loop element degenerates to zero (r = 2
-    with a nontrivial weight makes the two summands collide), the
-    scalar is read off from weight-pure degree-1 elements instead.
-    verify's pairing_recovery compares the table with the
-    character-theoretic commutator values and checks that it is a
-    bicharacter.
+    steps phi_e, zeta_e: each S~_e meets the batch of all T~_f in both
+    orders, so only r rows of products are held at once.  Where a loop
+    element degenerates to zero (r = 2 with a nontrivial weight makes
+    the two summands collide), the scalar is read off from weight-pure
+    degree-1 elements instead.  verify's pairing_recovery compares the
+    table with the character-theoretic commutator values and checks
+    that it is a bicharacter.
     """
     _check_faithful(theta)
     r = P.r
     phi = make_char(P, "P1", phi_e)
     zeta = make_char(P, "P2", zeta_e)
-
+    T = tt_batch(P, theta, [tt_tilde(P, theta, 2, zeta, make_char(P, "L2", f))
+                            for f in range(r)])
     entries: Dict[Tuple[int, int], int] = {}
     for e in range(r):
         S = tt_tilde(P, theta, 1, phi, make_char(P, "L1", e))
-        for f in range(r):
-            T = tt_tilde(P, theta, 2, zeta, make_char(P, "L2", f))
-            c = _extract_scalar(P, theta, S, T)
-            if c is None:
-                c = _extract_scalar(P, theta, _iso_leg(P, theta, 1, e),
-                                    _iso_leg(P, theta, 2, f))
-            entries[(e, f)] = c
+        c = _commutation_scalars(P, theta, S, T, r)
+        # the f whose loop products both vanish
+        redo = [f for f, x in enumerate(c) if x is None]
+        if redo:
+            F = tt_batch(P, theta, [_iso_leg(P, theta, 2, f) for f in redo])
+            for f, x in zip(redo, _commutation_scalars(
+                    P, theta, _iso_leg(P, theta, 1, e), F, len(redo))):
+                c[f] = x
+        entries.update(((e, f), x) for f, x in enumerate(c))
     return PairingTable(r, entries)
 
 

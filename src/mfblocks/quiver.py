@@ -187,17 +187,6 @@ def qa_basis(P: Params, label: QuivLabel, coeff: int = 1) -> QuivAElem:
     return qa_from_columns(P, label.side, [label.psi], [label.m], [coeff])
 
 
-def qa_vertex(P: Params, side: int, psi: int) -> QuivAElem:
-    """The vertex idempotent e_psi."""
-    return qa_basis(P, label_make(P, side, psi, (0,) * (P.p - 1)))
-
-
-def qa_unit(P: Params, side: int) -> QuivAElem:
-    """Identity of the side algebra: the sum of all vertex idempotents."""
-    return qa_from_columns(P, side, np.arange(P.p), np.zeros((P.p, P.p - 1)),
-                           np.full(P.p, P.ctx.one))
-
-
 def qa_labels(P: Params, side: int) -> list:
     """All p * ell^(p-1) basis labels in (psi, packed m) order."""
     return _leg_labels(side, *_label_cols(P, np.arange(P.dsz * P.p)))
@@ -213,14 +202,6 @@ def qa_add(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
     return qa_from_columns(P, u.side, np.concatenate([u.psi, v.psi]),
                            np.concatenate([u.m, v.m]),
                            np.concatenate([u.coeffs, v.coeffs]))
-
-
-def qa_scale(P: Params, c: int, u: QuivAElem) -> QuivAElem:
-    if c == 0:
-        return qa_zero(u.side)
-    if c == 1:
-        return u
-    return QuivAElem(u.side, u.psi, u.m, P.ctx.vscale(c, u.coeffs))
 
 
 def _label_act_table(P: Params):
@@ -248,24 +229,58 @@ def _no_carry(P: Params, m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
     return (m_a < P.ell - m_b).all(axis=1)
 
 
+def _vertex_ranges(qrows, qv: np.ndarray, trows, tv: np.ndarray):
+    """Equi-join of the query vertices qv against the table vertices tv,
+    each side with an optional row column: the table order, sorted by
+    (vertex, row), and per query the range of table entries with the
+    same vertex and, where both sides carry rows, the same row.  A side
+    without rows meets every row of the other."""
+    if trows is None:
+        tkey, lo, hi = tv, qv, qv + 1
+    else:
+        # the stride passes every row id of either side, so no query
+        # row reaches the next vertex's rows
+        width = max(int(trows.max(initial=0)),
+                    0 if qrows is None else int(qrows.max(initial=0))) + 1
+        tkey = tv * width + trows
+        lo = qv * width + (0 if qrows is None else qrows)
+        hi = lo + (width if qrows is None else 1)
+    order = np.argsort(tkey, kind="stable")
+    tkey = tkey[order]
+    return order, np.searchsorted(tkey, lo), np.searchsorted(tkey, hi)
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """Each query index once per position of its range [lo, hi), and
+    those positions, grouped by query."""
+    cnt = hi - lo
+    q = np.repeat(np.arange(len(cnt)), cnt)
+    return q, np.arange(len(q)) + np.repeat(lo - (np.cumsum(cnt) - cnt),
+                                            cnt)
+
+
 def _leg_join(P: Params, psi_a: np.ndarray, m_a: np.ndarray,
               psi_b: np.ndarray, m_b: np.ndarray, ks: np.ndarray,
-              alive: np.ndarray = None):
+              rows_a=None, rows_b=None):
     """Label products of a_i with the k-conjugate of b_j, for the shifts
-    k in ks: the vertex gate psi_a + phi(m_a) = psi_b g0^-k, the no-carry
-    test on m_a + m_b^k, and the digit sum.  alive, when given, masks
-    the pairs (i, j) tried.  Returns the surviving lanes as (i, j, index
-    into ks, arrow counts), sorted by (i, j, k); the product label is
+    k in ks, between terms of the same row (a side without rows meets
+    every row).  The lanes are an equi-join of (row, psi_a + phi(m_a))
+    against (row, psi_b g0^-k), so only pairs that pass the vertex gate
+    are formed; the no-carry test on m_a + m_b^k and the digit sum
+    follow.  Returns the surviving lanes as (i, j, index into ks, arrow
+    counts), grouped by i with j ascending; the product label is
     (psi_a[i], arrow counts)."""
     scale, gather = _label_act_table(P)
-    hit = (((psi_a + label_phi(P, m_a)) % P.p)[:, None, None]
-           == (psi_b[:, None] * scale[ks] % P.p)[None, :, :])
-    if alive is not None:
-        hit &= alive[:, :, None]
-    i, j, k = np.nonzero(hit)
-    mb = m_b[j[:, None], gather[ks[k]]]
+    nk = len(ks)
+    order, lo, hi = _vertex_ranges(
+        rows_a, (psi_a + label_phi(P, m_a)) % P.p,
+        None if rows_b is None else np.repeat(rows_b, nk),
+        (psi_b[:, None] * scale[ks] % P.p).ravel())
+    i, pos = _expand(lo, hi)
+    j, t = np.divmod(order[pos], nk)
+    mb = m_b[j[:, None], gather[ks[t]]]
     ok = _no_carry(P, m_a[i], mb)
-    return i[ok], j[ok], k[ok], m_a[i[ok]] + mb[ok]
+    return i[ok], j[ok], t[ok], m_a[i[ok]] + mb[ok]
 
 
 def qa_mul(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
@@ -283,13 +298,6 @@ def qa_mul(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
                            np.zeros(1, dtype=np.int64))
     return qa_from_columns(P, u.side, u.psi[i], m,
                            P.ctx.vmul(u.coeffs[i], v.coeffs[j]))
-
-
-def qa_degree(u: QuivAElem) -> int:
-    """Least total arrow count over the support."""
-    if not len(u.coeffs):
-        raise ValueError("zero element has no degree")
-    return int(u.m.sum(axis=1, dtype=np.int64).min())
 
 
 def qa_L_action(P: Params, u: QuivAElem, w: GroupElem) -> QuivAElem:

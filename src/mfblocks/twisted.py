@@ -29,16 +29,21 @@ from .groups import (
     key_n, l_fourier, root_powers,
 )
 from .groupalg import (
-    GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
+    _CHUNK, GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
     _mul_lanes, _tables, _theta_pow, block_fold, block_idempotent,
     block_unfold, ga_basis, ga_zero,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
-    QuivAElem, _act, _canon_rows, _embed_tables, _label_act_table,
+    QuivAElem, _act, _canon_rows, _embed_tables, _expand, _label_act_table,
     _label_index, _leg_join, _leg_labels, _merge_terms,
-    _same_columns, _sort_key, embed_columns, label_phi, label_to_dict,
+    _same_columns, _sort_key, _vertex_ranges, embed_columns, label_phi,
+    label_to_dict,
 )
+
+# Most (k1, k2) combinations one chunk of a batched product forms; a
+# chunk is a run of whole rows
+_LANES = _CHUNK >> 8
 
 
 class _Cols(NamedTuple):
@@ -61,6 +66,10 @@ class TTElem:
     (psi1, m1, psi2, m2) with m compared slot by slot; coefficients are
     nonzero.  terms is a read-only {(side-1 label, side-2 label):
     coefficient} view in the same order, built on first use.
+
+    A batch holds one element per row id: cols.rows is set, the terms
+    are unique and sorted on (row, label pair), and terms is keyed by
+    (row, side-1 label, side-2 label).
     """
 
     __slots__ = ("theta", "cols", "_terms")
@@ -74,17 +83,25 @@ class TTElem:
     def terms(self):
         if self._terms is None:
             c = self.cols
-            self._terms = MappingProxyType(dict(zip(zip(
-                _leg_labels(1, c.psi1, c.m1), _leg_labels(2, c.psi2, c.m2)),
-                c.coeffs.tolist())))
+            keys = zip(_leg_labels(1, c.psi1, c.m1),
+                       _leg_labels(2, c.psi2, c.m2))
+            if c.rows is not None:
+                keys = ((row, u, v) for row, (u, v)
+                        in zip(c.rows.tolist(), keys))
+            self._terms = MappingProxyType(dict(zip(keys,
+                                                    c.coeffs.tolist())))
         return self._terms
 
     def __eq__(self, other):
         if not isinstance(other, TTElem):
             return NotImplemented
+        a, b = self.cols, other.cols
+        if (a.rows is None) != (b.rows is None):
+            return False
+        keyed = slice(1 if a.rows is None else 0, None)
         return (self.theta.group == other.theta.group
                 and self.theta.e == other.theta.e
-                and _same_columns(self.cols[1:], other.cols[1:]))
+                and _same_columns(a[keyed], b[keyed]))
 
     def __repr__(self):
         n = len(self.cols.coeffs)
@@ -151,13 +168,17 @@ def tt_unit(P: Params, theta: Character) -> TTElem:
 
 
 def tt_add(P: Params, t: TTElem, s: TTElem) -> TTElem:
+    """Sum of two elements, or row by row of two batches."""
     _check_theta(t, s.theta)
     if tt_is_zero(s):
         return t
     if tt_is_zero(t):
         return s
-    cols = (np.concatenate([x, y]) for x, y in zip(t.cols[1:], s.cols[1:]))
-    return TTElem(t.theta, _canon(P, _Cols(None, *cols)))
+    if (t.cols.rows is None) != (s.cols.rows is None):
+        raise ValueError("cannot add a batch and a single element")
+    cols = [None if x is None else np.concatenate([x, y])
+            for x, y in zip(t.cols, s.cols)]
+    return TTElem(t.theta, _canon(P, _Cols(*cols)))
 
 
 def tt_neg(P: Params, t: TTElem) -> TTElem:
@@ -169,15 +190,6 @@ def tt_neg(P: Params, t: TTElem) -> TTElem:
 
 def tt_sub(P: Params, t: TTElem, s: TTElem) -> TTElem:
     return tt_add(P, t, tt_neg(P, s))
-
-
-def tt_scale(P: Params, c: int, t: TTElem) -> TTElem:
-    if c == 0:
-        return tt_zero(t.theta)
-    if c == 1:
-        return t
-    return TTElem(t.theta, t.cols._replace(
-        coeffs=P.ctx.vscale(c, t.cols.coeffs)))
 
 
 def _check_theta(t: TTElem, theta: Character) -> None:
@@ -402,45 +414,46 @@ def _no_terms(a: _Cols, b: _Cols) -> _Cols:
     return _Cols(rows, none, a.m1[:0], none, a.m2[:0], a.coeffs[:0])
 
 
-def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
-    """Twisted product of two column sets, at most one of them a batch.
+def _mul_chunk(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
+    """Twisted product of two column sets, in one pass.
 
-    Term pairs (i, j) and shifts k become lanes of the leg join, on all
-    |a| |b| r lanes for side 1 and only on pairs alive on side 1 for
-    side 2.  Every surviving (k1, k2) combination of a pair picks up
-    W[k1, k2].  Each leg's labels are ranked once, so the combinations
-    merge on one integer key that sorts like the label pair.
+    Side 1 joins each term of a with the k1-conjugates of the terms of
+    b on (row, vertex); side 2 meets only the term pairs alive on side
+    1, each pair a join row of its own.  Every surviving (k1, k2)
+    combination of a pair picks up W[k1, k2].  Each leg's labels are
+    ranked once, so the combinations merge on one integer key that
+    sorts like (row, label pair).
     """
     p, r, nb = P.p, P.r, len(b.coeffs)
     ks = np.arange(r)
     # side 1: u1 times the k1-conjugate of u2
-    i1, j1, k1, m1 = _leg_join(P, a.psi1, a.m1, b.psi1, b.m1, ks)
+    i1, j1, k1, m1 = _leg_join(P, a.psi1, a.m1, b.psi1, b.m1, ks,
+                               a.rows, b.rows)
     if not len(i1):
         return _no_terms(a, b)
     # side 2: the k2-conjugate of v1 times v2, which is the k2-conjugate
     # of (v1 times the (-k2)-conjugate of v2)
-    alive = np.zeros((len(a.coeffs), nb), dtype=bool)
-    alive[i1, j1] = True
-    i2, j2, k2, m2 = _leg_join(P, a.psi2, a.m2, b.psi2, b.m2, -ks % r, alive)
-    if not len(i2):
+    pair, u1 = np.unique(i1 * nb + j1, return_inverse=True)
+    pi, pj = np.divmod(pair, nb)
+    ids = np.arange(len(pair))
+    u2, _, k2, m2 = _leg_join(P, a.psi2[pi], a.m2[pi], b.psi2[pj], b.m2[pj],
+                              -ks % r, ids, ids)
+    if not len(u2):
         return _no_terms(a, b)
     scale, gather = _label_act_table(P)
-    psi2 = a.psi2[i2] * scale[k2] % p
+    psi2 = a.psi2[pi[u2]] * scale[k2] % p
     m2 = m2[np.arange(len(k2))[:, None], gather[k2]]
-    # label ids per leg, in label order; a batch's row rides on side 1
+    # label ids per leg, in label order; the row rides on side 1
     rows = a.rows[i1] if a.rows is not None else \
         (None if b.rows is None else b.rows[j1])
     psi1 = a.psi1[i1]
     left = (psi1, m1) if rows is None else (rows, psi1, m1)
     _, id1 = np.unique(_sort_key(*left), return_inverse=True)
     labels2, id2 = np.unique(_sort_key(psi2, m2), return_inverse=True)
-    # join: each side-1 lane meets every side-2 lane of its pair; both
-    # lane lists come out of nonzero sorted by pair
-    q1, q2 = i1 * nb + j1, i2 * nb + j2
-    lo = np.searchsorted(q2, q1, "left")
-    cnt = np.searchsorted(q2, q1, "right") - lo
-    x1 = np.repeat(np.arange(len(q1)), cnt)
-    x2 = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(x1))
+    # each side-1 lane meets every side-2 lane of its pair, and those
+    # come grouped by pair
+    x1, x2 = _expand(np.searchsorted(u2, u1, "left"),
+                     np.searchsorted(u2, u1, "right"))
     coeffs = P.ctx.vmul(P.ctx.vmul(a.coeffs[i1[x1]], b.coeffs[j1[x1]]),
                         tctx["W"][k1[x1], k2[x2]])
     key = id1.ravel()[x1] * len(labels2) + id2.ravel()[x2]
@@ -451,8 +464,62 @@ def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
                  psi2[s2], m2[s2], merged)
 
 
+def _row_chunks(P: Params, a: _Cols, b: _Cols) -> list:
+    """Runs [lo, hi) of row ids, in order, over which a batched product
+    forms at most _LANES (k1, k2) combinations, counted as r per side-1
+    lane that passes the vertex gate; a row above the bound runs alone,
+    and rows without such a lane are left out."""
+    scale, _ = _label_act_table(P)
+    va = (a.psi1 + label_phi(P, a.m1)) % P.p
+    vb = (b.psi1[:, None] * scale % P.p).ravel()
+    brows = None if b.rows is None else np.repeat(b.rows, P.r)
+    if a.rows is not None:
+        _, lo, hi = _vertex_ranges(a.rows, va, brows, vb)
+        rows = a.rows
+    else:
+        _, lo, hi = _vertex_ranges(brows, vb, None, va)
+        rows = brows
+    end = np.cumsum(np.bincount(rows, (hi - lo) * P.r).astype(np.int64))
+    runs, done = [], 0
+    while done < end[-1]:
+        lo = int(np.searchsorted(end, done, "right"))
+        hi = max(lo + 1, int(np.searchsorted(end, done + _LANES, "right")))
+        runs.append((lo, hi))
+        done = end[hi - 1]
+    return runs
+
+
+def _row_slice(c: _Cols, lo: int, hi: int) -> _Cols:
+    """The terms of rows lo..hi-1 of a batch; a single element whole."""
+    if c.rows is None:
+        return c
+    i, j = np.searchsorted(c.rows, [lo, hi])
+    return _Cols(*(x[i:j] for x in c))
+
+
+def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
+    """Twisted product of two column sets, row by row where they are
+    batches: a term meets only the terms of its own row, and a side
+    without rows meets every row of the other.
+
+    A batch runs in chunks of whole rows (_row_chunks), so the lanes
+    held at once stay bounded whatever the batch size.
+    """
+    if not len(a.coeffs) or not len(b.coeffs):
+        return _no_terms(a, b)
+    if a.rows is None and b.rows is None:
+        return _mul_chunk(P, tctx, a, b)
+    parts = [_mul_chunk(P, tctx, _row_slice(a, lo, hi),
+                        _row_slice(b, lo, hi))
+             for lo, hi in _row_chunks(P, a, b)]
+    if not parts:
+        return _no_terms(a, b)
+    return _Cols(*(np.concatenate(col) for col in zip(*parts)))
+
+
 def tt_mul(P: Params, theta: Character, t: TTElem, s: TTElem) -> TTElem:
-    """Twisted product on pi-images.
+    """Twisted product on pi-images; of two batches row by row, and of
+    a single element with every row of a batch.
 
     (a1 (x) b1)(a2 (x) b2) picks up the inverse commutator scalar on
     each (chi-part of a2, eta-part of b1); expanding both isotypic
@@ -462,33 +529,56 @@ def tt_mul(P: Params, theta: Character, t: TTElem, s: TTElem) -> TTElem:
     _check_theta(t, theta)
     _check_theta(s, theta)
     if tt_is_zero(t) or tt_is_zero(s):
-        return tt_zero(theta)
+        return TTElem(theta, _no_terms(t.cols, s.cols))
     return TTElem(theta, _mul_cols(P, _tt_ctx(P, theta), t.cols, s.cols))
 
 
-def tt_sandwich(P: Params, theta: Character, left: TTElem, span: TTElem,
-                right: TTElem) -> np.ndarray:
-    """Coefficient matrix of left * w * right over the terms w of span.
+# ---------------------------------------------------------------------------
+# Batches
 
-    The terms of span (each with its coefficient) run through the
-    product as one batch.  The rows are the nonzero images, in the
-    order of the terms of span; the columns are the label pairs hit by
-    some image, in sorted order.
-    """
-    for t in (left, span, right):
+
+def tt_batch(P: Params, theta: Character, elems) -> TTElem:
+    """The batch whose row i holds elems[i]."""
+    for t in elems:
         _check_theta(t, theta)
-    if tt_is_zero(left) or tt_is_zero(span) or tt_is_zero(right):
-        return np.zeros((0, 0), dtype=np.int64)
-    tctx = _tt_ctx(P, theta)
-    batch = span.cols._replace(rows=np.arange(len(span.cols.coeffs)))
-    out = _mul_cols(P, tctx, left.cols,
-                    _mul_cols(P, tctx, batch, right.cols))
-    _, row = np.unique(out.rows, return_inverse=True)
-    _, col = np.unique(_sort_key(*out[1:5]), return_inverse=True)
-    M = np.zeros((row.max(initial=-1) + 1, col.max(initial=-1) + 1),
-                 dtype=np.int64)
-    M[row.ravel(), col.ravel()] = out.coeffs
-    return M
+        if t.cols.rows is not None:
+            raise ValueError("a batch holds single elements")
+    live = [(i, t.cols) for i, t in enumerate(elems) if not tt_is_zero(t)]
+    if not live:
+        none = np.zeros(0, dtype=np.int64)
+        m = np.zeros((0, P.p - 1), dtype=digit_dtype(P))
+        return TTElem(theta, _Cols(none, none, m, none, m, none))
+    rows = np.repeat([i for i, _ in live], [len(c.coeffs) for _, c in live])
+    return TTElem(theta, _Cols(rows, *(np.concatenate(col) for col in zip(
+        *(c[1:] for _, c in live)))))
+
+
+def tt_rows(t: TTElem) -> TTElem:
+    """The batch whose row i holds the i-th term of t."""
+    return TTElem(t.theta, t.cols._replace(
+        rows=np.arange(len(t.cols.coeffs))))
+
+
+def tt_cross(lefts: TTElem, rights: TTElem, n: int) -> tuple:
+    """Two batches over the rows i n + j, for the rows i of lefts and
+    j < n of rights, the first holding left row i and the second right
+    row j: one product of the two forms every left times every right."""
+    _check_theta(rights, lefts.theta)
+    a, b = lefts.cols, rights.cols
+    if len(b.rows) and b.rows[-1] >= n:
+        raise ValueError("a right row id is not below the stride")
+    li, rj = np.unique(a.rows), np.unique(b.rows)
+    # each left term once per live right row; a stable sort on the new
+    # rows keeps the terms of a row in label order
+    rows = (np.repeat(a.rows * n, len(rj)) + np.tile(rj, len(a.rows)))
+    order = np.argsort(rows, kind="stable")
+    left = _Cols(rows[order], *(np.repeat(x, len(rj), axis=0)[order]
+                                for x in a[1:]))
+    # the right batch once per live left row, in row order already
+    right = _Cols((li[:, None] * n + b.rows).ravel(),
+                  *(np.tile(x, (len(li),) + (1,) * (x.ndim - 1))
+                    for x in b[1:]))
+    return TTElem(lefts.theta, left), TTElem(lefts.theta, right)
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +654,6 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
     weights = root_powers(P, P.r)[-weight.e * np.arange(P.r) % P.r]
     return _leg_tensor(P, theta, side, psi.ravel(), m.reshape(-1, P.p - 1),
                        weights, [0])
-
-
-def tt_radical_degree(t: TTElem) -> int:
-    """Least total arrow count over the support; J^k membership test."""
-    if tt_is_zero(t):
-        raise ValueError("zero element has no degree")
-    c = t.cols
-    return int((c.m1.sum(axis=1, dtype=np.int64)
-                + c.m2.sum(axis=1, dtype=np.int64)).min())
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ from .groupalg import (
 )
 from .linalg import gf_matmul
 from .morita import (
-    commutation_pairing, ext_dim, fp_automorphism, head_algebra, mf_number,
-    morita_equivalent, params_for_target, recover_theta, simple_kind,
-    simple_make, simple_str, simples, swap_isomorphism,
+    commutation_pairing, ext_dim, fp_automorphism, head_algebra, head_batch,
+    mf_number, morita_equivalent, params_for_target, recover_theta,
+    simple_kind, simple_make, simple_str, simples, swap_isomorphism,
 )
 from .quiver import (
     _embed_tables, _label_cols, _label_index, _leg_join, _sort_key,
@@ -48,15 +48,16 @@ from .quiver import (
     qa_embed_available, qa_from_columns, qa_labels, qa_mul,
 )
 from .twisted import (
-    _iota_table, _route_cols, _tt_ctx, _vertex_pairs,
-    b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
-    tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree, tt_sandwich, tt_sub,
-    tt_to_json, tt_unit,
+    TTElem, _iota_table, _route_cols, _tt_ctx, _vertex_pairs,
+    b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_batch,
+    tt_cross, tt_eps, tt_from_terms, tt_mul, tt_sub, tt_to_json, tt_unit,
 )
 
 
 # dimensions builds one label row per arrow class, ell^(p-1) of them
 _LABEL_ROWS_LIMIT = 1 << 18
+# radical_powers multiplies all (p-1)^(ell-1) arrow chains at once
+_CHAINS_LIMIT = 1 << 18
 
 
 class SkipCheck(Exception):
@@ -443,29 +444,32 @@ def _check_simple_census(P: Params, theta: Character, suite: str,
 
 def _check_idempotent_head(P: Params, theta: Character, suite: str,
                            rng: random.Random) -> Optional[dict]:
-    labs = [s for s, _ in simples(P, theta)]
-    eps = [tt_eps(P, theta, s) for s in labs]
-    for s, e in zip(labs, eps):
-        if tt_mul(P, theta, e, e) != e:
-            return {"label": simple_str(s), "defect": "not idempotent"}
-    for i, ei in enumerate(eps):
-        for j, ej in enumerate(eps):
-            if i != j and not tt_is_zero(tt_mul(P, theta, ei, ej)):
-                return {"labels": [simple_str(labs[i]), simple_str(labs[j])],
-                        "defect": "not orthogonal"}
-    if reduce(lambda a, b: tt_add(P, a, b), eps) != tt_unit(P, theta):
+    head = head_batch(P, theta)
+    labs, n = head.labels, len(head.labels)
+    eps = tt_batch(P, theta, head.eps)
+    # every product eps_i eps_j in one batch, row i n + j, against
+    # eps_i on the diagonal and 0 off it
+    want = TTElem(theta, eps.cols._replace(rows=eps.cols.rows * (n + 1)))
+    bad = np.unique(tt_sub(P, tt_mul(P, theta, *tt_cross(eps, eps, n)),
+                           want).cols.rows)
+    i, j = np.divmod(bad, n)
+    if (i == j).any():
+        return {"label": simple_str(labs[i[i == j][0]]),
+                "defect": "not idempotent"}
+    if len(bad):
+        return {"labels": [simple_str(labs[i[0]]), simple_str(labs[j[0]])],
+                "defect": "not orthogonal"}
+    if reduce(lambda a, b: tt_add(P, a, b), head.eps) != tt_unit(P, theta):
         return {"defect": "family does not resolve the unit"}
-    # for an idempotent e, e x = x e exactly when e x (1 - e) and
-    # (1 - e) x e both vanish; x runs over the vertex pairs
-    one = tt_unit(P, theta)
-    for s, e in zip(labs, eps):
-        rest = tt_sub(P, one, e)
-        if tt_sandwich(P, theta, e, one, rest).size \
-                or tt_sandwich(P, theta, rest, one, e).size:
-            return {"label": simple_str(s), "defect": "not central in the"
-                    " head"}
+    # for an idempotent e, e x (1 - e) and (1 - e) x e both vanish
+    # exactly when e x = x e; x runs over the vertex pairs, and every
+    # (e, x) is a row of the head's batch
+    bad = tt_sub(P, tt_mul(P, theta, head.E, head.X), head.XE).cols.rows
+    if len(bad):
+        return {"label": simple_str(labs[bad[0] // P.p ** 2]),
+                "defect": "not central in the head"}
     k = (P.p - 1) // P.r
-    dims = Counter(d for _, d in head_algebra(P, theta))
+    dims = Counter(d for _, d in head_algebra(P, theta, head))
     if dims != Counter({1: 2 * P.p - 1, P.r ** 2: k * k}):
         return {"head_dims": sorted(dims.items())}
     return None
@@ -480,49 +484,52 @@ def _check_ext_quiver(P: Params, theta: Character, suite: str,
     orbit_pairs = [s for s in labs if simple_kind(s) == "pair"]
     if suite == "quick":
         left, right, orbit_pairs = left[:2], right[:2], orbit_pairs[:1]
-
-    def bad(a, b, want, got):
-        return {"from": simple_str(a), "to": simple_str(b),
-                "expected": want, "got": got}
-
-    for family in ([unit] + left, [unit] + right):
-        for a in family:
-            for b in family:
-                want = 0 if a == b else 1
-                got = ext_dim(P, theta, a, b)
-                if got != want:
-                    return bad(a, b, want, got)
-    for a in left:
-        for b in right:
-            for x, y in ((a, b), (b, a)):
-                got = ext_dim(P, theta, x, y)
-                if got != 0:
-                    return bad(x, y, 0, got)
-    for v in orbit_pairs:
-        got = ext_dim(P, theta, v, v)
-        if got < 1:
-            return bad(v, v, ">= 1", got)
+    # (a, b, wanted rank), in the order the witness names the first miss
+    want = [(a, b, int(a != b)) for family in ([unit] + left, [unit] + right)
+            for a in family for b in family]
+    want += [(x, y, 0) for a in left for b in right
+             for x, y in ((a, b), (b, a))]
+    want += [(v, v, ">= 1") for v in orbit_pairs]
+    got = ext_dim(P, theta, [(a, b) for a, b, _ in want])
+    for (a, b, w), g in zip(want, got):
+        if (g < 1) if w == ">= 1" else g != w:
+            return {"from": simple_str(a), "to": simple_str(b),
+                    "expected": w, "got": g}
     return None
 
 
 def _check_radical_powers(P: Params, theta: Character, suite: str,
                           rng: random.Random) -> Optional[dict]:
     ell, p = P.ell, P.p
-    for head in itertools.product(range(1, p), repeat=ell - 1):
-        last = (-sum(head)) % p
-        if last == 0:
-            continue
-        steps = head + (last,)
-        t = None
-        at = 0
-        for s in steps:
-            arrow = tt_arrow(P, theta, 1, make_char(P, "P1", at),
-                             make_char(P, "P1", s))
-            t = arrow if t is None else tt_mul(P, theta, t, arrow)
-            at = (at + s) % p
-        in_next = tt_is_zero(t) or tt_radical_degree(t) >= ell + 1
-        if in_next != (len(set(steps)) == 1):
-            return {"steps": list(steps), "lands_in_next_power": in_next}
+    if (p - 1) ** (ell - 1) > _CHAINS_LIMIT:
+        raise SkipCheck(f"(p-1)^(ell-1) = {(p - 1) ** (ell - 1)} arrow"
+                        f" chains are over the bound {_CHAINS_LIMIT}")
+    # the chains in itertools.product order of their first ell - 1
+    # steps, each closed by the step that makes the characters sum to 0
+    head = np.indices((p - 1,) * (ell - 1)).reshape(ell - 1, -1).T + 1
+    last = -head.sum(axis=1) % p
+    steps = np.column_stack([head, last])[last != 0]
+    at = (np.cumsum(steps, axis=1) - steps) % p
+    arrows = {(v, s): tt_arrow(P, theta, 1, make_char(P, "P1", v),
+                               make_char(P, "P1", s))
+              for v in range(p) for s in range(1, p)}
+    t = None
+    for k in range(ell):
+        # chain i's k-th arrow is row i of one batch
+        batch = tt_batch(P, theta, [arrows[v, s] for v, s in zip(
+            at[:, k].tolist(), steps[:, k].tolist())])
+        t = batch if t is None else tt_mul(P, theta, t, batch)
+    # a chain lands in J^(ell+1) when its product is 0 or every term has
+    # degree above ell; the terms of a row are contiguous
+    c = t.cols
+    deg = c.m1.sum(axis=1, dtype=np.int64) + c.m2.sum(axis=1, dtype=np.int64)
+    start = np.flatnonzero(np.diff(c.rows, prepend=-1))
+    in_next = np.ones(len(steps), dtype=bool)
+    in_next[c.rows[start]] = np.minimum.reduceat(deg, start) >= ell + 1
+    bad = np.flatnonzero(in_next != (steps == steps[:, :1]).all(axis=1))
+    if len(bad):
+        return {"steps": steps[bad[0]].tolist(),
+                "lands_in_next_power": bool(in_next[bad[0]])}
     return None
 
 

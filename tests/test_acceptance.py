@@ -110,13 +110,13 @@ def test_ext_quiver_exact_table_within_across_and_self():
     right1 = simple_make(P, 0, 1)
     pair = next(s for s, _ in simples(P, theta)
                 if simple_kind(s) == "pair")
-    assert ext_dim(P, theta, unit, left1) == 1
-    assert ext_dim(P, theta, left1, left2) == 1
-    assert ext_dim(P, theta, left1, left1) == 0
-    assert ext_dim(P, theta, unit, unit) == 0
-    assert ext_dim(P, theta, left1, right1) == 0
-    assert ext_dim(P, theta, right1, left1) == 0
-    assert ext_dim(P, theta, pair, pair) >= 1
+    assert ext_dim(P, theta, [(unit, left1)]) == [1]
+    assert ext_dim(P, theta, [(left1, left2)]) == [1]
+    assert ext_dim(P, theta, [(left1, left1)]) == [0]
+    assert ext_dim(P, theta, [(unit, unit)]) == [0]
+    assert ext_dim(P, theta, [(left1, right1)]) == [0]
+    assert ext_dim(P, theta, [(right1, left1)]) == [0]
+    assert ext_dim(P, theta, [(pair, pair)])[0] >= 1
     run_one((2, 7, 3), "ext_quiver")
     run_one((3, 5, 2), "ext_quiver")
     assert time.perf_counter() - t0 < 120.0

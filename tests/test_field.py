@@ -241,6 +241,29 @@ class TestTableFree:
             assert kernels.vmul(b[None, :20], a[:30, None]).tolist() == \
                 outer
 
+    @pytest.mark.parametrize("ell,d", [(2, 2), (2, 3), (3, 2), (2, 6),
+                                       (3, 4)])
+    def test_table_product_on_every_pair(self, ell, d):
+        # a log sum with a zero operand reaches the sentinel 2(q-1) or
+        # more and clips onto the zero there; the scalar mul is the
+        # reference on all q^2 pairs
+        ctx = field_make(ell, d)
+        q = ctx.order
+        a, b = np.divmod(np.arange(q * q), q)
+        got = ctx.vmul(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ctx.mul(int(x), int(y))
+                                for x, y in zip(a, b)]
+        assert (got[(a == 0) | (b == 0)] == 0).all()
+        # a scalar times a vector, and the outer product by broadcasting
+        row = np.arange(q)
+        for c in range(q):
+            assert ctx.vmul(np.int64(c), row).tolist() == \
+                got[c * q:(c + 1) * q].tolist()
+        outer = ctx.vmul(row[:, None], row[None, :])
+        assert outer.dtype == np.int64
+        assert outer.ravel().tolist() == got.tolist()
+
     @pytest.mark.parametrize("ell,d", [(2, 20), (3, 12)])
     def test_beyond_the_table_limit(self, ell, d):
         # no tables here: the scalar product is the schoolbook one

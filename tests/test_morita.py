@@ -121,23 +121,16 @@ class TestExt:
     def test_one_dimensional_families(self):
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
-        # within the left family: single arrows off the diagonal
-        assert ext_dim(P, theta, simple_make(P, 2, 0),
-                       simple_make(P, 5, 0)) == 1
-        assert ext_dim(P, theta, simple_make(P, 0, 0),
-                       simple_make(P, 1, 0)) == 1
-        assert ext_dim(P, theta, simple_make(P, 0, 3),
-                       simple_make(P, 0, 4)) == 1
-        # diagonals vanish
-        assert ext_dim(P, theta, simple_make(P, 2, 0),
-                       simple_make(P, 2, 0)) == 0
-        assert ext_dim(P, theta, simple_make(P, 0, 0),
-                       simple_make(P, 0, 0)) == 0
-        # no extensions across the two one-sided families
-        assert ext_dim(P, theta, simple_make(P, 2, 0),
-                       simple_make(P, 0, 3)) == 0
-        assert ext_dim(P, theta, simple_make(P, 0, 3),
-                       simple_make(P, 2, 0)) == 0
+        want = {
+            # within each one-sided family: single arrows off the diagonal
+            ((2, 0), (5, 0)): 1, ((0, 0), (1, 0)): 1, ((0, 3), (0, 4)): 1,
+            # diagonals vanish
+            ((2, 0), (2, 0)): 0, ((0, 0), (0, 0)): 0,
+            # no extensions across the two one-sided families
+            ((2, 0), (0, 3)): 0, ((0, 3), (2, 0)): 0,
+        }
+        pairs = [(simple_make(P, *a), simple_make(P, *b)) for a, b in want]
+        assert ext_dim(P, theta, pairs) == list(want.values())
 
     def test_pair_corners(self):
         # corner dimensions scale with the r-dim legs: a pair vertex
@@ -145,10 +138,10 @@ class TestExt:
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
         pair = simple_make(P, 1, 3)
-        assert ext_dim(P, theta, pair, pair) == 2 * 3 * 2 * 3 == 36
+        assert ext_dim(P, theta, [(pair, pair)]) == [2 * 3 * 2 * 3] == [36]
         Q = params_make(3, 5, 2)
         qpair = simple_make(Q, 1, 1)
-        assert ext_dim(Q, make_char(Q, "Z", 1), qpair, qpair) == 8
+        assert ext_dim(Q, make_char(Q, "Z", 1), [(qpair, qpair)]) == [8]
 
     def test_relabeling_invariance(self):
         # scaling all exponents by a unit is an algebra automorphism
@@ -157,11 +150,11 @@ class TestExt:
         for w in (2, 3, 5):
             for a, b in [((2, 0), (5, 0)), ((2, 0), (2, 0)),
                          ((1, 3), (2, 0))]:
-                lhs = ext_dim(P, theta, simple_make(P, *a),
-                              simple_make(P, *b))
+                lhs = ext_dim(P, theta, [(simple_make(P, *a),
+                                          simple_make(P, *b))])
                 rhs = ext_dim(P, theta,
-                              simple_make(P, a[0] * w, a[1] * w),
-                              simple_make(P, b[0] * w, b[1] * w))
+                              [(simple_make(P, a[0] * w, a[1] * w),
+                                simple_make(P, b[0] * w, b[1] * w))])
                 assert lhs == rhs
 
 

@@ -28,8 +28,7 @@ TEST_ONLY = {
     "field.FieldContext.from_coeffs", "field.FieldContext.neg",
     "field.field_frobenius",
     "groups.unpack_key",
-    "quiver.qa_L_action", "quiver.qa_degree", "quiver.qa_scale",
-    "quiver.qa_unit", "quiver.qa_vertex",
+    "quiver.qa_L_action",
 }
 
 

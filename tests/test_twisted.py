@@ -13,14 +13,13 @@ from mfblocks.groupalg import (
 )
 from mfblocks.linalg import gf_rank
 from mfblocks.quiver import (
-    label_make, qa_add, qa_basis, qa_embed, qa_isotypic, qa_mul, qa_vertex,
-    qa_zero,
+    label_make, qa_add, qa_basis, qa_embed, qa_isotypic, qa_mul, qa_zero,
 )
 from mfblocks.morita import commutation_pairing, recover_theta
 from mfblocks.twisted import (
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
-    tt_from_terms, tt_is_zero, tt_mul, tt_radical_degree, tt_sandwich,
-    tt_scale, tt_tilde, tt_to_json, tt_unit, tt_zero,
+    tt_batch, tt_cross, tt_from_terms, tt_is_zero, tt_mul, tt_rows, tt_tilde,
+    tt_to_json, tt_unit, tt_zero,
 )
 from mfblocks.twisted import _stage_b, _theta_collapse, _tt_ctx
 from mfblocks.twisted import (
@@ -36,7 +35,9 @@ from mfblocks.quiver import (
     qa_labels,
 )
 import mfblocks.twisted as twisted_mod
-from reference import ga_conjugate, ga_scale
+from reference import (
+    ga_conjugate, ga_scale, qa_vertex, tt_radical_degree, tt_scale,
+)
 
 
 def _corner_closed(P, theta, side):
@@ -501,7 +502,8 @@ class TestColumns:
             t.terms[key] = 0
 
     def test_batched_sandwich_rows_match_single_products(self):
-        # row i of the batch is eps_a (w_i eps_b) computed one at a time
+        # row i of eps_a (batch of the terms w_i of span) eps_b is
+        # eps_a (w_i eps_b) computed one at a time
         rng = random.Random(67)
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
@@ -511,22 +513,14 @@ class TestColumns:
             for _ in range(6):
                 span = random_tt(P, theta, rng, nterms=40, max_deg=1)
                 ea, eb = rng.choice(eps), rng.choice(eps)
-                images = []
-                for (u, v), c in span.terms.items():
-                    w = tt_from_terms(P, theta, [(u, v, c)])
-                    img = tt_mul(P, theta, ea, tt_mul(P, theta, w, eb))
-                    if not tt_is_zero(img):
-                        images.append(img.terms)
-                pairs = sorted({k for img in images for k in img},
-                               key=lambda k: (k[0].psi, k[0].m,
-                                              k[1].psi, k[1].m))
-                want = np.zeros((len(images), len(pairs)), dtype=np.int64)
-                for i, img in enumerate(images):
-                    for k, c in img.items():
-                        want[i, pairs.index(k)] = c
-                got = tt_sandwich(P, theta, ea, span, eb)
-                assert np.array_equal(got, want)
-                hits += len(images)
+                ws = [tt_from_terms(P, theta, [(u, v, c)])
+                      for (u, v), c in span.terms.items()]
+                images = [tt_mul(P, theta, ea, tt_mul(P, theta, w, eb))
+                          for w in ws]
+                got = tt_mul(P, theta, ea, tt_mul(
+                    P, theta, tt_rows(span), eb))
+                assert got == tt_batch(P, theta, images)
+                hits += sum(not tt_is_zero(img) for img in images)
             assert hits > 0
 
     def test_labels_are_not_capped_by_int64(self):
@@ -534,6 +528,188 @@ class TestColumns:
         P = params_make(2, 73, 3)
         pairing = commutation_pairing(P, make_char(P, "Z", 1))
         assert recover_theta(pairing, P) == {1, 2}
+
+
+def random_rows(P, theta, rng, n):
+    """n (left, right) row pairs of mixed shapes: empty rows, rows whose
+    product is 0, one-term rows and rows of up to 30 terms."""
+    eps = all_eps(P, theta)
+    rows = []
+    for i in range(n):
+        kind = i % 5
+        if kind == 0:
+            left, right = tt_zero(theta), random_tt(P, theta, rng, 3, 1)
+        elif kind == 1:
+            # two different orthogonal idempotents
+            a, b = rng.sample(range(len(eps)), 2)
+            left, right = eps[a], eps[b]
+        elif kind == 2:
+            left = random_tt(P, theta, rng, 1, 1)
+            right = random_tt(P, theta, rng, 30, 2)
+        else:
+            left = random_tt(P, theta, rng, rng.randrange(1, 30), 2)
+            right = random_tt(P, theta, rng, rng.randrange(1, 4), 1)
+        rows.append((left, right))
+    return rows
+
+
+class TestBatches:
+    CFGS = [(2, 7, 3), (3, 5, 2), (2, 11, 5)]
+
+    @pytest.mark.parametrize("cfg", CFGS)
+    def test_batch_rows_equal_single_products(self, cfg):
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", 1)
+        rng = random.Random(sum(cfg))
+        rows = random_rows(P, theta, rng, 20)
+        lefts, rights = zip(*rows)
+        got = tt_mul(P, theta, tt_batch(P, theta, lefts),
+                     tt_batch(P, theta, rights))
+        want = [tt_mul(P, theta, a, b) for a, b in rows]
+        assert got == tt_batch(P, theta, want)
+        assert any(tt_is_zero(w) for w in want)
+        assert sum(not tt_is_zero(w) for w in want) >= 8
+        # an element without rows meets every row, on either side
+        one = random_tt(P, theta, rng, 6, 1)
+        assert tt_mul(P, theta, one, tt_batch(P, theta, rights)) == \
+            tt_batch(P, theta, [tt_mul(P, theta, one, b) for b in rights])
+        assert tt_mul(P, theta, tt_batch(P, theta, lefts), one) == \
+            tt_batch(P, theta, [tt_mul(P, theta, a, one) for a in lefts])
+
+    @pytest.mark.parametrize("cfg", CFGS)
+    def test_terms_do_not_meet_across_rows(self, cfg):
+        # e_a e_b = e_b e_a = 0 within each row, while e_a e_a and e_b e_b
+        # across the rows are not
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", 1)
+        ea, eb = all_eps(P, theta)[1:3]
+        assert not tt_is_zero(tt_mul(P, theta, ea, ea))
+        got = tt_mul(P, theta, tt_batch(P, theta, [ea, eb]),
+                     tt_batch(P, theta, [eb, ea]))
+        assert tt_is_zero(got) and got.cols.rows is not None
+
+    @pytest.mark.parametrize("cfg", CFGS)
+    def test_trailing_zero_rows(self, cfg):
+        # one batch ends in empty rows, so its largest row id is below
+        # the other's: a row the other side lacks must stay zero, and no
+        # term may meet a term of another row at another vertex
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", 1)
+        rng = random.Random(11 * sum(cfg))
+        for _ in range(4):
+            full = [random_tt(P, theta, rng, rng.randrange(5, 30), 2)
+                    for _ in range(4)]
+            short = [random_tt(P, theta, rng, rng.randrange(5, 30), 2)
+                     if i == 0 else tt_zero(theta) for i in range(4)]
+            for lefts, rights in ((full, short), (short, full)):
+                got = tt_mul(P, theta, tt_batch(P, theta, lefts),
+                             tt_batch(P, theta, rights))
+                assert got == tt_batch(P, theta, [
+                    tt_mul(P, theta, a, b) for a, b in zip(lefts, rights)])
+
+    @pytest.mark.parametrize("cfg", CFGS)
+    def test_cross_rows_are_every_pair(self, cfg):
+        # row i n + j of the product holds lefts[i] rights[j], empty
+        # rows on either side included
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", 1)
+        rng = random.Random(5 * sum(cfg))
+        lefts = [random_tt(P, theta, rng, 8, 1), tt_zero(theta),
+                 random_tt(P, theta, rng, 3, 2)]
+        rights = [tt_zero(theta), random_tt(P, theta, rng, 5, 1),
+                  random_tt(P, theta, rng, 12, 2), tt_zero(theta)]
+        n = len(rights)
+        got = tt_mul(P, theta, *tt_cross(tt_batch(P, theta, lefts),
+                                         tt_batch(P, theta, rights), n))
+        assert got == tt_batch(P, theta, [
+            tt_mul(P, theta, a, b) for a in lefts for b in rights])
+        with pytest.raises(ValueError):
+            tt_cross(tt_batch(P, theta, lefts), tt_batch(P, theta, rights),
+                     n - 2)
+
+    @pytest.mark.parametrize("cfg", CFGS)
+    def test_one_row_per_chunk_changes_nothing(self, cfg, monkeypatch):
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", 1)
+        rows = random_rows(P, theta, random.Random(7 * sum(cfg)), 15)
+        left = tt_batch(P, theta, [a for a, _ in rows])
+        right = tt_batch(P, theta, [b for _, b in rows])
+        whole = tt_mul(P, theta, left, right)
+        chunks = []
+        real = twisted_mod._mul_chunk
+
+        def chunk(P, tctx, a, b):
+            chunks.append(np.unique(a.rows))
+            return real(P, tctx, a, b)
+
+        monkeypatch.setattr(twisted_mod, "_mul_chunk", chunk)
+        monkeypatch.setattr(twisted_mod, "_LANES", 1)
+        assert tt_mul(P, theta, left, right) == whole
+        live = np.unique(whole.cols.rows)
+        assert len(chunks) >= len(live)
+        assert all(len(c) == 1 for c in chunks)
+
+    def test_head_witness_follows_the_loop_order(self, monkeypatch):
+        # two injected overlaps make four non-orthogonal pairs; the batch
+        # must name the one the pairwise loop meets first
+        import mfblocks.morita as M
+        import mfblocks.verify as V
+        from mfblocks.morita import simple_str, simples
+        P = params_make(2, 7, 3)
+        theta = make_char(P, "Z", 1)
+        labs = [s for s, _ in simples(P, theta)]
+        eps = [tt_eps(P, theta, s) for s in labs]
+        bent = list(eps)
+        bent[9] = tt_add(P, eps[9], eps[4])
+        bent[2] = tt_add(P, eps[2], eps[6])
+        for s, e in zip(labs, bent):
+            if tt_mul(P, theta, e, e) != e:
+                want = {"label": simple_str(s), "defect": "not idempotent"}
+                break
+        else:
+            want = next(
+                {"labels": [simple_str(labs[i]), simple_str(labs[j])],
+                 "defect": "not orthogonal"}
+                for i, ei in enumerate(bent) for j, ej in enumerate(bent)
+                if i != j and not tt_is_zero(tt_mul(P, theta, ei, ej)))
+        monkeypatch.setattr(M, "tt_eps",
+                            lambda P, theta, s: bent[labs.index(s)])
+        row = V.run_checks(P, theta, names=["idempotent_head"]).rows[0]
+        assert row.witness == want
+        assert want["labels"] == [simple_str(labs[2]), simple_str(labs[6])]
+
+    @pytest.mark.parametrize("suite", ["quick", "full"])
+    def test_ext_witness_follows_the_loop_order(self, suite, monkeypatch):
+        # bad entries late in the pair list and early in the loop order:
+        # the batch must name the loop's first
+        import mfblocks.verify as V
+        from mfblocks.morita import ext_dim, simple_kind, simple_str, simples
+        P = params_make(2, 7, 3)
+        theta = make_char(P, "Z", 1)
+        labs = [s for s, _ in simples(P, theta)]
+        left = [s for s in labs if simple_kind(s) == "left"]
+        right = [s for s in labs if simple_kind(s) == "right"]
+        bad = {(right[1], labs[0]), (left[1], left[0]), (left[0], right[1])}
+
+        def bent(P, theta, pairs):
+            return [g + (pair in bad)
+                    for pair, g in zip(pairs, ext_dim(P, theta, pairs))]
+
+        def loop():
+            k = 2 if suite == "quick" else None
+            for family in ([labs[0]] + left[:k], [labs[0]] + right[:k]):
+                for a in family:
+                    for b in family:
+                        got = bent(P, theta, [(a, b)])[0]
+                        if got != int(a != b):
+                            return {"from": simple_str(a),
+                                    "to": simple_str(b),
+                                    "expected": int(a != b), "got": got}
+
+        monkeypatch.setattr(V, "ext_dim", bent)
+        row = V.run_checks(P, theta, suite=suite, names=["ext_quiver"]).rows[0]
+        assert row.witness == loop()
+        assert row.witness["from"] == simple_str(left[1])
 
 
 class TestEps:

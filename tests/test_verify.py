@@ -20,6 +20,7 @@ from mfblocks.groups import params_make
 from mfblocks.linalg import gf_matmul
 from mfblocks.morita import PairingTable
 from mfblocks.quiver import label_to_dict, qa_labels
+from mfblocks.twisted import tt_zero
 from mfblocks.verify import (
     CHECK_STATEMENTS, CheckRow, VerifyReport, check_names, run_checks,
 )
@@ -128,6 +129,35 @@ class TestSkips:
         assert row.status == "skip"
         assert "68 bits" in row.witness["reason"]
 
+    def test_radical_chains_past_their_bound_skip(self, monkeypatch):
+        # (p-1)^(ell-1) = 42^6 chains at (7,43,3): the skip names the
+        # count and comes before any arrow is built or multiplied
+        import mfblocks.verify as V
+
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(V, "tt_arrow", no_chain)
+        monkeypatch.setattr(V, "tt_mul", no_chain)
+        P = params_make(7, 43, 3)
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["radical_powers"]).rows
+        assert row.status == "skip"
+        assert row.witness["reason"] == (
+            f"(p-1)^(ell-1) = {42 ** 6} arrow chains are over the bound"
+            f" {V._CHAINS_LIMIT}")
+        assert 42 ** 6 > V._CHAINS_LIMIT > 20736
+
+    def test_radical_powers_runs_all_chains_at_five(self):
+        # 20,736 chains of five one-arrow products at (5,13,3), one
+        # batched product per step
+        P = params_make(5, 13, 3)
+        t0 = time.perf_counter()
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["radical_powers"]).rows
+        assert row.status == "pass"
+        assert time.perf_counter() - t0 < 30.0
+
     def test_skip_rows_keep_witness_in_dicts(self):
         P = params_make(2, 11, 5)
         theta = make_char(P, "Z", 1)
@@ -152,11 +182,14 @@ class TestReport:
         assert rep.passed
 
     def test_non_central_idempotent_is_a_defect(self, monkeypatch):
-        # a nonzero corner e x (1 - e) must be reported, not asserted
+        # a nonzero commutator e x - x e must be reported, not asserted:
+        # with the products x e taken as 0 it is e x, which is nonzero
+        # in the first row
         import mfblocks.verify as V
         P, theta = desk(3, 5, 2)
-        monkeypatch.setattr(V, "tt_sandwich",
-                            lambda *a: np.ones((1, 1), dtype=np.int64))
+        real = V.head_batch
+        monkeypatch.setattr(V, "head_batch", lambda P, theta: real(
+            P, theta)._replace(XE=tt_zero(theta)))
         rep = run_checks(P, theta, names=["idempotent_head"])
         assert rep.rows[0].status == "fail"
         assert rep.rows[0].witness == {"label": "(1,1)",
