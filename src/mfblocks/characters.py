@@ -92,24 +92,6 @@ def char_idempotent(P: Params, chi: Character) -> GAElem:
     return ga_from_terms(P, terms)
 
 
-def char_conjugate(P: Params, chi: Character, w: GroupElem) -> Character:
-    """The conjugate character chi^w, chi^w(h) = chi(h^{w^-1}).
-
-    Defined here for characters of Z (central, fixed) and of P_i under
-    H-elements, where only the matching L_i coordinate acts.
-    """
-    if chi.group == "Z":
-        return chi
-    if chi.group not in _P_GROUPS:
-        raise ValueError(f"no conjugation rule for {chi.group} characters")
-    zero = (0,) * P.p
-    if not (w.v1 == zero and w.v2 == zero and w.x1 == 0 and w.x2 == 0):
-        raise ValueError("conjugating element must lie in H")
-    t = w.a if chi.group == "P1" else w.b
-    u = P._g0pow[(-t) % P.r]
-    return Character(chi.group, (chi.e * u) % P.p, P.p)
-
-
 def h_element(P: Params, theta: Character, chi: Character, i: int) -> GroupElem:
     """The unique h in L_j (j != i) with theta([h, g]) = chi(g) on L_i.
 

@@ -107,8 +107,22 @@ def _poly_divmod(num: list[int], den: list[int], ell: int) -> tuple[list[int], l
     return quo, num
 
 
+def _poly_mulmod(a: list[int], b: list[int], f: list[int],
+                 ell: int) -> list[int]:
+    """a b mod f over F_ell (little-endian lists)."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                prod[i + j] = (prod[i + j] + ca * cb) % ell
+    return _poly_divmod(prod, f, ell)[1]
+
+
 def _poly_is_irreducible(coeffs: list[int], ell: int) -> bool:
-    """Trial division by every monic polynomial of degree <= d/2."""
+    """Ben-Or's form of Rabin's test: a monic f of degree d is
+    irreducible iff gcd(x^(ell^i) - x mod f, f) = 1 for every i <= d/2,
+    since a reducible f has an irreducible factor of degree i <= d/2,
+    and that factor divides x^(ell^i) - x."""
     d = len(coeffs) - 1
     if d < 1 or coeffs[-1] != 1:
         return False
@@ -116,16 +130,22 @@ def _poly_is_irreducible(coeffs: list[int], ell: int) -> bool:
         return True
     if coeffs[0] == 0:
         return False
-    for e in range(1, d // 2 + 1):
-        for low in range(ell**e):
-            den, v = [], low
-            for _ in range(e):
-                den.append(v % ell)
-                v //= ell
-            den.append(1)
-            _, rem = _poly_divmod(coeffs, den, ell)
-            if rem == [0]:
-                return False
+    h = [0, 1]
+    for _ in range(d // 2):
+        # h = x^(ell^i) mod f, one ell-th power a step
+        acc = [1]
+        for _ in range(ell):
+            acc = _poly_mulmod(acc, h, coeffs, ell)
+        h = acc
+        # Euclid on f and h - x; a remainder comes back trimmed
+        g, rem = list(coeffs), h + [0] * (2 - len(h))
+        rem[1] = (rem[1] - 1) % ell
+        while any(rem):
+            while rem[-1] == 0:
+                rem.pop()
+            g, rem = rem, _poly_divmod(g, rem, ell)[1]
+        if len(g) > 1:
+            return False
     return True
 
 
@@ -223,14 +243,8 @@ class FieldContext:
                 acc ^= (top | mod_packed) << (deg - self.d)
                 deg = acc.bit_length() - 1
             return acc
-        da = self.to_coeffs(a)
-        db = self.to_coeffs(b)
-        conv = [0] * (2 * self.d - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    conv[i + j] = (conv[i + j] + ca * cb) % ell
-        return self._pack(_poly_divmod(conv, list(self.modulus), ell)[1])
+        return self._pack(_poly_mulmod(self.to_coeffs(a), self.to_coeffs(b),
+                                       list(self.modulus), ell))
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
@@ -258,21 +272,6 @@ class FieldContext:
             q1 = self.order - 1
             return int(self._exp[(q1 - int(self._log[a])) % q1])
         return self.pow(a, self.order - 2)
-
-    def frobenius(self, x: int, m: int = 1) -> int:
-        """x^(ell^m); m = d is the identity."""
-        m %= self.d
-        if m == 0:
-            return x
-        if self._frob_table is not None:
-            y = x
-            for _ in range(m):
-                y = int(self._frob_table[y])
-            return y
-        y = x
-        for _ in range(m):
-            y = self.pow(y, self.ell)
-        return y
 
     # -- tables and vector kernels -------------------------------------------
 
@@ -450,15 +449,6 @@ def field_make(ell: int, d: int) -> FieldContext:
         raise RuntimeError(f"no generator of F_{ell}^{d} found")
     out = FieldContext(ell, d, modulus, gen)
     return out
-
-
-def field_frobenius(ctx: FieldContext, x: int, m: int) -> int:
-    """x^(ell^m); the scalar part of the ring automorphism sigma."""
-    if not 0 <= x < ctx.order:
-        raise ValueError("element out of range for this field")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return ctx.frobenius(x, m)
 
 
 def root_of_unity(ctx: FieldContext, m: int) -> int:

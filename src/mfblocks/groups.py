@@ -429,11 +429,6 @@ def key_bits(P: Params) -> int:
     return (key_join(P, P.dsz, 0, 0, 0, 0, 0, 0) - 1).bit_length()
 
 
-def unpack_key(P: Params, key: int) -> GroupElem:
-    d1, x1, d2, x2, a, b, c = key_cols(P, key)
-    return GroupElem(d_unpack(P, d1), x1, d_unpack(P, d2), x2, a, b, c)
-
-
 def elem_to_dict(g: GroupElem) -> dict:
     return {"v1": list(g.v1), "x1": g.x1, "v2": list(g.v2), "x2": g.x2,
             "h": [g.a, g.b, g.c]}

@@ -22,9 +22,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .characters import Character, _exponent_of
+from .characters import Character
 from .groups import (
-    GroupElem, Params, conjugate, d_digits, d_elem, d_key, d_pack,
+    Params, conjugate, d_digits, d_elem, d_key, d_pack,
     digit_dtype, key_join, l_fourier, p_elem, root_powers, slot_scale_index,
 )
 from .groupalg import _EMBED_LIMIT, GAElem
@@ -298,20 +298,6 @@ def qa_mul(P: Params, u: QuivAElem, v: QuivAElem) -> QuivAElem:
                            np.zeros(1, dtype=np.int64))
     return qa_from_columns(P, u.side, u.psi[i], m,
                            P.ctx.vmul(u.coeffs[i], v.coeffs[j]))
-
-
-def qa_L_action(P: Params, u: QuivAElem, w: GroupElem) -> QuivAElem:
-    """Basis permutation (psi, m) -> (psi^w, m^w).
-
-    Vertex and arrow labels are both characters of P_i, so the whole
-    label moves by the conjugate-character map: exponents scale by
-    g0^{-t} where t is the L_i coordinate of w, row t of the L-action
-    table.
-    """
-    t = _exponent_of(P, f"L{u.side}", w) % P.r
-    if t == 0 or not len(u.coeffs):
-        return u
-    return qa_from_columns(P, u.side, *_act(P, t, u.psi, u.m), u.coeffs)
 
 
 def qa_isotypic(P: Params, u: QuivAElem, chi: Character) -> QuivAElem:

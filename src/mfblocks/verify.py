@@ -232,23 +232,24 @@ def _embed_sampled(P: Params, rng: random.Random,
 
 
 def _embed_products(P: Params, data: dict, delta: np.ndarray):
-    """Each label u with its products E_u * E_v over all v as columns,
-    from the factors of E and the D-parts delta of the side table."""
-    ctx, p, dsz, n, y = P.ctx, P.p, P.dsz, P.dsz * P.p, np.arange(P.p)
+    """The labels us of each arrow row a_u with the D-vectors of their
+    products over all v, got[i, v] = Ẑ[b_us[i] - b_v, a_u, :, a_v] (see
+    _embed_all_pairs), from the factors of E and the D-parts delta of
+    the side table."""
+    ctx, p, dsz = P.ctx, P.p, P.dsz
     S, F = (_embed_tables(P)[k] for k in "SF")
-    Z = np.empty((p, dsz * dsz, dsz), dtype=np.int64)
+    # every entry is a field element below q
+    Z = np.empty((p, dsz * dsz, dsz),
+                 dtype=np.min_scalar_type(ctx.order - 1))
     for t in range(p):  # Z[t, (d', a_v), a_u], left rows S[δ(d, t, d'), a_v]
         Z[t] = gf_matmul(ctx, S[delta[:, t].T].transpose(0, 2, 1).reshape(
             -1, dsz), S)
-    # W[(y', b_u, b_v), y] = F[y, b_u] F[y' - y, b_v]
-    W = ctx.vmul(F[y, y[:, None, None]], F[(y[:, None, None, None] - y) % p,
-                                          y[:, None]]).reshape(p ** 3, p)
     a, b = np.divmod(data["slot"], p)
     for au in range(dsz):
-        X = gf_matmul(ctx, W, Z[:, :, au]).reshape(p, p, p, dsz, dsz)
-        X = X.transpose(1, 3, 0, 4, 2).reshape(p, n, n)
-        for u in np.flatnonzero(a == au).tolist():
-            yield u, X[b[u]][:, data["slot"]]
+        # Ẑ[c, d', a_v] = sum_y F[y, c] Z[y, (d', a_v), a_u]
+        Zh = gf_matmul(ctx, F.T, Z[:, :, au]).reshape(p, dsz, dsz)
+        us = np.flatnonzero(a == au)
+        yield us, Zh[(b[us, None] - b) % p, :, a]
 
 
 def _embed_all_pairs(P: Params) -> Optional[dict]:
@@ -261,14 +262,29 @@ def _embed_all_pairs(P: Params) -> Optional[dict]:
       (E_u * E_v)[d' p + y'] = sum_y F[y, b_u] F[y'-y, b_v] Z[a_u, y, d', a_v]
       Z[a_u, y, d', a_v] = sum_d S[d, a_u] S[δ(d, y, d'), a_v]
 
-    for every pair, each compared with the label rule.  Two gates make
-    this a check, not a trusted formula: E is kron(S, F) at each label's
-    slot a p + b, and every side-table entry has the shape above.  The
-    sides share their dense data, so one pass serves both.
+    F is a character table, F[y, ξ] = p^-1 ζ_p^(-ξ y), so it
+    diagonalizes the P-shifts: F[y'-y, b_v] F[y, b_u] = F[y', b_v]
+    F[y, b_u - b_v].  Every product is then the pure tensor
+
+      E_u * E_v = Ẑ[b_u - b_v, a_u, :, a_v] ⊗ F[:, b_v],
+      Ẑ[c] = sum_y F[y, c] Z[y],
+
+    p dsz^3 entries in all.  The label rule sends (u, v) to 0 or to a
+    label w with E_w = S[:, a_w] ⊗ F[:, b_w].  The columns of an
+    invertible F are nonzero and independent, and S[:, a_w] is nonzero
+    (_embed_tables inverts S), so a product x ⊗ F[:, b_v] is 0 iff
+    x = 0, and equals E_w iff b_w = b_v and x = S[:, a_w].  Each pair
+    compares dsz entries, with the verdict of the dense comparison, in
+    (a_u, u, v) order.  Four gates make this a check,
+    not a trusted formula: E is kron(S, F) at each label's slot a p + b,
+    every side-table entry has the shape above, F diagonalizes the
+    P-shifts on all p^4 entries, and F Finv = I.  The sides share their
+    dense data, so one pass serves both.
     """
-    p, dsz, n, y = P.p, P.dsz, P.dsz * P.p, np.arange(P.p)
+    ctx, p, dsz, n, y = P.ctx, P.p, P.dsz, P.dsz * P.p, np.arange(P.p)
     data, tabs = _embed_side_data(P, 1), _embed_tables(P)
-    kron = P.ctx.vmul(tabs["S"][:, None, :, None], tabs["F"][None, :, None])
+    S, F = tabs["S"], tabs["F"]
+    kron = ctx.vmul(S[:, None, :, None], F[None, :, None])
     bad = np.flatnonzero(
         (data["E"] != kron.reshape(n, n)[:, data["slot"]]).any(axis=0))
     if len(bad):
@@ -279,11 +295,29 @@ def _embed_all_pairs(P: Params) -> Optional[dict]:
     if len(bad):
         return {"at": (bad[0, ::2] * p + bad[0, 1::2]).tolist(),
                 "defect": "side table is not D ⋊ P"}
-    for u, got in _embed_products(P, data, T[..., 0] // p):
-        want = _embed_want(P, data, u, np.arange(n))
-        if not np.array_equal(got, want):
-            v = int(np.flatnonzero(np.any(got != want, axis=0))[0])
-            return {"side": 1, "u": label_to_dict(data["labels"][u]),
+    y1, y0, bu, bv = np.ix_(y, y, y, y)  # y', y, b_u, b_v
+    bad = np.argwhere(ctx.vmul(F[(y1 - y0) % p, bv], F[y0, bu])
+                      != ctx.vmul(F[y1, bv], F[y0, (bu - bv) % p]))
+    if len(bad):
+        return {"at": bad[0].tolist(),
+                "defect": "F does not diagonalize the P-shifts"}
+    if not np.array_equal(gf_matmul(ctx, F, tabs["Finv"]),
+                          np.diag(np.full(p, ctx.one))):
+        return {"defect": "F is not invertible"}
+    # the label rule once for all pairs; a killed product gets the zero
+    # row dsz of the D-parts and counts as b_w = b_v
+    psi, m = data["cols"]
+    i, j, _, prod = _leg_join(P, psi, m, psi, m, np.zeros(1, dtype=np.int64))
+    b = data["slot"] % p
+    aw, bw = np.full((n, n), dsz), np.tile(b, (n, 1))
+    aw[i, j], bw[i, j] = np.divmod(data["slot"][_label_index(P, psi[i], prod)],
+                                   p)
+    rows = np.vstack([S.T, np.zeros(dsz, dtype=S.dtype)])
+    for us, got in _embed_products(P, data, T[..., 0] // p):
+        bad = (got != rows[aw[us]]).any(axis=2) | (bw[us] != b)
+        if bad.any():
+            k, v = np.argwhere(bad)[0]
+            return {"side": 1, "u": label_to_dict(data["labels"][us[k]]),
                     "v": label_to_dict(data["labels"][v])}
     return None
 

@@ -1,13 +1,17 @@
-"""Group-algebra and side-algebra conveniences that only the tests
-call, kept out of the package: each is a line or two over the library's
-own operations."""
+"""Conveniences and references that only the tests call, kept out of
+the package: each is a line or two over the library's own operations,
+or an independent second route to one of them."""
 
 import numpy as np
 
-from mfblocks.groups import group_inv, identity, pack_key
+from mfblocks.characters import _P_GROUPS, Character, _exponent_of
+from mfblocks.field import _poly_divmod
+from mfblocks.groups import (
+    GroupElem, d_unpack, group_inv, identity, key_cols, pack_key,
+)
 from mfblocks.groupalg import GAElem, ga_add, ga_basis, ga_mul, ga_zero
 from mfblocks.quiver import (
-    QuivAElem, label_make, qa_basis, qa_from_columns, qa_zero,
+    QuivAElem, _act, label_make, qa_basis, qa_from_columns, qa_zero,
 )
 from mfblocks.twisted import TTElem, tt_is_zero, tt_zero
 
@@ -89,3 +93,74 @@ def tt_radical_degree(t):
     c = t.cols
     return int((c.m1.sum(axis=1, dtype=np.int64)
                 + c.m2.sum(axis=1, dtype=np.int64)).min())
+
+
+def poly_is_irreducible(coeffs, ell):
+    """Trial division of the monic little-endian coefficient list by
+    every monic polynomial of degree <= d/2 over F_ell."""
+    d = len(coeffs) - 1
+    if d < 1 or coeffs[-1] != 1:
+        return False
+    if d == 1:
+        return True
+    if coeffs[0] == 0:
+        return False
+    for e in range(1, d // 2 + 1):
+        for low in range(ell**e):
+            den, v = [], low
+            for _ in range(e):
+                den.append(v % ell)
+                v //= ell
+            den.append(1)
+            _, rem = _poly_divmod(coeffs, den, ell)
+            if rem == [0]:
+                return False
+    return True
+
+
+def field_frobenius(ctx, x, m):
+    """x^(ell^m) by m scalar ell-th powers; m = d is the identity."""
+    if not 0 <= x < ctx.order:
+        raise ValueError("element out of range for this field")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    for _ in range(m % ctx.d):
+        x = ctx.pow(x, ctx.ell)
+    return x
+
+
+def unpack_key(P, key):
+    d1, x1, d2, x2, a, b, c = key_cols(P, key)
+    return GroupElem(d_unpack(P, d1), x1, d_unpack(P, d2), x2, a, b, c)
+
+
+def char_conjugate(P, chi, w):
+    """The conjugate character chi^w, chi^w(h) = chi(h^{w^-1}).
+
+    Defined here for characters of Z (central, fixed) and of P_i under
+    H-elements, where only the matching L_i coordinate acts.
+    """
+    if chi.group == "Z":
+        return chi
+    if chi.group not in _P_GROUPS:
+        raise ValueError(f"no conjugation rule for {chi.group} characters")
+    zero = (0,) * P.p
+    if not (w.v1 == zero and w.v2 == zero and w.x1 == 0 and w.x2 == 0):
+        raise ValueError("conjugating element must lie in H")
+    t = w.a if chi.group == "P1" else w.b
+    u = P._g0pow[(-t) % P.r]
+    return Character(chi.group, (chi.e * u) % P.p, P.p)
+
+
+def qa_L_action(P, u, w):
+    """Basis permutation (psi, m) -> (psi^w, m^w).
+
+    Vertex and arrow labels are both characters of P_i, so the whole
+    label moves by the conjugate-character map: exponents scale by
+    g0^{-t} where t is the L_i coordinate of w, row t of the L-action
+    table.
+    """
+    t = _exponent_of(P, f"L{u.side}", w) % P.r
+    if t == 0 or not len(u.coeffs):
+        return u
+    return qa_from_columns(P, u.side, *_act(P, t, u.psi, u.m), u.coeffs)

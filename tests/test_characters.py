@@ -5,15 +5,15 @@ import math
 import pytest
 
 from mfblocks.characters import (
-    Character, char_conjugate, char_eval, char_frob_power, char_idempotent,
-    h_element, is_faithful, make_char,
+    Character, char_eval, char_frob_power, char_idempotent, h_element,
+    is_faithful, make_char,
 )
 from mfblocks.groups import (
     conjugate, group_inv, group_mul, h_elem, identity, l_fourier, p_elem,
     params_make, root_powers, subgroup_elements,
 )
 from mfblocks.groupalg import ga_add, ga_mul, ga_zero
-from reference import ga_coeff, ga_unit
+from reference import char_conjugate, ga_coeff, ga_unit
 
 
 class TestEval:

@@ -9,12 +9,12 @@ from sympy import Poly, Symbol
 from sympy.polys.domains import GF
 
 from mfblocks.field import (
-    FieldContext, digits, field_frobenius, field_make, root_of_unity,
-    undigits,
+    FieldContext, digits, field_make, root_of_unity, undigits,
 )
 from mfblocks.groups import (
     d_digits, d_key, d_pack, d_unpack, digit_dtype, params_make,
 )
+from reference import field_frobenius, poly_is_irreducible
 
 X = Symbol("x")
 
@@ -55,6 +55,23 @@ class TestConstruction:
                 digits.append(v % ell)
                 v //= ell
             assert not sympy_irreducible(digits + [1], ell)
+
+    def test_gcd_test_picks_the_trial_division_modulus(self):
+        # the library's Ben-Or test against trial division: the first
+        # candidate in packed order that passes must be the same one
+        from mfblocks.field import _poly_is_irreducible
+        cases = [(ell, d) for ell in (2, 3, 5, 7) for d in range(1, 21)
+                 if ell ** d <= 2 ** 20] + [(3, 20)]
+        for ell, d in cases:
+            picks = []
+            for test in (_poly_is_irreducible, poly_is_irreducible):
+                for low in range(ell ** d):
+                    cand = [low // ell ** k % ell for k in range(d)] + [1]
+                    if test(cand, ell):
+                        picks.append(cand)
+                        break
+            assert picks[0] == picks[1], (ell, d)
+        assert field_make(3, 20).modulus == tuple(picks[0])
 
     @pytest.mark.parametrize("ell,d", [(2, 6), (3, 4)])
     def test_generator_order_brute(self, ell, d):
@@ -227,7 +244,7 @@ class TestTableFree:
         b[3:8] = 0
         # without tables the scalar product is the schoolbook one
         prod = [free.mul(int(x), int(y)) for x, y in zip(a, b)]
-        frob = [free.frobenius(int(x), 1) for x in a]
+        frob = [field_frobenius(free, int(x), 1) for x in a]
         for kernels in (ctx, free):
             assert kernels.vmul(a, b).tolist() == prod
             assert kernels.vfrob(a).tolist() == frob

@@ -13,11 +13,11 @@ from mfblocks.groupalg import (
     ga_mul, ga_zero, side_inv_index, side_mul_table,
 )
 from reference import (
-    ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub, ga_unit,
+    ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub, ga_unit, unpack_key,
 )
 from mfblocks.groups import (
     GroupElem, conjugate, d_pack, d_unpack, group_mul, h_elem, identity,
-    pack_key, params_make, unpack_key,
+    pack_key, params_make,
 )
 
 

@@ -23,12 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # only shrink: a function leaves it when the library calls it, when it
 # moves to tests/reference.py or when it is deleted, and none joins it.
 TEST_ONLY = {
-    "characters.char_conjugate",
     "field.FieldContext.add", "field.FieldContext.digit_plane",
     "field.FieldContext.from_coeffs", "field.FieldContext.neg",
-    "field.field_frobenius",
-    "groups.unpack_key",
-    "quiver.qa_L_action",
 }
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from mfblocks.characters import char_conjugate, char_idempotent, make_char
+from mfblocks.characters import char_idempotent, make_char
 from mfblocks.groups import (
     conjugate, d_elem, d_pack, group_mul, h_elem, p_elem, params_make,
 )
@@ -13,12 +13,13 @@ from mfblocks.groupalg import ga_add, ga_from_terms, ga_mul
 from mfblocks.linalg import _rref, gf_rank
 from mfblocks.quiver import (
     QuivLabel, label_make, label_phi, label_to_dict, qa_add, qa_basis,
-    qa_embed, qa_isotypic, qa_L_action, qa_labels, qa_mul, qa_zero,
+    qa_embed, qa_isotypic, qa_labels, qa_mul, qa_zero,
 )
 from mfblocks.quiver import _embed_tables, embed_columns
 from mfblocks.groups import GroupElem, d_unpack, pack_key
 from reference import (
-    ga_conjugate, qa_degree, qa_scale, qa_unit, qa_vertex,
+    char_conjugate, ga_conjugate, qa_degree, qa_L_action, qa_scale, qa_unit,
+    qa_vertex,
 )
 
 

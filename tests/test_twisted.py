@@ -31,12 +31,12 @@ from mfblocks.groupalg import GAElem, block_fold, block_unfold, ga_sum
 from mfblocks.groups import d_digits, key_n, key_z, l_fourier
 from mfblocks.linalg import gf_apply_axis
 from mfblocks.quiver import (
-    _act, _embed_tables, _label_cols, _label_index, label_phi, qa_L_action,
-    qa_labels,
+    _act, _embed_tables, _label_cols, _label_index, label_phi, qa_labels,
 )
 import mfblocks.twisted as twisted_mod
 from reference import (
-    ga_conjugate, ga_scale, qa_vertex, tt_radical_degree, tt_scale,
+    ga_conjugate, ga_scale, qa_L_action, qa_vertex, tt_radical_degree,
+    tt_scale,
 )
 
 

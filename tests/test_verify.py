@@ -19,7 +19,7 @@ from mfblocks.groupalg import (
 from mfblocks.groups import params_make
 from mfblocks.linalg import gf_matmul
 from mfblocks.morita import PairingTable
-from mfblocks.quiver import label_to_dict, qa_labels
+from mfblocks.quiver import _embed_tables, label_to_dict, qa_labels
 from mfblocks.twisted import tt_zero
 from mfblocks.verify import (
     CHECK_STATEMENTS, CheckRow, VerifyReport, check_names, run_checks,
@@ -348,21 +348,25 @@ class TestFactoredEmbed:
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
     def test_blocks_match_the_gather_route(self, cfg):
         # the gather C_u[k, h] = E[k h^-1, u] times E is the group
-        # convolution of u with every label, term by term
+        # convolution of u with every label, term by term; each D-vector
+        # x of a product expands to the dense column x ⊗ F[:, b_v]
         import mfblocks.verify as V
         P, _ = desk(*cfg)
         data = V._embed_side_data(P, 1)
         E, table, inv = data["E"], side_mul_table(P), side_inv_index(P)
         delta = table[inv].reshape(P.dsz, P.p, P.dsz, P.p)[..., 0] // P.p
+        F, n = _embed_tables(P)["F"], P.dsz * P.p
+        b = data["slot"] % P.p
         # the first five a_u (arrow rows with one and two nonzero
         # digits), one u of each with a different b_u
         seen = set()
-        for i, (u, got) in enumerate(itertools.islice(
-                V._embed_products(P, data, delta), 5 * P.p)):
-            seen.add(u)
-            if i % (P.p + 1) == 0:
-                want = gf_matmul(P.ctx, E[:, u][table[:, inv]], E)
-                assert np.array_equal(got, want), u
+        for k, (us, got) in enumerate(itertools.islice(
+                V._embed_products(P, data, delta), 5)):
+            seen.update(us.tolist())
+            u = us[k]
+            dense = P.ctx.vmul(got[k].T[:, None, :], F[None, :, b])
+            want = gf_matmul(P.ctx, E[:, u][table[:, inv]], E)
+            assert np.array_equal(dense.reshape(n, n), want), u
         assert len(seen) == 5 * P.p
 
     def test_a_bent_embedded_column_fails_the_full_suite(self, monkeypatch):
@@ -408,6 +412,73 @@ class TestFactoredEmbed:
                             names=["embed_multiplicative"]).rows
         assert row.status == "fail"
         assert set(row.witness) == {"side", "u", "v"}
+
+    def test_a_bent_character_table_fails_the_shift_gate(self,
+                                                         monkeypatch):
+        # E is built from the same bent F, so only the shift gate sees it
+        P, theta = desk(3, 5, 2)
+        tabs, p = _embed_tables(P), P.p
+        F = tabs["F"].copy()
+        F[2, 3] = P.ctx.add(int(F[2, 3]), P.ctx.one)
+        monkeypatch.setitem(tabs, "F", F)
+        (row,) = run_checks(P, theta, suite="full",
+                            names=["embed_multiplicative"]).rows
+        assert row.status == "fail"
+        assert row.witness["defect"] == "F does not diagonalize the P-shifts"
+        y1, y0, bu, bv = row.witness["at"]
+        assert P.ctx.mul(int(F[(y1 - y0) % p, bv]), int(F[y0, bu])) != \
+            P.ctx.mul(int(F[y1, bv]), int(F[y0, (bu - bv) % p]))
+
+    def test_a_singular_inverse_fails_the_inverse_gate(self, monkeypatch):
+        P, theta = desk(3, 5, 2)
+        tabs = _embed_tables(P)
+        Finv = tabs["Finv"].copy()
+        Finv[1] = 0
+        monkeypatch.setitem(tabs, "Finv", Finv)
+        (row,) = run_checks(P, theta, suite="full",
+                            names=["embed_multiplicative"]).rows
+        assert row.status == "fail"
+        assert row.witness == {"defect": "F is not invertible"}
+
+    def test_a_product_label_on_another_vertex_is_a_mismatch(
+            self, monkeypatch):
+        # the rule's labels moved one vertex on keep their D-part, so
+        # only b_w != b_v tells them apart; the first pair that survives
+        # the rule is e_0 e_0
+        import mfblocks.verify as V
+        P, theta = desk(3, 5, 2)
+        true = V._label_index
+        monkeypatch.setattr(V, "_label_index", lambda P_, psi, m: true(
+            P_, (psi + 1) % P_.p, m))
+        (row,) = run_checks(P, theta, suite="full",
+                            names=["embed_multiplicative"]).rows
+        e0 = label_to_dict(qa_labels(P, 1)[0])
+        assert row.witness == {"side": 1, "u": e0, "v": e0}
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+    def test_a_bent_label_rule_names_the_first_dense_mismatch(
+            self, monkeypatch, cfg):
+        # the witness is the first pair, in (a_u, u, v) order, where the
+        # gather route and the bent rule's dense want differ
+        import mfblocks.quiver as Q
+        import mfblocks.verify as V
+        P, theta = desk(*cfg)
+        monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
+            a + b < P_.ell - 1).all(axis=1))
+        (row,) = run_checks(P, theta, suite="full",
+                            names=["embed_multiplicative"]).rows
+        data = V._embed_side_data(P, 1)
+        E, table, inv = data["E"], side_mul_table(P), side_inv_index(P)
+        n = P.dsz * P.p
+        for u in np.lexsort((np.arange(n), data["slot"] // P.p)).tolist():
+            got = gf_matmul(P.ctx, E[:, u][table[:, inv]], E)
+            diff = np.flatnonzero(
+                (got != V._embed_want(P, data, u, np.arange(n))).any(axis=0))
+            if len(diff):
+                break
+        labels = qa_labels(P, 1)
+        assert row.witness == {"side": 1, "u": label_to_dict(labels[u]),
+                               "v": label_to_dict(labels[diff[0]])}
 
 
 class TestDimensions:
