@@ -24,9 +24,6 @@ from .groups import (
 _CHUNK = 1 << 22
 # Most int64 entries the product tables of _tables may hold (256 MB)
 _TABLE_ENTRIES = 1 << 25
-# Largest side dimension dsz p of the dense side tables: the side
-# multiplication table here and the embedding tables of quiver
-_EMBED_LIMIT = 2048
 
 
 class GAElem:
@@ -288,34 +285,3 @@ def centralizes_block_H(P: Params, theta, x: GAElem) -> bool:
     injective on the block and commutes with conjugation."""
     return _centralizes_folded(P, *_fold_block(P, theta, x))
 
-
-def side_mul_table(P: Params) -> np.ndarray:
-    """Multiplication table of D x P (one side), indexed by d*p + x."""
-    table = P._cache.get("side_mul_table")
-    if table is not None:
-        return table
-    p, Dsz = P.p, P.dsz
-    n = Dsz * p
-    if n > _EMBED_LIMIT:
-        raise ValueError(f"side table of size {n} is too large")
-    tabs = _tables(P)
-    idx = np.arange(n, dtype=np.int64)
-    d_l, x_l = (idx // p)[:, None], (idx % p)[:, None]
-    d_r, x_r = (idx // p)[None, :], (idx % p)[None, :]
-    shifted = tabs["trans"][x_l, d_r]
-    if P.ell == 2:
-        d_new = d_l ^ shifted
-    else:
-        d_new = tabs["dadd"][d_l, shifted]
-    table = d_new * p + ((x_l + x_r) % p)
-    P._cache["side_mul_table"] = table
-    return table
-
-
-def side_inv_index(P: Params) -> np.ndarray:
-    """Index of the inverse for every D x P basis element."""
-    inv = P._cache.get("side_inv_index")
-    if inv is None:
-        inv = np.argmax(side_mul_table(P) == 0, axis=1)
-        P._cache["side_inv_index"] = inv
-    return inv

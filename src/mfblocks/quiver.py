@@ -27,8 +27,11 @@ from .groups import (
     Params, conjugate, d_digits, d_elem, d_key, d_pack,
     digit_dtype, key_join, l_fourier, p_elem, root_powers, slot_scale_index,
 )
-from .groupalg import _EMBED_LIMIT, GAElem
+from .groupalg import GAElem
 from .linalg import gf_inv_matrix
+
+# Largest side dimension dsz p of the dense embedding tables
+_EMBED_LIMIT = 2048
 
 
 class QuivLabel:

@@ -30,8 +30,8 @@ from .groups import (
 )
 from .groupalg import (
     _CHUNK, GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
-    _mul_lanes, _tables, _theta_pow, block_fold, block_idempotent,
-    block_unfold, ga_basis, ga_zero,
+    _mul_lanes, _tables, _theta_pow, block_fold, block_unfold, ga_basis,
+    ga_zero,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
@@ -206,9 +206,7 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
     tctx = P._cache.get(cache_key)
     if tctx is not None:
         return tctx
-    ctx, r = P.ctx, P.r
-    e_theta = block_idempotent(P, theta)
-
+    ctx, r, tp = P.ctx, P.r, _theta_pow(P, theta)
     h1 = [h_element(P, theta, make_char(P, "L1", e), 1) for e in range(r)]
     h2 = [h_element(P, theta, make_char(P, "L2", f), 2) for f in range(r)]
     h_inv_ga = {side: [ga_basis(P, group_inv(P, h)) for h in hs]
@@ -225,9 +223,8 @@ def _tt_ctx(P: Params, theta: Character) -> dict:
     D = l_fourier(P)
     W = gf_matmul(ctx, gf_matmul(ctx, D.T, c_inv), D)
 
-    tctx = {"e_theta": e_theta, "h1": h1, "h2": h2, "h_inv_ga": h_inv_ga,
-            "c_tab": c_tab, "c_inv": c_inv, "W": W,
-            "theta_pow": _theta_pow(P, theta), "iota": {}}
+    tctx = {"h1": h1, "h2": h2, "h_inv_ga": h_inv_ga, "c_tab": c_tab,
+            "W": W, "theta_pow": tp, "iota": {}}
     P._cache[cache_key] = tctx
     return tctx
 
@@ -311,32 +308,22 @@ def b0_iota(P: Params, theta: Character, a: QuivAElem) -> GAElem:
                         _route_elem(P, _iota_table(P, theta, a.side), a))
 
 
-def _theta_collapse(P: Params, keys: np.ndarray,
-                    coeffs: np.ndarray) -> tuple:
-    """Collapse of folded terms (keys at c = 0, the Z-parts already
-    absorbed as theta powers) onto their N-parts: only the live N-keys
-    are merged, and they come back sorted with their nonzero sums."""
-    f = _dedupe(P, key_n(P, keys), coeffs)
-    return f.keys, f.coeffs
-
-
-def _stage_b(P: Params, theta: Character, nkeys: np.ndarray,
-             sums: np.ndarray) -> TTElem:
-    """Label coordinates of a collapse, given by its live N-keys
-    ((d1 p + x1) Dsz + d2) p + x2 and their sums.
+def _stage_b(P: Params, theta: Character, f: GAElem) -> TTElem:
+    """Label coordinates of a collapse f, held on its live N-keys
+    ((d1 p + x1) Dsz + d2) p + x2 with their nonzero sums.
 
     The sums fill a tensor over the live D-rows of each leg only, never
     the dense (Dsz p)^2 one, so the P-leg rewrites cost only the support;
     the S-expansions come last, the second on the first's live rows.
     """
-    if not len(sums):
+    if not len(f.keys):
         return tt_zero(theta)
     tabs, ctx, p = _embed_tables(P), P.ctx, P.p
-    d1, x1, d2, x2 = np.unravel_index(nkeys, (P.dsz, p, P.dsz, p))
+    d1, x1, d2, x2 = np.unravel_index(f.keys, (P.dsz, p, P.dsz, p))
     rows1, i1 = np.unique(d1, return_inverse=True)
     rows2, i2 = np.unique(d2, return_inverse=True)
     T4 = np.zeros((len(rows1), p, len(rows2), p), dtype=np.int64)
-    T4[i1, x1, i2, x2] = sums
+    T4[i1, x1, i2, x2] = f.coeffs
     T4 = gf_apply_axis(ctx, tabs["Finv"], T4, 1)
     T4 = gf_apply_axis(ctx, tabs["Finv"], T4, 3)
     T4 = gf_apply_axis(ctx, tabs["Sinv"][:, rows1], T4, 0)
@@ -363,7 +350,7 @@ def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
     if not _centralizes_folded(P, tp, f):
         raise ValueError(
             "x does not lie in B_0 (fails to centralize kH e_theta)")
-    return _stage_b(P, theta, *_theta_collapse(P, f.keys, f.coeffs))
+    return _stage_b(P, theta, _dedupe(P, key_n(P, f.keys), f.coeffs))
 
 
 def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
@@ -399,8 +386,8 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     pairs = [(GAElem(x.keys[xb == b], x.coeffs[xb == b]), _dedupe(
         P, key_drop(P, y.keys, 3), P.ctx.vmul(y.coeffs, tp[-ya * b % P.r])))
         for b in np.unique(xb)]
-    return _stage_b(P, theta, *_theta_collapse(
-        P, *_folded_lanes(P, tp, pairs)))
+    keys, coeffs = _folded_lanes(P, tp, pairs)
+    return _stage_b(P, theta, _dedupe(P, key_n(P, keys), coeffs))
 
 
 # ---------------------------------------------------------------------------

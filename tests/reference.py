@@ -9,9 +9,12 @@ from mfblocks.field import _poly_divmod
 from mfblocks.groups import (
     GroupElem, d_unpack, group_inv, identity, key_cols, pack_key,
 )
-from mfblocks.groupalg import GAElem, ga_add, ga_basis, ga_mul, ga_zero
+from mfblocks.groupalg import (
+    GAElem, _tables, ga_add, ga_basis, ga_mul, ga_zero,
+)
 from mfblocks.quiver import (
-    QuivAElem, _act, label_make, qa_basis, qa_from_columns, qa_zero,
+    _EMBED_LIMIT, QuivAElem, _act, _label_index, _leg_join, label_make,
+    qa_basis, qa_from_columns, qa_zero,
 )
 from mfblocks.twisted import TTElem, tt_is_zero, tt_zero
 
@@ -164,3 +167,48 @@ def qa_L_action(P, u, w):
     if t == 0 or not len(u.coeffs):
         return u
     return qa_from_columns(P, u.side, *_act(P, t, u.psi, u.m), u.coeffs)
+
+
+def side_mul_table(P):
+    """Multiplication table of D x P (one side), indexed by d*p + x."""
+    table = P._cache.get("side_mul_table")
+    if table is not None:
+        return table
+    p, Dsz = P.p, P.dsz
+    n = Dsz * p
+    if n > _EMBED_LIMIT:
+        raise ValueError(f"side table of size {n} is too large")
+    tabs = _tables(P)
+    idx = np.arange(n, dtype=np.int64)
+    d_l, x_l = (idx // p)[:, None], (idx % p)[:, None]
+    d_r, x_r = (idx // p)[None, :], (idx % p)[None, :]
+    shifted = tabs["trans"][x_l, d_r]
+    if P.ell == 2:
+        d_new = d_l ^ shifted
+    else:
+        d_new = tabs["dadd"][d_l, shifted]
+    table = d_new * p + ((x_l + x_r) % p)
+    P._cache["side_mul_table"] = table
+    return table
+
+
+def side_inv_index(P):
+    """Index of the inverse for every D x P basis element."""
+    inv = P._cache.get("side_inv_index")
+    if inv is None:
+        inv = np.argmax(side_mul_table(P) == 0, axis=1)
+        P._cache["side_inv_index"] = inv
+    return inv
+
+
+def _embed_want(P, data, u, vs):
+    """The embedded label-rule products of basis label u with the basis
+    labels vs, as columns, by the library's leg join (zero where the
+    rule kills the product)."""
+    psi, m = data["cols"]
+    vs = np.asarray(vs)
+    _, j, _, prod = _leg_join(P, psi[[u]], m[[u]], psi[vs], m[vs],
+                              np.zeros(1, dtype=np.int64))
+    want = np.zeros((len(data["E"]), len(vs)), dtype=np.int64)
+    want[:, j] = data["E"][:, _label_index(P, psi[u], prod)]
+    return want

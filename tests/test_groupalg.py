@@ -10,15 +10,17 @@ from mfblocks.characters import make_char
 from mfblocks.groupalg import (
     block_fold, block_idempotent, block_mul, block_unfold,
     centralizes_block_H, ga_add, ga_basis, ga_from_terms, ga_frobenius_twist,
-    ga_mul, ga_zero, side_inv_index, side_mul_table,
+    ga_mul, ga_zero,
 )
 from reference import (
-    ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub, ga_unit, unpack_key,
+    ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub, ga_unit,
+    side_inv_index, side_mul_table, unpack_key,
 )
 from mfblocks.groups import (
-    GroupElem, conjugate, d_pack, d_unpack, group_mul, h_elem, identity,
-    pack_key, params_make,
+    GroupElem, conjugate, d_pack, d_unpack, group_inv, group_mul, h_elem,
+    identity, pack_key, params_make,
 )
+from mfblocks.verify import _side_table, run_checks
 
 
 def random_elem(P, rng):
@@ -287,14 +289,17 @@ class TestFrobeniusTwist:
 
 
 class TestSideTables:
-    @pytest.mark.parametrize("ell,p", [(2, 7), (3, 5)])
+    """The side table T[u, v] = u^-1 v that verify builds with the
+    product kernel, against group_mul and the reference table."""
+
+    @pytest.mark.parametrize("ell,p", [(2, 7), (3, 5), (5, 3)])
     def test_table_matches_group_mul(self, ell, p):
-        P = params_make(ell, p, 2 if p == 5 else 3)
-        tab = side_mul_table(P)
-        inv = side_inv_index(P)
-        n = tab.shape[0]
+        P = params_make(ell, p, 3 if p == 7 else 2)
+        tab, off = _side_table(P)
+        n = P.dsz * P.p
+        assert off is None
         assert tab.shape == (n, n)
-        ident = identity(P)
+        assert np.array_equal(tab, side_mul_table(P)[side_inv_index(P)])
         rng = random.Random(15)
         zero = d_unpack(P, 0)
         for _ in range(200):
@@ -303,16 +308,13 @@ class TestSideTables:
             dj, xj = divmod(j, P.p)
             g = GroupElem(d_unpack(P, di), xi, zero, 0, 0, 0, 0)
             h = GroupElem(d_unpack(P, dj), xj, zero, 0, 0, 0, 0)
-            gh = group_mul(P, g, h)
+            gh = group_mul(P, group_inv(P, g), h)
             assert tab[i, j] == d_pack(P, gh.v1) * P.p + gh.x1
-            assert tab[i, inv[i]] == 0
-            k = group_mul(P, g, GroupElem(
-                d_unpack(P, inv[i] // P.p), inv[i] % P.p, zero, 0, 0, 0, 0))
-            assert k == ident
+            assert tab[i, i] == 0
 
     def test_same_table_serves_side_two(self):
         P = params_make(3, 5, 2)
-        tab = side_mul_table(P)
+        tab, _ = _side_table(P)
         rng = random.Random(16)
         n = tab.shape[0]
         zero = d_unpack(P, 0)
@@ -320,13 +322,20 @@ class TestSideTables:
             i, j = rng.randrange(n), rng.randrange(n)
             g = GroupElem(zero, 0, d_unpack(P, i // P.p), i % P.p, 0, 0, 0)
             h = GroupElem(zero, 0, d_unpack(P, j // P.p), j % P.p, 0, 0, 0)
-            gh = group_mul(P, g, h)
+            gh = group_mul(P, group_inv(P, g), h)
             assert tab[i, j] == d_pack(P, gh.v2) * P.p + gh.x2
 
     def test_refuses_large(self):
+        # (2,19,9): the side dimension 19 * 2^18 is past the embedding
+        # tables, and the check skips before any table is built
         P = params_make(2, 19, 9)
-        with pytest.raises(ValueError, match="side"):
-            side_mul_table(P)
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["embed_multiplicative"]).rows
+        assert row.status == "skip"
+        assert row.witness["reason"] == (
+            f"side dimension {19 * 2 ** 18} is beyond the embedding tables")
+        assert "ga_tables" not in P._cache
+        assert "quiver_embed" not in P._cache
 
 
 class TestActionTables:

@@ -1,7 +1,8 @@
 """Rules on the package as a whole: no assert in the library, no sympy
 at import, the field's tables and digit layout known to the field
-alone, one power table per root of unity, no cached iota matrix, and a
-library or CLI caller for every function."""
+alone, the side product written once, one power table per root of
+unity, no cached iota matrix, and a library or CLI caller for every
+function."""
 
 import ast
 import os
@@ -52,6 +53,27 @@ def test_tables_are_the_fields_own():
                 or getattr(node, "name", None)
             if name in private:
                 found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_side_product_is_written_once():
+    # the D ⋊ P product is groupalg._mul_lanes, with group_mul as its
+    # scalar reference: no other code reads the action tables that
+    # _tables builds, so no second copy of the product can grow
+    private = {"trans", "scale", "xscale", "dadd"}
+    found = []
+    for path in sorted((SRC / "mfblocks").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = {id(node) for fn in tree.body
+                 if path.name == "groupalg.py"
+                 and isinstance(fn, ast.FunctionDef)
+                 and fn.name in ("_mul_lanes", "_tables")
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and id(node) not in owned \
+                    and isinstance(node.slice, ast.Constant) \
+                    and node.slice.value in private:
+                found.append(f"{path.name}:{node.lineno} {node.slice.value}")
     assert found == []
 
 

@@ -21,13 +21,15 @@ from mfblocks.twisted import (
     tt_batch, tt_cross, tt_from_terms, tt_is_zero, tt_mul, tt_rows, tt_tilde,
     tt_to_json, tt_unit, tt_zero,
 )
-from mfblocks.twisted import _stage_b, _theta_collapse, _tt_ctx
+from mfblocks.twisted import _stage_b, _tt_ctx
 from mfblocks.twisted import (
     _iota_table, _route_cols, _route_elem, tt_from_columns,
 )
 from mfblocks.verify import _random_ga
 from mfblocks.verify import _closed_route
-from mfblocks.groupalg import GAElem, block_fold, block_unfold, ga_sum
+from mfblocks.groupalg import (
+    GAElem, _dedupe, block_fold, block_unfold, ga_sum,
+)
 from mfblocks.groups import d_digits, key_n, key_z, l_fourier
 from mfblocks.linalg import gf_apply_axis
 from mfblocks.quiver import (
@@ -148,7 +150,8 @@ class TestContext:
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])
     def test_weight_table_is_the_scalar_sum(self, cfg):
         # W = D^T c_inv D against its defining r^4 scalar sum
-        # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta_r^-(e t + f t')
+        # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta_r^-(e t + f t'),
+        # c_inv the entrywise inverse of c_tab
         P = params_make(*cfg)
         ctx, r = P.ctx, P.r
         rinv2 = ctx.inv(ctx.from_int(r * r))
@@ -162,7 +165,7 @@ class TestContext:
                     for e in range(r):
                         for f in range(r):
                             acc = ctx.add(acc, ctx.mul(
-                                int(tctx["c_inv"][e, f]),
+                                ctx.inv(int(tctx["c_tab"][e, f])),
                                 ctx.pow(P.zeta_r, -(e * t + f * tq) % r)))
                     assert tctx["W"][t, tq] == ctx.mul(rinv2, acc)
 
@@ -193,7 +196,7 @@ class TestIota:
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
-            e_theta = _tt_ctx(P, theta)["e_theta"]
+            e_theta = block_idempotent(P, theta)
             for side in (1, 2):
                 img = b0_iota(P, theta, qa_vertex(P, side, 0))
                 want = ga_mul(P, ga_from_terms(
@@ -318,7 +321,7 @@ class TestPi:
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
-            e_theta = _tt_ctx(P, theta)["e_theta"]
+            e_theta = block_idempotent(P, theta)
             assert b0_pi(P, theta, e_theta) == tt_unit(P, theta)
             assert b0_pi_inv(P, theta, tt_unit(P, theta)) == e_theta
 
@@ -333,8 +336,8 @@ class TestPi:
                 for _ in range(3):
                     x, y = _random_ga(P, rng, 30), _random_ga(P, rng, 30)
                     f = block_fold(P, theta, ga_mul(P, x, y))
-                    want = _stage_b(P, theta, *_theta_collapse(
-                        P, f.keys, f.coeffs))
+                    want = _stage_b(P, theta, _dedupe(
+                        P, key_n(P, f.keys), f.coeffs))
                     assert not tt_is_zero(want)
                     assert b0_pi_product(P, theta, x, y) == want
 
@@ -366,7 +369,7 @@ class TestPi:
     def test_rejects_non_members(self):
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
-        e_theta = _tt_ctx(P, theta)["e_theta"]
+        e_theta = block_idempotent(P, theta)
         with pytest.raises(ValueError, match="block"):
             b0_pi(P, theta, ga_basis(P, h_elem(P, 1, 0, 0)))
         bad = ga_mul(P, ga_basis(P, h_elem(P, 1, 0, 0)), e_theta)
@@ -1012,7 +1015,7 @@ class TestIotaTable:
                 parts = [ga_mul(P, qa_embed(P, qa_isotypic(
                     P, a, make_char(P, f"L{side}", k))),
                     tctx["h_inv_ga"][side][k]) for k in range(P.r)]
-                want = ga_mul(P, ga_sum(P, parts), tctx["e_theta"])
+                want = ga_mul(P, ga_sum(P, parts), block_idempotent(P, theta))
                 assert b0_iota(P, theta, a) == want, lab
 
     def test_zero_embeds_as_zero(self):
@@ -1112,7 +1115,7 @@ class TestFoldedOracle:
             shapes.append(T.shape)
             return gf_apply_axis(ctx, M, T, axis)
         monkeypatch.setattr(twisted_mod, "gf_apply_axis", spy)
-        got = b0_pi_product(P, theta, x, _tt_ctx(P, theta)["e_theta"])
+        got = b0_pi_product(P, theta, x, block_idempotent(P, theta))
         assert got == b0_pi(P, theta, x)
         assert shapes[0] == (1, P.p, 1, P.p)
         assert max(np.prod(s) for s in shapes) <= P.dsz * P.p * P.p

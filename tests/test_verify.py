@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from mfblocks.characters import make_char
-from mfblocks.groupalg import (
-    _tables, _table_entries, side_inv_index, side_mul_table,
-)
+from mfblocks.groupalg import _tables, _table_entries
 from mfblocks.groups import params_make
 from mfblocks.linalg import gf_matmul
 from mfblocks.morita import PairingTable
@@ -24,6 +22,7 @@ from mfblocks.twisted import tt_zero
 from mfblocks.verify import (
     CHECK_STATEMENTS, CheckRow, VerifyReport, check_names, run_checks,
 )
+from reference import _embed_want, side_inv_index, side_mul_table
 
 FAST = ["dimensions", "group_relations", "simple_census",
         "radical_powers", "pairing_recovery", "isomorphisms"]
@@ -208,6 +207,19 @@ class TestReport:
         assert "ZeroDivisionError" in rep.rows[0].witness["error"]
 
 
+def _embed_rows(P, theta):
+    """The embed_multiplicative row of the quick and of the full suite."""
+    return [run_checks(P, theta, suite=suite,
+                       names=["embed_multiplicative"]).rows[0]
+            for suite in ("quick", "full")]
+
+
+def _bent_no_carry(monkeypatch):
+    import mfblocks.quiver as Q
+    monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
+        a + b < P_.ell - 1).all(axis=1))
+
+
 def _bent_corner_ctx(P, theta):
     """The twisted context with the side-1, character-1 factor of the
     h-element route replaced by the character-0 one, and an empty iota
@@ -318,19 +330,28 @@ class TestInjectedDefects:
     def test_embed_sees_a_bent_label_rule(self, monkeypatch):
         # the library's no-carry test off by one: the products that
         # verify predicts through the leg join must stop matching the
-        # sampled group convolution
-        import mfblocks.quiver as Q
+        # group convolution on the sampled arrow rows
         P, theta = desk()
-        monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
-            a + b < P_.ell - 1).all(axis=1))
+        _bent_no_carry(monkeypatch)
         (row,) = run_checks(P, theta, names=["embed_multiplicative"]).rows
         assert row.status == "fail"
         assert set(row.witness) == {"side", "u", "v"}
 
 
 class TestFactoredEmbed:
-    """The full embed_multiplicative check multiplies through the
-    Kronecker factors of the embedding, once for both sides."""
+    """embed_multiplicative multiplies through the Kronecker factors of
+    the embedding, once for both sides: the full suite on every arrow
+    row, the quick suite on the rows of sampled labels, behind the same
+    gates."""
+
+    @pytest.mark.parametrize("cfg,e", [
+        ((2, 7, 3), 2), ((3, 5, 2), 1), ((5, 3, 2), 1), ((7, 3, 2), 1)])
+    def test_both_suites_pass(self, cfg, e):
+        # at ell = 5 and 7 the product kernel adds D-vectors through its
+        # dadd table
+        P, theta = desk(*cfg, e)
+        for row in _embed_rows(P, theta):
+            assert row.status == "pass", row.witness
 
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
     def test_sides_share_the_dense_data(self, cfg):
@@ -361,7 +382,7 @@ class TestFactoredEmbed:
         # digits), one u of each with a different b_u
         seen = set()
         for k, (us, got) in enumerate(itertools.islice(
-                V._embed_products(P, data, delta), 5)):
+                V._embed_products(P, data, delta, np.arange(P.dsz)), 5)):
             seen.update(us.tolist())
             u = us[k]
             dense = P.ctx.vmul(got[k].T[:, None, :], F[None, :, b])
@@ -379,39 +400,55 @@ class TestFactoredEmbed:
             E[7, 11] = P_.ctx.add(int(E[7, 11]), P_.ctx.one)
             return E
         monkeypatch.setattr(V, "embed_columns", bent)
-        (row,) = run_checks(P, theta, suite="full",
-                            names=["embed_multiplicative"]).rows
-        assert row.status == "fail"
-        assert row.witness == {"side": 1,
-                               "u": label_to_dict(qa_labels(P, 1)[11]),
-                               "defect": "embedded column is not S ⊗ F"}
+        for row in _embed_rows(P, theta):
+            assert row.status == "fail"
+            assert row.witness == {"side": 1,
+                                   "u": label_to_dict(qa_labels(P, 1)[11]),
+                                   "defect": "embedded column is not S ⊗ F"}
 
     @pytest.mark.parametrize("swap", [(10, 17), (10, 15), (11, 16)])
     def test_a_bent_side_table_fails_the_shape_gate(self, monkeypatch,
                                                     swap):
-        # (3,5,2): index d p + y; the swaps change the P-part, the
-        # D-part read at y' = 0, and the D-part at y' = 1
+        # (3,5,2): index d p + y; the swaps of two products 3 v change
+        # the P-part, the D-part read at y' = 0, and the D-part at y' = 1
+        import mfblocks.verify as V
         P, theta = desk(3, 5, 2)
-        side_inv_index(P)
-        bent = side_mul_table(P).copy()
-        bent[3, list(swap)] = bent[3, list(swap[::-1])]
-        monkeypatch.setitem(P._cache, "side_mul_table", bent)
-        (row,) = run_checks(P, theta, suite="full",
-                            names=["embed_multiplicative"]).rows
-        assert row.status == "fail"
-        assert row.witness["defect"] == "side table is not D ⋊ P"
-        # the entry g^-1 g' sits at [g, g'], so the bent row is g = 3^-1
-        assert row.witness["at"][0] == side_inv_index(P)[3]
+        true, g = V._mul_lanes, _embed_tables(P)["gkeys"][0].ravel()
+
+        def bent(P_, tabs, gk, hk):
+            keys = true(P_, tabs, gk, hk).copy()
+            at = np.ix_(gk[:, 0] == g[3], swap)
+            keys[at] = keys[at][:, ::-1]
+            return keys
+        monkeypatch.setattr(V, "_mul_lanes", bent)
+        for row in _embed_rows(P, theta):
+            assert row.status == "fail"
+            assert row.witness["defect"] == "side table is not D ⋊ P"
+            # the entry g^-1 g' sits at [g, g'], so the bent row is
+            # g = 3^-1
+            assert row.witness["at"][0] == side_inv_index(P)[3]
+
+    def test_a_product_off_the_side_fails_its_gate(self, monkeypatch):
+        # one product of two side-1 keys moved by the central gz
+        import mfblocks.verify as V
+        P, theta = desk(3, 5, 2)
+        true, g = V._mul_lanes, _embed_tables(P)["gkeys"][0].ravel()
+
+        def bent(P_, tabs, gk, hk):
+            keys = true(P_, tabs, gk, hk).copy()
+            keys[gk[:, 0] == g[6], 9] += 1
+            return keys
+        monkeypatch.setattr(V, "_mul_lanes", bent)
+        for row in _embed_rows(P, theta):
+            assert row.witness == {"at": [6, 9],
+                                   "defect": "side product leaves D ⋊ P"}
 
     def test_a_bent_label_rule_fails_the_full_suite(self, monkeypatch):
-        import mfblocks.quiver as Q
         P, theta = desk(3, 5, 2)
-        monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
-            a + b < P_.ell - 1).all(axis=1))
-        (row,) = run_checks(P, theta, suite="full",
-                            names=["embed_multiplicative"]).rows
-        assert row.status == "fail"
-        assert set(row.witness) == {"side", "u", "v"}
+        _bent_no_carry(monkeypatch)
+        for row in _embed_rows(P, theta):
+            assert row.status == "fail"
+            assert set(row.witness) == {"side", "u", "v"}
 
     def test_a_bent_character_table_fails_the_shift_gate(self,
                                                          monkeypatch):
@@ -421,13 +458,13 @@ class TestFactoredEmbed:
         F = tabs["F"].copy()
         F[2, 3] = P.ctx.add(int(F[2, 3]), P.ctx.one)
         monkeypatch.setitem(tabs, "F", F)
-        (row,) = run_checks(P, theta, suite="full",
-                            names=["embed_multiplicative"]).rows
-        assert row.status == "fail"
-        assert row.witness["defect"] == "F does not diagonalize the P-shifts"
-        y1, y0, bu, bv = row.witness["at"]
-        assert P.ctx.mul(int(F[(y1 - y0) % p, bv]), int(F[y0, bu])) != \
-            P.ctx.mul(int(F[y1, bv]), int(F[y0, (bu - bv) % p]))
+        for row in _embed_rows(P, theta):
+            assert row.status == "fail"
+            assert row.witness["defect"] == \
+                "F does not diagonalize the P-shifts"
+            y1, y0, bu, bv = row.witness["at"]
+            assert P.ctx.mul(int(F[(y1 - y0) % p, bv]), int(F[y0, bu])) != \
+                P.ctx.mul(int(F[y1, bv]), int(F[y0, (bu - bv) % p]))
 
     def test_a_singular_inverse_fails_the_inverse_gate(self, monkeypatch):
         P, theta = desk(3, 5, 2)
@@ -435,50 +472,57 @@ class TestFactoredEmbed:
         Finv = tabs["Finv"].copy()
         Finv[1] = 0
         monkeypatch.setitem(tabs, "Finv", Finv)
-        (row,) = run_checks(P, theta, suite="full",
-                            names=["embed_multiplicative"]).rows
-        assert row.status == "fail"
-        assert row.witness == {"defect": "F is not invertible"}
+        for row in _embed_rows(P, theta):
+            assert row.status == "fail"
+            assert row.witness == {"defect": "F is not invertible"}
 
     def test_a_product_label_on_another_vertex_is_a_mismatch(
             self, monkeypatch):
         # the rule's labels moved one vertex on keep their D-part, so
         # only b_w != b_v tells them apart; the first pair that survives
-        # the rule is e_0 e_0
+        # the rule is e_0 e_0, and the quick suite draws its row a_u = 0
         import mfblocks.verify as V
         P, theta = desk(3, 5, 2)
         true = V._label_index
         monkeypatch.setattr(V, "_label_index", lambda P_, psi, m: true(
             P_, (psi + 1) % P_.p, m))
-        (row,) = run_checks(P, theta, suite="full",
-                            names=["embed_multiplicative"]).rows
         e0 = label_to_dict(qa_labels(P, 1)[0])
-        assert row.witness == {"side": 1, "u": e0, "v": e0}
+        for row in _embed_rows(P, theta):
+            assert row.witness == {"side": 1, "u": e0, "v": e0}
 
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
     def test_a_bent_label_rule_names_the_first_dense_mismatch(
             self, monkeypatch, cfg):
-        # the witness is the first pair, in (a_u, u, v) order, where the
-        # gather route and the bent rule's dense want differ
-        import mfblocks.quiver as Q
+        # the witness is the first pair, in (a_u, u, v) order over the
+        # arrow rows the suite checks, where the gather route and the
+        # bent rule's dense want differ
         import mfblocks.verify as V
         P, theta = desk(*cfg)
-        monkeypatch.setattr(Q, "_no_carry", lambda P_, a, b: (
-            a + b < P_.ell - 1).all(axis=1))
-        (row,) = run_checks(P, theta, suite="full",
-                            names=["embed_multiplicative"]).rows
+        _bent_no_carry(monkeypatch)
+        checked, true = [], V._embed_products
+
+        def spy(P_, data, delta, rows):
+            checked.append(rows)
+            return true(P_, data, delta, rows)
+        monkeypatch.setattr(V, "_embed_products", spy)
+        got = _embed_rows(P, theta)
+        assert len(checked[1]) == P.dsz > len(checked[0])
         data = V._embed_side_data(P, 1)
         E, table, inv = data["E"], side_mul_table(P), side_inv_index(P)
-        n = P.dsz * P.p
-        for u in np.lexsort((np.arange(n), data["slot"] // P.p)).tolist():
-            got = gf_matmul(P.ctx, E[:, u][table[:, inv]], E)
-            diff = np.flatnonzero(
-                (got != V._embed_want(P, data, u, np.arange(n))).any(axis=0))
-            if len(diff):
-                break
+        n, a = P.dsz * P.p, data["slot"] // P.p
         labels = qa_labels(P, 1)
-        assert row.witness == {"side": 1, "u": label_to_dict(labels[u]),
-                               "v": label_to_dict(labels[diff[0]])}
+        for row, rows in zip(got, checked):
+            for u in np.lexsort((np.arange(n), a)).tolist():
+                if a[u] not in rows:
+                    continue
+                dense = gf_matmul(P.ctx, E[:, u][table[:, inv]], E)
+                diff = np.flatnonzero(
+                    (dense != _embed_want(P, data, u, np.arange(n))).any(
+                        axis=0))
+                if len(diff):
+                    break
+            assert row.witness == {"side": 1, "u": label_to_dict(labels[u]),
+                                   "v": label_to_dict(labels[diff[0]])}
 
 
 class TestDimensions:
