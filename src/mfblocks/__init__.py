@@ -13,11 +13,12 @@ from .groupalg import (
     GAElem, block_idempotent, ga_add, ga_basis, ga_frobenius_twist, ga_mul,
 )
 from .quiver import (
-    QuivAElem, QuivLabel, label_make, qa_add, qa_basis, qa_labels, qa_mul,
+    QuivAElem, QuivLabel, label_make, qa_add, qa_basis, qa_isotypic,
+    qa_labels, qa_mul,
 )
 from .twisted import (
     TTElem, b0_iota, b0_pi, b0_pi_inv, tt_add, tt_eps, tt_from_terms,
-    tt_mul, tt_unit,
+    tt_mul, tt_tilde, tt_unit,
 )
 from .morita import (
     PairingTable, SimpleLabel, commutation_pairing, ext_dim,
@@ -34,9 +35,9 @@ __all__ = [
     "GAElem", "block_idempotent", "ga_add", "ga_basis",
     "ga_frobenius_twist", "ga_mul",
     "QuivAElem", "QuivLabel", "label_make", "qa_add", "qa_basis",
-    "qa_labels", "qa_mul",
+    "qa_isotypic", "qa_labels", "qa_mul",
     "TTElem", "b0_iota", "b0_pi", "b0_pi_inv", "tt_add", "tt_eps",
-    "tt_from_terms", "tt_mul", "tt_unit",
+    "tt_from_terms", "tt_mul", "tt_tilde", "tt_unit",
     "PairingTable", "SimpleLabel", "commutation_pairing", "ext_dim",
     "fp_automorphism", "head_algebra", "mf_number", "morita_equivalent",
     "params_for_target", "recover_theta", "simple_str", "simples",

@@ -13,7 +13,7 @@ from typing import Optional
 import click
 
 from .characters import is_faithful, make_char
-from .groups import Params, params_make
+from .groups import params_make
 from .morita import (
     commutation_pairing, ext_dim, mf_number, pairing_to_json,
     params_for_target, recover_theta, simple_str, simples,
@@ -57,22 +57,31 @@ def _require(value, name: str):
     return value
 
 
-def _build(ell: int, p: int, r: int) -> Params:
+def _block(cfg: dict, ell, p_, r_, theta_e):
+    """The parameters and the faithful theta (default exponent 1) that
+    the flags and the config name."""
+    sizes = [_require(_resolve(cfg, name, flag), name)
+             for name, flag in (("ell", ell), ("p", p_), ("r", r_))]
     try:
-        return params_make(ell, p, r)
-    except ValueError as err:
-        raise click.ClickException(str(err))
-
-
-def _theta(P: Params, j: int):
-    try:
+        P = params_make(*sizes)
+        j = _resolve(cfg, "theta", theta_e, default=1)
         theta = make_char(P, "Z", j)
     except ValueError as err:
         raise click.ClickException(str(err))
     if not is_faithful(theta):
         raise click.ClickException(
             f"theta exponent {j} is not faithful mod r={P.r}")
-    return theta
+    return P, theta
+
+
+def _block_options(command):
+    """The --ell, --p, --r and --theta flags of a command on one block."""
+    command = click.option("--theta", "theta_e", type=int, default=None,
+                           help="exponent j of the block character"
+                           " (default 1)")(command)
+    for flag, name in (("--r", "r_"), ("--p", "p_"), ("--ell", "ell")):
+        command = click.option(flag, name, type=int, default=None)(command)
+    return command
 
 
 _CONFIG = click.option(
@@ -118,11 +127,7 @@ def mf(ell: Optional[int], n_: Optional[int], r_: Optional[int],
 
 
 @main.command()
-@click.option("--ell", type=int, default=None)
-@click.option("--p", "p_", type=int, default=None)
-@click.option("--r", "r_", type=int, default=None)
-@click.option("--theta", "theta_e", type=int, default=None,
-              help="exponent j of the block character (default 1)")
+@_block_options
 @click.option("--suite", type=click.Choice(("quick", "full")), default=None)
 @click.option("--seed", type=int, default=None,
               help="sampling seed (default 0)")
@@ -130,10 +135,7 @@ def mf(ell: Optional[int], n_: Optional[int], r_: Optional[int],
 def verify(ell, p_, r_, theta_e, suite, seed, config_path) -> None:
     """Run the named checks; one JSON line each, exit 0 iff all pass."""
     cfg = _load_config(config_path)
-    P = _build(_require(_resolve(cfg, "ell", ell), "ell"),
-               _require(_resolve(cfg, "p", p_), "p"),
-               _require(_resolve(cfg, "r", r_), "r"))
-    theta = _theta(P, _resolve(cfg, "theta", theta_e, default=1))
+    P, theta = _block(cfg, ell, p_, r_, theta_e)
     suite = _resolve(cfg, "suite", suite, cast=str, default="quick")
     if suite not in ("quick", "full"):
         raise click.UsageError(f"suite must be quick or full, got {suite}")
@@ -144,10 +146,7 @@ def verify(ell, p_, r_, theta_e, suite, seed, config_path) -> None:
 
 
 @main.command()
-@click.option("--ell", type=int, default=None)
-@click.option("--p", "p_", type=int, default=None)
-@click.option("--r", "r_", type=int, default=None)
-@click.option("--theta", "theta_e", type=int, default=None)
+@_block_options
 @click.option("--out", "fmt", type=click.Choice(("dot", "json")),
               default=None, help="output format (default dot)")
 @click.option("--output", "dest", type=click.Path(dir_okay=False),
@@ -156,10 +155,7 @@ def verify(ell, p_, r_, theta_e, suite, seed, config_path) -> None:
 def quiver(ell, p_, r_, theta_e, fmt, dest, config_path) -> None:
     """Ext quiver with multiplicities, as DOT or JSON."""
     cfg = _load_config(config_path)
-    P = _build(_require(_resolve(cfg, "ell", ell), "ell"),
-               _require(_resolve(cfg, "p", p_), "p"),
-               _require(_resolve(cfg, "r", r_), "r"))
-    theta = _theta(P, _resolve(cfg, "theta", theta_e, default=1))
+    P, theta = _block(cfg, ell, p_, r_, theta_e)
     fmt = _resolve(cfg, "out", fmt, cast=str, default="dot")
     if fmt not in ("dot", "json"):
         raise click.UsageError(f"out must be dot or json, got {fmt}")
@@ -172,15 +168,11 @@ def quiver(ell, p_, r_, theta_e, fmt, dest, config_path) -> None:
             "params": {"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},
             "vertices": names, "matrix": matrix}) + "\n"
     else:
-        lines = ["digraph ext_quiver {"]
-        for i, name in enumerate(names):
-            lines.append(f'  v{i} [label="{name}"];')
-        for i in range(len(labs)):
-            for j in range(len(labs)):
-                if matrix[i][j]:
-                    lines.append(f'  v{i} -> v{j} [label="{matrix[i][j]}"];')
-        lines.append("}")
-        text = "\n".join(lines) + "\n"
+        lines = [f'  v{i} [label="{name}"];' for i, name in enumerate(names)]
+        lines += [f'  v{i} -> v{j} [label="{k}"];'
+                  for i, row in enumerate(matrix) for j, k in enumerate(row)
+                  if k]
+        text = "\n".join(["digraph ext_quiver {", *lines, "}"]) + "\n"
     if dest is None:
         click.echo(text, nl=False)
     else:
@@ -189,18 +181,12 @@ def quiver(ell, p_, r_, theta_e, fmt, dest, config_path) -> None:
 
 
 @main.command()
-@click.option("--ell", type=int, default=None)
-@click.option("--p", "p_", type=int, default=None)
-@click.option("--r", "r_", type=int, default=None)
-@click.option("--theta", "theta_e", type=int, default=None)
+@_block_options
 @_CONFIG
 def recover(ell, p_, r_, theta_e, config_path) -> None:
     """Commutation pairing table and the recovered exponent set."""
     cfg = _load_config(config_path)
-    P = _build(_require(_resolve(cfg, "ell", ell), "ell"),
-               _require(_resolve(cfg, "p", p_), "p"),
-               _require(_resolve(cfg, "r", r_), "r"))
-    theta = _theta(P, _resolve(cfg, "theta", theta_e, default=1))
+    P, theta = _block(cfg, ell, p_, r_, theta_e)
     table = commutation_pairing(P, theta)
     out = {"params": {"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},
            "pairing": pairing_to_json(table),

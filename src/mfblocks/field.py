@@ -212,16 +212,6 @@ class FieldContext:
             m *= self.ell
         return v
 
-    def neg(self, a: int) -> int:
-        if self.ell == 2:
-            return a
-        v, m = 0, 1
-        for _ in range(self.d):
-            v += ((-(a % self.ell)) % self.ell) * m
-            a //= self.ell
-            m *= self.ell
-        return v
-
     def _raw_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

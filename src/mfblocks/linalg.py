@@ -67,12 +67,13 @@ def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def gf_apply_axis(ctx: FieldContext, M: np.ndarray, T: np.ndarray,
                   axis: int) -> np.ndarray:
-    """Contract matrix M into one axis of a packed tensor."""
-    moved = np.moveaxis(T, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = gf_matmul(ctx, M, flat)
-    out = out.reshape((M.shape[0],) + moved.shape[1:])
-    return np.moveaxis(out, 0, axis)
+    """Contract matrix M into one axis of a packed tensor, as
+    (flat^T M^T)^T: the wide operand is split into d digit planes, the
+    small M^T into d^2."""
+    moved = np.moveaxis(T, axis, -1)
+    out = gf_matmul(ctx, moved.reshape(-1, moved.shape[-1]), M.T)
+    out = out.reshape(moved.shape[:-1] + (M.shape[0],))
+    return np.moveaxis(out, -1, axis)
 
 
 def gf_eye(n: int) -> np.ndarray:

@@ -22,16 +22,15 @@ import numpy as np
 from .characters import Character, is_faithful, make_char
 from .field import is_prime
 from .groups import (
-    Params, d_scale_index, digit_dtype, key_cols, key_join, mult_order,
-    root_powers,
+    Params, d_scale_index, digit_dtype, key_cols, key_join, l_fourier,
+    mult_order, root_powers,
 )
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
-from .quiver import _same_columns, _sort_key, label_make, qa_basis, \
-    qa_isotypic
+from .quiver import _sort_key
 from .twisted import (
-    TTElem, _Cols, _leg_tensor, tt_batch, tt_cross, tt_eps, tt_from_columns,
-    tt_mul, tt_rows, tt_tilde, tt_unit,
+    TTElem, _Cols, tt_batch, tt_conjugates, tt_cross, tt_eps,
+    tt_from_columns, tt_loop_conjugates, tt_mul, tt_rows, tt_unit,
 )
 
 
@@ -254,76 +253,84 @@ def pairing_to_json(table: PairingTable) -> list:
             for (e, f), c in sorted(table.entries.items())]
 
 
-def _iso_leg(P: Params, theta: Character, side: int, e: int) -> TTElem:
-    """A degree-1 element with pure weight e on one side, vertex-summed
-    on the other; never zero, so it extracts the scalar even where the
-    loop elements collapse."""
-    m = [0] * (P.p - 1)
-    m[0] = 1
-    leg = qa_isotypic(P, qa_basis(P, label_make(P, side, 0, tuple(m))),
-                      make_char(P, f"L{side}", e))
-    return _leg_tensor(P, theta, side, leg.psi, leg.m, leg.coeffs,
-                       np.arange(P.p))
+def _iso_leg(P: Params, theta: Character, side: int) -> TTElem:
+    """The r L-conjugates of the arrow at vertex 0 along step 1, with the
+    vertex sum on the other side: row e of l_fourier weighs these distinct
+    labels, as qa_isotypic does, into a nonzero element of weight e."""
+    return tt_conjugates(P, theta, side, 0, np.eye(1, P.p - 1),
+                         np.arange(P.p))
+
+
+def _fourier(ctx, D: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D on each of the first two axes of packed x, by vector products."""
+    for _ in range(2):
+        out = np.zeros_like(x)
+        for t, row in enumerate(x):
+            out = ctx.vadd(out, ctx.vmul(
+                D[:, t].reshape((-1,) + (1,) * row.ndim), row))
+        x = out.swapaxes(0, 1)
+    return x
 
 
 def _commutation_scalars(P: Params, theta: Character, S: TTElem,
-                         T: TTElem, n: int) -> list:
-    """Per row i < n of the products of S and T (batches, or one of
-    them a single element), the unique c with S T = c T S, or None when
-    both products are 0.  Both products are sorted by (row, label
-    pair), so c is read by comparing columns."""
-    ST = tt_mul(P, theta, S, T).cols
-    TS = tt_mul(P, theta, T, S).cols
-    n_st = np.bincount(ST.rows, minlength=n)
-    n_ts = np.bincount(TS.rows, minlength=n)
-    # where T S is nonzero, S T is 0 (c = 0) or holds the same labels
-    keep = n_st[TS.rows] > 0
-    if (n_st[n_ts == 0] > 0).any() or not _same_columns(
-            ST[:5], tuple(x[keep] for x in TS[:5])):
+                         T: TTElem) -> list:
+    """At e r + f, the unique c with S_e T_f = c T_f S_e, or None where
+    both products are 0: S_e is the sum of D[e, t] S[t] over the rows
+    t < r of the batch S, D = l_fourier, and T_f likewise.
+
+    The product is bilinear, so each pair of rows (t, t') is multiplied
+    once, in one product of a cross batch per order.  Held densely over
+    one ranking of their label pairs, the products S_e T_f and T_f S_e
+    are the 2-D Fourier transform of these: D on the t and t' axes.
+    """
+    r, ctx = P.r, P.ctx
+    A, B = tt_cross(S, T, r)
+    ST, TS = tt_mul(P, theta, A, B).cols, tt_mul(P, theta, B, A).cols
+    labels, ids = np.unique(_sort_key(*map(np.concatenate, zip(
+        ST[1:5], TS[1:5]))), return_inverse=True)
+    if not len(labels):  # no product has a term
+        return [None] * (r * r)
+    X = np.zeros((r * r, 2, len(labels)), dtype=np.int64)
+    X[ST.rows, 0, ids[:len(ST.rows)]] = ST.coeffs
+    X[TS.rows, 1, ids[len(ST.rows):]] = TS.coeffs
+    st, ts = _fourier(ctx, l_fourier(P), X.reshape(r, r, 2, -1)).reshape(
+        r * r, 2, -1).swapaxes(0, 1)
+    live = ts.any(axis=1)
+    # c is read at the first label of T S, inverting each of the few
+    # distinct denominators once; S T = c T S must then hold on every
+    # row, so S T also vanishes where T S does
+    at = (np.flatnonzero(live), (ts[live] != 0).argmax(axis=1))
+    y, k = np.unique(ts[at], return_inverse=True)
+    c = np.zeros(r * r, dtype=np.int64)
+    c[live] = ctx.vmul(st[at], np.int64([ctx.inv(int(x)) for x in y])[k])
+    if not np.array_equal(st, ctx.vmul(c[:, None], ts)):
         raise ValueError("no unique commutation scalar")
-    ts = TS.coeffs[keep]
-    live = np.flatnonzero(n_st)
-    first = np.searchsorted(ST.rows, live)
-    c = np.zeros(n, dtype=np.int64)
-    c[live] = [P.ctx.mul(int(x), P.ctx.inv(int(y)))
-               for x, y in zip(ST.coeffs[first], ts[first])]
-    if not np.array_equal(ST.coeffs, P.ctx.vmul(c[ST.rows], ts)):
-        raise ValueError("no unique commutation scalar")
-    return [None if not n_ts[i] else int(c[i]) for i in range(n)]
+    return [int(x) if ok else None for x, ok in zip(c, live)]
 
 
 def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
                         zeta_e: int = 1) -> PairingTable:
     """Extract the full commutation table from products in the model.
 
-    The scalars come from the two loop families S~ and T~ built on the
-    steps phi_e, zeta_e: each S~_e meets the batch of all T~_f in both
-    orders, so only r rows of products are held at once.  Where a loop
-    element degenerates to zero (r = 2 with a nontrivial weight makes
-    the two summands collide), the scalar is read off from weight-pure
-    degree-1 elements instead.  verify's pairing_recovery compares the
-    table with the character-theoretic commutator values and checks
-    that it is a bicharacter.
+    The scalars come from the loop families S~_e and T~_f on the steps
+    phi_e, zeta_e, each a weighted sum of the r L-conjugates of one
+    loop path (tt_loop_conjugates), through _commutation_scalars: two
+    products, however large r is.  When r is even, conjugates t and
+    t + r/2 of a loop path coincide and cancel for odd weights, so every
+    entry with e or f odd has both products 0; those are read off the
+    weight-pure legs of _iso_leg, one more pair of products.  verify's
+    pairing_recovery compares the table with the commutator values of
+    theta and checks that it is a bicharacter.
     """
     _check_faithful(theta)
-    r = P.r
-    phi = make_char(P, "P1", phi_e)
-    zeta = make_char(P, "P2", zeta_e)
-    T = tt_batch(P, theta, [tt_tilde(P, theta, 2, zeta, make_char(P, "L2", f))
-                            for f in range(r)])
-    entries: Dict[Tuple[int, int], int] = {}
-    for e in range(r):
-        S = tt_tilde(P, theta, 1, phi, make_char(P, "L1", e))
-        c = _commutation_scalars(P, theta, S, T, r)
-        # the f whose loop products both vanish
-        redo = [f for f, x in enumerate(c) if x is None]
-        if redo:
-            F = tt_batch(P, theta, [_iso_leg(P, theta, 2, f) for f in redo])
-            for f, x in zip(redo, _commutation_scalars(
-                    P, theta, _iso_leg(P, theta, 1, e), F, len(redo))):
-                c[f] = x
-        entries.update(((e, f), x) for f, x in enumerate(c))
-    return PairingTable(r, entries)
+    c = _commutation_scalars(P, theta, *(tt_loop_conjugates(
+        P, theta, side, make_char(P, f"P{side}", step))
+        for side, step in ((1, phi_e), (2, zeta_e))))
+    if None in c:
+        iso = _commutation_scalars(P, theta, _iso_leg(P, theta, 1),
+                                   _iso_leg(P, theta, 2))
+        c = [iso[i] if x is None else x for i, x in enumerate(c)]
+    return PairingTable(P.r, {divmod(i, P.r): x for i, x in enumerate(c)})
 
 
 def recover_theta(table: PairingTable, P: Params) -> frozenset:

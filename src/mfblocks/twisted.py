@@ -554,7 +554,8 @@ def tt_cross(lefts: TTElem, rights: TTElem, n: int) -> tuple:
     a, b = lefts.cols, rights.cols
     if len(b.rows) and b.rows[-1] >= n:
         raise ValueError("a right row id is not below the stride")
-    li, rj = np.unique(a.rows), np.unique(b.rows)
+    # the live row ids, from the sorted row columns
+    li, rj = (x[np.diff(x, prepend=-1) != 0] for x in (a.rows, b.rows))
     # each left term once per live right row; a stable sort on the new
     # rows keeps the terms of a row in label order
     rows = (np.repeat(a.rows * n, len(rj)) + np.tile(rj, len(a.rows)))
@@ -572,15 +573,20 @@ def tt_cross(lefts: TTElem, rights: TTElem, n: int) -> tuple:
 # Distinguished elements
 
 
-def _leg_tensor(P: Params, theta: Character, side: int, psi, m, coeffs,
-                vertices) -> TTElem:
-    """The leg with label columns psi, m, coeffs on the given side,
-    tensored with the sum of the given vertices of the other side."""
-    n = len(vertices)
-    lab = (np.repeat(psi, n), np.repeat(m, n, axis=0))
-    other = (np.tile(vertices, len(coeffs)), np.zeros_like(lab[1]))
+def tt_conjugates(P: Params, theta: Character, side: int, psi: int, m,
+                  vertices) -> TTElem:
+    """The batch whose row t < r holds the t-th L-conjugate of the label
+    (psi, m) on the given side, with coefficient one, tensored with the
+    sum of the given vertices of the other side."""
+    r, n = P.r, len(vertices)
+    cpsi, cm = _act(P, np.arange(r), np.array([psi], dtype=np.int64),
+                    np.asarray(m, dtype=digit_dtype(P)).reshape(1, -1))
+    lab = (np.repeat(cpsi.ravel(), n), np.repeat(cm[0], n, axis=0))
+    other = (np.tile(vertices, r), np.zeros_like(lab[1]))
     pair = (*lab, *other) if side == 1 else (*other, *lab)
-    return tt_from_columns(P, theta, *pair, np.repeat(coeffs, n))
+    return TTElem(theta, _canon(P, _Cols(
+        np.repeat(np.arange(r), n), *pair,
+        np.full(r * n, P.ctx.one, dtype=np.int64))))
 
 
 def _orbit(P: Params, e: int) -> list:
@@ -617,7 +623,23 @@ def tt_arrow(P: Params, theta: Character, side: int, vertex: Character,
         raise ValueError("step must be a nontrivial character")
     m = np.zeros((1, P.p - 1))
     m[0, step.e % P.p - 1] = 1
-    return _leg_tensor(P, theta, side, [vertex.e], m, [P.ctx.one], [0])
+    leg, vertex0 = ([vertex.e], m), ([0], np.zeros_like(m))
+    pair = (*leg, *vertex0) if side == 1 else (*vertex0, *leg)
+    return tt_from_columns(P, theta, *pair, [P.ctx.one])
+
+
+def tt_loop_conjugates(P: Params, theta: Character, side: int,
+                       step: Character) -> TTElem:
+    """tt_conjugates of the length-two return path at vertex 0, out
+    along step and back along its inverse, tensored with vertex 0."""
+    if step.group != f"P{side}":
+        raise ValueError(f"step must be a character of P{side}")
+    if step.e % P.p == 0:
+        raise ValueError("step must be a nontrivial character")
+    m = np.zeros(P.p - 1)
+    m[step.e % P.p - 1] += 1
+    m[-step.e % P.p - 1] += 1
+    return tt_conjugates(P, theta, side, 0, m, [0])
 
 
 def tt_tilde(P: Params, theta: Character, side: int, step: Character,
@@ -628,19 +650,11 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
     inverse enters with the weight character evaluated against the
     conjugating generator power.
     """
-    if step.group != f"P{side}":
-        raise ValueError(f"step must be a character of P{side}")
-    if step.e % P.p == 0:
-        raise ValueError("step must be a nontrivial character")
     if weight.group != f"L{side}":
         raise ValueError(f"weight must be a character of L{side}")
-    m = np.zeros((1, P.p - 1), dtype=digit_dtype(P))
-    m[0, step.e % P.p - 1] += 1
-    m[0, -step.e % P.p - 1] += 1
-    psi, m = _act(P, np.arange(P.r), np.zeros(1, dtype=np.int64), m)
-    weights = root_powers(P, P.r)[-weight.e * np.arange(P.r) % P.r]
-    return _leg_tensor(P, theta, side, psi.ravel(), m.reshape(-1, P.p - 1),
-                       weights, [0])
+    c = tt_loop_conjugates(P, theta, side, step).cols
+    return tt_from_columns(P, theta, *c[1:5],
+                           root_powers(P, P.r)[-weight.e * c.rows % P.r])
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,18 @@ def poly_is_irreducible(coeffs, ell):
     return True
 
 
+def f_neg(ctx, a):
+    """-a digit by digit: the scalar reference for FieldContext.vneg."""
+    if ctx.ell == 2:
+        return a
+    v, m = 0, 1
+    for _ in range(ctx.d):
+        v += ((-(a % ctx.ell)) % ctx.ell) * m
+        a //= ctx.ell
+        m *= ctx.ell
+    return v
+
+
 def field_frobenius(ctx, x, m):
     """x^(ell^m) by m scalar ell-th powers; m = d is the identity."""
     if not 0 <= x < ctx.order:

@@ -167,3 +167,24 @@ class TestTensorApply:
             for k in range(5):
                 expect = naive_matmul(ctx, M, T[i, :, k].reshape(-1, 1)).ravel()
                 assert np.array_equal(out[i, :, k], expect)
+
+    @pytest.mark.parametrize("ell,d", [(2, 6), (3, 4), (5, 2)])
+    def test_every_axis_of_a_wide_tensor(self, ell, d):
+        # a small matrix into each axis of a tensor whose other axes hold
+        # far more entries: M times the axis-first flattening, checked
+        # naively on sampled columns
+        ctx = field_make(ell, d)
+        rng = np.random.default_rng(11)
+        T = rand_matrix(ctx, rng, (3, 40, 2, 30))
+        for axis in range(4):
+            M = rand_matrix(ctx, rng, (5, T.shape[axis]))
+            out = gf_apply_axis(ctx, M, T, axis)
+            assert out.dtype == np.int64
+            assert out.shape == T.shape[:axis] + (5,) + T.shape[axis + 1:]
+            flat = np.moveaxis(T, axis, 0).reshape(T.shape[axis], -1)
+            expect = gf_matmul(ctx, M, flat)
+            got = np.moveaxis(out, axis, 0).reshape(5, -1)
+            assert np.array_equal(got, expect)
+            for col in rng.choice(flat.shape[1], size=4, replace=False):
+                assert np.array_equal(got[:, col], naive_matmul(
+                    ctx, M, flat[:, [col]]).ravel())

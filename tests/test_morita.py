@@ -19,7 +19,8 @@ from mfblocks.morita import (
     params_for_target, recover_theta, simple_kind, simple_make, simple_str,
     simples, swap_isomorphism,
 )
-from mfblocks.twisted import b0_pi_inv, tt_eps
+from mfblocks.twisted import TTElem, _Cols, b0_pi_inv, tt_eps
+import mfblocks.morita as M
 from reference import unpack_key
 
 
@@ -162,7 +163,8 @@ class TestExt:
 class TestPairing:
     def test_closed_form(self):
         for (ell, p, r), js in [((2, 7, 3), (1, 2)), ((3, 5, 2), (1,)),
-                                ((2, 11, 5), (1, 2))]:
+                                ((2, 11, 5), (1, 2)), ((3, 13, 4), (1, 3)),
+                                ((5, 13, 4), (1, 3))]:
             P = params_make(ell, p, r)
             for j in js:
                 tab = commutation_pairing(P, make_char(P, "Z", j))
@@ -188,6 +190,77 @@ class TestPairing:
         th = make_char(Q, "Z", 1)
         assert commutation_pairing(Q, th) == \
             commutation_pairing(Q, th, phi_e=3, zeta_e=2)
+        R = params_make(2, 19, 9)
+        th = make_char(R, "Z", 2)
+        assert commutation_pairing(R, th) == \
+            commutation_pairing(R, th, phi_e=4, zeta_e=11)
+
+    @pytest.mark.parametrize("cfg,products", [((2, 7, 3), 2), ((2, 19, 9), 2),
+                                              ((3, 13, 4), 4)])
+    def test_product_count_does_not_grow_with_r(self, monkeypatch, cfg,
+                                                products):
+        # one product per order of all r^2 conjugate pairs, and one more
+        # pair where rows degenerate (r even)
+        calls = []
+        real = M.tt_mul
+        monkeypatch.setattr(M, "tt_mul",
+                            lambda *a: calls.append(1) or real(*a))
+        P = params_make(*cfg)
+        commutation_pairing(P, make_char(P, "Z", 1))
+        assert len(calls) == products
+
+    def test_iso_legs_resolve_the_odd_rows_at_even_r(self, monkeypatch):
+        # at r = 4 the conjugates t and t + 2 of a loop path coincide, so
+        # both loop products vanish at every (e, f) with e or f odd, 12 of
+        # the 16, and only the iso legs give those entries
+        seen = []
+        real = M._commutation_scalars
+        monkeypatch.setattr(M, "_commutation_scalars",
+                            lambda *a: seen.append(real(*a)) or seen[-1])
+        P = params_make(3, 13, 4)
+        tab = commutation_pairing(P, make_char(P, "Z", 1))
+        loop, iso = seen
+        odd = {(e, f) for e in range(4) for f in range(4) if e % 2 or f % 2}
+        assert {divmod(i, 4) for i, c in enumerate(loop) if c is None} == odd
+        assert None not in iso
+        for e, f in odd:
+            assert tab.value(e, f) == iso[4 * e + f]
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_a_bent_base_product_has_no_unique_scalar(self, monkeypatch,
+                                                      order):
+        # one coefficient of S T (order 0) moved by zeta_r leaves its
+        # rows out of proportion with T S; T S emptied (order 1) leaves
+        # S T nonzero where T S vanishes
+        P = params_make(2, 7, 3)
+        calls = []
+        real = M.tt_mul
+
+        def bent(*a):
+            out = real(*a)
+            calls.append(1)
+            if len(calls) - 1 != order:
+                return out
+            c = out.cols
+            if order == 1:
+                return TTElem(out.theta, _Cols(*(x[:0] for x in c)))
+            coeffs = c.coeffs.copy()
+            coeffs[0] = P.ctx.mul(int(coeffs[0]), P.zeta_r)
+            return TTElem(out.theta, c._replace(coeffs=coeffs))
+        monkeypatch.setattr(M, "tt_mul", bent)
+        with pytest.raises(ValueError, match="no unique commutation scalar"):
+            commutation_pairing(P, make_char(P, "Z", 1))
+
+    def test_rows_without_products_have_no_scalar(self, monkeypatch):
+        # every product emptied: both orders vanish on every row, in the
+        # loop pass and the iso pass, so no entry gets a scalar
+        P = params_make(2, 7, 3)
+        real = M.tt_mul
+        monkeypatch.setattr(M, "tt_mul", lambda *a: TTElem(
+            a[1], _Cols(*(x[:0] for x in real(*a).cols))))
+        tab = commutation_pairing(P, make_char(P, "Z", 1))
+        assert len(tab.entries) == 9
+        assert set(tab.entries.values()) == {None}
 
     def test_json_shape(self):
         P = params_make(2, 7, 3)

@@ -18,8 +18,8 @@ from mfblocks.quiver import (
 from mfblocks.morita import commutation_pairing, recover_theta
 from mfblocks.twisted import (
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_eps,
-    tt_batch, tt_cross, tt_from_terms, tt_is_zero, tt_mul, tt_rows, tt_tilde,
-    tt_to_json, tt_unit, tt_zero,
+    tt_batch, tt_cross, tt_from_terms, tt_is_zero, tt_loop_conjugates,
+    tt_mul, tt_rows, tt_tilde, tt_to_json, tt_unit, tt_zero,
 )
 from mfblocks.twisted import _stage_b, _tt_ctx
 from mfblocks.twisted import (
@@ -896,6 +896,34 @@ class TestTilde:
             jinv = pow(j, -1, 3)
             assert int(tctx["c_tab"][e, f]) == P.ctx.pow(
                 P.zeta_r, (-e * f * jinv) % 3)
+
+    def test_is_the_weighted_sum_of_the_loop_conjugates(self):
+        # row t of the batch is the loop path with its step scaled by
+        # g0^-t, coefficient one, and tt_tilde weighs it by zeta_r^(-e t);
+        # at r = 4 the rows t and t + 2 hold the same label
+        for ell, p, r in [(2, 7, 3), (3, 13, 4), (2, 19, 9)]:
+            P = params_make(ell, p, r)
+            theta = make_char(P, "Z", 1)
+            for side, s in [(1, 1), (2, 3)]:
+                step = make_char(P, f"P{side}", s)
+                batch = tt_loop_conjugates(P, theta, side, step)
+                rows = {}
+                for (t, u, v), c in batch.terms.items():
+                    rows.setdefault(t, []).append((u, v, c))
+                for t in range(r):
+                    m = [0] * (p - 1)
+                    for x in (s, -s):
+                        m[x * P._g0pow[-t % r] % p - 1] += 1
+                    loop = label_make(P, side, 0, m)
+                    other = vertex_label(P, 3 - side, 0)
+                    assert rows[t] == [(loop, other, P.ctx.one) if side == 1
+                                       else (other, loop, P.ctx.one)]
+                for e in range(r):
+                    want = tt_from_terms(P, theta, [
+                        (u, v, P.ctx.pow(P.zeta_r, -e * t % r))
+                        for t in range(r) for u, v, _ in rows[t]])
+                    assert tt_tilde(P, theta, side, step,
+                                    make_char(P, f"L{side}", e)) == want
 
     def test_degenerate_at_two_torsion(self):
         # r = 2: both loop paths carry the same label, so a nontrivial

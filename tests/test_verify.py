@@ -63,6 +63,15 @@ class TestRunChecks:
         rep = run_checks(P, theta, suite="full", names=FAST)
         assert all(row.status == "pass" for row in rep.rows)
 
+    @pytest.mark.parametrize("cfg", [(5, 3, 2), (7, 3, 2)])
+    def test_quick_suite_passes_at_p_three(self, cfg):
+        # at p = 3 the isomorphisms check scales by the unit 2 alone
+        P, theta = desk(*cfg)
+        rep = run_checks(P, theta, suite="quick")
+        assert len(rep.rows) == 12
+        assert [row.check for row in rep.rows
+                if row.status != "pass"] == []
+
     def test_params_echo(self):
         P, theta = desk(e=2)
         rep = run_checks(P, theta, names=["dimensions"])
