@@ -185,32 +185,11 @@ class FieldContext:
             x //= self.ell
         return out
 
-    def from_coeffs(self, coeffs) -> int:
-        coeffs = list(coeffs)
-        if len(coeffs) > self.d:
-            raise ValueError(f"{len(coeffs)} coefficients for a field of"
-                             f" degree {self.d}")
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.ell + int(c) % self.ell
-        return v
-
     def from_int(self, n: int) -> int:
         """Embed a prime-field residue (constant polynomial)."""
         return n % self.ell
 
     # -- scalar arithmetic ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.ell == 2:
-            return a ^ b
-        v, m = 0, 1
-        for _ in range(self.d):
-            v += ((a % self.ell + b % self.ell) % self.ell) * m
-            a //= self.ell
-            b //= self.ell
-            m *= self.ell
-        return v
 
     def _raw_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -11,6 +11,8 @@ kG e_theta ~ k_theta[G/Z], on one key per Z-coset.
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import starmap
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -60,18 +62,24 @@ def ga_is_zero(x: GAElem) -> bool:
     return len(x.keys) == 0
 
 
+def _key_sums(P: Params, coeffs: np.ndarray, inv: np.ndarray, size: int):
+    """Field sums of coeffs per key id inv, over size keys, and the mask
+    of the nonzero sums: where no id repeats, a scatter through inv."""
+    if size == len(coeffs):
+        sums = np.empty(size, dtype=coeffs.dtype)
+        sums[inv] = coeffs
+    else:
+        sums = P.ctx.bin_sum(inv, size, coeffs)
+    return sums, sums != 0
+
+
 def _dedupe(P: Params, keys: np.ndarray, coeffs: np.ndarray) -> GAElem:
     """Sort, merge equal keys with field addition, drop zeros."""
     if keys.size == 0:
         return ga_zero()
     uk, inv = np.unique(keys, return_inverse=True)
-    if uk.size == keys.size:
-        order = np.argsort(keys)
-        merged = coeffs[order]
-    else:
-        merged = P.ctx.bin_sum(inv, uk.size, coeffs)
-    mask = merged != 0
-    return GAElem(uk[mask], merged[mask])
+    sums, live = _key_sums(P, coeffs, inv, uk.size)
+    return GAElem(uk[live], sums[live])
 
 
 def ga_from_terms(P: Params, terms: Iterable[Tuple[GroupElem, int]]) -> GAElem:
@@ -139,9 +147,10 @@ def _tables(P: Params) -> dict:
     return tabs
 
 
-def _mul_lanes(P: Params, tabs: dict, gk: np.ndarray, hk: np.ndarray):
-    """Packed product keys for broadcastable key arrays."""
-    r, p = P.r, P.p
+def _mul_lanes(P: Params, gk: np.ndarray, hk: np.ndarray):
+    """Packed product keys for broadcastable key arrays, through the
+    action tables of _tables."""
+    tabs, r, p = _tables(P), P.r, P.p
     gd1, gx1, gd2, gx2, ga, gb, gc = key_cols(P, gk)
     hd1, hx1, hd2, hx2, ha, hb, hc = key_cols(P, hk)
     s1 = (-ga) % r
@@ -162,21 +171,20 @@ def _mul_lanes(P: Params, tabs: dict, gk: np.ndarray, hk: np.ndarray):
                     (ga + ha) % r, (gb + hb) % r, (gc + hc - ha * gb) % r)
 
 
+def _lanes(P: Params, x: GAElem, y: GAElem):
+    """The unmerged (keys, coeffs) lanes of x y, one pair per run of
+    rows of x that holds at most _CHUNK lanes."""
+    rows = max(1, _CHUNK // max(1, len(y.keys)))
+    for i0 in range(0, len(x.keys), rows):
+        yield (_mul_lanes(P, x.keys[i0:i0 + rows, None], y.keys).ravel(),
+               P.ctx.vmul(x.coeffs[i0:i0 + rows, None], y.coeffs).ravel())
+
+
 def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:
     if ga_is_zero(x) or ga_is_zero(y):
         return ga_zero()
-    tabs = _tables(P)
-    nx, ny = len(x.keys), len(y.keys)
-    rows_per_chunk = max(1, _CHUNK // ny)
-    key_parts, coeff_parts = [], []
-    for i0 in range(0, nx, rows_per_chunk):
-        gk = x.keys[i0:i0 + rows_per_chunk][:, None]
-        gc = x.coeffs[i0:i0 + rows_per_chunk][:, None]
-        keys = _mul_lanes(P, tabs, gk, y.keys[None, :])
-        coeffs = P.ctx.vmul(gc, y.coeffs[None, :])
-        key_parts.append(keys.ravel())
-        coeff_parts.append(coeffs.ravel())
-    return _dedupe(P, np.concatenate(key_parts), np.concatenate(coeff_parts))
+    keys, coeffs = zip(*_lanes(P, x, y))
+    return _dedupe(P, np.concatenate(keys), np.concatenate(coeffs))
 
 
 def ga_frobenius_twist(P: Params, x: GAElem) -> GAElem:
@@ -249,13 +257,10 @@ def _folded_lanes(P: Params, tp: np.ndarray, pairs) -> tuple:
     """The unmerged terms of phi(x) phi(y) over pairs of folded factors,
     side by side: each lane's Z-part, the H-cocycle, is absorbed as a
     theta power."""
-    tabs, parts = _tables(P), [(np.zeros(0, dtype=np.int64),) * 2]
+    parts = [(np.zeros(0, dtype=np.int64),) * 2]
     for fx, fy in pairs:
-        rows = max(1, _CHUNK // max(1, len(fy.keys)))
-        parts += [_absorb_z(P, tp, _mul_lanes(
-            P, tabs, fx.keys[i0:i0 + rows, None], fy.keys[None, :]).ravel(),
-            P.ctx.vmul(fx.coeffs[i0:i0 + rows, None], fy.coeffs).ravel())
-            for i0 in range(0, len(fx.keys), rows)]
+        # starmap drops each raw chunk before _lanes forms the next
+        parts += starmap(partial(_absorb_z, P, tp), _lanes(P, fx, fy))
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -269,10 +274,9 @@ def block_mul(P: Params, theta, x: GAElem, y: GAElem) -> GAElem:
 
 def _centralizes_folded(P: Params, tp: np.ndarray, f: GAElem) -> bool:
     """Whether phi(x) = f is fixed by conjugation with g1 and g2."""
-    tabs = _tables(P)
     for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)):
         hk = np.array([pack_key(P, group_inv(P, h)), pack_key(P, h)])
-        conj = _mul_lanes(P, tabs, _mul_lanes(P, tabs, hk[0], f.keys), hk[1])
+        conj = _mul_lanes(P, _mul_lanes(P, hk[0], f.keys), hk[1])
         if not _is_permuted(f, *_absorb_z(P, tp, conj, f.coeffs)):
             return False
     return True

@@ -273,37 +273,17 @@ def commutator(P: Params, x: GroupElem, y: GroupElem) -> GroupElem:
 
 
 def subgroup_elements(P: Params, tag: str) -> list:
-    """Enumerate a tagged subgroup, or list generators for E.
-
-    Valid tags: Z, L1, L2, H, P1, P2, D1, D2, E-generators.  The full
-    group G is refused: its order is |D|^2-scale and enumeration is
-    never needed.
-    """
+    """Enumerate a character group: Z, L1, L2, P1 or P2."""
     if tag == "Z":
         return [h_elem(P, 0, 0, c) for c in range(P.r)]
     if tag == "L1":
         return [h_elem(P, a, 0, 0) for a in range(P.r)]
     if tag == "L2":
         return [h_elem(P, 0, b, 0) for b in range(P.r)]
-    if tag == "H":
-        return [h_elem(P, a, b, c)
-                for a in range(P.r) for b in range(P.r) for c in range(P.r)]
     if tag == "P1":
         return [p_elem(P, 1, x) for x in range(P.p)]
     if tag == "P2":
         return [p_elem(P, 2, x) for x in range(P.p)]
-    if tag in ("D1", "D2"):
-        z = (0,) * P.p
-        vs = [d_unpack(P, packed) for packed in range(P.dsz)]
-        if tag == "D1":
-            return [GroupElem(v, 0, z, 0, 0, 0, 0) for v in vs]
-        return [GroupElem(z, 0, v, 0, 0, 0, 0) for v in vs]
-    if tag == "E-generators":
-        return [p_elem(P, 1, 1), p_elem(P, 2, 1),
-                h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)]
-    if tag == "G":
-        raise ValueError("G is not enumerable; ask for E-generators "
-                         "or a proper subgroup tag")
     raise ValueError(f"unknown subgroup tag {tag!r}")
 
 
@@ -313,14 +293,6 @@ def d_pack(P: Params, v: Sequence[int]) -> int:
     for g in range(P.p - 1, 0, -1):
         t = t * P.ell + v[g]
     return t
-
-
-def d_unpack(P: Params, packed: int) -> tuple:
-    v, t = [0], packed
-    for _ in range(P.p - 1):
-        v.append(t % P.ell)
-        t //= P.ell
-    return tuple(v)
 
 
 def digit_dtype(P: Params) -> np.dtype:

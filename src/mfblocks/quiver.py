@@ -27,8 +27,8 @@ from .groups import (
     Params, conjugate, d_digits, d_elem, d_key, d_pack,
     digit_dtype, key_join, l_fourier, p_elem, root_powers, slot_scale_index,
 )
-from .groupalg import GAElem
-from .linalg import gf_inv_matrix
+from .groupalg import GAElem, _key_sums
+from .linalg import gf_inv_matrix, gf_matmul
 
 # Largest side dimension dsz p of the dense embedding tables
 _EMBED_LIMIT = 2048
@@ -106,12 +106,8 @@ def _merge_terms(P: Params, coeffs: np.ndarray, first: np.ndarray,
     """Field sums of coeffs per distinct key, given each key's first
     occurrence and each term's key id; returns the nonzero sums and the
     first occurrence of their keys."""
-    if len(first) == len(coeffs):
-        merged = coeffs[first]
-    else:
-        merged = P.ctx.bin_sum(inv.ravel(), len(first), coeffs)
-    live = merged != 0
-    return merged[live], first[live]
+    sums, live = _key_sums(P, coeffs, inv, len(first))
+    return sums[live], first[live]
 
 
 def _canon_rows(P: Params, coeffs: np.ndarray, *cols):
@@ -386,18 +382,13 @@ def qa_embed(P: Params, u: QuivAElem) -> GAElem:
     """Algebra monomorphism into k[D_i ⋊ P_i] inside the group algebra.
 
     A label (psi, m) lands on the pure tensor S_m ⊗ ê_xi with
-    xi = psi + phi(m): the D-part is the product of the arrow
-    elements, the P-part the vertex idempotent pushed past them.
+    xi = psi + phi(m), its column of embed_columns: the D-part is the
+    product of the arrow elements, the P-part the vertex idempotent
+    pushed past them.  u lands on its coefficients times those columns.
     """
-    tabs = _embed_tables(P)
-    ctx, p = P.ctx, P.p
-    C = np.zeros((P.dsz, p), dtype=np.int64)
-    for label, c in u.terms.items():
-        xi = (label.psi + label_phi(P, label.m)) % p
-        col = ctx.vscale(int(c), tabs["S"][:, d_key(P, label.m)])
-        C = ctx.vadd(C, ctx.vmul(col[:, None], tabs["F"][:, xi][None, :]))
-    keys = tabs["gkeys"][u.side - 1].reshape(-1)
-    flat = C.reshape(-1)
+    keys = _embed_tables(P)["gkeys"][u.side - 1].reshape(-1)
+    flat = gf_matmul(P.ctx, embed_columns(P, _label_index(P, u.psi, u.m)),
+                     u.coeffs[:, None]).ravel()
     mask = flat != 0
     return GAElem(keys[mask], flat[mask])
 

@@ -30,8 +30,7 @@ from .groups import (
 )
 from .groupalg import (
     _CHUNK, GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
-    _mul_lanes, _tables, _theta_pow, block_fold, block_unfold, ga_basis,
-    ga_zero,
+    _mul_lanes, _theta_pow, block_fold, block_unfold, ga_basis, ga_zero,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
@@ -283,8 +282,7 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
     if tab is not None:
         return tab
     xs = [block_fold(P, theta, h) for h in tctx["h_inv_ga"][side]]
-    lanes = _mul_lanes(P, _tables(P),
-                       _embed_tables(P)["gkeys"][side - 1].reshape(1, -1),
+    lanes = _mul_lanes(P, _embed_tables(P)["gkeys"][side - 1].reshape(1, -1),
                        np.concatenate([x.keys for x in xs])[:, None])
     keys = np.unique(lanes)
     tab = {"keys": keys, "pos": np.searchsorted(keys, lanes),

@@ -34,7 +34,7 @@ from .groups import (
     key_z, p_elem, pack_key, subgroup_elements,
 )
 from .groupalg import (
-    _CHUNK, _TABLE_ENTRIES, _mul_lanes, _table_entries, _tables, _theta_pow,
+    _CHUNK, _TABLE_ENTRIES, _mul_lanes, _table_entries, _theta_pow,
     block_fold, block_idempotent, block_mul, centralizes_block_H, ga_mul,
     ga_frobenius_twist, ga_from_terms,
 )
@@ -196,13 +196,12 @@ def _side_table(P: Params):
     library's product kernel on the side-1 keys, a block of rows u at a
     time, each inverse found by the identity key 0; or None and the
     first (u, v) whose product u v has a key coordinate off D_1 ⋊ P_1."""
-    g, tabs = _embed_tables(P)["gkeys"][0].ravel(), _tables(P)
+    g = _embed_tables(P)["gkeys"][0].ravel()
     # _mul_lanes holds about nine int64 temporaries per lane
     n, step = len(g), max(1, (_CHUNK >> 7) // len(g))
     uv = np.empty((n, n), dtype=np.min_scalar_type(-n))
     for u0 in range(0, n, step):
-        d1, x1, *off = key_cols(P, _mul_lanes(P, tabs, g[u0:u0 + step, None],
-                                              g))
+        d1, x1, *off = key_cols(P, _mul_lanes(P, g[u0:u0 + step, None], g))
         bad = np.argwhere(reduce(np.bitwise_or, off))
         if len(bad):
             return None, [u0 + int(bad[0, 0]), int(bad[0, 1])]
@@ -341,10 +340,10 @@ def _closed_route(P: Params, theta: Character, side: int) -> dict:
           for t in range(P.r)]
     g = np.array([pack_key(P, h) for h in hs])
     gi = np.array([pack_key(P, group_inv(P, h)) for h in hs])
-    tabs, n = _tables(P), P.dsz * P.p
-    base = _mul_lanes(P, tabs, _embed_tables(P)["gkeys"][side - 1].reshape(
-        1, -1), e.keys[:, None])
-    lanes = _mul_lanes(P, tabs, _mul_lanes(P, tabs, gi[:, None, None], base),
+    n = P.dsz * P.p
+    base = _mul_lanes(P, _embed_tables(P)["gkeys"][side - 1].reshape(1, -1),
+                      e.keys[:, None])
+    lanes = _mul_lanes(P, _mul_lanes(P, gi[:, None, None], base),
                        g[:, None, None]).reshape(-1, n)
     # the side keys have trivial H-part, so the shift is one per row
     z = key_z(P, lanes)
@@ -800,8 +799,9 @@ CHECK_STATEMENTS: Dict[str, str] = {
     "isomorphisms":
         "The side-swapping map and the index-scaling maps are"
         " multiplicative, send the block idempotent to the inverse"
-        " block resp. fix it, and permute the idempotent family by"
-        " transposition resp. index scaling.",
+        " block resp. fix it, and, where the embedding tables fit,"
+        " permute the idempotent family by transposition resp. index"
+        " scaling.",
 }
 
 _CHECKS: Dict[str, Callable] = {

@@ -7,14 +7,15 @@ import numpy as np
 from mfblocks.characters import _P_GROUPS, Character, _exponent_of
 from mfblocks.field import _poly_divmod
 from mfblocks.groups import (
-    GroupElem, d_unpack, group_inv, identity, key_cols, pack_key,
+    GroupElem, d_key, group_inv, h_elem, identity, key_cols, p_elem,
+    pack_key, subgroup_elements,
 )
 from mfblocks.groupalg import (
     GAElem, _tables, ga_add, ga_basis, ga_mul, ga_zero,
 )
 from mfblocks.quiver import (
-    _EMBED_LIMIT, QuivAElem, _act, _label_index, _leg_join, label_make,
-    qa_basis, qa_from_columns, qa_zero,
+    _EMBED_LIMIT, QuivAElem, _act, _embed_tables, _label_index, _leg_join,
+    label_make, label_phi, qa_basis, qa_from_columns, qa_zero,
 )
 from mfblocks.twisted import TTElem, tt_is_zero, tt_zero
 
@@ -121,6 +122,32 @@ def poly_is_irreducible(coeffs, ell):
     return True
 
 
+def f_add(ctx, a, b):
+    """a + b digit by digit: the scalar reference for FieldContext.vadd."""
+    if ctx.ell == 2:
+        return a ^ b
+    v, m = 0, 1
+    for _ in range(ctx.d):
+        v += ((a % ctx.ell + b % ctx.ell) % ctx.ell) * m
+        a //= ctx.ell
+        b //= ctx.ell
+        m *= ctx.ell
+    return v
+
+
+def f_from_coeffs(ctx, coeffs):
+    """The packed element of a little-endian coefficient list, the
+    inverse of FieldContext.to_coeffs."""
+    coeffs = list(coeffs)
+    if len(coeffs) > ctx.d:
+        raise ValueError(f"{len(coeffs)} coefficients for a field of"
+                         f" degree {ctx.d}")
+    v = 0
+    for c in reversed(coeffs):
+        v = v * ctx.ell + int(c) % ctx.ell
+    return v
+
+
 def f_neg(ctx, a):
     """-a digit by digit: the scalar reference for FieldContext.vneg."""
     if ctx.ell == 2:
@@ -144,9 +171,41 @@ def field_frobenius(ctx, x, m):
     return x
 
 
+def d_unpack(P, packed):
+    """The normalized D-vector of a packed index (entry 0 is 0), the
+    inverse of groups.d_pack."""
+    v, t = [0], packed
+    for _ in range(P.p - 1):
+        v.append(t % P.ell)
+        t //= P.ell
+    return tuple(v)
+
+
 def unpack_key(P, key):
     d1, x1, d2, x2, a, b, c = key_cols(P, key)
     return GroupElem(d_unpack(P, d1), x1, d_unpack(P, d2), x2, a, b, c)
+
+
+def subgroup_elems(P, tag):
+    """The library's character groups (Z, L1, L2, P1, P2) and H, D1, D2,
+    or the generators of E; the full group G is refused: its order is
+    |D|^2-scale and enumeration is never needed."""
+    if tag == "H":
+        return [h_elem(P, a, b, c)
+                for a in range(P.r) for b in range(P.r) for c in range(P.r)]
+    if tag in ("D1", "D2"):
+        z = (0,) * P.p
+        vs = [d_unpack(P, packed) for packed in range(P.dsz)]
+        if tag == "D1":
+            return [GroupElem(v, 0, z, 0, 0, 0, 0) for v in vs]
+        return [GroupElem(z, 0, v, 0, 0, 0, 0) for v in vs]
+    if tag == "E-generators":
+        return [p_elem(P, 1, 1), p_elem(P, 2, 1),
+                h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)]
+    if tag == "G":
+        raise ValueError("G is not enumerable; ask for E-generators "
+                         "or a proper subgroup tag")
+    return subgroup_elements(P, tag)
 
 
 def char_conjugate(P, chi, w):
@@ -179,6 +238,23 @@ def qa_L_action(P, u, w):
     if t == 0 or not len(u.coeffs):
         return u
     return qa_from_columns(P, u.side, *_act(P, t, u.psi, u.m), u.coeffs)
+
+
+def qa_embed_terms(P, u):
+    """qa_embed term by term: each label's S-column times its row of F,
+    scaled by its coefficient and added up; the reference for
+    embed_columns."""
+    tabs = _embed_tables(P)
+    ctx, p = P.ctx, P.p
+    C = np.zeros((P.dsz, p), dtype=np.int64)
+    for label, c in u.terms.items():
+        xi = (label.psi + label_phi(P, label.m)) % p
+        col = ctx.vscale(int(c), tabs["S"][:, d_key(P, label.m)])
+        C = ctx.vadd(C, ctx.vmul(col[:, None], tabs["F"][:, xi][None, :]))
+    keys = tabs["gkeys"][u.side - 1].reshape(-1)
+    flat = C.reshape(-1)
+    mask = flat != 0
+    return GAElem(keys[mask], flat[mask])
 
 
 def side_mul_table(P):

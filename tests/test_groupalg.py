@@ -13,11 +13,11 @@ from mfblocks.groupalg import (
     ga_mul, ga_zero,
 )
 from reference import (
-    ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub, ga_unit,
-    side_inv_index, side_mul_table, unpack_key,
+    d_unpack, f_add, ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub,
+    ga_unit, side_inv_index, side_mul_table, unpack_key,
 )
 from mfblocks.groups import (
-    GroupElem, conjugate, d_pack, d_unpack, group_inv, group_mul, h_elem,
+    GroupElem, conjugate, d_pack, group_inv, group_mul, h_elem,
     identity, pack_key, params_make,
 )
 from mfblocks.verify import _side_table, run_checks
@@ -45,7 +45,7 @@ def mul_oracle(P, x, y):
         for kh, ch in zip(y.keys.tolist(), y.coeffs.tolist()):
             k = pack_key(P, group_mul(P, g, unpack_key(P, kh)))
             c = P.ctx.mul(cg, ch)
-            acc[k] = P.ctx.add(acc.get(k, 0), c)
+            acc[k] = f_add(P.ctx, acc.get(k, 0), c)
     return ga_from_terms(
         P, [(unpack_key(P, k), c) for k, c in acc.items()])
 

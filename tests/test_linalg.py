@@ -7,6 +7,7 @@ from mfblocks.field import field_make
 from mfblocks.linalg import (
     _float_type, gf_apply_axis, gf_eye, gf_inv_matrix, gf_matmul, gf_rank,
 )
+from reference import f_add
 
 
 def naive_matmul(ctx, A, B):
@@ -17,7 +18,7 @@ def naive_matmul(ctx, A, B):
         for j in range(m):
             acc = 0
             for t in range(k):
-                acc = ctx.add(acc, ctx.mul(int(A[i, t]), int(B[t, j])))
+                acc = f_add(ctx, acc, ctx.mul(int(A[i, t]), int(B[t, j])))
             out[i, j] = acc
     return out
 

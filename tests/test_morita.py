@@ -7,8 +7,8 @@ import pytest
 
 from mfblocks.characters import char_frob_power, make_char
 from mfblocks.groups import (
-    GroupElem, _scale_side, d_elem, d_pack, d_scale_index, d_unpack,
-    group_mul, h_elem, identity, p_elem, pack_key, params_make,
+    GroupElem, _scale_side, d_elem, d_pack, d_scale_index, group_mul,
+    h_elem, identity, p_elem, pack_key, params_make,
 )
 from mfblocks.groupalg import (
     block_idempotent, ga_basis, ga_from_terms, ga_frobenius_twist, ga_mul,
@@ -21,7 +21,7 @@ from mfblocks.morita import (
 )
 from mfblocks.twisted import TTElem, _Cols, b0_pi_inv, tt_eps
 import mfblocks.morita as M
-from reference import unpack_key
+from reference import d_unpack, unpack_key
 
 
 def census_oracle(P):

@@ -16,10 +16,10 @@ from mfblocks.quiver import (
     qa_embed, qa_isotypic, qa_labels, qa_mul, qa_zero,
 )
 from mfblocks.quiver import _embed_tables, embed_columns
-from mfblocks.groups import GroupElem, d_unpack, pack_key
+from mfblocks.groups import GroupElem, pack_key
 from reference import (
-    char_conjugate, ga_conjugate, qa_degree, qa_L_action, qa_scale, qa_unit,
-    qa_vertex,
+    char_conjugate, d_unpack, f_add, ga_conjugate, qa_degree, qa_embed_terms,
+    qa_L_action, qa_scale, qa_unit, qa_vertex,
 )
 
 
@@ -66,7 +66,7 @@ def dict_mul(P, u, v):
             m = tuple(a + b for a, b in zip(lu.m, lv.m))
             if lv.psi == gate and max(m) < P.ell:
                 lab = QuivLabel(u.side, lu.psi, m)
-                out[lab] = ctx.add(out.get(lab, 0), ctx.mul(cu, cv))
+                out[lab] = f_add(ctx, out.get(lab, 0), ctx.mul(cu, cv))
     return {lab: c for lab, c in out.items() if c}
 
 
@@ -244,7 +244,7 @@ class TestEmbed:
                 assert qa_embed(P, total) == want
                 aug = 0
                 for c in want.coeffs:
-                    aug = P.ctx.add(aug, int(c))
+                    aug = f_add(P.ctx, aug, int(c))
                 assert aug == 0
 
     @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2)])
@@ -287,7 +287,7 @@ class TestEmbedColumns:
         for side in (1, 2):
             keys = _embed_tables(P)["gkeys"][side - 1].ravel()
             for j, lab in enumerate(qa_labels(P, side)):
-                img = qa_embed(P, qa_basis(P, lab))
+                img = qa_embed_terms(P, qa_basis(P, lab))
                 col = np.zeros(n, dtype=np.int64)
                 col[np.searchsorted(keys, img.keys)] = img.coeffs
                 assert np.array_equal(E[:, j], col), lab

@@ -37,8 +37,8 @@ from mfblocks.quiver import (
 )
 import mfblocks.twisted as twisted_mod
 from reference import (
-    ga_conjugate, ga_scale, qa_L_action, qa_vertex, tt_radical_degree,
-    tt_scale,
+    f_add, ga_conjugate, ga_scale, qa_L_action, qa_vertex,
+    tt_radical_degree, tt_scale,
 )
 
 
@@ -164,7 +164,7 @@ class TestContext:
                     acc = 0
                     for e in range(r):
                         for f in range(r):
-                            acc = ctx.add(acc, ctx.mul(
+                            acc = f_add(ctx, acc, ctx.mul(
                                 ctx.inv(int(tctx["c_tab"][e, f])),
                                 ctx.pow(P.zeta_r, -(e * t + f * tq) % r)))
                     assert tctx["W"][t, tq] == ctx.mul(rinv2, acc)
@@ -177,7 +177,7 @@ class TestContext:
         for t in range(P.r):
             acc = 0
             for tq in range(P.r):
-                acc = ctx.add(acc, int(W[t, tq]))
+                acc = f_add(ctx, acc, int(W[t, tq]))
             assert acc == (ctx.one if t == 0 else 0)
 
     def test_theta_mismatch(self):
