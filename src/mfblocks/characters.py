@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 
-from .groups import (
-    GroupElem, Params, group_inv, h_elem, root_powers, subgroup_elements,
-)
-from .groupalg import GAElem, ga_from_terms
+import numpy as np
 
-_Z_GROUPS = ("Z", "L1", "L2")
-_P_GROUPS = ("P1", "P2")
+from .groups import (
+    CHAR_GROUPS, GroupElem, Params, char_group, generator_power, h_elem,
+    key_array, pack_key, root_powers,
+)
+from .groupalg import GAElem
 
 
 class Character:
@@ -25,7 +25,7 @@ class Character:
     __slots__ = ("group", "e", "order")
 
     def __init__(self, group: str, e: int, order: int):
-        if group not in _Z_GROUPS + _P_GROUPS:
+        if group not in CHAR_GROUPS:
             raise ValueError(f"unknown character group {group!r}")
         self.group = group
         self.order = order
@@ -45,8 +45,7 @@ class Character:
 
 
 def make_char(P: Params, group: str, e: int) -> Character:
-    order = P.r if group in _Z_GROUPS else P.p
-    return Character(group, e, order)
+    return Character(group, e, char_group(P, group)[1])
 
 
 def is_faithful(chi: Character) -> bool:
@@ -55,24 +54,10 @@ def is_faithful(chi: Character) -> bool:
 
 def _exponent_of(P: Params, group: str, g: GroupElem) -> int:
     """Generator exponent of g inside the tagged subgroup, or raise."""
-    zero = (0,) * P.p
-    plain = g.v1 == zero and g.v2 == zero
-    if group == "Z":
-        if plain and (g.x1, g.x2, g.a, g.b) == (0, 0, 0, 0):
-            return g.c
-    elif group == "L1":
-        if plain and (g.x1, g.x2, g.b, g.c) == (0, 0, 0, 0):
-            return g.a
-    elif group == "L2":
-        if plain and (g.x1, g.x2, g.a, g.c) == (0, 0, 0, 0):
-            return g.b
-    elif group == "P1":
-        if plain and (g.x2, g.a, g.b, g.c) == (0, 0, 0, 0):
-            return g.x1
-    elif group == "P2":
-        if plain and (g.x1, g.a, g.b, g.c) == (0, 0, 0, 0):
-            return g.x2
-    raise ValueError(f"element lies outside {group}")
+    k = g.parts()[char_group(P, group)[0]]
+    if g != generator_power(P, group, k):
+        raise ValueError(f"element lies outside {group}")
+    return k
 
 
 def char_eval(P: Params, chi: Character, g: GroupElem) -> int:
@@ -82,14 +67,14 @@ def char_eval(P: Params, chi: Character, g: GroupElem) -> int:
 
 
 def char_idempotent(P: Params, chi: Character) -> GAElem:
-    """e_chi = |S|^-1 sum_g chi(g^-1) g, supported on the subgroup S."""
-    elems = subgroup_elements(P, chi.group)
-    inv_size = P.ctx.inv(P.ctx.from_int(len(elems)))
-    terms = []
-    for g in elems:
-        val = char_eval(P, chi, group_inv(P, g))
-        terms.append((g, P.ctx.mul(inv_size, val)))
-    return ga_from_terms(P, terms)
+    """e_chi = |S|^-1 sum_k chi(g^-k) g^k over the powers of the generator
+    g of the subgroup S; the key of g^k is k times that of g, so the keys
+    ascend with k."""
+    n = char_group(P, chi.group)[1]
+    step = pack_key(P, generator_power(P, chi.group, 1))
+    coeffs = root_powers(P, n)[-chi.e * np.arange(n) % n]
+    return GAElem(key_array(range(0, n * step, step)),
+                  P.ctx.vscale(P.ctx.inv(P.ctx.from_int(n)), coeffs))
 
 
 def h_element(P: Params, theta: Character, chi: Character, i: int) -> GroupElem:

@@ -163,9 +163,10 @@ class FieldContext:
         self.one = 1 % self.order
         # the digits of x^d = -(modulus below degree d)
         self._fold = [(-c) % ell for c in modulus[:d]]
+        # at ell = 2, x^d and its fold as one word: the packed modulus
+        self._fold_word = self.order | self._pack(self._fold)
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
-        self._frob_table: np.ndarray | None = None
         if build_tables and self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -205,11 +206,9 @@ class FieldContext:
                 bb >>= 1
                 sh += 1
             # reduce degree-by-degree with the packed modulus
-            mod_packed = self._pack(list(self.modulus[:-1]))
-            top = self.order
             deg = acc.bit_length() - 1
             while deg >= self.d:
-                acc ^= (top | mod_packed) << (deg - self.d)
+                acc ^= self._fold_word << (deg - self.d)
                 deg = acc.bit_length() - 1
             return acc
         return self._pack(_poly_mulmod(self.to_coeffs(a), self.to_coeffs(b),
@@ -268,14 +267,6 @@ class FieldContext:
         log[exp[:q1]] = np.arange(q1, dtype=np.int32)
         self._exp = exp
         self._log = log
-        # x^ell = g^(ell * log x); the sentinel entry at 0 is reset.  The
-        # indices are in range, and take writes out= in place only in a
-        # mode other than "raise", which buffers a copy.
-        frob = np.multiply(log, self.ell, dtype=np.int64)
-        np.remainder(frob, q1, out=frob)
-        np.take(exp, frob, out=frob, mode="clip")
-        frob[0] = 0
-        self._frob_table = frob
 
     def times_x(self, digits: np.ndarray, axis: int = 0) -> np.ndarray:
         """Base-ell digits of x b from those of b along axis: the digits
@@ -299,12 +290,11 @@ class FieldContext:
         d, ell = self.d, self.ell
         shape = np.broadcast_shapes(a.shape, b.shape)
         if ell == 2:
-            fold = self.order | self._pack(self._fold)
             acc = np.zeros(shape, dtype=np.int64)
             for s in range(d):
                 acc ^= ((a >> s) & 1) * b
                 if s + 1 < d:
-                    b = (b << 1) ^ (b >> (d - 1)) * fold
+                    b = (b << 1) ^ (b >> (d - 1)) * self._fold_word
             return acc
         # the sums stay below d (ell - 1)^2 before the one reduction
         dtype = np.min_scalar_type(-(d * (ell - 1) ** 2 + 1))
@@ -343,11 +333,10 @@ class FieldContext:
         return undigits(-self._planes(a) % self.ell, self.ell, axis=0)
 
     def vfrob(self, a: np.ndarray) -> np.ndarray:
-        if self._frob_table is not None:
-            return self._frob_table[a]
+        """a^ell, as ell - 1 products."""
         out = a
         for _ in range(self.ell - 1):
-            out = self._product(out, a)
+            out = self.vmul(out, a)
         return out
 
     def digit_plane(self, a: np.ndarray, k: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .groups import (
-    GroupElem, Params, d_digits, d_key, d_scale_index, group_inv, h_elem,
+    GroupElem, Params, d_digits, d_key, d_scale, group_inv, h_elem,
     key_array, key_cols, key_drop, key_join, key_z, l_fourier, pack_key,
     root_powers,
 )
@@ -130,7 +130,8 @@ def _tables(P: Params) -> dict:
         raise ValueError(f"product tables of {_table_entries(P)} entries"
                          f" are over the bound of {_TABLE_ENTRIES}")
     ell, p = P.ell, P.p
-    full = np.zeros((P.dsz, p), dtype=np.int64)
+    # the digits in a type that holds the sums v + w < 2 ell of dadd
+    full = np.zeros((P.dsz, p), dtype=np.min_scalar_type(-2 * ell))
     full[:, 1:] = d_digits(P, np.arange(P.dsz))
 
     def pack(v):
@@ -139,7 +140,8 @@ def _tables(P: Params) -> dict:
 
     h = np.arange(p)
     tabs = {"trans": np.stack([pack(full[:, (h + x) % p]) for x in h]),
-            "scale": np.stack([d_scale_index(P, u) for u in P._g0pow]),
+            "scale": np.stack([d_scale(P, u, np.arange(P.dsz))
+                               for u in P._g0pow]),
             "xscale": np.outer(P._g0pow, h) % p,
             "dadd": None if ell == 2 else
             np.stack([pack((v + full) % ell) for v in full])}

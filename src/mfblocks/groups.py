@@ -272,19 +272,32 @@ def commutator(P: Params, x: GroupElem, y: GroupElem) -> GroupElem:
                      group_mul(P, x, y))
 
 
+# The character groups are cyclic, each generated by one coordinate of
+# the normal form (v1, x1, v2, x2, a, b, c): a tag maps to the position
+# of that coordinate and to the Params attribute of its order.
+CHAR_GROUPS = {"P1": (1, "p"), "P2": (3, "p"), "L1": (4, "r"), "L2": (5, "r"),
+               "Z": (6, "r")}
+
+
+def char_group(P: Params, tag: str) -> tuple[int, int]:
+    """The generating coordinate and the order of a character group."""
+    if tag not in CHAR_GROUPS:
+        raise ValueError(f"unknown subgroup tag {tag!r}")
+    coord, order = CHAR_GROUPS[tag]
+    return coord, getattr(P, order)
+
+
+def generator_power(P: Params, tag: str, k: int) -> GroupElem:
+    """g^k for the generator g of a character group, 0 <= k < |S|."""
+    parts = list(identity(P).parts())
+    parts[char_group(P, tag)[0]] = k
+    return GroupElem(*parts)
+
+
 def subgroup_elements(P: Params, tag: str) -> list:
-    """Enumerate a character group: Z, L1, L2, P1 or P2."""
-    if tag == "Z":
-        return [h_elem(P, 0, 0, c) for c in range(P.r)]
-    if tag == "L1":
-        return [h_elem(P, a, 0, 0) for a in range(P.r)]
-    if tag == "L2":
-        return [h_elem(P, 0, b, 0) for b in range(P.r)]
-    if tag == "P1":
-        return [p_elem(P, 1, x) for x in range(P.p)]
-    if tag == "P2":
-        return [p_elem(P, 2, x) for x in range(P.p)]
-    raise ValueError(f"unknown subgroup tag {tag!r}")
+    """Enumerate a character group, Z, L1, L2, P1 or P2, by ascending
+    powers of its generator."""
+    return [generator_power(P, tag, k) for k in range(char_group(P, tag)[1])]
 
 
 def d_pack(P: Params, v: Sequence[int]) -> int:
@@ -326,15 +339,10 @@ def slot_scale_index(P: Params, u: int) -> np.ndarray:
     return np.arange(1, P.p, dtype=np.int64) * uinv % P.p - 1
 
 
-def d_scale_index(P: Params, u: int) -> np.ndarray:
-    """Packed-vector table of the relabelling of D-indices s -> s*u,
-    built once per unit."""
-    key = ("d_scale", int(u) % P.p)
-    perm = P._cache.get(key)
-    if perm is None:
-        rows = d_digits(P, np.arange(P.dsz))[:, slot_scale_index(P, u)]
-        perm = P._cache[key] = d_key(P, rows)
-    return perm
+def d_scale(P: Params, u: int, packed: np.ndarray) -> np.ndarray:
+    """Packed D-vectors with their indices relabelled s -> s*u: the slot
+    gather on their digit rows."""
+    return d_key(P, d_digits(P, packed)[:, slot_scale_index(P, u)])
 
 
 def key_cols(P: Params, keys):

@@ -22,20 +22,16 @@ import numpy as np
 from .characters import Character, is_faithful, make_char
 from .field import is_prime
 from .groups import (
-    Params, d_scale_index, digit_dtype, key_cols, key_join, l_fourier,
+    Params, d_scale, digit_dtype, key_cols, key_join, l_fourier,
     mult_order, root_powers,
 )
 from .groupalg import GAElem, _dedupe, ga_zero
 from .linalg import gf_rank
 from .quiver import _sort_key
 from .twisted import (
-    TTElem, _Cols, tt_batch, tt_conjugates, tt_cross, tt_eps,
+    TTElem, _Cols, _orbit, tt_batch, tt_conjugates, tt_cross, tt_eps,
     tt_from_columns, tt_loop_conjugates, tt_mul, tt_rows, tt_unit,
 )
-
-
-def _orbit_min(P: Params, e: int) -> int:
-    return min((e * u) % P.p for u in P._g0pow)
 
 
 class SimpleLabel:
@@ -69,7 +65,7 @@ def simple_make(P: Params, phi: int, psi: int) -> SimpleLabel:
     phi %= P.p
     psi %= P.p
     if phi and psi:
-        phi, psi = _orbit_min(P, phi), _orbit_min(P, psi)
+        phi, psi = _orbit(P, phi)[0], _orbit(P, psi)[0]
     return SimpleLabel(phi, psi)
 
 
@@ -104,7 +100,7 @@ def simples(P: Params, theta: Character) -> List[Tuple[SimpleLabel, int]]:
     """
     _check_faithful(theta)
     p, r = P.p, P.r
-    reps = sorted({_orbit_min(P, e) for e in range(1, p)})
+    reps = sorted({_orbit(P, e)[0] for e in range(1, p)})
     out = [(SimpleLabel(0, 0), r)]
     out += [(SimpleLabel(e, 0), r) for e in range(1, p)]
     out += [(SimpleLabel(0, e), r) for e in range(1, p)]
@@ -426,6 +422,6 @@ def fp_automorphism(P: Params, u1: int, u2: int, x: GAElem) -> GAElem:
     if len(x.keys) == 0:
         return ga_zero()
     d1, x1, d2, x2, a, b, c = key_cols(P, x.keys)
-    keys = key_join(P, d_scale_index(P, u1)[d1], x1 * u1 % p,
-                    d_scale_index(P, u2)[d2], x2 * u2 % p, a, b, c)
+    keys = key_join(P, d_scale(P, u1, d1), x1 * u1 % p,
+                    d_scale(P, u2, d2), x2 * u2 % p, a, b, c)
     return _dedupe(P, keys, x.coeffs.copy())

@@ -588,7 +588,8 @@ def tt_conjugates(P: Params, theta: Character, side: int, psi: int, m,
 
 
 def _orbit(P: Params, e: int) -> list:
-    return sorted({(e * P._g0pow[t]) % P.p for t in range(P.r)})
+    """The <g0>-orbit of e mod p, ascending: its least member labels it."""
+    return sorted({e * u % P.p for u in P._g0pow})
 
 
 def tt_eps(P: Params, theta: Character, label) -> TTElem:

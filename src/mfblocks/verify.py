@@ -6,7 +6,8 @@ command line share a single registry.  A check returns None when its
 claim holds and a JSON-safe witness when it does not; run_checks adds
 timing and converts stray exceptions into failure rows instead of
 aborting the suite.  The quick and the full suite run the same
-algorithm in every check and differ only in how much it samples.
+algorithm in every check and differ in how much it samples; the full
+embed_multiplicative also multiplies 20 sampled pairs with ga_mul.
 Checks that need the dense embedding tables are skipped at parameters
 where those tables do not fit.
 """

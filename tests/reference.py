@@ -4,7 +4,7 @@ or an independent second route to one of them."""
 
 import numpy as np
 
-from mfblocks.characters import _P_GROUPS, Character, _exponent_of
+from mfblocks.characters import Character, _exponent_of
 from mfblocks.field import _poly_divmod
 from mfblocks.groups import (
     GroupElem, d_key, group_inv, h_elem, identity, key_cols, p_elem,
@@ -18,6 +18,9 @@ from mfblocks.quiver import (
     label_make, label_phi, qa_basis, qa_from_columns, qa_zero,
 )
 from mfblocks.twisted import TTElem, tt_is_zero, tt_zero
+
+# the tags of the P-characters, the groups that H conjugates
+_P_GROUPS = ("P1", "P2")
 
 
 def ga_unit(P):

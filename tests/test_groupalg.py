@@ -17,8 +17,8 @@ from reference import (
     ga_unit, side_inv_index, side_mul_table, unpack_key,
 )
 from mfblocks.groups import (
-    GroupElem, conjugate, d_pack, group_inv, group_mul, h_elem,
-    identity, pack_key, params_make,
+    GroupElem, Params, _side_mul, conjugate, d_pack, group_inv, group_mul,
+    h_elem, identity, pack_key, params_make,
 )
 from mfblocks.verify import _side_table, run_checks
 
@@ -363,3 +363,19 @@ class TestActionTables:
         assert tabs["xscale"].tolist() == [
             [(x * P._g0pow[t]) % p for x in range(p)] for t in range(r)]
         assert (tabs["dadd"] is None) == (ell == 2)
+
+    def test_dadd_past_the_int8_digit_sums(self):
+        # at ell = 67 two digits sum to 132, past int8: dadd against the
+        # scalar D-addition on every pair of vectors with digits 0 and
+        # ell - 1, and on random pairs.  A fresh Params keeps the 67^4
+        # entries of dadd out of the params_make cache.
+        P = Params(67, 3, 2)
+        dadd = galg._tables(P)["dadd"]
+        top = P.ell - 1
+        extreme = [d_pack(P, (0, s, t)) for s in (0, top) for t in (0, top)]
+        rng = random.Random(67)
+        pairs = [(a, b) for a in extreme for b in extreme] + [
+            (rng.randrange(P.dsz), rng.randrange(P.dsz)) for _ in range(10000)]
+        for a, b in pairs:
+            v, _ = _side_mul(P, d_unpack(P, a), 0, d_unpack(P, b), 0)
+            assert dadd[a, b] == d_pack(P, v)

@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mfblocks.characters import char_frob_power, make_char
 from mfblocks.groups import (
-    GroupElem, _scale_side, d_elem, d_pack, d_scale_index, group_mul,
+    GroupElem, _scale_side, d_elem, d_pack, d_scale, group_mul,
     h_elem, identity, p_elem, pack_key, params_make,
 )
 from mfblocks.groupalg import (
@@ -488,18 +489,15 @@ class TestFp:
                 assert lhs == want
 
     def test_index_perm_matches_scalar_relabelling(self):
-        # the cached table against d_unpack / d_pack, every unit
+        # the slot gather against _scale_side on every packed vector,
+        # every unit
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             for u in range(1, p):
-                perm = d_scale_index(P, u)
-                assert d_scale_index(P, u + p) is perm
-                for d in range(P.dsz):
-                    v = d_unpack(P, d)
-                    w = [0] * p
-                    for s in range(p):
-                        w[(s * u) % p] = v[s]
-                    assert perm[d] == d_pack(P, w)
+                got = d_scale(P, u, np.arange(P.dsz))
+                assert got.tolist() == [
+                    d_pack(P, _scale_side(P, d_unpack(P, d), 0, u)[0])
+                    for d in range(P.dsz)]
 
     def test_validation(self):
         P = params_make(2, 7, 3)
