@@ -9,6 +9,7 @@ all later invariant extraction purely arithmetic.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,29 +20,15 @@ from .groups import (
 from .groupalg import GAElem
 
 
-class Character:
+class Character(namedtuple("Character", "group e order")):
     """Linear character of one tagged abelian subgroup."""
 
-    __slots__ = ("group", "e", "order")
+    __slots__ = ()
 
-    def __init__(self, group: str, e: int, order: int):
+    def __new__(cls, group: str, e: int, order: int):
         if group not in CHAR_GROUPS:
             raise ValueError(f"unknown character group {group!r}")
-        self.group = group
-        self.order = order
-        self.e = e % order
-
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return (self.group, self.e, self.order) == \
-            (other.group, other.e, other.order)
-
-    def __hash__(self):
-        return hash((self.group, self.e, self.order))
-
-    def __repr__(self):
-        return f"Character({self.group}, e={self.e})"
+        return tuple.__new__(cls, (group, e % order, order))
 
 
 def make_char(P: Params, group: str, e: int) -> Character:
@@ -52,9 +39,15 @@ def is_faithful(chi: Character) -> bool:
     return math.gcd(chi.e, chi.order) == 1
 
 
+def check_faithful(theta: Character) -> None:
+    """Reject a theta that is not a faithful character of Z."""
+    if theta.group != "Z" or not is_faithful(theta):
+        raise ValueError("theta must be a faithful character of Z")
+
+
 def _exponent_of(P: Params, group: str, g: GroupElem) -> int:
     """Generator exponent of g inside the tagged subgroup, or raise."""
-    k = g.parts()[char_group(P, group)[0]]
+    k = g[char_group(P, group)[0]]
     if g != generator_power(P, group, k):
         raise ValueError(f"element lies outside {group}")
     return k
@@ -84,8 +77,7 @@ def h_element(P: Params, theta: Character, chi: Character, i: int) -> GroupElem:
     -e/j (side 1) resp. e/j (side 2) for theta = theta_j; verify's
     pairing_recovery checks it against a search over the r candidates.
     """
-    if theta.group != "Z" or not is_faithful(theta):
-        raise ValueError("theta must be a faithful character of Z")
+    check_faithful(theta)
     if i not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {i}")
     if chi.group != f"L{i}":

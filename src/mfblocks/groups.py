@@ -18,6 +18,7 @@ All operations use the right-action convention x^g = g^-1 x g, so
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
@@ -130,38 +131,18 @@ def l_fourier(P: Params) -> np.ndarray:
     return D
 
 
-class GroupElem:
+class GroupElem(namedtuple("GroupElem", "v1 x1 v2 x2 a b c")):
     """Group element in the normal form d1(v1)*x1 * d2(v2)*x2 * g1^a g2^b gz^c.
 
     v1, v2 are length-p tuples of residues mod ell with entry 0 equal
-    to 0; x1, x2 are residues mod p; a, b, c residues mod r.
+    to 0; x1, x2 are residues mod p; a, b, c residues mod r.  A named
+    tuple: it equals the plain tuple of its fields.
     """
 
-    __slots__ = ("v1", "x1", "v2", "x2", "a", "b", "c")
+    __slots__ = ()
 
-    def __init__(self, v1, x1, v2, x2, a, b, c):
-        self.v1 = tuple(v1)
-        self.x1 = x1
-        self.v2 = tuple(v2)
-        self.x2 = x2
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def parts(self):
-        return (self.v1, self.x1, self.v2, self.x2, self.a, self.b, self.c)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElem):
-            return NotImplemented
-        return self.parts() == other.parts()
-
-    def __hash__(self):
-        return hash(self.parts())
-
-    def __repr__(self):
-        return (f"GroupElem(v1={self.v1}, x1={self.x1}, v2={self.v2}, "
-                f"x2={self.x2}, h=({self.a},{self.b},{self.c}))")
+    def __new__(cls, v1, x1, v2, x2, a, b, c):
+        return tuple.__new__(cls, (tuple(v1), x1, tuple(v2), x2, a, b, c))
 
 
 def identity(P: Params) -> GroupElem:
@@ -289,7 +270,7 @@ def char_group(P: Params, tag: str) -> tuple[int, int]:
 
 def generator_power(P: Params, tag: str, k: int) -> GroupElem:
     """g^k for the generator g of a character group, 0 <= k < |S|."""
-    parts = list(identity(P).parts())
+    parts = list(identity(P))
     parts[char_group(P, tag)[0]] = k
     return GroupElem(*parts)
 

@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .characters import Character, is_faithful, make_char
+from .characters import Character, check_faithful, make_char
 from .field import is_prime
 from .groups import (
     Params, d_scale, digit_dtype, key_cols, key_join, l_fourier,
@@ -34,7 +34,7 @@ from .twisted import (
 )
 
 
-class SimpleLabel:
+class SimpleLabel(NamedTuple):
     """Isomorphism class of a simple module, by character exponents.
 
     phi indexes a character of P_1 and psi one of P_2.  When both are
@@ -43,22 +43,8 @@ class SimpleLabel:
     least one; one-sided classes are not identified.
     """
 
-    __slots__ = ("phi", "psi")
-
-    def __init__(self, phi: int, psi: int):
-        self.phi = phi
-        self.psi = psi
-
-    def __eq__(self, other):
-        if not isinstance(other, SimpleLabel):
-            return NotImplemented
-        return self.phi == other.phi and self.psi == other.psi
-
-    def __hash__(self):
-        return hash((self.phi, self.psi))
-
-    def __repr__(self):
-        return f"SimpleLabel({self.phi}, {self.psi})"
+    phi: int
+    psi: int
 
 
 def simple_make(P: Params, phi: int, psi: int) -> SimpleLabel:
@@ -86,11 +72,6 @@ def simple_str(s: SimpleLabel) -> str:
             "pair": f"([phi{s.phi}],[psi{s.psi}])"}[simple_kind(s)]
 
 
-def _check_faithful(theta: Character) -> None:
-    if theta.group != "Z" or not is_faithful(theta):
-        raise ValueError("theta must be a faithful character of Z")
-
-
 def simples(P: Params, theta: Character) -> List[Tuple[SimpleLabel, int]]:
     """All simple-module classes with their dimensions.
 
@@ -98,7 +79,7 @@ def simples(P: Params, theta: Character) -> List[Tuple[SimpleLabel, int]]:
     of dimension r; and ((p-1)/r)^2 orbit-pair classes of dimension
     r^2.
     """
-    _check_faithful(theta)
+    check_faithful(theta)
     p, r = P.p, P.r
     reps = sorted({_orbit(P, e)[0] for e in range(1, p)})
     out = [(SimpleLabel(0, 0), r)]
@@ -140,7 +121,7 @@ class HeadBatch(NamedTuple):
 
 
 def head_batch(P: Params, theta: Character) -> HeadBatch:
-    _check_faithful(theta)
+    check_faithful(theta)
     labs = [s for s, _ in simples(P, theta)]
     eps = [tt_eps(P, theta, s) for s in labs]
     E, X = tt_cross(tt_batch(P, theta, eps), tt_rows(tt_unit(P, theta)),
@@ -196,7 +177,7 @@ def ext_dim(P: Params, theta: Character, pairs) -> List[int]:
     per target b, and eps_a times the stacked rows of its targets one
     product per source a.
     """
-    _check_faithful(theta)
+    check_faithful(theta)
     pairs = list(pairs)
     span = _degree_one_span(P, theta)
     n = len(span.cols.coeffs)
@@ -218,7 +199,7 @@ def ext_dim(P: Params, theta: Character, pairs) -> List[int]:
     return [ranks[pair] for pair in pairs]
 
 
-class PairingTable:
+class PairingTable(NamedTuple):
     """Scalar table of the loop-family commutation: (e, f) -> field
     element, e indexing characters of L_1 and f of L_2.
 
@@ -226,22 +207,11 @@ class PairingTable:
     faithful theta.
     """
 
-    __slots__ = ("r", "entries")
-
-    def __init__(self, r: int, entries: Dict[Tuple[int, int], int]):
-        self.r = r
-        self.entries = entries
+    r: int
+    entries: Dict[Tuple[int, int], int]
 
     def value(self, e: int, f: int) -> int:
         return self.entries[(e % self.r, f % self.r)]
-
-    def __eq__(self, other):
-        if not isinstance(other, PairingTable):
-            return NotImplemented
-        return self.r == other.r and self.entries == other.entries
-
-    def __repr__(self):
-        return f"PairingTable(r={self.r})"
 
 
 def pairing_to_json(table: PairingTable) -> list:
@@ -318,7 +288,7 @@ def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
     pairing_recovery compares the table with the commutator values of
     theta and checks that it is a bicharacter.
     """
-    _check_faithful(theta)
+    check_faithful(theta)
     c = _commutation_scalars(P, theta, *(tt_loop_conjugates(
         P, theta, side, make_char(P, f"P{side}", step))
         for side, step in ((1, phi_e), (2, zeta_e))))
@@ -348,8 +318,8 @@ def morita_equivalent(P: Params, theta: Character,
     """Whether the two blocks are equivalent: exponents agree up to
     sign.  The invariant route (pairing extraction and recovery) is
     exercised against this predicate in the test suite."""
-    _check_faithful(theta)
-    _check_faithful(theta2)
+    check_faithful(theta)
+    check_faithful(theta2)
     return (theta2.e - theta.e) % P.r == 0 or \
         (theta2.e + theta.e) % P.r == 0
 

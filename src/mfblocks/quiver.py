@@ -18,6 +18,7 @@ built when that stays small.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from types import MappingProxyType
 
 import numpy as np
@@ -34,31 +35,17 @@ from .linalg import gf_inv_matrix, gf_matmul
 _EMBED_LIMIT = 2048
 
 
-class QuivLabel:
+class QuivLabel(namedtuple("QuivLabel", "side psi m")):
     """One monomial e_psi * s_phi1 * s_phi2 * ... in normal form.
 
     psi is the vertex character exponent mod p; m[s-1] counts the
     arrow for the character of exponent s, each count below ell.
     """
 
-    __slots__ = ("side", "psi", "m")
+    __slots__ = ()
 
-    def __init__(self, side: int, psi: int, m):
-        self.side = side
-        self.psi = psi
-        self.m = tuple(m)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuivLabel):
-            return NotImplemented
-        return (self.side, self.psi, self.m) == \
-            (other.side, other.psi, other.m)
-
-    def __hash__(self):
-        return hash((self.side, self.psi, self.m))
-
-    def __repr__(self):
-        return f"QuivLabel(side={self.side}, psi={self.psi}, m={self.m})"
+    def __new__(cls, side: int, psi: int, m):
+        return tuple.__new__(cls, (side, psi, tuple(m)))
 
 
 def label_make(P: Params, side: int, psi: int, m) -> QuivLabel:

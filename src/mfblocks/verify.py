@@ -20,19 +20,19 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from .characters import (
-    Character, char_eval, char_frob_power, char_idempotent, is_faithful,
+    Character, char_eval, char_frob_power, char_idempotent, check_faithful,
     make_char,
 )
 from .groups import (
-    Params, commutator, conjugate, d_digits, d_elem, d_key, elem_to_dict,
-    group_inv, group_mul, h_elem, identity, key_bits, key_cols, key_drop,
-    key_z, p_elem, pack_key, subgroup_elements,
+    GroupElem, Params, commutator, conjugate, d_digits, d_elem, d_key,
+    elem_to_dict, group_inv, group_mul, h_elem, identity, key_bits, key_cols,
+    key_drop, key_z, p_elem, pack_key, subgroup_elements,
 )
 from .groupalg import (
     _CHUNK, _TABLE_ENTRIES, _mul_lanes, _table_entries, _theta_pow,
@@ -102,7 +102,8 @@ def _random_qa(P: Params, side: int, rng: random.Random, nterms: int,
                            [lab.m for lab in labels], cs)
 
 
-def _random_ga(P: Params, rng: random.Random, nterms: int):
+def _random_terms(P: Params, rng: random.Random, nterms: int):
+    """nterms random (group element, coefficient) pairs."""
     terms = []
     for _ in range(nterms):
         g = d_elem(P, 1, rng.randrange(P.p), rng.randrange(P.ell))
@@ -113,7 +114,7 @@ def _random_ga(P: Params, rng: random.Random, nterms: int):
         g = group_mul(P, g, h_elem(P, rng.randrange(P.r),
                                    rng.randrange(P.r), rng.randrange(P.r)))
         terms.append((g, rng.randrange(1, P.ctx.order)))
-    return ga_from_terms(P, terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -682,15 +683,27 @@ def _check_isomorphisms(P: Params, theta: Character, suite: str,
                         rng: random.Random) -> Optional[dict]:
     _need_group_algebra(P)
     n = 30 if suite == "quick" else 100
-    for _ in range(n):
-        x = _random_ga(P, rng, 3)
-        y = _random_ga(P, rng, 3)
-        lhs = swap_isomorphism(P, ga_mul(P, x, y))
-        if lhs != ga_mul(P, swap_isomorphism(P, x), swap_isomorphism(P, y)):
+    samples = ((_random_terms(P, rng, 3), _random_terms(P, rng, 3))
+               for _ in range(n))
+    # then one pair whose D-digits sum to 2 (ell - 1) in every slot, the
+    # largest sums that the dadd table adds
+    top = (0,) + (P.ell - 1,) * (P.p - 1)
+    extreme = [(GroupElem(top, 0, top, 0, 0, 0, 0), 1)]
+    for xt, yt in itertools.chain(samples, [(extreme, extreme)]):
+        x, y = ga_from_terms(P, xt), ga_from_terms(P, yt)
+        xy = ga_mul(P, x, y)
+        if xy != ga_from_terms(P, [(group_mul(P, g, h), P.ctx.mul(c, d))
+                                   for g, c in xt for h, d in yt]):
+            return {"x": [elem_to_dict(g) for g, _ in xt],
+                    "y": [elem_to_dict(h) for h, _ in yt],
+                    "defect": "packed product is not the normal-form"
+                    " product"}
+        if swap_isomorphism(P, xy) != ga_mul(P, swap_isomorphism(P, x),
+                                             swap_isomorphism(P, y)):
             return {"map": "swap", "defect": "not multiplicative"}
         u1 = rng.randrange(1, P.p)
         u2 = rng.randrange(1, P.p)
-        lhs = fp_automorphism(P, u1, u2, ga_mul(P, x, y))
+        lhs = fp_automorphism(P, u1, u2, xy)
         if lhs != ga_mul(P, fp_automorphism(P, u1, u2, x),
                          fp_automorphism(P, u1, u2, y)):
             return {"map": "scaling", "u": [u1, u2],
@@ -704,40 +717,28 @@ def _check_isomorphisms(P: Params, theta: Character, suite: str,
         return {"map": "scaling", "defect": "block idempotent moved"}
     if not qa_embed_available(P):
         return None
-    theta2 = inv
-    for e in (1, 2):
-        lhs = swap_isomorphism(
-            P, b0_pi_inv(P, theta, tt_eps(P, theta, simple_make(P, e, 0))))
-        want = b0_pi_inv(P, theta2,
-                         tt_eps(P, theta2, simple_make(P, 0, e)))
-        if lhs != want:
-            return {"map": "swap", "e": e,
-                    "defect": "one-sided idempotent family not swapped"}
+    # (map, label under theta, theta', image label under theta', witness)
+    swap = partial(swap_isomorphism, P)
+    cases = [(swap, simple_make(P, e, 0), inv, simple_make(P, 0, e),
+              {"map": "swap", "e": e,
+               "defect": "one-sided idempotent family not swapped"})
+             for e in (1, 2)]
     # at p = 3 the unit 3 is 0: skipped
-    for u in (u for u in (2, 3) if u % P.p):
-        uinv = pow(u, -1, P.p)
-        for e in (1, 2):
-            lhs = fp_automorphism(
-                P, u, 1,
-                b0_pi_inv(P, theta, tt_eps(P, theta, simple_make(P, e, 0))))
-            want = b0_pi_inv(
-                P, theta,
-                tt_eps(P, theta, simple_make(P, (e * uinv) % P.p, 0)))
-            if lhs != want:
-                return {"map": "scaling", "u": u, "e": e,
-                        "defect": "idempotent family misses the index"
-                        " scaling"}
+    cases += [(partial(fp_automorphism, P, u, 1), simple_make(P, e, 0), theta,
+               simple_make(P, e * pow(u, -1, P.p), 0),
+               {"map": "scaling", "u": u, "e": e,
+                "defect": "idempotent family misses the index scaling"})
+              for u in (2, 3) if u % P.p for e in (1, 2)]
     pair = next((s for s in (lab for lab, _ in simples(P, theta))
                  if simple_kind(s) == "pair" and s.phi != s.psi), None)
     if pair is not None:
-        lhs = swap_isomorphism(
-            P, b0_pi_inv(P, theta, tt_eps(P, theta, pair)))
-        want = b0_pi_inv(
-            P, theta2,
-            tt_eps(P, theta2, simple_make(P, pair.psi, pair.phi)))
-        if lhs != want:
-            return {"map": "swap", "pair": simple_str(pair),
-                    "defect": "orbit-pair idempotent not transposed"}
+        cases.append((swap, pair, inv, simple_make(P, pair.psi, pair.phi),
+                      {"map": "swap", "pair": simple_str(pair),
+                       "defect": "orbit-pair idempotent not transposed"}))
+    for iso, s, theta2, s2, witness in cases:
+        if iso(b0_pi_inv(P, theta, tt_eps(P, theta, s))) != \
+                b0_pi_inv(P, theta2, tt_eps(P, theta2, s2)):
+            return witness
     return None
 
 
@@ -798,11 +799,13 @@ CHECK_STATEMENTS: Dict[str, str] = {
         " brute force and equals n at r = ell^n + 1; the parameter"
         " recipe reproduces its desk examples.",
     "isomorphisms":
-        "The side-swapping map and the index-scaling maps are"
-        " multiplicative, send the block idempotent to the inverse"
-        " block resp. fix it, and, where the embedding tables fit,"
-        " permute the idempotent family by transposition resp. index"
-        " scaling.",
+        "The packed group-algebra product equals the normal-form product"
+        " term by term on every sampled pair and on a pair whose D-digits"
+        " sum to 2(ell - 1) in every slot; the side-swapping map and the"
+        " index-scaling maps are multiplicative, send the block"
+        " idempotent to the inverse block resp. fix it, and, where the"
+        " embedding tables fit, permute the idempotent family by"
+        " transposition resp. index scaling.",
 }
 
 _CHECKS: Dict[str, Callable] = {
@@ -866,8 +869,7 @@ def run_checks(P: Params, theta: Character, suite: str = "quick",
     """
     if suite not in ("quick", "full"):
         raise ValueError(f"suite must be quick or full, got {suite}")
-    if theta.group != "Z" or not is_faithful(theta):
-        raise ValueError("theta must be a faithful character of Z")
+    check_faithful(theta)
     report = VerifyReport(
         params={"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},
         suite=suite, seed=seed)

@@ -11,13 +11,14 @@ from mfblocks.groups import (
     pack_key, subgroup_elements,
 )
 from mfblocks.groupalg import (
-    GAElem, _tables, ga_add, ga_basis, ga_mul, ga_zero,
+    GAElem, _tables, ga_add, ga_basis, ga_from_terms, ga_mul, ga_zero,
 )
 from mfblocks.quiver import (
     _EMBED_LIMIT, QuivAElem, _act, _embed_tables, _label_index, _leg_join,
     label_make, label_phi, qa_basis, qa_from_columns, qa_zero,
 )
 from mfblocks.twisted import TTElem, tt_is_zero, tt_zero
+from mfblocks.verify import _random_terms
 
 # the tags of the P-characters, the groups that H conjugates
 _P_GROUPS = ("P1", "P2")
@@ -43,6 +44,11 @@ def ga_scale(P, c, x):
     if c == 1:
         return x
     return GAElem(x.keys, P.ctx.vscale(c, x.coeffs))
+
+
+def random_ga(P, rng, nterms):
+    """A random element of nterms terms, drawn as verify draws them."""
+    return ga_from_terms(P, _random_terms(P, rng, nterms))
 
 
 def ga_coeff(P, x, g):

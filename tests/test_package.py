@@ -3,7 +3,8 @@ down, no assert in the library, no sympy at import, the field's tables
 and digit layout known to the field alone, no field table but exp and
 log, no relabelling table per unit, the side product and the field sum
 of colliding keys written once, one power table per root of unity, no
-cached iota matrix, and a library or CLI caller for every function."""
+cached iota matrix, equality written only for the array-holding
+elements, and a library or CLI caller for every function."""
 
 import ast
 import os
@@ -29,7 +30,7 @@ TEST_ONLY = {"field.FieldContext.digit_plane"}
 
 # The most lines src/ may hold.  The bound may only go down: lower it
 # to the new count whenever a change shrinks src/.
-SRC_LINES = 3990
+SRC_LINES = 3922
 
 
 def test_src_lines_do_not_grow():
@@ -132,6 +133,18 @@ def test_field_sum_of_keys_is_written_once():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "bin_sum"]
     assert found == ["groupalg.py:_key_sums"]
+
+
+def test_value_types_are_named_tuples():
+    # equality and hashing are written out only for the elements that
+    # hold arrays; every other value type is a named tuple
+    found = {node.name for path in sorted((SRC / "mfblocks").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(fn, ast.FunctionDef)
+                     and fn.name in ("__eq__", "__hash__")
+                     for fn in node.body)}
+    assert found == {"GAElem", "QuivAElem", "TTElem"}
 
 
 def test_digit_layout_is_the_fields_own():

@@ -25,7 +25,6 @@ from mfblocks.twisted import _stage_b, _tt_ctx
 from mfblocks.twisted import (
     _iota_table, _route_cols, _route_elem, tt_from_columns,
 )
-from mfblocks.verify import _random_ga
 from mfblocks.verify import _closed_route
 from mfblocks.groupalg import (
     GAElem, _dedupe, block_fold, block_unfold, ga_sum,
@@ -37,7 +36,7 @@ from mfblocks.quiver import (
 )
 import mfblocks.twisted as twisted_mod
 from reference import (
-    f_add, ga_conjugate, ga_scale, qa_L_action, qa_vertex,
+    f_add, ga_conjugate, ga_scale, qa_L_action, qa_vertex, random_ga,
     tt_radical_degree, tt_scale,
 )
 
@@ -301,11 +300,11 @@ class TestMembershipGate:
                    for side in (1, 2) for _ in range(3)]
         members += [b0_pi_inv(P, theta, random_tt(P, theta, rng, 2))
                     for _ in range(3)]
-        in_block = [ga_mul(P, _random_ga(P, rng, 3), block)
+        in_block = [ga_mul(P, random_ga(P, rng, 3), block)
                     for _ in range(4)]
         in_block += [ga_mul(P, ga_basis(P, h_elem(P, 1, 0, 0)), x)
                      for x in members[:2]]
-        outside = [_random_ga(P, rng, 3) for _ in range(3)]
+        outside = [random_ga(P, rng, 3) for _ in range(3)]
         outside += [ga_add(P, members[0], ga_basis(P, h_elem(P, 0, 0, 0)))]
         kinds = {True: 0, False: 0, "raise": 0}
         for x in members + in_block + outside:
@@ -334,7 +333,7 @@ class TestPi:
             for e in range(1, r):
                 theta = make_char(P, "Z", e)
                 for _ in range(3):
-                    x, y = _random_ga(P, rng, 30), _random_ga(P, rng, 30)
+                    x, y = random_ga(P, rng, 30), random_ga(P, rng, 30)
                     f = block_fold(P, theta, ga_mul(P, x, y))
                     want = _stage_b(P, theta, _dedupe(
                         P, key_n(P, f.keys), f.coeffs))
@@ -1118,8 +1117,8 @@ class TestFoldedOracle:
                   b0_pi_inv(P, theta, random_tt(P, theta, rng, 1, 0)))
                  for _ in range(2)]
         block = block_idempotent(P, theta)
-        pairs += [(ga_mul(P, _random_ga(P, rng, 30), block),
-                   _random_ga(P, rng, 30)) for _ in range(2)]
+        pairs += [(ga_mul(P, random_ga(P, rng, 30), block),
+                   random_ga(P, rng, 30)) for _ in range(2)]
         pairs += [(block, ga_zero())]
         nonzero = 0
         for x, y in pairs:

@@ -14,7 +14,7 @@ import pytest
 
 from mfblocks.characters import make_char
 from mfblocks.groupalg import _tables, _table_entries
-from mfblocks.groups import params_make
+from mfblocks.groups import Params, d_digits, d_key, params_make
 from mfblocks.linalg import gf_matmul
 from mfblocks.morita import PairingTable
 from mfblocks.quiver import _embed_tables, label_to_dict, qa_labels
@@ -353,6 +353,30 @@ class TestInjectedDefects:
         assert row.status == "fail"
         assert row.witness == {"j": 1, "at": [1, 2], "defect": "extracted"
                                " scalar disagrees with the character route"}
+
+    def test_isomorphisms_see_int8_digit_sums_in_dadd(self):
+        # dadd built from int8 digits wraps the sums v + w past 127: at
+        # (67,3,2) that bends 134,445 entries, each one alike under the
+        # swap and the scaling maps, so only the comparison with the
+        # normal-form product sees it, on the pair of all-(ell - 1)
+        # D-digits.  A fresh Params keeps the 67^4 entries of dadd out of
+        # the params_make cache
+        P = Params(67, 3, 2)
+        theta = make_char(P, "Z", 1)
+        (row,) = run_checks(P, theta, names=["isomorphisms"]).rows
+        assert row.status == "pass"
+        dadd = _tables(P)["dadd"]
+        full = np.zeros((P.dsz, P.p), dtype=np.int8)
+        full[:, 1:] = d_digits(P, np.arange(P.dsz))
+        for i, v in enumerate(full):
+            dadd[i] = d_key(P, ((v + full) % P.ell)[:, 1:])
+        (row,) = run_checks(P, theta, names=["isomorphisms"]).rows
+        assert row.status == "fail"
+        top = {"v1": [0, 66, 66], "x1": 0, "v2": [0, 66, 66], "x2": 0,
+               "h": [0, 0, 0]}
+        assert row.witness == {
+            "x": [top], "y": [top],
+            "defect": "packed product is not the normal-form product"}
 
     def test_embed_sees_a_bent_label_rule(self, monkeypatch):
         # the library's no-carry test off by one: the products that
