@@ -53,10 +53,10 @@ def _exponent_of(P: Params, group: str, g: GroupElem) -> int:
     return k
 
 
-def char_eval(P: Params, chi: Character, g: GroupElem) -> int:
-    """Value of chi on g, as a packed field element."""
-    k = _exponent_of(P, chi.group, g)
-    return int(root_powers(P, chi.order)[chi.e * k % chi.order])
+def char_exponent(P: Params, chi: Character, g: GroupElem) -> int:
+    """The exponent of chi(g) against the root of unity of order |S|,
+    which is the same in every coefficient field."""
+    return chi.e * _exponent_of(P, chi.group, g) % chi.order
 
 
 def char_idempotent(P: Params, chi: Character) -> GAElem:
@@ -65,7 +65,7 @@ def char_idempotent(P: Params, chi: Character) -> GAElem:
     ascend with k."""
     n = char_group(P, chi.group)[1]
     step = pack_key(P, generator_power(P, chi.group, 1))
-    coeffs = root_powers(P, n)[-chi.e * np.arange(n) % n]
+    coeffs = root_powers(P, P.ctx, n)[-chi.e * np.arange(n) % n]
     return GAElem(key_array(range(0, n * step, step)),
                   P.ctx.vscale(P.ctx.inv(P.ctx.from_int(n)), coeffs))
 

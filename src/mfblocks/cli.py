@@ -189,7 +189,7 @@ def recover(ell, p_, r_, theta_e, config_path) -> None:
     P, theta = _block(cfg, ell, p_, r_, theta_e)
     table = commutation_pairing(P, theta)
     out = {"params": {"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},
-           "pairing": pairing_to_json(table),
+           "pairing": pairing_to_json(P, table),
            "recovered": sorted(recover_theta(table, P))}
     click.echo(json.dumps(out))
 

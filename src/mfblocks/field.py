@@ -7,9 +7,9 @@ are base-ell digit vectors too, and use it).  All arithmetic
 is exact; the modulus and the multiplicative generator are chosen
 deterministically so every downstream value is reproducible bit for bit.
 
-The field degree d is always chosen (by callers) so that the field contains
-all p-th and r-th roots of unity in play, i.e. it is a splitting field for
-every group algebra this package touches.
+Callers choose the degree for the roots of unity a layer needs: the label
+field F_ell(zeta_r) for the label model, and F_{ell^d}, which also holds
+zeta_p, for the group algebra.
 """
 
 from __future__ import annotations
@@ -372,16 +372,23 @@ class FieldContext:
         return f"FieldContext(ell={self.ell}, d={self.d}, modulus={self.modulus})"
 
 
+def field_refusal(ell: int, d: int) -> str:
+    """Why field_make refuses F_{ell^d}, naming d; "" where it builds it."""
+    if not 1 <= d <= 24:
+        return f"extension degree d = {d} outside [1, 24]"
+    if ell**d - 1 >= 2**63:
+        return (f"field order {ell}^{d} = {ell**d} (d = {d}) has elements"
+                f" past the int64 bound 2^63")
+    return ""
+
+
 def field_make(ell: int, d: int) -> FieldContext:
     """Deterministic F_{ell^d}: smallest irreducible modulus, then smallest
     generator (both in packed-integer order)."""
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
-    if not 1 <= d <= 24:
-        raise ValueError(f"extension degree d = {d} outside [1, 24]")
-    if ell**d - 1 >= 2**63:
-        raise ValueError(f"field order {ell}^{d} = {ell**d} has elements"
-                         f" past the int64 bound 2^63")
+    if field_refusal(ell, d):
+        raise ValueError(field_refusal(ell, d))
     modulus = None
     for low in range(ell**d):
         digits, v = [], low
@@ -417,8 +424,6 @@ def root_of_unity(ctx: FieldContext, m: int) -> int:
     if m == 1:
         return ctx.one
     if q1 % m != 0:
-        raise ValueError(
-            f"{m} does not divide {q1}: F_{{{ctx.ell}^{ctx.d}}} is not a "
-            f"splitting field for C_{m}"
-        )
+        raise ValueError(f"{m} does not divide {q1}: F_{{{ctx.ell}^{ctx.d}}}"
+                         f" is not a splitting field for C_{m}")
     return ctx.pow(ctx.generator, q1 // m)

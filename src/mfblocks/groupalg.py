@@ -1,4 +1,4 @@
-"""Sparse group-algebra arithmetic over the splitting field.
+"""Sparse group-algebra arithmetic over the splitting field F_{ell^d}.
 
 Elements of kG are kept as two parallel numpy arrays: packed group keys
 (sorted, unique) and packed nonzero field coefficients.  Products run
@@ -62,14 +62,14 @@ def ga_is_zero(x: GAElem) -> bool:
     return len(x.keys) == 0
 
 
-def _key_sums(P: Params, coeffs: np.ndarray, inv: np.ndarray, size: int):
-    """Field sums of coeffs per key id inv, over size keys, and the mask
+def _key_sums(ctx, coeffs: np.ndarray, inv: np.ndarray, size: int):
+    """Sums in ctx of coeffs per key id inv, over size keys, and the mask
     of the nonzero sums: where no id repeats, a scatter through inv."""
     if size == len(coeffs):
         sums = np.empty(size, dtype=coeffs.dtype)
         sums[inv] = coeffs
     else:
-        sums = P.ctx.bin_sum(inv, size, coeffs)
+        sums = ctx.bin_sum(inv, size, coeffs)
     return sums, sums != 0
 
 
@@ -78,7 +78,7 @@ def _dedupe(P: Params, keys: np.ndarray, coeffs: np.ndarray) -> GAElem:
     if keys.size == 0:
         return ga_zero()
     uk, inv = np.unique(keys, return_inverse=True)
-    sums, live = _key_sums(P, coeffs, inv, uk.size)
+    sums, live = _key_sums(P.ctx, coeffs, inv, uk.size)
     return GAElem(uk[live], sums[live])
 
 
@@ -143,8 +143,9 @@ def _tables(P: Params) -> dict:
             "scale": np.stack([d_scale(P, u, np.arange(P.dsz))
                                for u in P._g0pow]),
             "xscale": np.outer(P._g0pow, h) % p,
-            "dadd": None if ell == 2 else
-            np.stack([pack((v + full) % ell) for v in full])}
+            "dadd": None if ell == 2 else np.fromiter(  # one copy held
+                (pack((v + full) % ell) for v in full),
+                np.dtype((np.int64, P.dsz)), P.dsz)}
     P._cache["ga_tables"] = tabs
     return tabs
 
@@ -200,7 +201,7 @@ def _theta_pow(P: Params, theta) -> np.ndarray:
         raise ValueError("block labels are characters of Z")
     if math.gcd(theta.e, P.r) != 1:
         raise ValueError("theta must be faithful on Z")
-    return root_powers(P, P.r)[theta.e * np.arange(P.r) % P.r]
+    return root_powers(P, P.ctx, P.r)[theta.e * np.arange(P.r) % P.r]
 
 
 def block_idempotent(P: Params, theta) -> GAElem:
@@ -233,7 +234,7 @@ def block_unfold(P: Params, theta, f: GAElem) -> GAElem:
     if key_z(P, f.keys).any():
         raise ValueError("a folded element has its keys at c = 0")
     return GAElem((f.keys[:, None] + np.arange(P.r)).ravel(), P.ctx.vmul(
-        f.coeffs[:, None], l_fourier(P)[theta.e]).ravel())
+        f.coeffs[:, None], l_fourier(P, P.ctx)[theta.e]).ravel())
 
 
 def _is_permuted(x: GAElem, keys: np.ndarray, coeffs: np.ndarray) -> bool:

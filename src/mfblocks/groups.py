@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,12 +58,13 @@ def least_primitive_root(p: int) -> int:
 
 
 class Params:
-    """Immutable parameter pack: primes, field, g0 and roots of unity.
+    """Parameter pack: primes, g0 and the two coefficient fields.
 
     ell, p are distinct primes; r > 1 divides p - 1 and is coprime to
-    ell.  The coefficient field F_{ell^d} has d = lcm(ord_p(ell),
-    ord_r(ell)), which makes it a splitting field for every subgroup
-    in play.  g0 generates the order-r subgroup of F_p^*.
+    ell.  g0 generates the order-r subgroup of F_p^*.  The label model
+    computes over lctx = F_ell(zeta_r) = F_{ell^m}, m = ord_r(ell), built
+    here with its Fourier matrix.  The group algebra also needs zeta_p:
+    ctx = F_{ell^d}, d = lcm(ord_p(ell), m), is built on first access.
     """
 
     def __init__(self, ell: int, p: int, r: int):
@@ -84,16 +85,20 @@ class Params:
         self.p = p
         self.r = r
         self.dsz = ell ** (p - 1)
-        self.d = math.lcm(mult_order(ell, p), mult_order(ell, r))
-        self.ctx = field_make(ell, self.d)
+        self.m = mult_order(ell, r)
+        self.d = math.lcm(mult_order(ell, p), self.m)
         gamma = least_primitive_root(p)
         self.g0 = pow(gamma, (p - 1) // r, p)
-        self.zeta_p = root_of_unity(self.ctx, p)
-        self.zeta_r = root_of_unity(self.ctx, r)
         # g0 powers indexed mod r; g0 has exact order r
         self._g0pow = [pow(self.g0, t, p) for t in range(r)]
         # lazy attachments (action tables, algebra contexts) keyed by name
         self._cache: dict = {}
+        self.lctx = field_make(ell, self.m)
+        l_fourier(self, self.lctx)
+
+    @cached_property
+    def ctx(self):
+        return self.lctx if self.d == self.m else field_make(self.ell, self.d)
 
     def __repr__(self) -> str:
         return f"Params(ell={self.ell}, p={self.p}, r={self.r}, d={self.d})"
@@ -104,30 +109,31 @@ def params_make(ell: int, p: int, r: int) -> Params:
     return Params(ell, p, r)
 
 
-def root_powers(P: Params, order: int) -> np.ndarray:
-    """zeta^k for k < order, zeta = zeta_r or zeta_p by the order: the
-    one power table of each root of unity, built once per Params.  Any
+def root_powers(P: Params, ctx, order: int) -> np.ndarray:
+    """zeta^k for k < order, zeta = root_of_unity(ctx, order): the one
+    power table of each root and field, built once per Params.  Any
     power is a lookup at its exponent mod order."""
-    key = ("root_powers", order)
+    key = ("root_powers", ctx.order, order)
     tab = P._cache.get(key)
     if tab is None:
-        zeta = {P.r: P.zeta_r, P.p: P.zeta_p}[order]
+        zeta = root_of_unity(ctx, order)
         tab = P._cache[key] = np.array(
-            [P.ctx.pow(zeta, k) for k in range(order)], dtype=np.int64)
+            [ctx.pow(zeta, k) for k in range(order)], dtype=np.int64)
     return tab
 
 
-def l_fourier(P: Params) -> np.ndarray:
-    """D[e, t] = r^-1 zeta_r^(-e t), built once per Params from the
-    table of zeta_r: row e weighs the r powers t of a cyclic group of
-    order r (L_1, L_2 or Z) into the part of the character of exponent
-    e."""
-    D = P._cache.get("l_fourier")
+def l_fourier(P: Params, ctx) -> np.ndarray:
+    """D[e, t] = r^-1 zeta_r^(-e t) over the field ctx, built once per
+    Params and field from the table of zeta_r: row e weighs the r powers
+    t of a cyclic group of order r (L_1, L_2 or Z) into the part of the
+    character of exponent e."""
+    key = ("l_fourier", ctx.order)
+    D = P._cache.get(key)
     if D is None:
         e = np.arange(P.r)
-        D = P._cache["l_fourier"] = P.ctx.vscale(
-            P.ctx.inv(P.ctx.from_int(P.r)),
-            root_powers(P, P.r)[-np.outer(e, e) % P.r])
+        D = P._cache[key] = ctx.vscale(
+            ctx.inv(ctx.from_int(P.r)),
+            root_powers(P, ctx, P.r)[-np.outer(e, e) % P.r])
     return D
 
 

@@ -26,7 +26,7 @@ from .groups import (
     mult_order, root_powers,
 )
 from .groupalg import GAElem, _dedupe, ga_zero
-from .linalg import gf_rank
+from .linalg import gf_apply_axis, gf_rank
 from .quiver import _sort_key
 from .twisted import (
     TTElem, _Cols, _orbit, tt_batch, tt_conjugates, tt_cross, tt_eps,
@@ -104,7 +104,7 @@ def _block_ranks(P: Params, t: TTElem, blocks: int, n: int) -> list:
         _, j = np.unique(col[lo:hi], return_inverse=True)
         M = np.zeros((i.max() + 1, j.max() + 1), dtype=np.int64)
         M[i, j] = c.coeffs[lo:hi]
-        out.append(gf_rank(P.ctx, M))
+        out.append(gf_rank(t.ctx, M))
     return out
 
 
@@ -163,7 +163,7 @@ def _degree_one_span(P: Params, theta: Character) -> TTElem:
     span = tt_from_columns(
         P, theta, np.concatenate([psi, xi]), np.concatenate([arrow, vertex]),
         np.concatenate([xi, psi]), np.concatenate([vertex, arrow]),
-        np.full(2 * len(s), P.ctx.one, dtype=np.int64))
+        np.ones(2 * len(s), dtype=np.int64))
     P._cache[key] = span
     return span
 
@@ -192,7 +192,8 @@ def ext_dim(P: Params, theta: Character, pairs) -> List[int]:
         # target i takes the rows i n .. (i + 1) n - 1
         parts = [right[b].cols._replace(rows=right[b].cols.rows + i * n)
                  for i, b in enumerate(targets)]
-        stack = TTElem(theta, _Cols(*map(np.concatenate, zip(*parts))))
+        stack = TTElem(theta, _Cols(*map(np.concatenate, zip(*parts))),
+                       span.ctx)
         Z = tt_mul(P, theta, eps[a], stack)
         ranks.update(zip(((a, b) for b in targets),
                          _block_ranks(P, Z, len(targets), n)))
@@ -200,8 +201,9 @@ def ext_dim(P: Params, theta: Character, pairs) -> List[int]:
 
 
 class PairingTable(NamedTuple):
-    """Scalar table of the loop-family commutation: (e, f) -> field
-    element, e indexing characters of L_1 and f of L_2.
+    """Scalar table of the loop-family commutation: (e, f) -> the
+    exponent k of the scalar zeta_r^k, e indexing characters of L_1 and
+    f of L_2, the same over every field (each reads its own zeta_r).
 
     A nondegenerate bicharacter of Z/r x Z/r when extracted from a
     faithful theta.
@@ -214,42 +216,26 @@ class PairingTable(NamedTuple):
         return self.entries[(e % self.r, f % self.r)]
 
 
-def pairing_to_json(table: PairingTable) -> list:
-    return [{"chi": e, "eta": f, "value": int(c)}
-            for (e, f), c in sorted(table.entries.items())]
-
-
-def _iso_leg(P: Params, theta: Character, side: int) -> TTElem:
-    """The r L-conjugates of the arrow at vertex 0 along step 1, with the
-    vertex sum on the other side: row e of l_fourier weighs these distinct
-    labels, as qa_isotypic does, into a nonzero element of weight e."""
-    return tt_conjugates(P, theta, side, 0, np.eye(1, P.p - 1),
-                         np.arange(P.p))
-
-
-def _fourier(ctx, D: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """D on each of the first two axes of packed x, by vector products."""
-    for _ in range(2):
-        out = np.zeros_like(x)
-        for t, row in enumerate(x):
-            out = ctx.vadd(out, ctx.vmul(
-                D[:, t].reshape((-1,) + (1,) * row.ndim), row))
-        x = out.swapaxes(0, 1)
-    return x
+def pairing_to_json(P: Params, table: PairingTable) -> list:
+    """The entries as packed elements zeta_r^k of the label field."""
+    zr = root_powers(P, P.lctx, P.r)
+    return [{"chi": e, "eta": f, "value": int(zr[k])}
+            for (e, f), k in sorted(table.entries.items())]
 
 
 def _commutation_scalars(P: Params, theta: Character, S: TTElem,
                          T: TTElem) -> list:
-    """At e r + f, the unique c with S_e T_f = c T_f S_e, or None where
-    both products are 0: S_e is the sum of D[e, t] S[t] over the rows
-    t < r of the batch S, D = l_fourier, and T_f likewise.
+    """At e r + f, the exponent k of the unique c = zeta_r^k with S_e T_f
+    = c T_f S_e, or None where both products are 0: S_e is the sum of
+    D[e, t] S[t] over the rows t < r of the batch S, D = l_fourier, and
+    T_f likewise; all over the field of S and T.
 
     The product is bilinear, so each pair of rows (t, t') is multiplied
     once, in one product of a cross batch per order.  Held densely over
     one ranking of their label pairs, the products S_e T_f and T_f S_e
     are the 2-D Fourier transform of these: D on the t and t' axes.
     """
-    r, ctx = P.r, P.ctx
+    r, ctx = P.r, S.ctx
     A, B = tt_cross(S, T, r)
     ST, TS = tt_mul(P, theta, A, B).cols, tt_mul(P, theta, B, A).cols
     labels, ids = np.unique(_sort_key(*map(np.concatenate, zip(
@@ -259,7 +245,8 @@ def _commutation_scalars(P: Params, theta: Character, S: TTElem,
     X = np.zeros((r * r, 2, len(labels)), dtype=np.int64)
     X[ST.rows, 0, ids[:len(ST.rows)]] = ST.coeffs
     X[TS.rows, 1, ids[len(ST.rows):]] = TS.coeffs
-    st, ts = _fourier(ctx, l_fourier(P), X.reshape(r, r, 2, -1)).reshape(
+    D, X = l_fourier(P, ctx), X.reshape(r, r, 2, -1)
+    st, ts = gf_apply_axis(ctx, D, gf_apply_axis(ctx, D, X, 0), 1).reshape(
         r * r, 2, -1).swapaxes(0, 1)
     live = ts.any(axis=1)
     # c is read at the first label of T S, inverting each of the few
@@ -271,20 +258,26 @@ def _commutation_scalars(P: Params, theta: Character, S: TTElem,
     c[live] = ctx.vmul(st[at], np.int64([ctx.inv(int(x)) for x in y])[k])
     if not np.array_equal(st, ctx.vmul(c[:, None], ts)):
         raise ValueError("no unique commutation scalar")
-    return [int(x) if ok else None for x, ok in zip(c, live)]
+    exponent = {int(z): k for k, z in enumerate(root_powers(P, ctx, r))}
+    if not all(int(x) in exponent for x in c[live]):
+        raise ValueError("a commutation scalar is no power of zeta_r")
+    return [exponent[int(x)] if ok else None for x, ok in zip(c, live)]
 
 
 def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
                         zeta_e: int = 1) -> PairingTable:
-    """Extract the full commutation table from products in the model.
+    """Extract the full commutation table from products in the model
+    over the label field.
 
     The scalars come from the loop families S~_e and T~_f on the steps
     phi_e, zeta_e, each a weighted sum of the r L-conjugates of one
     loop path (tt_loop_conjugates), through _commutation_scalars: two
     products, however large r is.  When r is even, conjugates t and
     t + r/2 of a loop path coincide and cancel for odd weights, so every
-    entry with e or f odd has both products 0; those are read off the
-    weight-pure legs of _iso_leg, one more pair of products.  verify's
+    entry with e or f odd has both products 0; those are read off one
+    more pair, the r L-conjugates of the arrow at vertex 0 along step 1
+    times the vertex sum: distinct labels, which row e of l_fourier
+    weighs into a nonzero element of weight e.  verify's
     pairing_recovery compares the table with the commutator values of
     theta and checks that it is a bicharacter.
     """
@@ -293,8 +286,9 @@ def commutation_pairing(P: Params, theta: Character, phi_e: int = 1,
         P, theta, side, make_char(P, f"P{side}", step))
         for side, step in ((1, phi_e), (2, zeta_e))))
     if None in c:
-        iso = _commutation_scalars(P, theta, _iso_leg(P, theta, 1),
-                                   _iso_leg(P, theta, 2))
+        iso = _commutation_scalars(P, theta, *(tt_conjugates(
+            P, theta, side, 0, np.eye(1, P.p - 1), np.arange(P.p))
+            for side in (1, 2)))
         c = [iso[i] if x is None else x for i, x in enumerate(c)]
     return PairingTable(P.r, {divmod(i, P.r): x for i, x in enumerate(c)})
 
@@ -306,10 +300,10 @@ def recover_theta(table: PairingTable, P: Params) -> frozenset:
     r = table.r
     if r != P.r:
         raise ValueError("table size does not match the parameters")
-    t = np.flatnonzero(root_powers(P, r) == table.value(1, 1))
-    if not len(t) or math.gcd(int(t[0]), r) != 1:
+    k = table.value(1, 1)
+    if k is None or math.gcd(k, r) != 1:
         raise ValueError("degenerate pairing table")
-    j = pow(-int(t[0]) % r, -1, r)
+    j = pow(-k % r, -1, r)
     return frozenset({j, (r - j) % r})
 
 

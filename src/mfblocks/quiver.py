@@ -9,7 +9,8 @@ rule computes the same product.
 
 Side elements are held as one leg of the label columns that the
 twisted model of B_0 uses, and the label rule (the leg join, the
-L-action table, the sort key) lives here once for both.
+L-action table, the sort key, the merge of equal labels) lives here
+once for both.  Side elements have their coefficients in F_{ell^d}.
 
 The label arithmetic works at every parameter size.  The embedding
 needs dense change-of-basis matrices of size ell^(p-1) and is only
@@ -88,21 +89,21 @@ def _sort_key(*cols) -> np.ndarray:
     return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
 
 
-def _merge_terms(P: Params, coeffs: np.ndarray, first: np.ndarray,
+def _merge_terms(ctx, coeffs: np.ndarray, first: np.ndarray,
                  inv: np.ndarray):
-    """Field sums of coeffs per distinct key, given each key's first
+    """Sums in ctx of coeffs per distinct key, given each key's first
     occurrence and each term's key id; returns the nonzero sums and the
     first occurrence of their keys."""
-    sums, live = _key_sums(P, coeffs, inv, len(first))
+    sums, live = _key_sums(ctx, coeffs, inv, len(first))
     return sums[live], first[live]
 
 
-def _canon_rows(P: Params, coeffs: np.ndarray, *cols):
+def _canon_rows(ctx, coeffs: np.ndarray, *cols):
     """_merge_terms over the distinct rows of the key columns cols, in
     key order."""
     _, first, inv = np.unique(_sort_key(*cols), return_index=True,
                               return_inverse=True)
-    return _merge_terms(P, coeffs, first, inv)
+    return _merge_terms(ctx, coeffs, first, inv)
 
 
 def _leg_labels(side: int, psi: np.ndarray, m: np.ndarray) -> list:
@@ -160,7 +161,7 @@ def qa_from_columns(P: Params, side: int, psi, m, coeffs) -> QuivAElem:
     """Element from label columns; equal labels are summed."""
     psi = np.asarray(psi, dtype=np.int64) % P.p
     m = np.asarray(m, dtype=digit_dtype(P)).reshape(-1, P.p - 1)
-    merged, sel = _canon_rows(P, np.asarray(coeffs, dtype=np.int64), psi, m)
+    merged, sel = _canon_rows(P.ctx, np.asarray(coeffs, np.int64), psi, m)
     return QuivAElem(side, psi[sel], m[sel], merged)
 
 
@@ -296,8 +297,8 @@ def qa_isotypic(P: Params, u: QuivAElem, chi: Character) -> QuivAElem:
         return u
     psi, m = _act(P, np.arange(P.r), u.psi, u.m)
     return qa_from_columns(
-        P, u.side, psi.ravel(), m.reshape(-1, P.p - 1),
-        P.ctx.vmul(u.coeffs[:, None], l_fourier(P)[chi.e][None, :]).ravel())
+        P, u.side, psi.ravel(), m.reshape(-1, P.p - 1), P.ctx.vmul(
+            u.coeffs[:, None], l_fourier(P, P.ctx)[chi.e][None, :]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +319,7 @@ def _embed_tables(P: Params) -> dict:
     if n > _EMBED_LIMIT:
         raise ValueError(f"embedding tables of size {n} are too large")
     ctx, p, Dsz, ell = P.ctx, P.p, P.dsz, P.ell
-    zp, y = root_powers(P, p), np.arange(p)
+    zp, y = root_powers(P, ctx, p), np.arange(p)
 
     # the arrow of exponent s is s_phi = sum_g zeta_p^(-s g) d^g over
     # the p conjugates d^g of d = d_1^0, which are distinct; shift[g] is

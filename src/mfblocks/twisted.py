@@ -8,9 +8,10 @@ commutators of the h-elements.  This module realizes both directions
 of pi, the twisted multiplication on labels, and the distinguished
 idempotents, arrows and degree-two loop sums used downstream.
 
-Elements of B_0 are stored by their pi-image, as label columns; the
-group-algebra form is materialized only to cross-check the twisted
-product against honest group convolution.
+Elements of B_0 are stored by their pi-image, as label columns over the
+field they carry: the label field P.lctx, or F_{ell^d} = P.ctx for the
+corner maps into kG.  The group-algebra form is materialized only to
+cross-check the twisted product against honest group convolution.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .characters import (
-    Character, char_eval, h_element, make_char,
-)
+from .characters import Character, char_exponent, h_element, make_char
 from .groups import (
     Params, commutator, d_digits, digit_dtype, group_inv, key_cols, key_drop,
     key_n, l_fourier, root_powers,
@@ -59,7 +58,8 @@ class _Cols(NamedTuple):
 
 
 class TTElem:
-    """B_0 element held by its pi-image in A_1 (x) A_2.
+    """B_0 element held by its pi-image in A_1 (x) A_2, with its
+    coefficients in the field ctx.
 
     cols holds one row per term, unique on the label pair and sorted by
     (psi1, m1, psi2, m2) with m compared slot by slot; coefficients are
@@ -71,11 +71,12 @@ class TTElem:
     (row, side-1 label, side-2 label).
     """
 
-    __slots__ = ("theta", "cols", "_terms")
+    __slots__ = ("theta", "cols", "ctx", "_terms")
 
-    def __init__(self, theta: Character, cols: _Cols):
+    def __init__(self, theta: Character, cols: _Cols, ctx):
         self.theta = theta
         self.cols = cols
+        self.ctx = ctx
         self._terms = None
 
     @property
@@ -100,6 +101,7 @@ class TTElem:
         keyed = slice(1 if a.rows is None else 0, None)
         return (self.theta.group == other.theta.group
                 and self.theta.e == other.theta.e
+                and self.ctx.order == other.ctx.order
                 and _same_columns(a[keyed], b[keyed]))
 
     def __repr__(self):
@@ -107,57 +109,54 @@ class TTElem:
         return f"TTElem(theta_exp={self.theta.e}, {n} terms)"
 
 
-def _canon(P: Params, c: _Cols) -> _Cols:
-    """Sort on (row, label pair), merge equal keys with field addition,
+def _canon(ctx, c: _Cols) -> _Cols:
+    """Sort on (row, label pair), merge equal keys with addition in ctx,
     drop zero coefficients."""
     keys = c[:5] if c.rows is not None else c[1:5]
-    merged, sel = _canon_rows(P, c.coeffs, *keys)
+    merged, sel = _canon_rows(ctx, c.coeffs, *keys)
     return _Cols(None if c.rows is None else c.rows[sel], c.psi1[sel],
                  c.m1[sel], c.psi2[sel], c.m2[sel], merged)
 
 
 def tt_from_columns(P: Params, theta: Character, psi1, m1, psi2, m2,
-                    coeffs) -> TTElem:
-    """Element from label columns; equal pairs are summed."""
-    dt = digit_dtype(P)
-    return TTElem(theta, _canon(P, _Cols(
+                    coeffs, ctx=None) -> TTElem:
+    """Element from label columns over ctx (default the label field);
+    equal pairs are summed."""
+    dt, ctx = digit_dtype(P), ctx or P.lctx
+    return TTElem(theta, _canon(ctx, _Cols(
         None, np.asarray(psi1, dtype=np.int64) % P.p,
         np.asarray(m1, dtype=dt).reshape(-1, P.p - 1),
         np.asarray(psi2, dtype=np.int64) % P.p,
         np.asarray(m2, dtype=dt).reshape(-1, P.p - 1),
-        np.asarray(coeffs, dtype=np.int64))))
+        np.asarray(coeffs, dtype=np.int64))), ctx)
 
 
-def tt_zero(theta: Character) -> TTElem:
+def tt_zero(theta: Character, ctx) -> TTElem:
     empty = np.zeros(0, dtype=np.int64)
     return TTElem(theta, _Cols(None, empty, empty.reshape(0, 0), empty,
-                               empty.reshape(0, 0), empty))
+                               empty.reshape(0, 0), empty), ctx)
 
 
 def tt_is_zero(t: TTElem) -> bool:
     return len(t.cols.coeffs) == 0
 
 
-def tt_from_terms(P: Params, theta: Character, items) -> TTElem:
-    us, vs, cs = [], [], []
-    for u, v, c in items:
-        if u.side != 1:
-            raise ValueError("left label must lie on side 1")
-        if v.side != 2:
-            raise ValueError("right label must lie on side 2")
-        if c != 0:
-            us.append(u)
-            vs.append(v)
-            cs.append(c)
+def tt_from_terms(P: Params, theta: Character, items, ctx=None) -> TTElem:
+    us, vs, cs = zip(*items) if len(items) else ((), (), ())
+    if any(u.side != 1 for u in us):
+        raise ValueError("left label must lie on side 1")
+    if any(v.side != 2 for v in vs):
+        raise ValueError("right label must lie on side 2")
     return tt_from_columns(P, theta, [u.psi for u in us], [u.m for u in us],
-                           [v.psi for v in vs], [v.m for v in vs], cs)
+                           [v.psi for v in vs], [v.m for v in vs], cs, ctx)
 
 
-def _vertex_pairs(P: Params, theta: Character, psi1, psi2) -> TTElem:
+def _vertex_pairs(P: Params, theta: Character, psi1, psi2,
+                  ctx=None) -> TTElem:
     """Sum of the vertex pairs (psi1[i], psi2[i]), coefficients one."""
     zero = np.zeros((len(psi1), P.p - 1), dtype=digit_dtype(P))
     return tt_from_columns(P, theta, psi1, zero, psi2, zero,
-                           np.full(len(psi1), P.ctx.one, dtype=np.int64))
+                           np.ones(len(psi1), dtype=np.int64), ctx)
 
 
 def tt_unit(P: Params, theta: Character) -> TTElem:
@@ -168,7 +167,7 @@ def tt_unit(P: Params, theta: Character) -> TTElem:
 
 def tt_add(P: Params, t: TTElem, s: TTElem) -> TTElem:
     """Sum of two elements, or row by row of two batches."""
-    _check_theta(t, s.theta)
+    _check(t, s.theta, s.ctx)
     if tt_is_zero(s):
         return t
     if tt_is_zero(t):
@@ -177,55 +176,53 @@ def tt_add(P: Params, t: TTElem, s: TTElem) -> TTElem:
         raise ValueError("cannot add a batch and a single element")
     cols = [None if x is None else np.concatenate([x, y])
             for x, y in zip(t.cols, s.cols)]
-    return TTElem(t.theta, _canon(P, _Cols(*cols)))
+    return TTElem(t.theta, _canon(t.ctx, _Cols(*cols)), t.ctx)
 
 
 def tt_neg(P: Params, t: TTElem) -> TTElem:
     if P.ell == 2:
         return t
-    return TTElem(t.theta,
-                  t.cols._replace(coeffs=P.ctx.vneg(t.cols.coeffs)))
+    return TTElem(t.theta, t.cols._replace(coeffs=t.ctx.vneg(t.cols.coeffs)),
+                  t.ctx)
 
 
 def tt_sub(P: Params, t: TTElem, s: TTElem) -> TTElem:
     return tt_add(P, t, tt_neg(P, s))
 
 
-def _check_theta(t: TTElem, theta: Character) -> None:
+def _check(t: TTElem, theta: Character, ctx) -> None:
     if t.theta.group != theta.group or t.theta.e != theta.e:
         raise ValueError("theta mismatch")
+    if t.ctx.order != ctx.order:
+        raise ValueError("coefficient field mismatch")
 
 
 # ---------------------------------------------------------------------------
-# Shared context per (Params, theta)
+# Constants per (Params, field, theta)
 
 
-def _tt_ctx(P: Params, theta: Character) -> dict:
-    cache_key = ("ttb0", theta.e)
-    tctx = P._cache.get(cache_key)
-    if tctx is not None:
-        return tctx
-    ctx, r, tp = P.ctx, P.r, _theta_pow(P, theta)
-    h1 = [h_element(P, theta, make_char(P, "L1", e), 1) for e in range(r)]
-    h2 = [h_element(P, theta, make_char(P, "L2", f), 2) for f in range(r)]
-    h_inv_ga = {side: [ga_basis(P, group_inv(P, h)) for h in hs]
-                for side, hs in ((1, h1), (2, h2))}
-
-    c_tab = np.zeros((r, r), dtype=np.int64)
-    for e in range(r):
-        for f in range(r):
-            c_tab[e, f] = char_eval(P, theta, commutator(P, h2[f], h1[e]))
-    c_inv = np.array([[ctx.inv(int(c)) for c in row] for row in c_tab],
-                     dtype=np.int64)
-    # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta_r^-(e t + f t'), the
-    # Fourier transform of c_inv on both slots
-    D = l_fourier(P)
-    W = gf_matmul(ctx, gf_matmul(ctx, D.T, c_inv), D)
-
-    tctx = {"h1": h1, "h2": h2, "h_inv_ga": h_inv_ga, "c_tab": c_tab,
-            "W": W, "theta_pow": tp, "iota": {}}
-    P._cache[cache_key] = tctx
-    return tctx
+def _tt_consts(P: Params, ctx, theta: Character) -> dict:
+    """The label constants of theta over ctx: the h-elements h1[e], h2[f]
+    of chi_e on L_1 and eta_f on L_2; c_tab[e, f], the exponent of
+    theta([h2[f], h1[e]]) against zeta_r; and W[t, t'] = r^-2
+    sum_{e,f} zeta_r^-(c_tab[e, f] + e t + f t').  Only W depends on
+    the field; the rest is the label field's."""
+    key = ("tt_consts", ctx.order, theta.e)
+    consts = P._cache.get(key)
+    if consts is None:
+        if ctx.order != P.lctx.order:
+            consts = dict(_tt_consts(P, P.lctx, theta))
+        else:
+            h1, h2 = ([h_element(P, theta, make_char(P, f"L{i}", e), i)
+                       for e in range(P.r)] for i in (1, 2))
+            consts = {"h1": h1, "h2": h2, "c_tab": np.array(
+                [[char_exponent(P, theta, commutator(P, g, h)) for g in h2]
+                 for h in h1], dtype=np.int64)}
+        D = l_fourier(P, ctx)
+        consts["W"] = gf_matmul(ctx, gf_matmul(
+            ctx, D.T, root_powers(P, ctx, P.r)[-consts["c_tab"] % P.r]), D)
+        P._cache[key] = consts
+    return consts
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +270,23 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
     """The folded corner embedding of one side as a linear route.
 
     Component e, the chi_e-isotypic part (row e of the mix D), rides on
-    phi(h_inv[e] e_theta), a single key; the lanes are the side keys
-    times those r keys, one key map for all e, and keep c = 0 because
-    the side keys have trivial H-part.  No columns are stored.
+    phi(h_e^-1 e_theta), a single key; the lanes are the side keys times
+    those r keys, one key map for all e, and keep c = 0 because the side
+    keys have trivial H-part.  No columns are stored.
     """
-    tctx = _tt_ctx(P, theta)
-    tab = tctx["iota"].get(side)
+    tab = P._cache.get(("iota", theta.e, side))
     if tab is not None:
         return tab
-    xs = [block_fold(P, theta, h) for h in tctx["h_inv_ga"][side]]
+    xs = [block_fold(P, theta, ga_basis(P, group_inv(P, h)))
+          for h in _tt_consts(P, P.lctx, theta)[f"h{side}"]]
     lanes = _mul_lanes(P, _embed_tables(P)["gkeys"][side - 1].reshape(1, -1),
                        np.concatenate([x.keys for x in xs])[:, None])
     keys = np.unique(lanes)
-    tab = {"keys": keys, "pos": np.searchsorted(keys, lanes),
-           "mix": l_fourier(P),
-           "comp": np.repeat(np.arange(P.r), [len(x) for x in xs]),
-           "w": np.concatenate([x.coeffs for x in xs])}
-    tctx["iota"][side] = tab
+    tab = P._cache[("iota", theta.e, side)] = {
+        "keys": keys, "pos": np.searchsorted(keys, lanes),
+        "mix": l_fourier(P, P.ctx),
+        "comp": np.repeat(np.arange(P.r), [len(x) for x in xs]),
+        "w": np.concatenate([x.coeffs for x in xs])}
     return tab
 
 
@@ -315,7 +312,7 @@ def _stage_b(P: Params, theta: Character, f: GAElem) -> TTElem:
     the S-expansions come last, the second on the first's live rows.
     """
     if not len(f.keys):
-        return tt_zero(theta)
+        return tt_zero(theta, P.ctx)
     tabs, ctx, p = _embed_tables(P), P.ctx, P.p
     d1, x1, d2, x2 = np.unravel_index(f.keys, (P.dsz, p, P.dsz, p))
     rows1, i1 = np.unique(d1, return_inverse=True)
@@ -333,7 +330,7 @@ def _stage_b(P: Params, theta: Character, f: GAElem) -> TTElem:
     (i1, xi1, mk2, xi2), vals = live, T4[live]
     m1, m2 = d_digits(P, rows1[i1]), d_digits(P, mk2)
     return tt_from_columns(P, theta, xi1 - label_phi(P, m1), m1,
-                           xi2 - label_phi(P, m2), m2, vals)
+                           xi2 - label_phi(P, m2), m2, vals, ctx)
 
 
 def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
@@ -353,8 +350,9 @@ def b0_pi(P: Params, theta: Character, x: GAElem) -> TTElem:
 
 def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
     """Inverse of the collapse: sum of c iota_1(u) iota_2(v), each
-    product formed from the folded routes, summed and unfolded once."""
-    _check_theta(t, theta)
+    product formed from the folded routes, summed and unfolded once; t
+    has its coefficients in F_{ell^d}."""
+    _check(t, theta, P.ctx)
     c, one = t.cols, np.ones(1, dtype=np.int64)
     routes = [_iota_table(P, theta, side) for side in (1, 2)]
     # the term's coefficient rides on its side-1 leg
@@ -363,7 +361,7 @@ def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
         P, routes[1], QuivAElem(2, c.psi2[[i]], c.m2[[i]], one)))
         for i in range(len(c.coeffs))]
     return block_unfold(P, theta, _dedupe(
-        P, *_folded_lanes(P, _tt_ctx(P, theta)["theta_pow"], pairs)))
+        P, *_folded_lanes(P, _theta_pow(P, theta), pairs)))
 
 
 def b0_pi_product(P: Params, theta: Character, x: GAElem,
@@ -378,7 +376,7 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     theta(gz)^(-a' b).  This is the oracle the twisted multiplication is
     gated against; it never touches the W-table.
     """
-    tp = _tt_ctx(P, theta)["theta_pow"]
+    tp = _theta_pow(P, theta)
     x, y = block_fold(P, theta, x), block_fold(P, theta, y)
     xb, ya = key_cols(P, x.keys)[5], key_cols(P, y.keys)[4]
     pairs = [(GAElem(x.keys[xb == b], x.coeffs[xb == b]), _dedupe(
@@ -399,8 +397,8 @@ def _no_terms(a: _Cols, b: _Cols) -> _Cols:
     return _Cols(rows, none, a.m1[:0], none, a.m2[:0], a.coeffs[:0])
 
 
-def _mul_chunk(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
-    """Twisted product of two column sets, in one pass.
+def _mul_chunk(P: Params, ctx, W: np.ndarray, a: _Cols, b: _Cols) -> _Cols:
+    """Twisted product of two column sets over ctx, in one pass.
 
     Side 1 joins each term of a with the k1-conjugates of the terms of
     b on (row, vertex); side 2 meets only the term pairs alive on side
@@ -439,11 +437,11 @@ def _mul_chunk(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
     # come grouped by pair
     x1, x2 = _expand(np.searchsorted(u2, u1, "left"),
                      np.searchsorted(u2, u1, "right"))
-    coeffs = P.ctx.vmul(P.ctx.vmul(a.coeffs[i1[x1]], b.coeffs[j1[x1]]),
-                        tctx["W"][k1[x1], k2[x2]])
+    coeffs = ctx.vmul(ctx.vmul(a.coeffs[i1[x1]], b.coeffs[j1[x1]]),
+                      W[k1[x1], k2[x2]])
     key = id1.ravel()[x1] * len(labels2) + id2.ravel()[x2]
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    merged, sel = _merge_terms(P, coeffs, first, inv)
+    merged, sel = _merge_terms(ctx, coeffs, first, inv)
     s1, s2 = x1[sel], x2[sel]
     return _Cols(None if rows is None else rows[s1], psi1[s1], m1[s1],
                  psi2[s2], m2[s2], merged)
@@ -482,9 +480,9 @@ def _row_slice(c: _Cols, lo: int, hi: int) -> _Cols:
     return _Cols(*(x[i:j] for x in c))
 
 
-def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
-    """Twisted product of two column sets, row by row where they are
-    batches: a term meets only the terms of its own row, and a side
+def _mul_cols(P: Params, ctx, W: np.ndarray, a: _Cols, b: _Cols) -> _Cols:
+    """Twisted product of two column sets over ctx, row by row where they
+    are batches: a term meets only the terms of its own row, and a side
     without rows meets every row of the other.
 
     A batch runs in chunks of whole rows (_row_chunks), so the lanes
@@ -493,8 +491,8 @@ def _mul_cols(P: Params, tctx: dict, a: _Cols, b: _Cols) -> _Cols:
     if not len(a.coeffs) or not len(b.coeffs):
         return _no_terms(a, b)
     if a.rows is None and b.rows is None:
-        return _mul_chunk(P, tctx, a, b)
-    parts = [_mul_chunk(P, tctx, _row_slice(a, lo, hi),
+        return _mul_chunk(P, ctx, W, a, b)
+    parts = [_mul_chunk(P, ctx, W, _row_slice(a, lo, hi),
                         _row_slice(b, lo, hi))
              for lo, hi in _row_chunks(P, a, b)]
     if not parts:
@@ -509,13 +507,16 @@ def tt_mul(P: Params, theta: Character, t: TTElem, s: TTElem) -> TTElem:
     (a1 (x) b1)(a2 (x) b2) picks up the inverse commutator scalar on
     each (chi-part of a2, eta-part of b1); expanding both isotypic
     projections as L-averages turns the scalar sum into the cached
-    W-table, leaving a closed r x r sum over conjugated labels.
+    W-table, leaving a closed r x r sum over conjugated labels; both
+    factors, and the product, lie over one field.
     """
-    _check_theta(t, theta)
-    _check_theta(s, theta)
+    ctx = t.ctx
+    _check(t, theta, ctx)
+    _check(s, theta, ctx)
     if tt_is_zero(t) or tt_is_zero(s):
-        return TTElem(theta, _no_terms(t.cols, s.cols))
-    return TTElem(theta, _mul_cols(P, _tt_ctx(P, theta), t.cols, s.cols))
+        return TTElem(theta, _no_terms(t.cols, s.cols), ctx)
+    W = _tt_consts(P, ctx, theta)["W"]
+    return TTElem(theta, _mul_cols(P, ctx, W, t.cols, s.cols), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -523,32 +524,33 @@ def tt_mul(P: Params, theta: Character, t: TTElem, s: TTElem) -> TTElem:
 
 
 def tt_batch(P: Params, theta: Character, elems) -> TTElem:
-    """The batch whose row i holds elems[i]."""
+    """The batch whose row i holds elems[i], over their common field."""
+    ctx = elems[0].ctx
     for t in elems:
-        _check_theta(t, theta)
+        _check(t, theta, ctx)
         if t.cols.rows is not None:
             raise ValueError("a batch holds single elements")
     live = [(i, t.cols) for i, t in enumerate(elems) if not tt_is_zero(t)]
     if not live:
         none = np.zeros(0, dtype=np.int64)
         m = np.zeros((0, P.p - 1), dtype=digit_dtype(P))
-        return TTElem(theta, _Cols(none, none, m, none, m, none))
+        return TTElem(theta, _Cols(none, none, m, none, m, none), ctx)
     rows = np.repeat([i for i, _ in live], [len(c.coeffs) for _, c in live])
     return TTElem(theta, _Cols(rows, *(np.concatenate(col) for col in zip(
-        *(c[1:] for _, c in live)))))
+        *(c[1:] for _, c in live)))), ctx)
 
 
 def tt_rows(t: TTElem) -> TTElem:
     """The batch whose row i holds the i-th term of t."""
     return TTElem(t.theta, t.cols._replace(
-        rows=np.arange(len(t.cols.coeffs))))
+        rows=np.arange(len(t.cols.coeffs))), t.ctx)
 
 
 def tt_cross(lefts: TTElem, rights: TTElem, n: int) -> tuple:
     """Two batches over the rows i n + j, for the rows i of lefts and
     j < n of rights, the first holding left row i and the second right
     row j: one product of the two forms every left times every right."""
-    _check_theta(rights, lefts.theta)
+    _check(rights, lefts.theta, lefts.ctx)
     a, b = lefts.cols, rights.cols
     if len(b.rows) and b.rows[-1] >= n:
         raise ValueError("a right row id is not below the stride")
@@ -564,7 +566,8 @@ def tt_cross(lefts: TTElem, rights: TTElem, n: int) -> tuple:
     right = _Cols((li[:, None] * n + b.rows).ravel(),
                   *(np.tile(x, (len(li),) + (1,) * (x.ndim - 1))
                     for x in b[1:]))
-    return TTElem(lefts.theta, left), TTElem(lefts.theta, right)
+    return (TTElem(lefts.theta, left, lefts.ctx),
+            TTElem(lefts.theta, right, lefts.ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +585,9 @@ def tt_conjugates(P: Params, theta: Character, side: int, psi: int, m,
     lab = (np.repeat(cpsi.ravel(), n), np.repeat(cm[0], n, axis=0))
     other = (np.tile(vertices, r), np.zeros_like(lab[1]))
     pair = (*lab, *other) if side == 1 else (*other, *lab)
-    return TTElem(theta, _canon(P, _Cols(
+    return TTElem(theta, _canon(P.lctx, _Cols(
         np.repeat(np.arange(r), n), *pair,
-        np.full(r * n, P.ctx.one, dtype=np.int64))))
+        np.ones(r * n, dtype=np.int64))), P.lctx)
 
 
 def _orbit(P: Params, e: int) -> list:
@@ -592,7 +595,7 @@ def _orbit(P: Params, e: int) -> list:
     return sorted({e * u % P.p for u in P._g0pow})
 
 
-def tt_eps(P: Params, theta: Character, label) -> TTElem:
+def tt_eps(P: Params, theta: Character, label, ctx=None) -> TTElem:
     """Idempotent attached to a simple label (phi, psi).
 
     Mixed labels keep the individual vertex on the nontrivial leg;
@@ -610,7 +613,7 @@ def tt_eps(P: Params, theta: Character, label) -> TTElem:
         pairs = [(0, psi)]
     else:
         pairs = [(a, b) for a in _orbit(P, phi) for b in _orbit(P, psi)]
-    return _vertex_pairs(P, theta, *zip(*pairs))
+    return _vertex_pairs(P, theta, *zip(*pairs), ctx)
 
 
 def tt_arrow(P: Params, theta: Character, side: int, vertex: Character,
@@ -624,7 +627,7 @@ def tt_arrow(P: Params, theta: Character, side: int, vertex: Character,
     m[0, step.e % P.p - 1] = 1
     leg, vertex0 = ([vertex.e], m), ([0], np.zeros_like(m))
     pair = (*leg, *vertex0) if side == 1 else (*vertex0, *leg)
-    return tt_from_columns(P, theta, *pair, [P.ctx.one])
+    return tt_from_columns(P, theta, *pair, [1])
 
 
 def tt_loop_conjugates(P: Params, theta: Character, side: int,
@@ -652,8 +655,8 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
     if weight.group != f"L{side}":
         raise ValueError(f"weight must be a character of L{side}")
     c = tt_loop_conjugates(P, theta, side, step).cols
-    return tt_from_columns(P, theta, *c[1:5],
-                           root_powers(P, P.r)[-weight.e * c.rows % P.r])
+    return tt_from_columns(P, theta, *c[1:5], root_powers(P, P.lctx, P.r)[
+        -weight.e * c.rows % P.r])
 
 
 # ---------------------------------------------------------------------------
@@ -663,4 +666,4 @@ def tt_tilde(P: Params, theta: Character, side: int, step: Character,
 def tt_to_json(P: Params, t: TTElem) -> list:
     """Terms in stored order, which is sorted by (psi1, m1, psi2, m2)."""
     return [{"u": label_to_dict(u), "v": label_to_dict(v),
-             "coeff": P.ctx.to_coeffs(c)} for (u, v), c in t.terms.items()]
+             "coeff": t.ctx.to_coeffs(c)} for (u, v), c in t.terms.items()]

@@ -26,9 +26,10 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .characters import (
-    Character, char_eval, char_frob_power, char_idempotent, check_faithful,
-    make_char,
+    Character, char_exponent, char_frob_power, char_idempotent,
+    check_faithful, make_char,
 )
+from .field import field_refusal
 from .groups import (
     GroupElem, Params, commutator, conjugate, d_digits, d_elem, d_key,
     elem_to_dict, group_inv, group_mul, h_elem, identity, key_bits, key_cols,
@@ -51,7 +52,7 @@ from .quiver import (
     qa_embed_available, qa_from_columns, qa_labels, qa_mul,
 )
 from .twisted import (
-    TTElem, _iota_table, _route_cols, _tt_ctx, _vertex_pairs,
+    TTElem, _iota_table, _route_cols, _tt_consts, _vertex_pairs,
     b0_iota, b0_pi, b0_pi_inv, b0_pi_product, tt_add, tt_arrow, tt_batch,
     tt_cross, tt_eps, tt_from_terms, tt_mul, tt_sub, tt_to_json, tt_unit,
 )
@@ -67,7 +68,14 @@ class SkipCheck(Exception):
     """A check that cannot run at the given parameters."""
 
 
+def _need_field(P: Params) -> None:
+    """Skip, before anything is built, where F_{ell^d} is refused."""
+    if field_refusal(P.ell, P.d):
+        raise SkipCheck(field_refusal(P.ell, P.d))
+
+
 def _need_group_algebra(P: Params) -> None:
+    _need_field(P)
     if key_bits(P) > 63:
         raise SkipCheck(f"group keys need {key_bits(P)} bits, more than the"
                         f" 63 of an int64 key")
@@ -94,12 +102,10 @@ def _random_label(P: Params, side: int, rng: random.Random, deg: int):
 
 def _random_qa(P: Params, side: int, rng: random.Random, nterms: int,
                deg: int):
-    cs, labels = [], []
-    for _ in range(nterms):
-        cs.append(rng.randrange(1, P.ctx.order))
-        labels.append(_random_label(P, side, rng, deg))
-    return qa_from_columns(P, side, [lab.psi for lab in labels],
-                           [lab.m for lab in labels], cs)
+    terms = [(rng.randrange(1, P.ctx.order), _random_label(P, side, rng, deg))
+             for _ in range(nterms)]
+    return qa_from_columns(P, side, [lab.psi for _, lab in terms],
+                           [lab.m for _, lab in terms], [c for c, _ in terms])
 
 
 def _random_terms(P: Params, rng: random.Random, nterms: int):
@@ -153,10 +159,7 @@ def _check_group_relations(P: Params, theta: Character, suite: str,
         if got != h_elem(P, a + a2, b + b2, c + c2 - a2 * b):
             return {"left": [a, b, c], "right": [a2, b2, c2]}
     for g in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0), h_elem(P, 0, 0, 1)):
-        acc = identity(P)
-        for _ in range(r):
-            acc = group_mul(P, acc, g)
-        if acc != identity(P):
+        if reduce(partial(group_mul, P), [g] * r) != identity(P):
             return {"generator_without_order_r": elem_to_dict(g)}
     gens = [d_elem(P, 1, 1), p_elem(P, 1, 1), d_elem(P, 2, 1),
             p_elem(P, 2, 1)]
@@ -399,12 +402,11 @@ def _check_corner_maps(P: Params, theta: Character, suite: str,
             [(1, 1)] * 16 + [(2, 0), (0, 2)] * 5 + [(2, 1), (1, 2)] * 6 + \
             [(2, 2)] * 6
     for d1, d2 in profiles:
-        lu = _random_label(P, 1, rng, d1)
-        lv = _random_label(P, 2, rng, d2)
+        lu, lv = _random_label(P, 1, rng, d1), _random_label(P, 2, rng, d2)
         prod = block_mul(P, theta, b0_iota(P, theta, qa_basis(P, lu)),
                          b0_iota(P, theta, qa_basis(P, lv)))
-        if b0_pi(P, theta, prod) != tt_from_terms(P, theta,
-                                                  [(lu, lv, P.ctx.one)]):
+        if b0_pi(P, theta, prod) != tt_from_terms(
+                P, theta, [(lu, lv, P.ctx.one)], P.ctx):
             return {"u": label_to_dict(lu), "v": label_to_dict(lv),
                     "defect": "collapse is not the pure tensor"}
     for _ in range(4 if suite == "quick" else 6):
@@ -416,39 +418,31 @@ def _check_corner_maps(P: Params, theta: Character, suite: str,
     return None
 
 
-def _gate_counts(P: Params, n: int) -> tuple:
-    # the degree-1 x degree-1 lanes cost orders of magnitude more than
-    # the vertex lanes, so the mix leans on cheap samples where the
-    # group is large
-    w = (0.70, 0.28, 0.02) if P.ell == 2 else (0.50, 0.40, 0.10)
-    c0 = max(1, round(n * w[0]))
-    c1 = max(1, round(n * w[1]))
-    return c0, c1, max(1, n - c0 - c1)
-
-
 def _check_product_gate(P: Params, theta: Character, suite: str,
                         rng: random.Random) -> Optional[dict]:
     _need_embed(P)
     n = 30 if suite == "quick" else 100
-    profiles = []
-    c0, c1, c2 = _gate_counts(P, n)
-    profiles += [((0, 0), (0, 0))] * c0
-    for _ in range(c1):
-        spot = rng.randrange(4)
-        d = [[0, 0], [0, 0]]
-        d[spot // 2][spot % 2] = 1
-        profiles.append((tuple(d[0]), tuple(d[1])))
-    for _ in range(c2):
-        profiles.append(((1, 0) if rng.random() < 0.5 else (0, 1),
-                         (1, 0) if rng.random() < 0.5 else (0, 1)))
+    # the degree-1 x degree-1 lanes cost orders of magnitude more than
+    # the vertex lanes, so the mix leans on cheap samples where the
+    # group is large: c0 pairs of degree 0, c1 of degree 1, the rest 2
+    w = (0.70, 0.28) if P.ell == 2 else (0.50, 0.40)
+    c0, c1 = max(1, round(n * w[0])), max(1, round(n * w[1]))
+    # the four places of the one arrow of a degree-1 pair
+    ones = [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)),
+            ((0, 0), (0, 1))]
+    profiles = [((0, 0), (0, 0))] * c0 + [ones[rng.randrange(4)]
+                                          for _ in range(c1)]
+    profiles += [tuple((1, 0) if rng.random() < 0.5 else (0, 1)
+                       for _ in range(2)) for _ in range(max(1, n - c0 - c1))]
     pairs = [tuple(tt_from_terms(P, theta, [(
         _random_label(P, 1, rng, d[0]), _random_label(P, 2, rng, d[1]),
-        rng.randrange(1, P.ctx.order))]) for d in prof) for prof in profiles]
+        rng.randrange(1, P.ctx.order))], P.ctx) for d in prof)
+        for prof in profiles]
     # one vertex pair per W entry: (1, 1) times (s_k1^-1, s_k2), with
     # s_k = g0^-k mod p, reaches W[k1, k2] alone
     g0 = P._g0pow
-    pairs += [(_vertex_pairs(P, theta, [1], [1]), _vertex_pairs(
-        P, theta, [g0[k1]], [g0[-k2 % P.r]]))
+    pairs += [(_vertex_pairs(P, theta, [1], [1], P.ctx), _vertex_pairs(
+        P, theta, [g0[k1]], [g0[-k2 % P.r]], P.ctx))
         for k1 in range(P.r) for k2 in range(P.r)]
     for t1, t2 in pairs:
         gate = b0_pi_product(P, theta, b0_pi_inv(P, theta, t1),
@@ -476,12 +470,16 @@ def _check_simple_census(P: Params, theta: Character, suite: str,
 
 def _check_idempotent_head(P: Params, theta: Character, suite: str,
                            rng: random.Random) -> Optional[dict]:
+    # the head batch never uses F_{ell^d}; its refusal stands in for a
+    # bound on the p^4 head terms (1.1e8 at (2,103,17))
+    _need_field(P)
     head = head_batch(P, theta)
     labs, n = head.labels, len(head.labels)
     eps = tt_batch(P, theta, head.eps)
     # every product eps_i eps_j in one batch, row i n + j, against
     # eps_i on the diagonal and 0 off it
-    want = TTElem(theta, eps.cols._replace(rows=eps.cols.rows * (n + 1)))
+    want = TTElem(theta, eps.cols._replace(rows=eps.cols.rows * (n + 1)),
+                  eps.ctx)
     bad = np.unique(tt_sub(P, tt_mul(P, theta, *tt_cross(eps, eps, n)),
                            want).cols.rows)
     i, j = np.divmod(bad, n)
@@ -509,6 +507,7 @@ def _check_idempotent_head(P: Params, theta: Character, suite: str,
 
 def _check_ext_quiver(P: Params, theta: Character, suite: str,
                       rng: random.Random) -> Optional[dict]:
+    _need_field(P)  # as idempotent_head, for 2 p^2 (p-1) degree-1 rows
     labs = [s for s, _ in simples(P, theta)]
     unit = labs[0]
     left = [s for s in labs if simple_kind(s) == "left"]
@@ -566,23 +565,21 @@ def _check_radical_powers(P: Params, theta: Character, suite: str,
 
 
 def _pairing_defect(P: Params, theta: Character, table) -> Optional[dict]:
-    """The extracted table T against the values of theta on the
-    commutators of the h-elements; then T(e, 0) = T(0, f) = 1 and
-    multiplicativity in each slot.  None when all hold."""
-    i = np.arange(P.r)
-    T = np.array([[table.value(e, f) for f in range(P.r)]
-                  for e in range(P.r)])
-    plus = (i[:, None] + i[None, :]) % P.r
+    """The extracted exponent table T against the exponents of theta on
+    the commutators of the h-elements; then T(e, 0) = T(0, f) = 0 and
+    additivity in each slot.  None when all hold."""
+    i, r = np.arange(P.r), P.r
+    T = np.array([[table.value(e, f) for f in range(r)] for e in range(r)])
+    plus = (i[:, None] + i[None, :]) % r
     defects = {
         "extracted scalar disagrees with the character route":
-            T != _tt_ctx(P, theta)["c_tab"],
+            T != _tt_consts(P, P.lctx, theta)["c_tab"],
         "unit row or column is not one":  # at 0, e: T(e, 0); 1, f: T(0, f)
-            np.stack([T[:, 0], T[0]]) != P.ctx.one,
+            np.stack([T[:, 0], T[0]]) != 0,
         "pairing is not multiplicative in the first slot":  # at e, g, f
-            T[plus] != P.ctx.vmul(T[:, None, :], T[None, :, :]),
+            T[plus] != (T[:, None, :] + T[None, :, :]) % r,
         "pairing is not multiplicative in the second slot":  # at e, f, g
-            T[i[:, None, None], plus] != P.ctx.vmul(T[:, :, None],
-                                                    T[:, None, :]),
+            T[i[:, None, None], plus] != (T[:, :, None] + T[:, None, :]) % r,
     }
     for defect, bad in defects.items():
         if bad.any():
@@ -593,15 +590,14 @@ def _pairing_defect(P: Params, theta: Character, table) -> Optional[dict]:
 def _h_element_defect(P: Params, theta: Character) -> Optional[dict]:
     """The model's h-elements against a search: h_chi must be the one
     candidate h in the other L with theta([h, g]) = chi(g) on all of L_i."""
-    tctx = _tt_ctx(P, theta)
     for i in (1, 2):
         gs = subgroup_elements(P, f"L{i}")
         for e in range(P.r):
             chi = make_char(P, f"L{i}", e)
             found = [h for h in subgroup_elements(P, f"L{3 - i}") if all(
-                char_eval(P, theta, commutator(P, h, g))
-                == char_eval(P, chi, g) for g in gs)]
-            if found != [tctx[f"h{i}"][e]]:
+                char_exponent(P, theta, commutator(P, h, g))
+                == char_exponent(P, chi, g) for g in gs)]
+            if found != [_tt_consts(P, P.lctx, theta)[f"h{i}"][e]]:
                 return {"h_element_disagrees": {"side": i, "chi": e}}
     return None
 
@@ -650,17 +646,9 @@ def _brute_mf(ell: int, rs: np.ndarray) -> np.ndarray:
 
 def _check_frobenius_mf(P: Params, theta: Character, suite: str,
                         rng: random.Random) -> Optional[dict]:
-    for j in range(1, P.r):
-        if math.gcd(j, P.r) != 1:
-            continue
-        tj = make_char(P, "Z", j)
-        lhs = ga_frobenius_twist(P, block_idempotent(P, tj))
-        if lhs != block_idempotent(P, char_frob_power(tj, 1, P.ell)):
-            return {"j": j, "defect": "twist misses the shifted block"}
-    # factoring ell^n + 1 for the order computation stays cheap only
-    # for small ell
+    # mult_order factors ell^n + 1 by trial division: cheap below 2^40
     for n in range(1, 21 if P.ell == 2 else 13):
-        if mf_number(P.ell, P.ell ** n + 1) != n:
+        if P.ell ** n + 1 < 2 ** 40 and mf_number(P.ell, P.ell ** n + 1) != n:
             return {"n": n, "got": mf_number(P.ell, P.ell ** n + 1)}
     bound = 1000 if suite == "quick" else 10 ** 4
     for ell in (2, 3, 5):
@@ -676,6 +664,13 @@ def _check_frobenius_mf(P: Params, theta: Character, suite: str,
         if params_for_target(ell, n) != want:
             return {"ell": ell, "n": n,
                     "got": list(params_for_target(ell, n))}
+    # the twist acts on kG, over F_{ell^d}; it builds no product table
+    _need_field(P)
+    for tj in (make_char(P, "Z", j) for j in range(1, P.r)
+               if math.gcd(j, P.r) == 1):
+        lhs = ga_frobenius_twist(P, block_idempotent(P, tj))
+        if lhs != block_idempotent(P, char_frob_power(tj, 1, P.ell)):
+            return {"j": tj.e, "defect": "twist misses the shifted block"}
     return None
 
 
@@ -701,8 +696,7 @@ def _check_isomorphisms(P: Params, theta: Character, suite: str,
         if swap_isomorphism(P, xy) != ga_mul(P, swap_isomorphism(P, x),
                                              swap_isomorphism(P, y)):
             return {"map": "swap", "defect": "not multiplicative"}
-        u1 = rng.randrange(1, P.p)
-        u2 = rng.randrange(1, P.p)
+        u1, u2 = rng.randrange(1, P.p), rng.randrange(1, P.p)
         lhs = fp_automorphism(P, u1, u2, xy)
         if lhs != ga_mul(P, fp_automorphism(P, u1, u2, x),
                          fp_automorphism(P, u1, u2, y)):
@@ -736,8 +730,8 @@ def _check_isomorphisms(P: Params, theta: Character, suite: str,
                       {"map": "swap", "pair": simple_str(pair),
                        "defect": "orbit-pair idempotent not transposed"}))
     for iso, s, theta2, s2, witness in cases:
-        if iso(b0_pi_inv(P, theta, tt_eps(P, theta, s))) != \
-                b0_pi_inv(P, theta2, tt_eps(P, theta2, s2)):
+        if iso(b0_pi_inv(P, theta, tt_eps(P, theta, s, P.ctx))) != \
+                b0_pi_inv(P, theta2, tt_eps(P, theta2, s2, P.ctx)):
             return witness
     return None
 
@@ -848,14 +842,10 @@ class VerifyReport:
         return all(row.status != "fail" for row in self.rows)
 
     def row_dicts(self) -> List[dict]:
-        out = []
-        for row in self.rows:
-            d = {"params": self.params, "check": row.check,
-                 "status": row.status, "ms": row.ms}
-            if row.witness is not None:
-                d["witness"] = row.witness
-            out.append(d)
-        return out
+        return [{"params": self.params, "check": row.check,
+                 "status": row.status, "ms": row.ms,
+                 **({} if row.witness is None else {"witness": row.witness})}
+                for row in self.rows]
 
 
 def run_checks(P: Params, theta: Character, suite: str = "quick",

@@ -4,11 +4,11 @@ or an independent second route to one of them."""
 
 import numpy as np
 
-from mfblocks.characters import Character, _exponent_of
+from mfblocks.characters import Character, _exponent_of, char_exponent
 from mfblocks.field import _poly_divmod
 from mfblocks.groups import (
     GroupElem, d_key, group_inv, h_elem, identity, key_cols, p_elem,
-    pack_key, subgroup_elements,
+    pack_key, root_powers, subgroup_elements,
 )
 from mfblocks.groupalg import (
     GAElem, _tables, ga_add, ga_basis, ga_from_terms, ga_mul, ga_zero,
@@ -22,6 +22,11 @@ from mfblocks.verify import _random_terms
 
 # the tags of the P-characters, the groups that H conjugates
 _P_GROUPS = ("P1", "P2")
+
+
+def char_eval(P, chi, g):
+    """Value of chi on g, as a packed element of F_{ell^d}."""
+    return int(root_powers(P, P.ctx, chi.order)[char_exponent(P, chi, g)])
 
 
 def ga_unit(P):
@@ -91,12 +96,20 @@ def qa_degree(u):
 
 
 def tt_scale(P, c, t):
+    """c t, c in the field of t."""
     if c == 0:
-        return tt_zero(t.theta)
+        return tt_zero(t.theta, t.ctx)
     if c == 1:
         return t
     return TTElem(t.theta, t.cols._replace(
-        coeffs=P.ctx.vscale(c, t.cols.coeffs)))
+        coeffs=t.ctx.vscale(c, t.cols.coeffs)), t.ctx)
+
+
+def tt_over(t, ctx):
+    """t with its coefficients read in the field ctx: they must lie in
+    the prime field, whose packed elements are the same in every field."""
+    assert (t.cols.coeffs < ctx.ell).all()
+    return TTElem(t.theta, t.cols, ctx)
 
 
 def tt_radical_degree(t):

@@ -5,15 +5,16 @@ import math
 import pytest
 
 from mfblocks.characters import (
-    Character, char_eval, char_frob_power, char_idempotent, h_element,
+    Character, char_exponent, char_frob_power, char_idempotent, h_element,
     is_faithful, make_char,
 )
+from mfblocks.field import root_of_unity
 from mfblocks.groups import (
     conjugate, group_inv, group_mul, h_elem, identity, l_fourier, p_elem,
     params_make, root_powers, subgroup_elements,
 )
 from mfblocks.groupalg import ga_add, ga_mul, ga_zero
-from reference import char_conjugate, ga_coeff, ga_unit
+from reference import char_conjugate, char_eval, ga_coeff, ga_unit
 
 
 class TestEval:
@@ -47,16 +48,29 @@ class TestEval:
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5),
                                      (2, 19, 9)])
     def test_tables_are_the_scalar_powers(self, cfg):
-        # the power tables and D against ctx.pow on the roots themselves
+        # the power tables and D against ctx.pow on the roots themselves,
+        # in the label field (zeta_r) and in F_{ell^d} (zeta_r, zeta_p)
         P = params_make(*cfg)
-        ctx, r = P.ctx, P.r
-        for zeta, order in ((P.zeta_r, r), (P.zeta_p, P.p)):
-            assert root_powers(P, order).tolist() == [
-                ctx.pow(zeta, k) for k in range(order)]
-        rinv = ctx.inv(ctx.from_int(r))
-        assert l_fourier(P).tolist() == [
-            [ctx.mul(rinv, ctx.pow(P.zeta_r, -e * t % r)) for t in range(r)]
-            for e in range(r)]
+        r = P.r
+        for ctx, orders in ((P.lctx, (r,)), (P.ctx, (r, P.p))):
+            for order in orders:
+                zeta = root_of_unity(ctx, order)
+                assert root_powers(P, ctx, order).tolist() == [
+                    ctx.pow(zeta, k) for k in range(order)]
+            rinv, zeta = ctx.inv(ctx.from_int(r)), root_of_unity(ctx, r)
+            assert l_fourier(P, ctx).tolist() == [
+                [ctx.mul(rinv, ctx.pow(zeta, -e * t % r)) for t in range(r)]
+                for e in range(r)]
+
+    def test_exponents_are_field_free(self):
+        # char_exponent is the exponent of char_eval's value over F_64
+        P = params_make(2, 7, 3)
+        for tag in ("Z", "L1", "P1"):
+            chi = make_char(P, tag, 2)
+            zeta = root_of_unity(P.ctx, chi.order)
+            for g in subgroup_elements(P, tag):
+                assert char_eval(P, chi, g) == P.ctx.pow(
+                    zeta, char_exponent(P, chi, g))
 
     def test_outside_subgroup(self):
         P = params_make(2, 7, 3)
@@ -130,7 +144,7 @@ class TestIdempotents:
         e = char_idempotent(P, theta)
         rinv = P.ctx.inv(P.ctx.from_int(3))
         for c in range(3):
-            expect = P.ctx.mul(rinv, P.ctx.pow(P.zeta_r, -c))
+            expect = P.ctx.mul(rinv, P.ctx.pow(root_of_unity(P.ctx, 3), -c))
             assert ga_coeff(P, e, h_elem(P, 0, 0, c)) == expect
 
     def test_conjugate_idempotent(self):

@@ -3,6 +3,7 @@
 import json
 import re
 
+import pytest
 from click.testing import CliRunner
 
 from mfblocks.cli import main
@@ -72,9 +73,28 @@ class TestVerify:
         assert "coprime" in res.output
 
     def test_field_past_int64_error(self):
-        res = run("verify", "--ell", "101", "--p", "11", "--r", "5")
+        # the label field F_{101^10} of (101,23,11) is refused up front
+        res = run("verify", "--ell", "101", "--p", "23", "--r", "11")
         assert res.exit_code == 1
         assert "101^10" in res.output and "2^63" in res.output
+
+    def test_group_algebra_past_int64_skips(self):
+        # at (101,11,5) the labels compute over F_101 and only the group
+        # algebra needs F_{101^10}: its checks skip and name d, and so do
+        # idempotent_head and ext_quiver, which run only where it builds
+        res = run("verify", "--ell", "101", "--p", "11", "--r", "5")
+        assert res.exit_code == 0
+        rows = [json.loads(line) for line in res.output.splitlines()]
+        refused = {row["check"] for row in rows if "2^63" in
+                   (row.get("witness") or {}).get("reason", "")}
+        assert refused == {"embed_multiplicative", "corner_maps",
+                           "product_gate", "idempotent_head", "ext_quiver",
+                           "frobenius_mf", "isomorphisms"}
+        assert all("101^10" in row["witness"]["reason"] and "d = 10" in
+                   row["witness"]["reason"] for row in rows
+                   if row["check"] in refused)
+        assert {row["check"] for row in rows if row["status"] == "pass"} == {
+            "group_relations", "simple_census", "pairing_recovery"}
 
     def test_non_faithful_theta_error(self):
         res = run("verify", "--ell", "2", "--p", "19", "--r", "9",
@@ -132,6 +152,38 @@ class TestRecover:
         assert len(d1["pairing"]) == 25
         assert {e["value"] for e in d1["pairing"]} != \
             {1} and d1["pairing"] != d2["pairing"]
+
+    def test_recipe_blocks_past_the_field_bound(self):
+        # F_{ell^d} is refused at the mf 4 block (2,103,17), d = 408; the
+        # labels compute over F_256 = F_2(zeta_17)
+        res = run("recover", "--ell", "2", "--p", "103", "--r", "17",
+                  "--theta", "3")
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["recovered"] == [3, 14]
+        assert len(doc["pairing"]) == 17 * 17
+        assert max(e["value"] for e in doc["pairing"]) < 256
+
+    @pytest.mark.slow
+    def test_mf_five_recipe_block(self):
+        # (2,67,33), d = 330: recover reads {5, 28} over F_{2^10}
+        res = run("recover", "--ell", "2", "--p", "67", "--r", "33",
+                  "--theta", "5")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["recovered"] == [5, 28]
+
+    def test_recover_builds_the_label_field_alone(self, monkeypatch):
+        # recover at (2,19,9) computes over F_64 and never builds F_{2^18}
+        import mfblocks.cli as C
+        import mfblocks.groups as G
+        calls, real = [], G.field_make
+        monkeypatch.setattr(G, "field_make",
+                            lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(C, "params_make", G.Params)
+        res = run("recover", "--ell", "2", "--p", "19", "--r", "9",
+                  "--theta", "2")
+        assert json.loads(res.output)["recovered"] == [2, 7]
+        assert calls == [(2, 6)]
 
     def test_non_faithful_theta_error(self):
         res = run("recover", "--ell", "2", "--p", "7", "--r", "3",

@@ -111,12 +111,19 @@ class TestConstruction:
             field_make(2, 25)
 
     def test_order_past_int64_refused(self):
-        # (101, 11, 5) is admissible with d = lcm(10, 1) = 10, and
-        # 101^10 > 2^63: refused before the modulus search
+        # (101, 23, 11) is admissible with label field degree ord_11(101)
+        # = 10, and 101^10 > 2^63: refused before the modulus search.  At
+        # (101, 11, 5) the label field is F_101, and F_{101^10}, d =
+        # lcm(10, 1), is refused where the group algebra first needs it
         start = time.perf_counter()
         with pytest.raises(ValueError,
                            match="101\\^10 = 110462212541120451001"):
-            params_make(101, 11, 5)
+            params_make(101, 23, 11)
+        P = params_make(101, 11, 5)
+        assert P.lctx.order == 101
+        with pytest.raises(ValueError,
+                           match="101\\^10 = 110462212541120451001"):
+            P.ctx
         assert time.perf_counter() - start < 1.0
 
 

@@ -364,6 +364,21 @@ class TestActionTables:
             [(x * P._g0pow[t]) % p for x in range(p)] for t in range(r)]
         assert (tabs["dadd"] is None) == (ell == 2)
 
+    def test_dadd_build_holds_one_copy(self):
+        # dadd is filled row by row: at (3,7,2), 3^12 entries of 8 bytes,
+        # the traced peak of the whole build stays within 1.25 tables
+        import tracemalloc
+        P = Params(3, 7, 2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dadd = galg._tables(P)["dadd"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dadd.shape == (729, 729) and dadd.dtype == np.int64
+        assert peak <= 1.25 * dadd.nbytes
+
     def test_dadd_past_the_int8_digit_sums(self):
         # at ell = 67 two digits sum to 132, past int8: dadd against the
         # scalar D-addition on every pair of vectors with digits 0 and

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from mfblocks.characters import char_frob_power, make_char
+from mfblocks.field import root_of_unity
 from mfblocks.groups import (
     GroupElem, _scale_side, d_elem, d_pack, d_scale, group_mul,
-    h_elem, identity, p_elem, pack_key, params_make,
+    Params, h_elem, identity, p_elem, pack_key, params_make,
 )
 from mfblocks.groupalg import (
     block_idempotent, ga_basis, ga_from_terms, ga_frobenius_twist, ga_mul,
@@ -172,15 +173,14 @@ class TestPairing:
                 jinv = pow(j, -1, r)
                 for e in range(r):
                     for f in range(r):
-                        want = P.ctx.pow(P.zeta_r, (-e * f * jinv) % r)
-                        assert tab.value(e, f) == want
+                        assert tab.value(e, f) == (-e * f * jinv) % r
 
     def test_trivial_rows(self):
         P = params_make(2, 7, 3)
         tab = commutation_pairing(P, make_char(P, "Z", 2))
         for e in range(3):
-            assert tab.value(e, 0) == P.ctx.one
-            assert tab.value(0, e) == P.ctx.one
+            assert tab.value(e, 0) == 0
+            assert tab.value(0, e) == 0
 
     def test_independent_of_step_choice(self):
         P = params_make(2, 7, 3)
@@ -244,10 +244,11 @@ class TestPairing:
                 return out
             c = out.cols
             if order == 1:
-                return TTElem(out.theta, _Cols(*(x[:0] for x in c)))
+                return TTElem(out.theta, _Cols(*(x[:0] for x in c)), out.ctx)
             coeffs = c.coeffs.copy()
-            coeffs[0] = P.ctx.mul(int(coeffs[0]), P.zeta_r)
-            return TTElem(out.theta, c._replace(coeffs=coeffs))
+            coeffs[0] = out.ctx.mul(int(coeffs[0]),
+                                    root_of_unity(out.ctx, P.r))
+            return TTElem(out.theta, c._replace(coeffs=coeffs), out.ctx)
         monkeypatch.setattr(M, "tt_mul", bent)
         with pytest.raises(ValueError, match="no unique commutation scalar"):
             commutation_pairing(P, make_char(P, "Z", 1))
@@ -258,17 +259,52 @@ class TestPairing:
         P = params_make(2, 7, 3)
         real = M.tt_mul
         monkeypatch.setattr(M, "tt_mul", lambda *a: TTElem(
-            a[1], _Cols(*(x[:0] for x in real(*a).cols))))
+            a[1], _Cols(*(x[:0] for x in real(*a).cols)), a[2].ctx))
         tab = commutation_pairing(P, make_char(P, "Z", 1))
         assert len(tab.entries) == 9
         assert set(tab.entries.values()) == {None}
 
     def test_json_shape(self):
+        # the values are the packed powers zeta_r^k of the label field F_4
         P = params_make(2, 7, 3)
-        rows = pairing_to_json(commutation_pairing(P, make_char(P, "Z", 1)))
+        tab = commutation_pairing(P, make_char(P, "Z", 1))
+        rows = pairing_to_json(P, tab)
         assert len(rows) == 9
         assert [(row["chi"], row["eta"]) for row in rows] == \
             [(e, f) for e in range(3) for f in range(3)]
+        zeta = root_of_unity(P.lctx, 3)
+        assert P.lctx.order == 4
+        assert [row["value"] for row in rows] == [
+            P.lctx.pow(zeta, tab.value(e, f)) for e in range(3)
+            for f in range(3)]
+
+
+class TestLabelField:
+    """The label model computes over F_ell(zeta_r); F_{ell^d} gives the
+    same pairing exponents without an embedding between the two."""
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5),
+                                     (2, 19, 9)])
+    def test_pairing_exponents_agree_over_both_fields(self, cfg):
+        # Q, a fresh copy of P, runs the label model over F_{ell^d}
+        P, Q = params_make(*cfg), Params(*cfg)
+        Q.lctx = Q.ctx
+        assert P.lctx.order == P.ell ** mf_field_degree(P) < Q.lctx.order
+        for j in range(1, P.r):
+            if math.gcd(j, P.r) != 1:
+                continue
+            small = commutation_pairing(P, make_char(P, "Z", j))
+            big = commutation_pairing(Q, make_char(Q, "Z", j))
+            assert small.entries == big.entries
+            assert None not in small.entries.values()
+
+
+def mf_field_degree(P):
+    """ord_r(ell), the degree of the label field."""
+    k, x = 1, P.ell % P.r
+    while x != 1:
+        k, x = k + 1, x * P.ell % P.r
+    return k
 
 
 class TestRecover:
@@ -310,7 +346,7 @@ class TestRecover:
 
     def test_degenerate_table(self):
         P = params_make(2, 7, 3)
-        flat = PairingTable(3, {(e, f): P.ctx.one for e in range(3)
+        flat = PairingTable(3, {(e, f): 0 for e in range(3)
                                 for f in range(3)})
         with pytest.raises(ValueError, match="degenerate"):
             recover_theta(flat, P)
@@ -429,14 +465,14 @@ class TestSwap:
         P = params_make(2, 7, 3)
         t1 = make_char(P, "Z", 1)
         t2 = make_char(P, "Z", 2)
+
+        def image(theta, a, b):
+            # the corner maps take coefficients in F_{ell^d}
+            return b0_pi_inv(P, theta,
+                             tt_eps(P, theta, simple_make(P, a, b), P.ctx))
         for e in range(7):
-            lhs = swap_isomorphism(
-                P, b0_pi_inv(P, t1, tt_eps(P, t1, simple_make(P, e, 0))))
-            assert lhs == b0_pi_inv(P, t2, tt_eps(P, t2,
-                                                  simple_make(P, 0, e)))
-        lhs = swap_isomorphism(
-            P, b0_pi_inv(P, t1, tt_eps(P, t1, simple_make(P, 1, 3))))
-        assert lhs == b0_pi_inv(P, t2, tt_eps(P, t2, simple_make(P, 3, 1)))
+            assert swap_isomorphism(P, image(t1, e, 0)) == image(t2, 0, e)
+        assert swap_isomorphism(P, image(t1, 1, 3)) == image(t2, 3, 1)
 
 
 class TestFp:
@@ -476,17 +512,15 @@ class TestFp:
         # the P1-character exponent scales by the inverse unit
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
+
+        def image(e):
+            return b0_pi_inv(P, theta,
+                             tt_eps(P, theta, simple_make(P, e, 0), P.ctx))
         for u in (2, 3, 6):
             uinv = pow(u, -1, 7)
             for e in (1, 4, 5):
-                lhs = fp_automorphism(
-                    P, u, 1,
-                    b0_pi_inv(P, theta, tt_eps(P, theta,
-                                               simple_make(P, e, 0))))
-                want = b0_pi_inv(
-                    P, theta,
-                    tt_eps(P, theta, simple_make(P, (e * uinv) % 7, 0)))
-                assert lhs == want
+                assert fp_automorphism(P, u, 1, image(e)) == \
+                    image((e * uinv) % 7)
 
     def test_index_perm_matches_scalar_relabelling(self):
         # the slot gather against _scale_side on every packed vector,

@@ -77,13 +77,15 @@ def test_field_tables_are_exp_and_log_alone():
 
 def test_relabelling_caches_no_table_per_unit():
     # s -> s u is the slot gather on the digit rows it moves: rescaling
-    # by every unit leaves the product tables and one power table alone
-    # in the cache of a fresh Params
+    # by every unit leaves the product tables and one power table of
+    # F_{2^20} in the cache of a fresh Params, beside the label field's
+    # power table and Fourier matrix that Params builds
     P = Params(2, 11, 5)
     (row,) = run_checks(P, make_char(P, "Z", 1), suite="quick",
                         names=["isomorphisms"]).rows
     assert row.status == "pass"
-    assert set(P._cache) == {"ga_tables", ("root_powers", 5)}
+    assert set(P._cache) == {"ga_tables", ("root_powers", 2 ** 20, 5),
+                             ("root_powers", 16, 5), ("l_fourier", 16)}
 
 
 def test_side_product_is_written_once():
@@ -233,7 +235,7 @@ def test_no_cache_entry_holds_an_iota_matrix():
     assert max(a.size for a in _arrays(P._cache)) < P.r * n * n
     # both sides mix their columns with the one cached Fourier matrix
     for side in (1, 2):
-        assert _iota_table(P, theta, side)["mix"] is l_fourier(P)
+        assert _iota_table(P, theta, side)["mix"] is l_fourier(P, P.ctx)
 
 
 def _names(node) -> Counter:
@@ -250,6 +252,39 @@ def _functions(mod: str, tree):
         elif isinstance(node, ast.ClassDef):
             yield from ((f"{mod}.{node.name}", fn) for fn in node.body
                         if isinstance(fn, ast.FunctionDef))
+
+
+# The label layer: recover, quiver and the label checks run it over the
+# label field P.lctx.  It never reads P.ctx, whose first read builds the
+# group algebra's field F_{ell^d}
+LABEL_LAYER = {"_mul_chunk", "head_batch", "head_algebra", "ext_dim",
+               "commutation_pairing", "recover_theta"}
+
+
+def test_label_layer_never_reads_the_group_algebra_field():
+    # every function the tt_* products, _mul_chunk and morita's head,
+    # Ext, pairing and recover_theta reach by name, through any depth of
+    # calls, is free of P.ctx
+    defs: dict = {}
+    for path in sorted((SRC / "mfblocks").glob("*.py")):
+        for _, fn in _functions(path.stem, ast.parse(path.read_text())):
+            defs.setdefault(fn.name, []).append((path.stem, fn))
+    roots = LABEL_LAYER | {name for name, owners in defs.items()
+                           if name.startswith("tt_")
+                           and any(mod == "twisted" for mod, _ in owners)}
+    reached, todo = set(), sorted(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        todo += [sub for _, fn in defs[name] for sub in _names(fn)]
+    assert roots <= reached and {"_merge_terms", "_tt_consts"} <= reached
+    found = [f"{mod}.{fn.name}:{node.lineno}" for name in sorted(reached)
+             for mod, fn in defs[name] for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "ctx"
+             and getattr(node.value, "id", None) == "P"]
+    assert found == []
 
 
 def test_every_function_has_a_library_or_cli_caller():

@@ -17,9 +17,10 @@ from mfblocks.quiver import (
 )
 from mfblocks.quiver import _embed_tables, embed_columns
 from mfblocks.groups import GroupElem, pack_key
+from mfblocks.field import root_of_unity
 from reference import (
-    char_conjugate, d_unpack, f_add, ga_conjugate, qa_degree, qa_embed_terms,
-    qa_L_action, qa_scale, qa_unit, qa_vertex,
+    char_conjugate, char_eval, d_unpack, f_add, ga_conjugate, qa_degree,
+    qa_embed_terms, qa_L_action, qa_scale, qa_unit, qa_vertex,
 )
 
 
@@ -239,7 +240,8 @@ class TestEmbed:
                 terms = []
                 for g in range(7):
                     dg = conjugate(P, d1, p_elem(P, side, g))
-                    terms.append((dg, P.ctx.pow(P.zeta_p, (-s * g) % 7)))
+                    terms.append((dg, P.ctx.pow(root_of_unity(P.ctx, 7),
+                                                (-s * g) % 7)))
                 want = ga_from_terms(P, terms)
                 assert qa_embed(P, total) == want
                 aug = 0
@@ -297,12 +299,12 @@ class TestEmbedColumns:
         # F[y, xi] = p^-1 zeta_p^(-xi y) and Finv[xi, y] = zeta_p^(xi y)
         P = params_make(ell, p, r)
         ctx, tabs = P.ctx, _embed_tables(P)
-        pinv = ctx.inv(ctx.from_int(p))
+        pinv, zeta_p = ctx.inv(ctx.from_int(p)), root_of_unity(ctx, p)
         for y in range(p):
             for xi in range(p):
                 assert tabs["F"][y, xi] == ctx.mul(
-                    pinv, ctx.pow(P.zeta_p, -xi * y % p))
-                assert tabs["Finv"][xi, y] == ctx.pow(P.zeta_p, xi * y % p)
+                    pinv, ctx.pow(zeta_p, -xi * y % p))
+                assert tabs["Finv"][xi, y] == ctx.pow(zeta_p, xi * y % p)
 
     @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2)])
     def test_side_keys_follow_pack_key(self, ell, p, r):
@@ -404,7 +406,6 @@ class TestIsotypic:
             chi = make_char(P, "L1", e)
             proj = qa_isotypic(P, u, chi)
             moved = qa_L_action(P, proj, g)
-            from mfblocks.characters import char_eval
             assert moved == qa_scale(P, char_eval(P, chi, g), proj)
 
     def test_wrong_group_rejected(self):
@@ -433,7 +434,6 @@ class TestWideLabels:
         assert list(got.terms) == list(want)
 
     def test_L_action_and_isotypic(self):
-        from mfblocks.characters import char_eval
         P = params_make(2, 73, 3)
         rng = random.Random(73)
         u = random_qa(P, 1, rng, 8)

@@ -1,15 +1,19 @@
 """Twisted tensor model of B_0, gated against group-algebra convolution."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from mfblocks.characters import char_idempotent, make_char
-from mfblocks.groups import h_elem, p_elem, params_make
+from mfblocks.characters import char_idempotent, h_element, make_char
+from mfblocks.field import root_of_unity
+from mfblocks.groups import (
+    Params, group_inv, h_elem, p_elem, params_make, root_powers,
+)
 from mfblocks.groupalg import (
-    block_idempotent, centralizes_block_H, ga_add, ga_basis, ga_from_terms,
-    ga_mul, ga_zero,
+    _theta_pow, block_idempotent, centralizes_block_H, ga_add, ga_basis,
+    ga_from_terms, ga_mul, ga_zero,
 )
 from mfblocks.linalg import gf_rank
 from mfblocks.quiver import (
@@ -21,7 +25,7 @@ from mfblocks.twisted import (
     tt_batch, tt_cross, tt_from_terms, tt_is_zero, tt_loop_conjugates,
     tt_mul, tt_rows, tt_tilde, tt_to_json, tt_unit, tt_zero,
 )
-from mfblocks.twisted import _stage_b, _tt_ctx
+from mfblocks.twisted import _stage_b, _tt_consts
 from mfblocks.twisted import (
     _iota_table, _route_cols, _route_elem, tt_from_columns,
 )
@@ -37,7 +41,7 @@ from mfblocks.quiver import (
 import mfblocks.twisted as twisted_mod
 from reference import (
     f_add, ga_conjugate, ga_scale, qa_L_action, qa_vertex, random_ga,
-    tt_radical_degree, tt_scale,
+    tt_over, tt_radical_degree, tt_scale,
 )
 
 
@@ -52,9 +56,9 @@ def dense_pi_product(P, theta, x, y):
     """pi(x y) the long way: the honest product x y binned into the
     dense (Dsz p)^2 vector with its Z-parts as theta powers, then the
     full-tensor transform on every D-row."""
-    tctx, tabs, ctx = _tt_ctx(P, theta), _embed_tables(P), P.ctx
+    tabs, ctx = _embed_tables(P), P.ctx
     xy = ga_mul(P, x, y)
-    vals = ctx.vmul(xy.coeffs, tctx["theta_pow"][key_z(P, xy.keys)])
+    vals = ctx.vmul(xy.coeffs, _theta_pow(P, theta)[key_z(P, xy.keys)])
     T4 = ctx.bin_sum(key_n(P, xy.keys), (P.dsz * P.p) ** 2, vals).reshape(
         P.dsz, P.p, P.dsz, P.p)
     for M, axis in ((tabs["Finv"], 1), (tabs["Finv"], 3),
@@ -63,7 +67,8 @@ def dense_pi_product(P, theta, x, y):
     mk1, xi1, mk2, xi2 = np.nonzero(T4)
     m1, m2 = d_digits(P, mk1), d_digits(P, mk2)
     return tt_from_columns(P, theta, xi1 - label_phi(P, m1), m1,
-                           xi2 - label_phi(P, m2), m2, T4[mk1, xi1, mk2, xi2])
+                           xi2 - label_phi(P, m2), m2, T4[mk1, xi1, mk2, xi2],
+                           ctx)
 
 
 class Simple:
@@ -83,11 +88,13 @@ def random_label(P, side, rng, max_deg):
     return label_make(P, side, rng.randrange(P.p), m)
 
 
-def random_tt(P, theta, rng, nterms=1, max_deg=1):
+def random_tt(P, theta, rng, nterms=1, max_deg=1, ctx=None):
+    """nterms random terms over ctx, by default the label field."""
+    ctx = ctx or P.lctx
     items = [(random_label(P, 1, rng, max_deg),
               random_label(P, 2, rng, max_deg),
-              rng.randrange(1, P.ctx.order)) for _ in range(nterms)]
-    return tt_from_terms(P, theta, items)
+              rng.randrange(1, ctx.order)) for _ in range(nterms)]
+    return tt_from_terms(P, theta, items, ctx)
 
 
 def random_qa(P, side, rng, nterms, max_deg):
@@ -107,14 +114,13 @@ def arrow_tt(P, theta, side, psi, s):
                     make_char(P, f"P{side}", s))
 
 
-def all_eps(P, theta):
+def all_eps(P, theta, ctx=None):
     reps = sorted({min((e * u) % P.p for u in P._g0pow)
                    for e in range(1, P.p)})
-    out = [tt_eps(P, theta, Simple(0, 0))]
-    out += [tt_eps(P, theta, Simple(e, 0)) for e in range(1, P.p)]
-    out += [tt_eps(P, theta, Simple(0, e)) for e in range(1, P.p)]
-    out += [tt_eps(P, theta, Simple(a, b)) for a in reps for b in reps]
-    return out
+    labels = [Simple(0, 0)] + [Simple(e, 0) for e in range(1, P.p)]
+    labels += [Simple(0, e) for e in range(1, P.p)]
+    labels += [Simple(a, b) for a in reps for b in reps]
+    return [tt_eps(P, theta, s, ctx) for s in labels]
 
 
 class TestContext:
@@ -124,12 +130,12 @@ class TestContext:
                                ((3, 5, 2), 1), ((2, 11, 5), 3)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", j)
-            tctx = _tt_ctx(P, theta)
             jinv = pow(j, -1, r)
-            for e in range(r):
-                for f in range(r):
-                    want = P.ctx.pow(P.zeta_r, (-e * f * jinv) % r)
-                    assert int(tctx["c_tab"][e, f]) == want
+            for ctx in (P.lctx, P.ctx):
+                c_tab = _tt_consts(P, ctx, theta)["c_tab"]
+                for e in range(r):
+                    for f in range(r):
+                        assert int(c_tab[e, f]) == (-e * f * jinv) % r
 
     def test_weight_table_closed_form(self):
         # W[t,t'] = r^{-1} zeta_r^{-j t t'}, the Fourier dual of c^{-1}
@@ -137,47 +143,49 @@ class TestContext:
                                ((2, 11, 5), 2)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", j)
-            ctx = P.ctx
-            W = _tt_ctx(P, theta)["W"]
-            rinv = ctx.inv(ctx.from_int(r))
-            for t in range(r):
-                for tq in range(r):
-                    want = ctx.mul(rinv,
-                                   ctx.pow(P.zeta_r, (-j * t * tq) % r))
-                    assert int(W[t, tq]) == want
+            for ctx in (P.lctx, P.ctx):
+                W = _tt_consts(P, ctx, theta)["W"]
+                rinv, zeta = ctx.inv(ctx.from_int(r)), root_of_unity(ctx, r)
+                for t in range(r):
+                    for tq in range(r):
+                        want = ctx.mul(rinv,
+                                       ctx.pow(zeta, (-j * t * tq) % r))
+                        assert int(W[t, tq]) == want
 
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])
     def test_weight_table_is_the_scalar_sum(self, cfg):
         # W = D^T c_inv D against its defining r^4 scalar sum
         # W[t, t'] = r^-2 sum_{e,f} c_inv[e, f] zeta_r^-(e t + f t'),
-        # c_inv the entrywise inverse of c_tab
+        # c_inv the entrywise inverse of zeta_r^c_tab, over either field
         P = params_make(*cfg)
-        ctx, r = P.ctx, P.r
-        rinv2 = ctx.inv(ctx.from_int(r * r))
-        for j in range(1, r):
+        r = P.r
+        for ctx, j in itertools.product((P.lctx, P.ctx), range(1, r)):
             if np.gcd(j, r) != 1:
                 continue
-            tctx = _tt_ctx(P, make_char(P, "Z", j))
+            rinv2 = ctx.inv(ctx.from_int(r * r))
+            zeta = root_of_unity(ctx, r)
+            tctx = _tt_consts(P, ctx, make_char(P, "Z", j))
             for t in range(r):
                 for tq in range(r):
                     acc = 0
                     for e in range(r):
                         for f in range(r):
+                            c = ctx.pow(zeta, int(tctx["c_tab"][e, f]))
                             acc = f_add(ctx, acc, ctx.mul(
-                                ctx.inv(int(tctx["c_tab"][e, f])),
-                                ctx.pow(P.zeta_r, -(e * t + f * tq) % r)))
+                                ctx.inv(c),
+                                ctx.pow(zeta, -(e * t + f * tq) % r)))
                     assert tctx["W"][t, tq] == ctx.mul(rinv2, acc)
 
     def test_weight_rows_sum_to_unit_indicator(self):
         # row sums delta_{t,0} make the full vertex sum a two-sided unit
         P = params_make(2, 7, 3)
-        ctx = P.ctx
-        W = _tt_ctx(P, make_char(P, "Z", 1))["W"]
-        for t in range(P.r):
-            acc = 0
-            for tq in range(P.r):
-                acc = f_add(ctx, acc, int(W[t, tq]))
-            assert acc == (ctx.one if t == 0 else 0)
+        for ctx in (P.lctx, P.ctx):
+            W = _tt_consts(P, ctx, make_char(P, "Z", 1))["W"]
+            for t in range(P.r):
+                acc = 0
+                for tq in range(P.r):
+                    acc = f_add(ctx, acc, int(W[t, tq]))
+                assert acc == (ctx.one if t == 0 else 0)
 
     def test_theta_mismatch(self):
         P = params_make(2, 7, 3)
@@ -187,6 +195,22 @@ class TestContext:
             tt_mul(P, make_char(P, "Z", 1), t1, t2)
         with pytest.raises(ValueError, match="theta mismatch"):
             tt_add(P, t1, t2)
+
+    def test_field_mismatch(self):
+        # (2,7,3) computes labels over F_4 and kG over F_64; an element
+        # of one field does not meet an element of the other
+        P = params_make(2, 7, 3)
+        theta = make_char(P, "Z", 1)
+        small = tt_unit(P, theta)
+        big = tt_over(small, P.ctx)
+        assert small.ctx.order == 4 and big.ctx.order == 64
+        assert small != big
+        for bad in (lambda: tt_mul(P, theta, small, big),
+                    lambda: tt_add(P, big, small),
+                    lambda: tt_batch(P, theta, [big, small]),
+                    lambda: b0_pi_inv(P, theta, small)):
+            with pytest.raises(ValueError, match="field mismatch"):
+                bad()
 
 
 class TestIota:
@@ -298,7 +322,8 @@ class TestMembershipGate:
         block = block_idempotent(P, theta)
         members = [b0_iota(P, theta, random_qa(P, side, rng, 2, 1))
                    for side in (1, 2) for _ in range(3)]
-        members += [b0_pi_inv(P, theta, random_tt(P, theta, rng, 2))
+        members += [b0_pi_inv(P, theta, random_tt(P, theta, rng, 2,
+                                                  ctx=P.ctx))
                     for _ in range(3)]
         in_block = [ga_mul(P, random_ga(P, rng, 3), block)
                     for _ in range(4)]
@@ -321,8 +346,9 @@ class TestPi:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
             e_theta = block_idempotent(P, theta)
-            assert b0_pi(P, theta, e_theta) == tt_unit(P, theta)
-            assert b0_pi_inv(P, theta, tt_unit(P, theta)) == e_theta
+            one = tt_over(tt_unit(P, theta), P.ctx)
+            assert b0_pi(P, theta, e_theta) == one
+            assert b0_pi_inv(P, theta, one) == e_theta
 
     def test_product_folds_match_the_unfolded_collapse(self):
         # folding Z and the right factor's b before convolving leaves
@@ -353,7 +379,7 @@ class TestPi:
                 want = tt_from_terms(
                     P, theta,
                     [(u, v, ctx.mul(cu, cv)) for u, cu in a.terms.items()
-                     for v, cv in b.terms.items()])
+                     for v, cv in b.terms.items()], ctx)
                 assert b0_pi(P, theta, x) == want
 
     def test_round_trip(self):
@@ -362,7 +388,7 @@ class TestPi:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
             for _ in range(4):
-                t = random_tt(P, theta, rng, nterms=2, max_deg=1)
+                t = random_tt(P, theta, rng, nterms=2, max_deg=1, ctx=P.ctx)
                 assert b0_pi(P, theta, b0_pi_inv(P, theta, t)) == t
 
     def test_rejects_non_members(self):
@@ -381,8 +407,9 @@ class TestPi:
         theta = make_char(P, "Z", 1)
         x = ga_mul(P, b0_iota(P, theta, qa_vertex(P, 1, 3)),
                    b0_iota(P, theta, qa_vertex(P, 2, 0)))
-        assert b0_pi(P, theta, x) == tt_eps(P, theta, Simple(3, 0))
-        assert b0_pi_inv(P, theta, tt_eps(P, theta, Simple(3, 0))) == x
+        eps = tt_eps(P, theta, Simple(3, 0), P.ctx)
+        assert b0_pi(P, theta, x) == eps
+        assert b0_pi_inv(P, theta, eps) == x
 
 
 class TestTTMul:
@@ -391,11 +418,12 @@ class TestTTMul:
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
-            one = tt_unit(P, theta)
-            for _ in range(4):
-                t = random_tt(P, theta, rng, nterms=2, max_deg=2)
-                assert tt_mul(P, theta, one, t) == t
-                assert tt_mul(P, theta, t, one) == t
+            for ctx in (P.lctx, P.ctx):
+                one = tt_over(tt_unit(P, theta), ctx)
+                for _ in range(4):
+                    t = random_tt(P, theta, rng, nterms=2, max_deg=2, ctx=ctx)
+                    assert tt_mul(P, theta, one, t) == t
+                    assert tt_mul(P, theta, t, one) == t
 
     def test_matches_group_convolution(self):
         # the gate: label-level twisted product vs honest group product
@@ -409,11 +437,11 @@ class TestTTMul:
                 t1 = tt_from_terms(
                     P, theta, [(random_label(P, 1, rng, d1[0]),
                                 random_label(P, 2, rng, d1[1]),
-                                rng.randrange(1, P.ctx.order))])
+                                rng.randrange(1, P.ctx.order))], P.ctx)
                 t2 = tt_from_terms(
                     P, theta, [(random_label(P, 1, rng, d2[0]),
                                 random_label(P, 2, rng, d2[1]),
-                                rng.randrange(1, P.ctx.order))])
+                                rng.randrange(1, P.ctx.order))], P.ctx)
                 gate = b0_pi_product(P, theta, b0_pi_inv(P, theta, t1),
                                      b0_pi_inv(P, theta, t2))
                 assert tt_mul(P, theta, t1, t2) == gate
@@ -422,10 +450,10 @@ class TestTTMul:
         rng = random.Random(41)
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
-        for _ in range(5):
-            a = random_tt(P, theta, rng, nterms=2, max_deg=2)
-            b = random_tt(P, theta, rng, nterms=2, max_deg=1)
-            c = random_tt(P, theta, rng, nterms=2, max_deg=2)
+        for ctx in (P.lctx, P.ctx) * 3:
+            a = random_tt(P, theta, rng, nterms=2, max_deg=2, ctx=ctx)
+            b = random_tt(P, theta, rng, nterms=2, max_deg=1, ctx=ctx)
+            c = random_tt(P, theta, rng, nterms=2, max_deg=2, ctx=ctx)
             lhs = tt_mul(P, theta, tt_mul(P, theta, a, b), c)
             rhs = tt_mul(P, theta, a, tt_mul(P, theta, b, c))
             assert lhs == rhs
@@ -436,7 +464,8 @@ class TestTTMul:
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
-            tctx = _tt_ctx(P, theta)
+            c_tab = _tt_consts(P, P.ctx, theta)["c_tab"]
+            zr = root_powers(P, P.ctx, r)
             for e in range(r):
                 for f in range(r):
                     a = qa_isotypic(P, random_qa(P, 1, rng, 2, 1),
@@ -446,7 +475,7 @@ class TestTTMul:
                     ia = b0_iota(P, theta, a)
                     ib = b0_iota(P, theta, b)
                     lhs = ga_mul(P, ia, ib)
-                    rhs = ga_scale(P, int(tctx["c_tab"][e, f]),
+                    rhs = ga_scale(P, int(zr[c_tab[e, f]]),
                                    ga_mul(P, ib, ia))
                     assert lhs == rhs
 
@@ -468,7 +497,7 @@ class TestTTMul:
                                  make_char(P, "L2", rng.randrange(r)))
                 if any(not x.terms for x in (a1, b1, a2, b2)):
                     continue
-                w = random_tt(P, theta, rng, nterms=1, max_deg=1)
+                w = random_tt(P, theta, rng, nterms=1, max_deg=1, ctx=P.ctx)
                 left = ga_mul(P, b0_iota(P, theta, a1),
                               b0_iota(P, theta, b1))
                 right = ga_mul(P, b0_iota(P, theta, a2),
@@ -505,17 +534,18 @@ class TestColumns:
 
     def test_batched_sandwich_rows_match_single_products(self):
         # row i of eps_a (batch of the terms w_i of span) eps_b is
-        # eps_a (w_i eps_b) computed one at a time
+        # eps_a (w_i eps_b) computed one at a time, over F_{ell^d}
         rng = random.Random(67)
         for ell, p, r in [(2, 7, 3), (3, 5, 2)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
-            eps = all_eps(P, theta)
+            eps = all_eps(P, theta, P.ctx)
             hits = 0
             for _ in range(6):
-                span = random_tt(P, theta, rng, nterms=40, max_deg=1)
+                span = random_tt(P, theta, rng, nterms=40, max_deg=1,
+                                 ctx=P.ctx)
                 ea, eb = rng.choice(eps), rng.choice(eps)
-                ws = [tt_from_terms(P, theta, [(u, v, c)])
+                ws = [tt_from_terms(P, theta, [(u, v, c)], P.ctx)
                       for (u, v), c in span.terms.items()]
                 images = [tt_mul(P, theta, ea, tt_mul(P, theta, w, eb))
                           for w in ws]
@@ -540,7 +570,8 @@ def random_rows(P, theta, rng, n):
     for i in range(n):
         kind = i % 5
         if kind == 0:
-            left, right = tt_zero(theta), random_tt(P, theta, rng, 3, 1)
+            left = tt_zero(theta, P.lctx)
+            right = random_tt(P, theta, rng, 3, 1)
         elif kind == 1:
             # two different orthogonal idempotents
             a, b = rng.sample(range(len(eps)), 2)
@@ -602,7 +633,7 @@ class TestBatches:
             full = [random_tt(P, theta, rng, rng.randrange(5, 30), 2)
                     for _ in range(4)]
             short = [random_tt(P, theta, rng, rng.randrange(5, 30), 2)
-                     if i == 0 else tt_zero(theta) for i in range(4)]
+                     if i == 0 else tt_zero(theta, P.lctx) for i in range(4)]
             for lefts, rights in ((full, short), (short, full)):
                 got = tt_mul(P, theta, tt_batch(P, theta, lefts),
                              tt_batch(P, theta, rights))
@@ -616,10 +647,11 @@ class TestBatches:
         P = params_make(*cfg)
         theta = make_char(P, "Z", 1)
         rng = random.Random(5 * sum(cfg))
-        lefts = [random_tt(P, theta, rng, 8, 1), tt_zero(theta),
+        zero = tt_zero(theta, P.lctx)
+        lefts = [random_tt(P, theta, rng, 8, 1), zero,
                  random_tt(P, theta, rng, 3, 2)]
-        rights = [tt_zero(theta), random_tt(P, theta, rng, 5, 1),
-                  random_tt(P, theta, rng, 12, 2), tt_zero(theta)]
+        rights = [zero, random_tt(P, theta, rng, 5, 1),
+                  random_tt(P, theta, rng, 12, 2), zero]
         n = len(rights)
         got = tt_mul(P, theta, *tt_cross(tt_batch(P, theta, lefts),
                                          tt_batch(P, theta, rights), n))
@@ -640,9 +672,9 @@ class TestBatches:
         chunks = []
         real = twisted_mod._mul_chunk
 
-        def chunk(P, tctx, a, b):
+        def chunk(P, ctx, W, a, b):
             chunks.append(np.unique(a.rows))
-            return real(P, tctx, a, b)
+            return real(P, ctx, W, a, b)
 
         monkeypatch.setattr(twisted_mod, "_mul_chunk", chunk)
         monkeypatch.setattr(twisted_mod, "_LANES", 1)
@@ -675,7 +707,7 @@ class TestBatches:
                 for i, ei in enumerate(bent) for j, ej in enumerate(bent)
                 if i != j and not tt_is_zero(tt_mul(P, theta, ei, ej)))
         monkeypatch.setattr(M, "tt_eps",
-                            lambda P, theta, s: bent[labs.index(s)])
+                            lambda P, theta, s, ctx=None: bent[labs.index(s)])
         row = V.run_checks(P, theta, names=["idempotent_head"]).rows[0]
         assert row.witness == want
         assert want["labels"] == [simple_str(labs[2]), simple_str(labs[6])]
@@ -726,7 +758,7 @@ class TestEps:
     def test_case_shapes(self):
         P = params_make(2, 7, 3)
         theta = make_char(P, "Z", 1)
-        one = P.ctx.one
+        one = P.lctx.one
         t = tt_eps(P, theta, Simple(0, 0))
         assert t.terms == {(vertex_label(P, 1, 0), vertex_label(P, 2, 0)):
                            one}
@@ -752,12 +784,12 @@ class TestEps:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
             eps = all_eps(P, theta)
-            total = tt_zero(theta)
+            total = zero = tt_zero(theta, P.lctx)
             for i, t in enumerate(eps):
                 total = tt_add(P, total, t)
                 for k, s in enumerate(eps):
                     prod = tt_mul(P, theta, t, s)
-                    assert prod == (t if i == k else tt_zero(theta))
+                    assert prod == (t if i == k else zero)
             assert total == tt_unit(P, theta)
 
     def test_invalid_label(self):
@@ -806,7 +838,7 @@ class TestArrow:
             want = tt_from_terms(
                 P, theta,
                 [(label_make(P, 1, psi, m), vertex_label(P, 2, 0),
-                  P.ctx.one)])
+                  P.lctx.one)])
             assert lhs == want
 
     def test_validation(self):
@@ -832,12 +864,14 @@ class TestTilde:
             m = [0] * 6
             m[s - 1] += 1
             m[7 - s - 1] += 1
-            want[(label_make(P, 1, 0, m), vertex_label(P, 2, 0))] = P.ctx.one
+            want[(label_make(P, 1, 0, m), vertex_label(P, 2, 0))] = 1
         assert t.terms == want
 
     def test_isotypic_purity(self):
-        # the side-1 leg is chi-homogeneous for the weight character
-        P = params_make(2, 7, 3)
+        # the side-1 leg is chi-homogeneous for the weight character; a
+        # fresh P runs the label model over F_{ell^d}, the side algebra's
+        P = Params(2, 7, 3)
+        P.lctx = P.ctx
         theta = make_char(P, "Z", 1)
         for e in range(3):
             chi = make_char(P, "L1", e)
@@ -859,21 +893,22 @@ class TestTilde:
         for i, t in enumerate(tildes):
             for (u, v), c in t.terms.items():
                 M[i, support.index(u)] = c
-        assert gf_rank(P.ctx, M) == 3
+        assert gf_rank(P.lctx, M) == 3
 
     def test_exact_commutation_scalar(self):
         # S~ T~ = theta([h_eta, h_chi]) T~ S~, exactly, not just mod J^5
         for ell, p, r in [(2, 7, 3), (2, 11, 5)]:
             P = params_make(ell, p, r)
             theta = make_char(P, "Z", 1)
-            tctx = _tt_ctx(P, theta)
+            c_tab = _tt_consts(P, P.lctx, theta)["c_tab"]
+            zr = root_powers(P, P.lctx, r)
             for e, f in [(0, 0), (1, 1), (1, 2), (2, 1), (r - 1, r - 1)]:
                 S = tt_tilde(P, theta, 1, make_char(P, "P1", 1),
                              make_char(P, "L1", e))
                 T = tt_tilde(P, theta, 2, make_char(P, "P2", 1),
                              make_char(P, "L2", f))
                 lhs = tt_mul(P, theta, S, T)
-                rhs = tt_scale(P, int(tctx["c_tab"][e, f]),
+                rhs = tt_scale(P, int(zr[c_tab[e, f]]),
                                tt_mul(P, theta, T, S))
                 assert lhs == rhs
                 assert not tt_is_zero(lhs)
@@ -883,7 +918,7 @@ class TestTilde:
         P = params_make(2, 7, 3)
         for j in (1, 2):
             theta = make_char(P, "Z", j)
-            tctx = _tt_ctx(P, theta)
+            c = _tt_consts(P, P.lctx, theta)["c_tab"][1, 2]
             e, f = 1, 2
             S = tt_tilde(P, theta, 1, make_char(P, "P1", 2),
                          make_char(P, "L1", e))
@@ -891,10 +926,9 @@ class TestTilde:
                          make_char(P, "L2", f))
             lhs = tt_mul(P, theta, S, T)
             rhs = tt_mul(P, theta, T, S)
-            assert lhs == tt_scale(P, int(tctx["c_tab"][e, f]), rhs)
+            assert lhs == tt_scale(P, int(root_powers(P, P.lctx, 3)[c]), rhs)
             jinv = pow(j, -1, 3)
-            assert int(tctx["c_tab"][e, f]) == P.ctx.pow(
-                P.zeta_r, (-e * f * jinv) % 3)
+            assert int(c) == (-e * f * jinv) % 3
 
     def test_is_the_weighted_sum_of_the_loop_conjugates(self):
         # row t of the batch is the loop path with its step scaled by
@@ -915,11 +949,12 @@ class TestTilde:
                         m[x * P._g0pow[-t % r] % p - 1] += 1
                     loop = label_make(P, side, 0, m)
                     other = vertex_label(P, 3 - side, 0)
-                    assert rows[t] == [(loop, other, P.ctx.one) if side == 1
-                                       else (other, loop, P.ctx.one)]
+                    assert rows[t] == [(loop, other, 1) if side == 1
+                                       else (other, loop, 1)]
+                zeta = root_of_unity(P.lctx, r)
                 for e in range(r):
                     want = tt_from_terms(P, theta, [
-                        (u, v, P.ctx.pow(P.zeta_r, -e * t % r))
+                        (u, v, P.lctx.pow(zeta, -e * t % r))
                         for t in range(r) for u, v, _ in rows[t]])
                     assert tt_tilde(P, theta, side, step,
                                     make_char(P, f"L{side}", e)) == want
@@ -954,7 +989,7 @@ class TestRadical:
             tt_tilde(P, theta, 1, make_char(P, "P1", 1),
                      make_char(P, "L1", 1))) == 2
         with pytest.raises(ValueError, match="zero"):
-            tt_radical_degree(tt_zero(theta))
+            tt_radical_degree(tt_zero(theta, P.lctx))
 
     def test_length_two_loop_not_in_cube(self):
         # ell = 2: out-and-back along phi stops strictly short of J^3
@@ -1035,13 +1070,14 @@ class TestIotaTable:
         # label's image from its dict isotypic parts with ga_mul
         P = params_make(*cfg)
         theta = make_char(P, "Z", e)
-        tctx = _tt_ctx(P, theta)
         for side in (1, 2):
+            chis = [make_char(P, f"L{side}", k) for k in range(P.r)]
+            h_inv = [ga_basis(P, group_inv(P, h_element(P, theta, chi, side)))
+                     for chi in chis]
             for lab in qa_labels(P, side):
                 a = qa_basis(P, lab)
-                parts = [ga_mul(P, qa_embed(P, qa_isotypic(
-                    P, a, make_char(P, f"L{side}", k))),
-                    tctx["h_inv_ga"][side][k]) for k in range(P.r)]
+                parts = [ga_mul(P, qa_embed(P, qa_isotypic(P, a, chi)), h)
+                         for chi, h in zip(chis, h_inv)]
                 want = ga_mul(P, ga_sum(P, parts), block_idempotent(P, theta))
                 assert b0_iota(P, theta, a) == want, lab
 
@@ -1113,8 +1149,8 @@ class TestFoldedOracle:
         rng = random.Random(f"dense:{cfg}:{e}")
         # vertex terms keep the honest unfolded product under a million
         # lanes at (2,7,3)
-        pairs = [(b0_pi_inv(P, theta, random_tt(P, theta, rng, 1, 0)),
-                  b0_pi_inv(P, theta, random_tt(P, theta, rng, 1, 0)))
+        pairs = [(b0_pi_inv(P, theta, random_tt(P, theta, rng, 1, 0, P.ctx)),
+                  b0_pi_inv(P, theta, random_tt(P, theta, rng, 1, 0, P.ctx)))
                  for _ in range(2)]
         block = block_idempotent(P, theta)
         pairs += [(ga_mul(P, random_ga(P, rng, 30), block),
@@ -1153,7 +1189,7 @@ class TestFoldedOracle:
         # columns with the one cached Fourier matrix D; the closed route
         # mixes with the single move t = 0.  No route stores columns.
         P = params_make(*cfg)
-        D = l_fourier(P)
+        D = l_fourier(P, P.ctx)
         n = P.dsz * P.p
         for e in range(1, P.r):
             if np.gcd(e, P.r) != 1:
@@ -1166,5 +1202,5 @@ class TestFoldedOracle:
                 for route in (_iota_table(P, theta, side), closed):
                     assert "M" not in route
                     assert max(a.size for a in route.values()) < P.r * n * n
-        assert l_fourier(P) is D
+        assert l_fourier(P, P.ctx) is D
         assert "iota_basis" not in P._cache

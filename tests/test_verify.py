@@ -20,7 +20,8 @@ from mfblocks.morita import PairingTable
 from mfblocks.quiver import _embed_tables, label_to_dict, qa_labels
 from mfblocks.twisted import tt_zero
 from mfblocks.verify import (
-    CHECK_STATEMENTS, CheckRow, VerifyReport, check_names, run_checks,
+    CHECK_STATEMENTS, CheckRow, SkipCheck, VerifyReport, _need_group_algebra,
+    check_names, run_checks,
 )
 from reference import _embed_want, f_add, side_inv_index, side_mul_table
 
@@ -174,6 +175,66 @@ class TestSkips:
             f" {V._CHAINS_LIMIT}")
         assert 42 ** 6 > V._CHAINS_LIMIT > 20736
 
+    def test_mf_four_block_runs_the_label_checks(self):
+        # at (2,103,17) F_{ell^d}, d = 408, is refused: each check that
+        # needs it skips and names d before anything is built, and the
+        # label checks pass over F_256.  idempotent_head and ext_quiver
+        # skip on d too, dimensions on its label rows
+        P = Params(2, 103, 17)
+        t0 = time.perf_counter()
+        rep = run_checks(P, make_char(P, "Z", 3), suite="quick")
+        assert time.perf_counter() - t0 < 60.0
+        assert "ctx" not in vars(P)
+        status = {row.check: row.status for row in rep.rows}
+        assert {name for name, s in status.items() if s == "pass"} == {
+            "group_relations", "simple_census", "radical_powers",
+            "pairing_recovery"}
+        reasons = {row.check: row.witness["reason"] for row in rep.rows
+                   if row.status == "skip"}
+        field = {"embed_multiplicative", "corner_maps", "product_gate",
+                 "idempotent_head", "ext_quiver", "frobenius_mf",
+                 "isomorphisms"}
+        assert set(reasons) == field | {"dimensions"}
+        for name in field:
+            assert reasons[name] == "extension degree d = 408 outside" \
+                " [1, 24]"
+        assert str(2 ** 102) in reasons["dimensions"]
+        assert rep.passed
+
+    @pytest.mark.parametrize("cfg", [(7, 11, 5), (2, 73, 3)])
+    def test_frobenius_twist_needs_only_the_field(self, cfg):
+        # F_{7^20} and F_{2^18} build, though the product tables of
+        # (7,11,5) and the group keys of (2,73,3) do not fit: the twist
+        # needs neither, so the check runs
+        P = Params(*cfg)
+        with pytest.raises(SkipCheck):
+            _need_group_algebra(P)
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["frobenius_mf"]).rows
+        assert row.status == "pass"
+
+    def test_frobenius_sweep_stays_below_2_to_40(self, monkeypatch):
+        # mf_number factors ell^n + 1: the sweep keeps n <= 20 at ell = 2
+        # and n <= 12 at ell = 3, 5, 7, and takes only the n with
+        # 67^n + 1 < 2^40, n <= 6, at (67,3,2)
+        import mfblocks.verify as V
+        seen, real = [], V.mf_number
+        monkeypatch.setattr(V, "mf_number",
+                            lambda ell, r: seen.append((ell, r)) or
+                            real(ell, r))
+        for ell, p, r, top in [(2, 7, 3, 20), (3, 5, 2, 12), (5, 3, 2, 12),
+                               (7, 3, 2, 12), (67, 3, 2, 6)]:
+            seen.clear()
+            t0 = time.perf_counter()
+            P = params_make(ell, p, r)
+            (row,) = run_checks(P, make_char(P, "Z", 1),
+                                names=["frobenius_mf"]).rows
+            assert row.status == "pass"
+            assert time.perf_counter() - t0 < 10.0
+            assert sorted({n for n in range(1, 40)
+                           if (ell, ell ** n + 1) in seen}) == \
+                list(range(1, top + 1))
+
     def test_radical_powers_runs_all_chains_at_five(self):
         # 20,736 chains of five one-arrow products at (5,13,3), one
         # batched product per step
@@ -215,7 +276,7 @@ class TestReport:
         P, theta = desk(3, 5, 2)
         real = V.head_batch
         monkeypatch.setattr(V, "head_batch", lambda P, theta: real(
-            P, theta)._replace(XE=tt_zero(theta)))
+            P, theta)._replace(XE=tt_zero(theta, P.lctx)))
         rep = run_checks(P, theta, names=["idempotent_head"])
         assert rep.rows[0].status == "fail"
         assert rep.rows[0].witness == {"label": "(1,1)",
@@ -247,15 +308,15 @@ def _bent_no_carry(monkeypatch):
         a + b < P_.ell - 1).all(axis=1))
 
 
-def _bent_corner_ctx(P, theta):
-    """The twisted context with the side-1, character-1 factor of the
-    h-element route replaced by the character-0 one, and an empty iota
-    cache, so that b0_iota and the closed route disagree."""
-    from mfblocks.twisted import _tt_ctx
-    tctx = _tt_ctx(P, theta)
-    bent = {1: list(tctx["h_inv_ga"][1]), 2: tctx["h_inv_ga"][2]}
-    bent[1][1] = bent[1][0]
-    return dict(tctx, h_inv_ga=bent, iota={})
+def _bent_h_elements(P, theta):
+    """The label constants with the side-1, character-1 h-element
+    replaced by the character-0 one, so that an iota route built from
+    them disagrees with the closed route."""
+    from mfblocks.twisted import _tt_consts
+    consts = _tt_consts(P, P.lctx, theta)
+    h1 = list(consts["h1"])
+    h1[1] = h1[0]
+    return dict(consts, h1=h1)
 
 
 _BENT_CHILD = """
@@ -264,10 +325,10 @@ from mfblocks.characters import make_char
 from mfblocks.groups import params_make
 from mfblocks.verify import run_checks
 sys.path.insert(0, sys.argv[1])
-from test_verify import _bent_corner_ctx
+from test_verify import _bent_h_elements
 P = params_make(3, 5, 2)
 theta = make_char(P, "Z", 1)
-P._cache[("ttb0", 1)] = _bent_corner_ctx(P, theta)
+P._cache[("tt_consts", P.lctx.order, 1)] = _bent_h_elements(P, theta)
 (row,) = run_checks(P, theta, names=["corner_maps"]).row_dicts()
 print(json.dumps({"optimize": sys.flags.optimize, "row": row}))
 """
@@ -276,8 +337,11 @@ print(json.dumps({"optimize": sys.flags.optimize, "row": row}))
 class TestInjectedDefects:
     def test_corner_route_disagreement_is_reported(self, monkeypatch):
         P, theta = desk(3, 5, 2)
-        monkeypatch.setitem(P._cache, ("ttb0", theta.e),
-                            _bent_corner_ctx(P, theta))
+        monkeypatch.setitem(P._cache, ("tt_consts", P.lctx.order, theta.e),
+                            _bent_h_elements(P, theta))
+        for side in (1, 2):  # iota routes built before the bend
+            monkeypatch.delitem(P._cache, ("iota", theta.e, side),
+                                raising=False)
         (row,) = run_checks(P, theta, names=["corner_maps"]).rows
         assert row.status == "fail"
         assert "routes_disagree_at" in row.witness
@@ -308,13 +372,15 @@ class TestInjectedDefects:
     ])
     def test_product_gate_sees_a_bent_weight(self, monkeypatch, cfg, entry):
         # one W entry plus one: the folded oracle must still tell the
-        # twisted product from the group-algebra one
-        from mfblocks.twisted import _tt_ctx
+        # twisted product from the group-algebra one; the gate runs the
+        # product over F_{ell^d}
+        from mfblocks.twisted import _tt_consts
         P, theta = desk(*cfg)
-        tctx = _tt_ctx(P, theta)
-        W = tctx["W"].copy()
+        consts = _tt_consts(P, P.ctx, theta)
+        W = consts["W"].copy()
         W[entry] = f_add(P.ctx, int(W[entry]), P.ctx.one)
-        monkeypatch.setitem(P._cache, ("ttb0", theta.e), dict(tctx, W=W))
+        monkeypatch.setitem(P._cache, ("tt_consts", P.ctx.order, theta.e),
+                            dict(consts, W=W))
         (row,) = run_checks(P, theta, names=["product_gate"]).rows
         assert row.status == "fail"
         assert set(row.witness) == {"left", "right"}
@@ -334,7 +400,8 @@ class TestInjectedDefects:
                 h = group_mul(P_, h, h_elem(P_, 0, 1, 0))
             return h
         monkeypatch.setattr(T, "h_element", bent)
-        monkeypatch.setitem(P._cache, ("ttb0", theta.e), None)
+        monkeypatch.setitem(P._cache, ("tt_consts", P.lctx.order, theta.e),
+                            None)
         (row,) = run_checks(P, theta, names=["pairing_recovery"]).rows
         assert row.status == "fail"
         assert row.witness == {"j": 1, "h_element_disagrees":
@@ -346,7 +413,7 @@ class TestInjectedDefects:
         P, theta = desk()
         table = V.commutation_pairing(P, theta)
         bent = dict(table.entries)
-        bent[(1, 2)] = f_add(P.ctx, bent[(1, 2)], P.ctx.one)
+        bent[(1, 2)] = (bent[(1, 2)] + 1) % P.r
         monkeypatch.setattr(V, "commutation_pairing",
                             lambda *a, **k: PairingTable(P.r, bent))
         (row,) = run_checks(P, theta, names=["pairing_recovery"]).rows
