@@ -50,6 +50,20 @@ def digits(x, ell: int, n: int, axis: int = -1,
     return out
 
 
+def digit_sum(a, b, ell: int, n: int) -> np.ndarray:
+    """a + b digit by digit mod ell, with no carry, for packed base-ell
+    ints below ell^n that broadcast: XOR at ell = 2.  The digit axis
+    leads, so operands of unequal rank are first broadcast in full."""
+    if ell == 2:
+        return a ^ b
+    if np.ndim(a) != np.ndim(b):
+        a, b = np.broadcast_arrays(a, b)
+    dtype = np.min_scalar_type(2 * ell)
+    s = digits(a, ell, n, 0, dtype) + digits(b, ell, n, 0, dtype)
+    # unsigned, s - ell wraps above s exactly where s < ell
+    return undigits(np.minimum(s, s - ell), ell, axis=0)
+
+
 def undigits(D, ell: int, axis: int = -1) -> np.ndarray:
     """The int64 packing of base-ell digits in [0, ell) along axis, the
     inverse of digits."""
@@ -164,19 +178,13 @@ class FieldContext:
         # the digits of x^d = -(modulus below degree d)
         self._fold = [(-c) % ell for c in modulus[:d]]
         # at ell = 2, x^d and its fold as one word: the packed modulus
-        self._fold_word = self.order | self._pack(self._fold)
+        self._fold_word = self.order | int(undigits(self._fold, ell))
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         if build_tables and self.order <= _TABLE_LIMIT:
             self._build_tables()
 
     # -- packing ------------------------------------------------------------
-
-    def _pack(self, digits: list[int]) -> int:
-        v = 0
-        for c in reversed(digits):
-            v = v * self.ell + c
-        return v
 
     def to_coeffs(self, x: int) -> list[int]:
         """Little-endian coefficient list of length d (the JSON form)."""
@@ -211,8 +219,8 @@ class FieldContext:
                 acc ^= self._fold_word << (deg - self.d)
                 deg = acc.bit_length() - 1
             return acc
-        return self._pack(_poly_mulmod(self.to_coeffs(a), self.to_coeffs(b),
-                                       list(self.modulus), ell))
+        return int(undigits(_poly_mulmod(self.to_coeffs(a), self.to_coeffs(b),
+                                         list(self.modulus), ell), ell))
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
@@ -322,10 +330,7 @@ class FieldContext:
                       dtype=np.min_scalar_type(-2 * self.ell))
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.ell == 2:
-            return a ^ b
-        return undigits((self._planes(a) + self._planes(b)) % self.ell,
-                        self.ell, axis=0)
+        return digit_sum(a, b, self.ell, self.d)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.ell == 2:
@@ -372,13 +377,13 @@ class FieldContext:
         return f"FieldContext(ell={self.ell}, d={self.d}, modulus={self.modulus})"
 
 
-def field_refusal(ell: int, d: int) -> str:
-    """Why field_make refuses F_{ell^d}, naming d; "" where it builds it."""
+def field_refusal(ell: int, d: int, name: str = "d") -> str:
+    """Why field_make refuses F_{ell^d}, naming d as name; "" if not."""
     if not 1 <= d <= 24:
-        return f"extension degree d = {d} outside [1, 24]"
+        return f"extension degree {name} = {d} outside [1, 24]"
     if ell**d - 1 >= 2**63:
-        return (f"field order {ell}^{d} = {ell**d} (d = {d}) has elements"
-                f" past the int64 bound 2^63")
+        return (f"field order {ell}^{d} = {ell**d} ({name} = {d}) has"
+                f" elements past the int64 bound 2^63")
     return ""
 
 
@@ -391,11 +396,7 @@ def field_make(ell: int, d: int) -> FieldContext:
         raise ValueError(field_refusal(ell, d))
     modulus = None
     for low in range(ell**d):
-        digits, v = [], low
-        for _ in range(d):
-            digits.append(v % ell)
-            v //= ell
-        cand = digits + [1]
+        cand = digits(low, ell, d).tolist() + [1]
         if _poly_is_irreducible(cand, ell):
             modulus = tuple(cand)
             break

@@ -17,6 +17,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
+from .field import digit_sum
 from .groups import (
     GroupElem, Params, d_digits, d_key, d_scale, group_inv, h_elem,
     key_array, key_cols, key_drop, key_join, key_z, l_fourier, pack_key,
@@ -110,18 +111,15 @@ def ga_add(P: Params, x: GAElem, y: GAElem) -> GAElem:
 
 
 def _table_entries(P: Params) -> int:
-    """Entries of the tables _tables builds: the full vectors, trans,
-    scale, xscale and, at ell > 2, dadd."""
-    return P.dsz * (2 * P.p + P.r) + P.r * P.p + \
-        (P.dsz ** 2 if P.ell > 2 else 0)
+    """Entries of the arrays _tables builds: full vectors, trans, scale."""
+    return P.dsz * (2 * P.p + P.r)
 
 
 def _tables(P: Params) -> dict:
     """Action tables for the vectorized product, built once per Params.
 
-    Each table maps packed D-indices through a rewrite of the full
-    length-p vectors: trans shifts the entries by x, scale relabels
-    them s -> s g0^t, and dadd (ell > 2) adds two vectors.
+    Each table maps packed D-indices through a rewrite of the length-p
+    vectors: trans shifts the entries by x, scale relabels s -> s g0^t.
     """
     tabs = P._cache.get("ga_tables")
     if tabs is not None:
@@ -130,9 +128,7 @@ def _tables(P: Params) -> dict:
         raise ValueError(f"product tables of {_table_entries(P)} entries"
                          f" are over the bound of {_TABLE_ENTRIES}")
     ell, p = P.ell, P.p
-    # the digits in a type that holds the sums v + w < 2 ell of dadd
-    full = np.zeros((P.dsz, p), dtype=np.min_scalar_type(-2 * ell))
-    full[:, 1:] = d_digits(P, np.arange(P.dsz))
+    full = np.pad(d_digits(P, np.arange(P.dsz)), ((0, 0), (1, 0)))
 
     def pack(v):
         # entry 0 normalised to zero, entries 1..p-1 as base-ell digits
@@ -141,11 +137,7 @@ def _tables(P: Params) -> dict:
     h = np.arange(p)
     tabs = {"trans": np.stack([pack(full[:, (h + x) % p]) for x in h]),
             "scale": np.stack([d_scale(P, u, np.arange(P.dsz))
-                               for u in P._g0pow]),
-            "xscale": np.outer(P._g0pow, h) % p,
-            "dadd": None if ell == 2 else np.fromiter(  # one copy held
-                (pack((v + full) % ell) for v in full),
-                np.dtype((np.int64, P.dsz)), P.dsz)}
+                               for u in P._g0pow])}
     P._cache["ga_tables"] = tabs
     return tabs
 
@@ -153,24 +145,19 @@ def _tables(P: Params) -> dict:
 def _mul_lanes(P: Params, gk: np.ndarray, hk: np.ndarray):
     """Packed product keys for broadcastable key arrays, through the
     action tables of _tables."""
-    tabs, r, p = _tables(P), P.r, P.p
+    tabs, r, p, n = _tables(P), P.r, P.p, P.p - 1
     gd1, gx1, gd2, gx2, ga, gb, gc = key_cols(P, gk)
     hd1, hx1, hd2, hx2, ha, hb, hc = key_cols(P, hk)
     s1 = (-ga) % r
     s2 = (-gb) % r
+    g0 = np.array(P._g0pow)
     # the D-parts of h, twisted by the H-part of g and shifted by its
     # P-part, then added to those of g; each lane-sized temporary is
     # dropped as soon as the next exists
-    v1 = tabs["trans"][gx1, tabs["scale"][s1, hd1]]
-    v2 = tabs["trans"][gx2, tabs["scale"][s2, hd2]]
-    if P.ell == 2:
-        v1 ^= gd1
-        v2 ^= gd2
-    else:
-        v1 = tabs["dadd"][gd1, v1]
-        v2 = tabs["dadd"][gd2, v2]
-    return key_join(P, v1, (gx1 + tabs["xscale"][s1, hx1]) % p,
-                    v2, (gx2 + tabs["xscale"][s2, hx2]) % p,
+    v1 = digit_sum(gd1, tabs["trans"][gx1, tabs["scale"][s1, hd1]], P.ell, n)
+    v2 = digit_sum(gd2, tabs["trans"][gx2, tabs["scale"][s2, hd2]], P.ell, n)
+    return key_join(P, v1, (gx1 + g0[s1] * hx1) % p,
+                    v2, (gx2 + g0[s2] * hx2) % p,
                     (ga + ha) % r, (gb + hb) % r, (gc + hc - ha * gb) % r)
 
 
@@ -279,7 +266,7 @@ def _centralizes_folded(P: Params, tp: np.ndarray, f: GAElem) -> bool:
     """Whether phi(x) = f is fixed by conjugation with g1 and g2."""
     for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)):
         hk = np.array([pack_key(P, group_inv(P, h)), pack_key(P, h)])
-        conj = _mul_lanes(P, _mul_lanes(P, hk[0], f.keys), hk[1])
+        conj = _mul_lanes(P, _mul_lanes(P, hk[:1], f.keys), hk[1:])
         if not _is_permuted(f, *_absorb_z(P, tp, conj, f.coeffs)):
             return False
     return True

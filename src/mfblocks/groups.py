@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .field import (
-    digits, factorize, field_make, is_prime, root_of_unity, undigits,
+    digits, factorize, field_make, field_refusal, is_prime, root_of_unity,
+    undigits,
 )
 
 
@@ -93,6 +94,8 @@ class Params:
         self._g0pow = [pow(self.g0, t, p) for t in range(r)]
         # lazy attachments (action tables, algebra contexts) keyed by name
         self._cache: dict = {}
+        if refusal := field_refusal(ell, self.m, "m"):
+            raise ValueError(f"label field: {refusal}")
         self.lctx = field_make(ell, self.m)
         l_fourier(self, self.lctx)
 

@@ -25,6 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .characters import Character
+from .field import digit_sum
 from .groups import (
     Params, conjugate, d_digits, d_elem, d_key, d_pack,
     digit_dtype, key_join, l_fourier, p_elem, root_powers, slot_scale_index,
@@ -62,7 +63,9 @@ def label_make(P: Params, side: int, psi: int, m) -> QuivLabel:
 
 def label_phi(P: Params, m) -> np.ndarray:
     """Exponent of the product of the arrow characters, per row of m."""
-    return (np.asarray(m) @ np.arange(1, P.p, dtype=np.int64)) % P.p
+    phi = np.einsum("...j,j->...", m, np.arange(1, P.p))
+    phi %= P.p
+    return phi
 
 
 def _label_index(P: Params, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -318,7 +321,7 @@ def _embed_tables(P: Params) -> dict:
     n = P.dsz * P.p
     if n > _EMBED_LIMIT:
         raise ValueError(f"embedding tables of size {n} are too large")
-    ctx, p, Dsz, ell = P.ctx, P.p, P.dsz, P.ell
+    ctx, p, Dsz = P.ctx, P.p, P.dsz
     zp, y = root_powers(P, ctx, p), np.arange(p)
 
     # the arrow of exponent s is s_phi = sum_g zeta_p^(-s g) d^g over
@@ -326,7 +329,8 @@ def _embed_tables(P: Params) -> dict:
     # the D-addition v -> v + d^g on packed vectors
     digits = d_digits(P, np.arange(Dsz))
     conj = [conjugate(P, d_elem(P, 1, 0), p_elem(P, 1, g)) for g in range(p)]
-    shift = [d_key(P, (digits + digits[d_pack(P, c.v1)]) % ell) for c in conj]
+    shift = [digit_sum(np.arange(Dsz), d_pack(P, c.v1), P.ell, p - 1)
+             for c in conj]
     S = np.zeros((Dsz, Dsz), dtype=np.int64)
     S[0, 0] = ctx.one
     for mk in range(1, Dsz):

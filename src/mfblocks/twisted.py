@@ -22,10 +22,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .characters import Character, char_exponent, h_element, make_char
+from .characters import Character, h_element, make_char
 from .groups import (
-    Params, commutator, d_digits, digit_dtype, group_inv, key_cols, key_drop,
-    key_n, l_fourier, root_powers,
+    Params, d_digits, digit_dtype, group_inv, key_cols, key_drop, key_n,
+    l_fourier, root_powers,
 )
 from .groupalg import (
     _CHUNK, GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
@@ -204,9 +204,9 @@ def _check(t: TTElem, theta: Character, ctx) -> None:
 def _tt_consts(P: Params, ctx, theta: Character) -> dict:
     """The label constants of theta over ctx: the h-elements h1[e], h2[f]
     of chi_e on L_1 and eta_f on L_2; c_tab[e, f], the exponent of
-    theta([h2[f], h1[e]]) against zeta_r; and W[t, t'] = r^-2
-    sum_{e,f} zeta_r^-(c_tab[e, f] + e t + f t').  Only W depends on
-    the field; the rest is the label field's."""
+    theta([h2[f], h1[e]]), by the cocycle [g1^a g2^b, g1^a' g2^b'] =
+    gz^(a b' - a' b) of group_mul; and W = D^T zeta_r^-c_tab D over ctx,
+    D = l_fourier, the one constant that depends on the field."""
     key = ("tt_consts", ctx.order, theta.e)
     consts = P._cache.get(key)
     if consts is None:
@@ -215,9 +215,10 @@ def _tt_consts(P: Params, ctx, theta: Character) -> dict:
         else:
             h1, h2 = ([h_element(P, theta, make_char(P, f"L{i}", e), i)
                        for e in range(P.r)] for i in (1, 2))
-            consts = {"h1": h1, "h2": h2, "c_tab": np.array(
-                [[char_exponent(P, theta, commutator(P, g, h)) for g in h2]
-                 for h in h1], dtype=np.int64)}
+            (a1, b1), (a2, b2) = (np.array([(h.a, h.b) for h in hs]).T
+                                  for hs in (h1, h2))
+            consts = {"h1": h1, "h2": h2, "c_tab": theta.e * (
+                np.outer(b1, a2) - np.outer(a1, b2)) % P.r}
         D = l_fourier(P, ctx)
         consts["W"] = gf_matmul(ctx, gf_matmul(
             ctx, D.T, root_powers(P, ctx, P.r)[-consts["c_tab"] % P.r]), D)

@@ -70,8 +70,8 @@ class SkipCheck(Exception):
 
 def _need_field(P: Params) -> None:
     """Skip, before anything is built, where F_{ell^d} is refused."""
-    if field_refusal(P.ell, P.d):
-        raise SkipCheck(field_refusal(P.ell, P.d))
+    if refusal := field_refusal(P.ell, P.d):
+        raise SkipCheck(refusal)
 
 
 def _need_group_algebra(P: Params) -> None:
@@ -564,16 +564,17 @@ def _check_radical_powers(P: Params, theta: Character, suite: str,
     return None
 
 
-def _pairing_defect(P: Params, theta: Character, table) -> Optional[dict]:
-    """The extracted exponent table T against the exponents of theta on
-    the commutators of the h-elements; then T(e, 0) = T(0, f) = 0 and
-    additivity in each slot.  None when all hold."""
+def _pairing_defect(P: Params, theta: Character, table, X) -> Optional[dict]:
+    """The extracted exponent table T against theta on the commutators
+    [h2[f], h1[e]] = [g2^t, g1^s]^-1, read off X; then T(e, 0) = T(0, f)
+    = 0 and additivity in each slot.  None when all hold."""
     i, r = np.arange(P.r), P.r
     T = np.array([[table.value(e, f) for f in range(r)] for e in range(r)])
+    h1, h2 = (_tt_consts(P, P.lctx, theta)[f"h{k}"] for k in (1, 2))
     plus = (i[:, None] + i[None, :]) % r
     defects = {
         "extracted scalar disagrees with the character route":
-            T != _tt_consts(P, P.lctx, theta)["c_tab"],
+            T != -X[np.ix_([h.b for h in h1], [h.a for h in h2])] % r,
         "unit row or column is not one":  # at 0, e: T(e, 0); 1, f: T(0, f)
             np.stack([T[:, 0], T[0]]) != 0,
         "pairing is not multiplicative in the first slot":  # at e, g, f
@@ -587,16 +588,15 @@ def _pairing_defect(P: Params, theta: Character, table) -> Optional[dict]:
     return None
 
 
-def _h_element_defect(P: Params, theta: Character) -> Optional[dict]:
+def _h_element_defect(P: Params, theta: Character, X) -> Optional[dict]:
     """The model's h-elements against a search: h_chi must be the one
-    candidate h in the other L with theta([h, g]) = chi(g) on all of L_i."""
-    for i in (1, 2):
-        gs = subgroup_elements(P, f"L{i}")
+    candidate h in the other L with theta([h, g]) = chi(g) on all of L_i,
+    the row of h in X (side 1) or -X^T (side 2)."""
+    s = np.arange(P.r)
+    for i, A in ((1, X), (2, -X.T % P.r)):
+        hs = subgroup_elements(P, f"L{3 - i}")
         for e in range(P.r):
-            chi = make_char(P, f"L{i}", e)
-            found = [h for h in subgroup_elements(P, f"L{3 - i}") if all(
-                char_exponent(P, theta, commutator(P, h, g))
-                == char_exponent(P, chi, g) for g in gs)]
+            found = [hs[k] for k in np.flatnonzero((A == e * s % P.r).all(1))]
             if found != [_tt_consts(P, P.lctx, theta)[f"h{i}"][e]]:
                 return {"h_element_disagrees": {"side": i, "chi": e}}
     return None
@@ -611,10 +611,13 @@ def _check_pairing_recovery(P: Params, theta: Character, suite: str,
     rec = {}
     for j in js:
         tj = make_char(P, "Z", j)
-        defect = _h_element_defect(P, tj)
+        X = np.array([[char_exponent(P, tj, commutator(
+            P, h_elem(P, 0, t), h_elem(P, s))) for s in range(P.r)]
+            for t in range(P.r)])
+        defect = _h_element_defect(P, tj, X)
         if defect is None:
             table = commutation_pairing(P, tj)
-            defect = _pairing_defect(P, tj, table)
+            defect = _pairing_defect(P, tj, table, X)
         if defect is not None:
             return {"j": j, **defect}
         rec[j] = recover_theta(table, P)
@@ -681,7 +684,7 @@ def _check_isomorphisms(P: Params, theta: Character, suite: str,
     samples = ((_random_terms(P, rng, 3), _random_terms(P, rng, 3))
                for _ in range(n))
     # then one pair whose D-digits sum to 2 (ell - 1) in every slot, the
-    # largest sums that the dadd table adds
+    # largest sums that the D-addition of the lanes adds
     top = (0,) + (P.ell - 1,) * (P.p - 1)
     extreme = [(GroupElem(top, 0, top, 0, 0, 0, 0), 1)]
     for xt, yt in itertools.chain(samples, [(extreme, extreme)]):

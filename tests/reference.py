@@ -7,7 +7,7 @@ import numpy as np
 from mfblocks.characters import Character, _exponent_of, char_exponent
 from mfblocks.field import _poly_divmod
 from mfblocks.groups import (
-    GroupElem, d_key, group_inv, h_elem, identity, key_cols, p_elem,
+    GroupElem, d_digits, d_key, group_inv, h_elem, identity, key_cols, p_elem,
     pack_key, root_powers, subgroup_elements,
 )
 from mfblocks.groupalg import (
@@ -293,10 +293,9 @@ def side_mul_table(P):
     d_l, x_l = (idx // p)[:, None], (idx % p)[:, None]
     d_r, x_r = (idx // p)[None, :], (idx % p)[None, :]
     shifted = tabs["trans"][x_l, d_r]
-    if P.ell == 2:
-        d_new = d_l ^ shifted
-    else:
-        d_new = tabs["dadd"][d_l, shifted]
+    # the D-addition digit by digit, in int64 so that no sum wraps
+    digits = d_digits(P, np.arange(Dsz)).astype(np.int64)
+    d_new = d_key(P, (digits[d_l] + digits[shifted]) % P.ell)
     table = d_new * p + ((x_l + x_r) % p)
     P._cache["side_mul_table"] = table
     return table

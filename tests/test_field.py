@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol
 from sympy.polys.domains import GF
 
+from mfblocks import make_char, run_checks
 from mfblocks.field import (
     FieldContext, digits, field_make, root_of_unity, undigits,
 )
@@ -125,6 +126,19 @@ class TestConstruction:
                            match="101\\^10 = 110462212541120451001"):
             P.ctx
         assert time.perf_counter() - start < 1.0
+
+    def test_label_field_refusal_names_m(self):
+        # at (2,59,29) the label field F_2(zeta_29) has degree m =
+        # ord_29(2) = 28: Params names m and the label field, while
+        # verify's refusal of F_{ell^d} at (2,103,17) still names d
+        with pytest.raises(ValueError, match="label field: extension degree"
+                           " m = 28 outside"):
+            params_make(2, 59, 29)
+        P = params_make(2, 103, 17)
+        (row,) = run_checks(P, make_char(P, "Z", 1),
+                            names=["product_gate"]).rows
+        assert row.witness == {
+            "reason": "extension degree d = 408 outside [1, 24]"}
 
 
 class TestArithmetic:

@@ -1,5 +1,6 @@
 """Group algebra kernels against a definitional convolution oracle."""
 
+import itertools
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import mfblocks.groupalg as galg
 from mfblocks.characters import make_char
+from mfblocks.field import digit_sum
 from mfblocks.groupalg import (
     block_fold, block_idempotent, block_mul, block_unfold,
     centralizes_block_H, ga_add, ga_basis, ga_from_terms, ga_frobenius_twist,
@@ -17,8 +19,8 @@ from reference import (
     ga_unit, side_inv_index, side_mul_table, unpack_key,
 )
 from mfblocks.groups import (
-    GroupElem, Params, _side_mul, conjugate, d_pack, group_inv, group_mul,
-    h_elem, identity, pack_key, params_make,
+    GroupElem, _side_mul, conjugate, d_pack, group_inv, group_mul,
+    h_elem, identity, p_elem, pack_key, params_make,
 )
 from mfblocks.verify import _side_table, run_checks
 
@@ -356,41 +358,48 @@ class TestActionTables:
                 for g in range(p):
                     out[(g * P._g0pow[t]) % p] = v[g]
                 assert tabs["scale"][t, w] == d_pack(P, out)
-            if ell != 2:
-                for b, vb in enumerate(vecs):
-                    assert tabs["dadd"][w, b] == d_pack(
-                        P, [(s + t) % ell for s, t in zip(v, vb)])
-        assert tabs["xscale"].tolist() == [
-            [(x * P._g0pow[t]) % p for x in range(p)] for t in range(r)]
-        assert (tabs["dadd"] is None) == (ell == 2)
 
-    def test_dadd_build_holds_one_copy(self):
-        # dadd is filled row by row: at (3,7,2), 3^12 entries of 8 bytes,
-        # the traced peak of the whole build stays within 1.25 tables
-        import tracemalloc
-        P = Params(3, 7, 2)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            dadd = galg._tables(P)["dadd"]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dadd.shape == (729, 729) and dadd.dtype == np.int64
-        assert peak <= 1.25 * dadd.nbytes
+    @pytest.mark.parametrize("ell,p,r", [(3, 5, 2), (5, 3, 2), (67, 3, 2)])
+    def test_digit_sum_matches_side_mul(self, ell, p, r):
+        # field.digit_sum, the D-addition of _mul_lanes, against the
+        # scalar D-addition of _side_mul: on every pair of vectors where
+        # there are few, and at ell = 67, where two digits sum to 132
+        # past int8, on every pair with digits 0 and ell - 1 and on
+        # random pairs; once as flat lanes and once broadcast
+        P = params_make(ell, p, r)
+        top = (0, ell - 1)
+        extreme = [d_pack(P, (0, *v))
+                   for v in itertools.product(top, repeat=p - 1)]
+        rng = random.Random(ell)
+        if P.dsz <= 81:
+            pairs = list(itertools.product(range(P.dsz), repeat=2))
+        else:
+            pairs = list(itertools.product(extreme, repeat=2)) + [
+                (rng.randrange(P.dsz), rng.randrange(P.dsz))
+                for _ in range(10000)]
+        a, b = np.array(pairs).T
+        got = digit_sum(a, b, ell, p - 1)
+        for x, y, s in zip(a.tolist(), b.tolist(), got.tolist()):
+            v, _ = _side_mul(P, d_unpack(P, x), 0, d_unpack(P, y), 0)
+            assert s == d_pack(P, v)
+        ex = np.array(extreme)
+        flat = digit_sum(np.repeat(ex, len(ex)), np.tile(ex, len(ex)), ell,
+                         p - 1)
+        assert digit_sum(ex[:, None], ex, ell, p - 1).ravel().tolist() == \
+            flat.tolist()
+        assert digit_sum(ex, int(ex[-1]), ell, p - 1).tolist() == \
+            flat[len(ex) - 1::len(ex)].tolist()
 
-    def test_dadd_past_the_int8_digit_sums(self):
-        # at ell = 67 two digits sum to 132, past int8: dadd against the
-        # scalar D-addition on every pair of vectors with digits 0 and
-        # ell - 1, and on random pairs.  A fresh Params keeps the 67^4
-        # entries of dadd out of the params_make cache.
-        P = Params(67, 3, 2)
-        dadd = galg._tables(P)["dadd"]
-        top = P.ell - 1
-        extreme = [d_pack(P, (0, s, t)) for s in (0, top) for t in (0, top)]
-        rng = random.Random(67)
-        pairs = [(a, b) for a in extreme for b in extreme] + [
-            (rng.randrange(P.dsz), rng.randrange(P.dsz)) for _ in range(10000)]
-        for a, b in pairs:
-            v, _ = _side_mul(P, d_unpack(P, a), 0, d_unpack(P, b), 0)
-            assert dadd[a, b] == d_pack(P, v)
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (5, 3, 2)])
+    def test_x_scaling_matches_group_mul(self, ell, p, r):
+        # the P-part of g h in the lanes, g0^-a x1 and g0^-b x2 mod p for
+        # g = g1^a g2^b, against group_mul on every such pair
+        P = params_make(ell, p, r)
+        gs = [h_elem(P, a, b, 0) for a in range(r) for b in range(r)]
+        hs = [group_mul(P, p_elem(P, 1, x), p_elem(P, 2, y))
+              for x in range(p) for y in range(p)]
+        lanes = galg._mul_lanes(
+            P, np.array([pack_key(P, g) for g in gs])[:, None],
+            np.array([pack_key(P, h) for h in hs]))
+        assert lanes.tolist() == [[pack_key(P, group_mul(P, g, h))
+                                   for h in hs] for g in gs]

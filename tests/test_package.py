@@ -2,9 +2,11 @@
 down, no assert in the library, no sympy at import, the field's tables
 and digit layout known to the field alone, no field table but exp and
 log, no relabelling table per unit, the side product and the field sum
-of colliding keys written once, one power table per root of unity, no
-cached iota matrix, equality written only for the array-holding
-elements, and a library or CLI caller for every function."""
+of colliding keys written once, no product table but trans and scale,
+no scalar group law under the label constants, one power table per
+root of unity, no cached iota matrix, equality written only for the
+array-holding elements, and a library or CLI caller for every
+function."""
 
 import ast
 import os
@@ -14,10 +16,12 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mfblocks
 from mfblocks import make_char, params_make, run_checks
 from mfblocks.field import field_make
+from mfblocks.groupalg import _tables
 from mfblocks.groups import Params, l_fourier
 from mfblocks.twisted import _iota_table
 
@@ -30,7 +34,7 @@ TEST_ONLY = {"field.FieldContext.digit_plane"}
 
 # The most lines src/ may hold.  The bound may only go down: lower it
 # to the new count whenever a change shrinks src/.
-SRC_LINES = 3922
+SRC_LINES = 3921
 
 
 def test_src_lines_do_not_grow():
@@ -92,7 +96,7 @@ def test_side_product_is_written_once():
     # the D ⋊ P product is groupalg._mul_lanes, with group_mul as its
     # scalar reference: no other code reads the action tables that
     # _tables builds, so no second copy of the product can grow
-    private = {"trans", "scale", "xscale", "dadd"}
+    private = {"trans", "scale"}
     found = []
     for path in sorted((SRC / "mfblocks").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -106,6 +110,28 @@ def test_side_product_is_written_once():
                     and isinstance(node.slice, ast.Constant) \
                     and node.slice.value in private:
                 found.append(f"{path.name}:{node.lineno} {node.slice.value}")
+    assert found == []
+
+
+@pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+def test_product_tables_are_trans_and_scale(cfg):
+    # the D-addition and the x-scaling run on the lanes, through
+    # field.digit_sum and g0^s x mod p: no dsz^2 or r x p table
+    assert set(_tables(params_make(*cfg))) == {"trans", "scale"}
+
+
+def test_label_constants_use_no_scalar_group_law():
+    # twisted forms c_tab from the h-elements' H-coordinates, and the
+    # scalar commutator route is verify's: no function of twisted,
+    # morita or characters names commutator or group_mul
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted((SRC / "mfblocks").glob("*.py"))
+             if path.stem in ("twisted", "morita", "characters")
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in [getattr(node, "id", None)
+                          or getattr(node, "attr", None)
+                          or getattr(node, "name", None)]
+             if name in ("commutator", "group_mul")]
     assert found == []
 
 

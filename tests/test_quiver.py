@@ -114,6 +114,27 @@ class TestLabels:
         m = (1, 0, 1, 0, 0, 0)
         assert label_phi(P, m) == 4
 
+    def test_phi_holds_no_int64_copy_of_the_arrows(self):
+        # at (3,47,2) an int64 copy of the int8 (4879681, 46) arrow
+        # matrix of the head is 1.67 GiB: the traced peak of label_phi
+        # stays within two of its int64 outputs, and it equals the int64
+        # product on a matrix and on one row
+        import tracemalloc
+        P = params_make(3, 47, 2)
+        m = np.random.default_rng(47).integers(0, 3, size=(100000, 46),
+                                               dtype=np.int8)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            phi = label_phi(P, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi.dtype == np.int64 and peak <= 2 * phi.nbytes
+        want = m.astype(np.int64) @ np.arange(1, 47) % 47
+        assert np.array_equal(phi, want)
+        assert label_phi(P, m[7]) == want[7]
+
 
 class TestMul:
     def test_vertex_idempotents(self):

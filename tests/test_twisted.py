@@ -1,21 +1,24 @@
 """Twisted tensor model of B_0, gated against group-algebra convolution."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from mfblocks.characters import char_idempotent, h_element, make_char
+from mfblocks.characters import (
+    char_exponent, char_idempotent, h_element, make_char,
+)
 from mfblocks.field import root_of_unity
 from mfblocks.groups import (
-    Params, group_inv, h_elem, p_elem, params_make, root_powers,
+    Params, commutator, group_inv, h_elem, p_elem, params_make, root_powers,
 )
 from mfblocks.groupalg import (
     _theta_pow, block_idempotent, centralizes_block_H, ga_add, ga_basis,
     ga_from_terms, ga_mul, ga_zero,
 )
-from mfblocks.linalg import gf_rank
+from mfblocks.linalg import gf_matmul, gf_rank
 from mfblocks.quiver import (
     label_make, qa_add, qa_basis, qa_embed, qa_isotypic, qa_mul, qa_zero,
 )
@@ -136,6 +139,29 @@ class TestContext:
                 for e in range(r):
                     for f in range(r):
                         assert int(c_tab[e, f]) == (-e * f * jinv) % r
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5),
+                                     (2, 19, 9)])
+    def test_commutator_table_is_the_scalar_route(self, cfg):
+        # c_tab from the h-elements' H-coordinates against the theta
+        # exponents of the scalar commutators [h2[f], h1[e]], for every
+        # faithful theta and over both fields; W is the table that the
+        # scalar exponents give
+        P = params_make(*cfg)
+        for j in range(1, P.r):
+            if math.gcd(j, P.r) != 1:
+                continue
+            theta = make_char(P, "Z", j)
+            for ctx in (P.lctx, P.ctx):
+                consts = _tt_consts(P, ctx, theta)
+                want = np.array([[char_exponent(P, theta, commutator(P, g, h))
+                                  for g in consts["h2"]]
+                                 for h in consts["h1"]])
+                assert np.array_equal(consts["c_tab"], want)
+                D = l_fourier(P, ctx)
+                W = gf_matmul(ctx, gf_matmul(
+                    ctx, D.T, root_powers(P, ctx, P.r)[-want % P.r]), D)
+                assert np.array_equal(consts["W"], W)
 
     def test_weight_table_closed_form(self):
         # W[t,t'] = r^{-1} zeta_r^{-j t t'}, the Fourier dual of c^{-1}

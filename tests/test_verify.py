@@ -14,7 +14,7 @@ import pytest
 
 from mfblocks.characters import make_char
 from mfblocks.groupalg import _tables, _table_entries
-from mfblocks.groups import Params, d_digits, d_key, params_make
+from mfblocks.groups import Params, params_make
 from mfblocks.linalg import gf_matmul
 from mfblocks.morita import PairingTable
 from mfblocks.quiver import _embed_tables, label_to_dict, qa_labels
@@ -135,17 +135,32 @@ class TestSkips:
             CHECK_STATEMENTS["isomorphisms"]
 
     def test_product_tables_past_their_bound_skip(self):
-        # at (3,11,5) the keys fit in 46 bits, but dadd alone would hold
-        # 3^20 entries; the skip comes before any allocation
-        P = params_make(3, 11, 5)
+        # at (5,11,2) the keys fit in 57 bits, but trans and scale would
+        # hold 2.3e8 entries, and at (3,17,2) 1.5e9; the skip comes
+        # before any allocation
+        for cfg in ((5, 11, 2), (3, 17, 2)):
+            P = params_make(*cfg)
+            t0 = time.perf_counter()
+            (row,) = run_checks(P, make_char(P, "Z", 1),
+                                names=["isomorphisms"]).rows
+            assert time.perf_counter() - t0 < 1.0
+            assert row.status == "skip"
+            assert f"{_table_entries(P)} entries" in row.witness["reason"]
+            with pytest.raises(ValueError, match="over the bound"):
+                _tables(P)
+
+    @pytest.mark.parametrize("cfg", [
+        (3, 11, 2), (3, 11, 5), (3, 11, 10), (3, 13, 2), (3, 13, 4),
+        (5, 7, 2), (5, 7, 3), (5, 7, 6)])
+    def test_isomorphisms_pass_within_the_table_bound(self, cfg):
+        # with no dsz^2 addition table, trans and scale fit under the
+        # bound at these triples, and quick isomorphisms runs and passes
+        P = params_make(*cfg)
         t0 = time.perf_counter()
         (row,) = run_checks(P, make_char(P, "Z", 1),
                             names=["isomorphisms"]).rows
-        assert time.perf_counter() - t0 < 1.0
-        assert row.status == "skip"
-        assert f"{_table_entries(P)} entries" in row.witness["reason"]
-        with pytest.raises(ValueError, match="over the bound"):
-            _tables(P)
+        assert row.status == "pass", row.witness
+        assert time.perf_counter() - t0 < 2.0
 
     def test_group_keys_past_int64_skip(self):
         # at (5,13,3) a group key needs dsz^2 p^2 r^3 - 1 < 2^68
@@ -421,22 +436,24 @@ class TestInjectedDefects:
         assert row.witness == {"j": 1, "at": [1, 2], "defect": "extracted"
                                " scalar disagrees with the character route"}
 
-    def test_isomorphisms_see_int8_digit_sums_in_dadd(self):
-        # dadd built from int8 digits wraps the sums v + w past 127: at
-        # (67,3,2) that bends 134,445 entries, each one alike under the
-        # swap and the scaling maps, so only the comparison with the
-        # normal-form product sees it, on the pair of all-(ell - 1)
-        # D-digits.  A fresh Params keeps the 67^4 entries of dadd out of
-        # the params_make cache
-        P = Params(67, 3, 2)
+    def test_isomorphisms_see_int8_digit_sums(self, monkeypatch):
+        # a D-addition on int8 digits wraps the sums v + w past 127: at
+        # (67,3,2) the swap and the scaling maps bend alike under it, so
+        # only the comparison with the normal-form product sees it, on
+        # the pair of all-(ell - 1) D-digits
+        import mfblocks.groupalg as galg
+        from mfblocks.field import digits, undigits
+
+        def int8_sum(a, b, ell, n):
+            a, b = np.broadcast_arrays(a, b)
+            return undigits((digits(a, ell, n, axis=0, dtype=np.int8)
+                             + digits(b, ell, n, axis=0, dtype=np.int8))
+                            % ell, ell, axis=0)
+        P = params_make(67, 3, 2)
         theta = make_char(P, "Z", 1)
         (row,) = run_checks(P, theta, names=["isomorphisms"]).rows
         assert row.status == "pass"
-        dadd = _tables(P)["dadd"]
-        full = np.zeros((P.dsz, P.p), dtype=np.int8)
-        full[:, 1:] = d_digits(P, np.arange(P.dsz))
-        for i, v in enumerate(full):
-            dadd[i] = d_key(P, ((v + full) % P.ell)[:, 1:])
+        monkeypatch.setattr(galg, "digit_sum", int8_sum)
         (row,) = run_checks(P, theta, names=["isomorphisms"]).rows
         assert row.status == "fail"
         top = {"v1": [0, 66, 66], "x1": 0, "v2": [0, 66, 66], "x2": 0,
@@ -465,8 +482,8 @@ class TestFactoredEmbed:
     @pytest.mark.parametrize("cfg,e", [
         ((2, 7, 3), 2), ((3, 5, 2), 1), ((5, 3, 2), 1), ((7, 3, 2), 1)])
     def test_both_suites_pass(self, cfg, e):
-        # at ell = 5 and 7 the product kernel adds D-vectors through its
-        # dadd table
+        # at ell = 5 and 7 the product kernel adds D-vectors digit by
+        # digit in field.digit_sum
         P, theta = desk(*cfg, e)
         for row in _embed_rows(P, theta):
             assert row.status == "pass", row.witness
