@@ -11,8 +11,6 @@ kG e_theta ~ k_theta[G/Z], on one key per Z-coset.
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import starmap
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -20,11 +18,11 @@ import numpy as np
 from .field import digit_sum
 from .groups import (
     GroupElem, Params, d_digits, d_key, d_scale, group_inv, h_elem,
-    key_array, key_cols, key_drop, key_join, key_z, l_fourier, pack_key,
-    root_powers,
+    key_array, key_cols, key_join, key_z, l_fourier, pack_key, root_powers,
 )
 
-_CHUNK = 1 << 22
+# Most lanes one chunk of a kG product forms (about 1.3 MB at its peak)
+_CHUNK = 1 << 14
 # Most int64 entries the product tables of _tables may hold (256 MB)
 _TABLE_ENTRIES = 1 << 25
 
@@ -57,10 +55,6 @@ class GAElem:
 
 def ga_zero() -> GAElem:
     return GAElem(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-
-
-def ga_is_zero(x: GAElem) -> bool:
-    return len(x.keys) == 0
 
 
 def _key_sums(ctx, coeffs: np.ndarray, inv: np.ndarray, size: int):
@@ -170,11 +164,21 @@ def _lanes(P: Params, x: GAElem, y: GAElem):
                P.ctx.vmul(x.coeffs[i0:i0 + rows, None], y.coeffs).ravel())
 
 
+def _folded_lanes(P: Params, tp, pairs, rekey=None) -> GAElem:
+    """The sum of the products x y over pairs, merged.  Each chunk of
+    lanes is merged as it is formed, its Z-part (the H-cocycle) absorbed
+    as a theta power if tp is given and its keys mapped by rekey if
+    given; the partial sums are merged once, at the end."""
+    def merged(keys, coeffs):
+        if tp is not None:
+            keys, coeffs = _absorb_z(P, tp, keys, coeffs)
+        return _dedupe(P, keys if rekey is None else rekey(P, keys), coeffs)
+    return ga_sum(P, [merged(*lanes) for x, y in pairs
+                      for lanes in _lanes(P, x, y)])
+
+
 def ga_mul(P: Params, x: GAElem, y: GAElem) -> GAElem:
-    if ga_is_zero(x) or ga_is_zero(y):
-        return ga_zero()
-    keys, coeffs = zip(*_lanes(P, x, y))
-    return _dedupe(P, np.concatenate(keys), np.concatenate(coeffs))
+    return _folded_lanes(P, None, [(x, y)])
 
 
 def ga_frobenius_twist(P: Params, x: GAElem) -> GAElem:
@@ -224,51 +228,45 @@ def block_unfold(P: Params, theta, f: GAElem) -> GAElem:
         f.coeffs[:, None], l_fourier(P, P.ctx)[theta.e]).ravel())
 
 
-def _is_permuted(x: GAElem, keys: np.ndarray, coeffs: np.ndarray) -> bool:
-    """Whether the terms (keys, coeffs), keys unique, are those of x."""
-    order = np.argsort(keys)
-    return bool(np.array_equal(keys[order], x.keys)
-                and np.array_equal(coeffs[order], x.coeffs))
-
-
 def _fold_block(P: Params, theta, x: GAElem):
     """theta's powers and phi(x) for x in kG e_theta; x outside raises.
 
-    x e_theta = x exactly when theta(gz)^-1 x gz = x, and right
-    translation by gz raises the c coordinate of every key by one."""
-    tp = _theta_pow(P, theta)
-    gz = key_drop(P, x.keys, 1) + (key_z(P, x.keys) + 1) % P.r
-    if not _is_permuted(x, gz, P.ctx.vscale(int(tp[-1]), x.coeffs)):
+    x e_theta = x exactly when theta(gz)^-1 x gz = x: each Z-coset of x
+    is r sorted keys in a row, c = 0..r-1, whose coefficient at c is
+    theta(gz)^-c times that at c = 0; phi(x) is r times the latter."""
+    tp, r = _theta_pow(P, theta), P.r
+    k, c = (a[:len(a) - len(a) % r].reshape(-1, r)
+            for a in (x.keys, x.coeffs))
+    if len(x) % r or key_z(P, k[:, 0]).any() or not all(
+            np.array_equal(k[:, j], k[:, 0] + j) and np.array_equal(
+                c[:, j], P.ctx.vscale(int(tp[-j]), c[:, 0]))
+            for j in range(1, r)):
         raise ValueError("x does not lie in the block (x e_theta != x)")
-    return tp, _dedupe(P, *_absorb_z(P, tp, x.keys, x.coeffs))
-
-
-def _folded_lanes(P: Params, tp: np.ndarray, pairs) -> tuple:
-    """The unmerged terms of phi(x) phi(y) over pairs of folded factors,
-    side by side: each lane's Z-part, the H-cocycle, is absorbed as a
-    theta power."""
-    parts = [(np.zeros(0, dtype=np.int64),) * 2]
-    for fx, fy in pairs:
-        # starmap drops each raw chunk before _lanes forms the next
-        parts += starmap(partial(_absorb_z, P, tp), _lanes(P, fx, fy))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return tp, GAElem(k[:, 0].copy(), P.ctx.vscale(r % P.ell, c[:, 0]))
 
 
 def block_mul(P: Params, theta, x: GAElem, y: GAElem) -> GAElem:
     """x y for x in kG e_theta and any y, formed in k_theta[G/Z] on r
     times fewer keys per factor; x outside the block raises."""
     tp, fx = _fold_block(P, theta, x)
-    return block_unfold(P, theta, _dedupe(
-        P, *_folded_lanes(P, tp, [(fx, block_fold(P, theta, y))])))
+    return block_unfold(P, theta, _folded_lanes(
+        P, tp, [(fx, block_fold(P, theta, y))]))
 
 
 def _centralizes_folded(P: Params, tp: np.ndarray, f: GAElem) -> bool:
-    """Whether phi(x) = f is fixed by conjugation with g1 and g2."""
+    """Whether phi(x) = f is fixed by conjugation with g1 and g2: each
+    conjugated key, _CHUNK at a time, is found in f with its coefficient
+    (conjugation permutes the Z-cosets, so none is left over)."""
     for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)):
         hk = np.array([pack_key(P, group_inv(P, h)), pack_key(P, h)])
-        conj = _mul_lanes(P, _mul_lanes(P, hk[:1], f.keys), hk[1:])
-        if not _is_permuted(f, *_absorb_z(P, tp, conj, f.coeffs)):
-            return False
+        for i in range(0, len(f), _CHUNK):
+            run = slice(i, i + _CHUNK)
+            keys, coeffs = _absorb_z(P, tp, _mul_lanes(P, _mul_lanes(
+                P, hk[:1], f.keys[run]), hk[1:]), f.coeffs[run])
+            at = np.minimum(np.searchsorted(f.keys, keys), len(f) - 1)
+            if not (np.array_equal(f.keys[at], keys)
+                    and np.array_equal(f.coeffs[at], coeffs)):
+                return False
     return True
 
 

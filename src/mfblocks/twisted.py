@@ -28,7 +28,7 @@ from .groups import (
     l_fourier, root_powers,
 )
 from .groupalg import (
-    _CHUNK, GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
+    GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
     _mul_lanes, _theta_pow, block_fold, block_unfold, ga_basis, ga_zero,
 )
 from .linalg import gf_apply_axis, gf_matmul
@@ -41,7 +41,7 @@ from .quiver import (
 
 # Most (k1, k2) combinations one chunk of a batched product forms; a
 # chunk is a run of whole rows
-_LANES = _CHUNK >> 8
+_LANES = 1 << 14
 
 
 class _Cols(NamedTuple):
@@ -361,8 +361,8 @@ def b0_pi_inv(P: Params, theta: Character, t: TTElem) -> GAElem:
         1, c.psi1[[i]], c.m1[[i]], c.coeffs[[i]])), _route_elem(
         P, routes[1], QuivAElem(2, c.psi2[[i]], c.m2[[i]], one)))
         for i in range(len(c.coeffs))]
-    return block_unfold(P, theta, _dedupe(
-        P, *_folded_lanes(P, _theta_pow(P, theta), pairs)))
+    return block_unfold(P, theta, _folded_lanes(
+        P, _theta_pow(P, theta), pairs))
 
 
 def b0_pi_product(P: Params, theta: Character, x: GAElem,
@@ -383,8 +383,7 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     pairs = [(GAElem(x.keys[xb == b], x.coeffs[xb == b]), _dedupe(
         P, key_drop(P, y.keys, 3), P.ctx.vmul(y.coeffs, tp[-ya * b % P.r])))
         for b in np.unique(xb)]
-    keys, coeffs = _folded_lanes(P, tp, pairs)
-    return _stage_b(P, theta, _dedupe(P, key_n(P, keys), coeffs))
+    return _stage_b(P, theta, _folded_lanes(P, tp, pairs, key_n))
 
 
 # ---------------------------------------------------------------------------

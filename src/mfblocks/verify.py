@@ -36,7 +36,7 @@ from .groups import (
     key_drop, key_z, p_elem, pack_key, subgroup_elements,
 )
 from .groupalg import (
-    _CHUNK, _TABLE_ENTRIES, _mul_lanes, _table_entries, _theta_pow,
+    _TABLE_ENTRIES, _mul_lanes, _table_entries, _theta_pow,
     block_fold, block_idempotent, block_mul, centralizes_block_H, ga_mul,
     ga_frobenius_twist, ga_from_terms,
 )
@@ -62,6 +62,9 @@ from .twisted import (
 _LABEL_ROWS_LIMIT = 1 << 18
 # radical_powers multiplies all (p-1)^(ell-1) arrow chains at once
 _CHAINS_LIMIT = 1 << 18
+# Lanes per row block of the side table, entries per chunk of Z in the
+# embedding check, and per block of corner-map columns
+_SIDE_LANES, _Z_ENTRIES, _CORNER_ENTRIES = 1 << 15, 1 << 16, 1 << 17
 
 
 class SkipCheck(Exception):
@@ -202,8 +205,8 @@ def _side_table(P: Params):
     time, each inverse found by the identity key 0; or None and the
     first (u, v) whose product u v has a key coordinate off D_1 ⋊ P_1."""
     g = _embed_tables(P)["gkeys"][0].ravel()
-    # _mul_lanes holds about nine int64 temporaries per lane
-    n, step = len(g), max(1, (_CHUNK >> 7) // len(g))
+    # _mul_lanes peaks at about ten int64 temporaries per lane
+    n, step = len(g), max(1, _SIDE_LANES // len(g))
     uv = np.empty((n, n), dtype=np.min_scalar_type(-n))
     for u0 in range(0, n, step):
         d1, x1, *off = key_cols(P, _mul_lanes(P, g[u0:u0 + step, None], g))
@@ -226,7 +229,7 @@ def _embed_products(P: Params, data: dict, delta: np.ndarray,
     # every entry is a field element below q
     Z = np.empty((p, dsz * dsz, len(rows)),
                  dtype=np.min_scalar_type(ctx.order - 1))
-    step = max(1, (_CHUNK >> 6) // dsz ** 2)
+    step = max(1, _Z_ENTRIES // dsz ** 2)
     for t, d0 in itertools.product(range(p), range(0, dsz, step)):
         # Z[t, (d', a_v), i] = sum_d S[δ(d, t, d'), a_v] S[d, rows[i]]
         left = S[delta[:, t, d0:d0 + step].T].transpose(0, 2, 1)
@@ -372,7 +375,7 @@ def _check_corner_maps(P: Params, theta: Character, suite: str,
     for side in (1, 2):
         routes = (_iota_table(P, theta, side), _closed_route(P, theta, side))
         keys = reduce(np.union1d, [rt["keys"] for rt in routes])
-        block, n = max(1, (_CHUNK >> 5) // len(keys)), P.dsz * P.p
+        block, n = max(1, _CORNER_ENTRIES // len(keys)), P.dsz * P.p
         for j0 in range(0, n, block):
             js = np.arange(j0, min(j0 + block, n))
             got, want = (np.zeros((len(keys), len(js)), dtype=np.int64)

@@ -7,17 +7,18 @@ import numpy as np
 from mfblocks.characters import Character, _exponent_of, char_exponent
 from mfblocks.field import _poly_divmod
 from mfblocks.groups import (
-    GroupElem, d_digits, d_key, group_inv, h_elem, identity, key_cols, p_elem,
-    pack_key, root_powers, subgroup_elements,
+    GroupElem, d_digits, d_key, group_inv, h_elem, identity, key_cols,
+    key_drop, key_n, p_elem, pack_key, root_powers, subgroup_elements,
 )
 from mfblocks.groupalg import (
-    GAElem, _tables, ga_add, ga_basis, ga_from_terms, ga_mul, ga_zero,
+    GAElem, _absorb_z, _dedupe, _mul_lanes, _tables, _theta_pow, block_fold,
+    ga_add, ga_basis, ga_from_terms, ga_mul, ga_zero,
 )
 from mfblocks.quiver import (
     _EMBED_LIMIT, QuivAElem, _act, _embed_tables, _label_index, _leg_join,
     label_make, label_phi, qa_basis, qa_from_columns, qa_zero,
 )
-from mfblocks.twisted import TTElem, tt_is_zero, tt_zero
+from mfblocks.twisted import TTElem, _stage_b, tt_is_zero, tt_zero
 from mfblocks.verify import _random_terms
 
 # the tags of the P-characters, the groups that H conjugates
@@ -54,6 +55,27 @@ def ga_scale(P, c, x):
 def random_ga(P, rng, nterms):
     """A random element of nterms terms, drawn as verify draws them."""
     return ga_from_terms(P, _random_terms(P, rng, nterms))
+
+
+def b0_pi_product_all_lanes(P, theta, x, y):
+    """b0_pi_product with every lane held at once: for each b of phi(x),
+    its rows times phi(y) merged onto its N-part with weight
+    theta(gz)^(-a' b), all in one _mul_lanes call; the lanes of every b
+    are absorbed and collapsed under key_n by one np.unique."""
+    tp = _theta_pow(P, theta)
+    x, y = block_fold(P, theta, x), block_fold(P, theta, y)
+    xb, ya = key_cols(P, x.keys)[5], key_cols(P, y.keys)[4]
+    keys, coeffs = [], []
+    for b in np.unique(xb):
+        yb = _dedupe(P, key_drop(P, y.keys, 3),
+                     P.ctx.vmul(y.coeffs, tp[-ya * b % P.r]))
+        k, c = _absorb_z(P, tp, _mul_lanes(
+            P, x.keys[xb == b, None], yb.keys).ravel(), P.ctx.vmul(
+            x.coeffs[xb == b, None], yb.coeffs).ravel())
+        keys.append(key_n(P, k))
+        coeffs.append(c)
+    return _stage_b(P, theta, _dedupe(P, np.concatenate(keys),
+                                      np.concatenate(coeffs)))
 
 
 def ga_coeff(P, x, g):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mfblocks.groupalg as galg
-from mfblocks.characters import make_char
+from mfblocks.characters import char_idempotent, make_char
 from mfblocks.field import digit_sum
 from mfblocks.groupalg import (
     block_fold, block_idempotent, block_mul, block_unfold,
@@ -15,14 +15,18 @@ from mfblocks.groupalg import (
     ga_mul, ga_zero,
 )
 from reference import (
-    d_unpack, f_add, ga_coeff, ga_conjugate, ga_neg, ga_scale, ga_sub,
-    ga_unit, side_inv_index, side_mul_table, unpack_key,
+    b0_pi_product_all_lanes, d_unpack, f_add, ga_coeff, ga_conjugate, ga_neg,
+    ga_scale, ga_sub, ga_unit, side_inv_index, side_mul_table, unpack_key,
 )
 from mfblocks.groups import (
     GroupElem, _side_mul, conjugate, d_pack, group_inv, group_mul,
     h_elem, identity, p_elem, pack_key, params_make,
 )
-from mfblocks.verify import _side_table, run_checks
+from mfblocks.twisted import (
+    b0_pi_inv, b0_pi_product, tt_from_terms, tt_is_zero,
+)
+import mfblocks.verify as V
+from mfblocks.verify import _random_label, _side_table, run_checks
 
 
 def random_elem(P, rng):
@@ -56,7 +60,7 @@ class TestBasics:
     def test_zero_and_unit(self):
         P = params_make(2, 7, 3)
         z = ga_zero()
-        assert galg.ga_is_zero(z)
+        assert len(z) == 0
         one = ga_unit(P)
         assert ga_coeff(P, one, identity(P)) == P.ctx.one
         x = random_ga(P, random.Random(0), 5)
@@ -250,11 +254,117 @@ class TestBlockFold:
         with pytest.raises(ValueError, match="block"):
             block_mul(P, theta, x, block_idempotent(P, theta))
 
+    @pytest.mark.parametrize("cfg,e", FAITHFUL)
+    def test_whole_cosets_of_another_character_raise(self, cfg, e):
+        # every Z-coset whole, its coefficients those of another
+        # character of Z: the coefficient gate alone refuses it
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", e)
+        rng = random.Random(f"coset:{cfg}:{e}")
+        for other in set(range(P.r)) - {e}:
+            x = ga_mul(P, random_ga(P, rng, 4),
+                       char_idempotent(P, make_char(P, "Z", other)))
+            assert len(x) and len(x) % P.r == 0
+            with pytest.raises(ValueError, match="block"):
+                block_mul(P, theta, x, ga_unit(P))
+
     def test_unfold_refuses_an_unfolded_key(self):
         P = params_make(3, 5, 2)
         theta = make_char(P, "Z", 1)
         with pytest.raises(ValueError, match="c = 0"):
             block_unfold(P, theta, ga_basis(P, h_elem(P, 0, 0, 1)))
+
+
+class TestLaneChunks:
+    """A kG product merges each chunk of lanes as it is formed and the
+    partial sums once at the end."""
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+    def test_few_lanes_a_chunk_give_the_single_chunk_result(
+            self, cfg, monkeypatch):
+        P = params_make(*cfg)
+        theta = make_char(P, "Z", 1)
+        rng = random.Random(f"chunks:{cfg}")
+        x, y = random_ga(P, rng, 9), random_ga(P, rng, 11)
+        bx = ga_mul(P, x, block_idempotent(P, theta))
+        # single vertex terms keep the products at a few thousand lanes
+        ts = [tt_from_terms(P, theta, [
+            (_random_label(P, 1, rng, 0), _random_label(P, 2, rng, 0),
+             rng.randrange(1, P.ctx.order))], P.ctx) for _ in range(2)]
+        chunks, lanes = [], galg._lanes
+
+        def spy(P, x, y):
+            for chunk in lanes(P, x, y):
+                chunks.append(len(chunk[0]))
+                yield chunk
+
+        def products():
+            chunks.clear()
+            u, v = (b0_pi_inv(P, theta, t) for t in ts)
+            return [ga_mul(P, x, y), block_mul(P, theta, bx, y), u, v,
+                    b0_pi_product(P, theta, u, v),
+                    b0_pi_product(P, theta, x, y)], len(chunks)
+        monkeypatch.setattr(galg, "_lanes", spy)
+        monkeypatch.setattr(galg, "_CHUNK", 1 << 40)
+        whole, n_whole = products()
+        monkeypatch.setattr(galg, "_CHUNK", 5)
+        split, n_split = products()
+        assert split == whole and n_split > 10 * n_whole
+        assert all(len(z) for z in whole[:4])
+        assert not tt_is_zero(whole[5])
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+    def test_a_key_that_cancels_across_chunks_is_absent(
+            self, cfg, monkeypatch):
+        # x = g + h, y = g^-1 u - h^-1 u: the lanes g g^-1 u and h h^-1 u
+        # fall in the chunks of the rows g and h of x, and cancel
+        P = params_make(*cfg)
+        rng = random.Random(f"cancel:{cfg}")
+        g, h, u = (random_elem(P, rng) for _ in range(3))
+        one = P.ctx.one
+        minus = int(P.ctx.vneg(np.array([one]))[0])
+        gi_u, hi_u = (group_mul(P, group_inv(P, w), u) for w in (g, h))
+        x = ga_from_terms(P, [(g, one), (h, one)])
+        y = ga_from_terms(P, [(gi_u, one), (hi_u, minus)])
+        monkeypatch.setattr(galg, "_CHUNK", 1)
+        xy = ga_mul(P, x, y)
+        assert pack_key(P, u) not in xy.keys.tolist()
+        assert xy == ga_from_terms(P, [(group_mul(P, g, hi_u), minus),
+                                       (group_mul(P, h, gi_u), one)])
+        assert len(xy) == 2
+
+    def test_largest_quick_gate_product_holds_one_chunk(self, monkeypatch):
+        # quick product_gate at (2,7,3) forms its largest b0_pi_product
+        # on |x| = 2352 and |y| = 5376 keys: collapsing all its lanes at
+        # once traces 17.6 MB, one chunk of lanes and the merged partial
+        # sums about 1.8 MB
+        import tracemalloc
+        P = params_make(2, 7, 3)
+        theta = make_char(P, "Z", 1)
+        seen = []
+
+        def spy(P, theta, x, y):
+            seen.append((x, y, b0_pi_product(P, theta, x, y)))
+            return seen[-1][2]
+        monkeypatch.setattr(V, "b0_pi_product", spy)
+        assert V._check_product_gate(P, theta, "quick",
+                                     random.Random("0:product_gate")) is None
+        seen.sort(key=lambda s: len(s[0]) * len(s[1]), reverse=True)
+        x, y, _ = seen[0]
+        assert (len(x), len(y)) == (2352, 5376)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = b0_pi_product(P, theta, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert got == b0_pi_product_all_lanes(P, theta, x, y)
+        # that product is 0, as are most of the gate's: the largest one
+        # that is not meets the reference too
+        x, y, got = next(s for s in seen if not tt_is_zero(s[2]))
+        assert got == b0_pi_product_all_lanes(P, theta, x, y)
 
 
 class TestFrobeniusTwist:
