@@ -196,8 +196,8 @@ def h_elem(P: Params, a: int = 0, b: int = 0, c: int = 0) -> GroupElem:
 
 def _scale_side(P: Params, v: Sequence[int], x: int, u: int):
     """Conjugation twist: D-indexes and the P-coordinate scale by u."""
-    if u == 1:
-        return tuple(v), x
+    if u == 1 or not any(v):
+        return tuple(v), (x * u) % P.p
     p = P.p
     w = [0] * p
     for g in range(p):
@@ -208,6 +208,8 @@ def _scale_side(P: Params, v: Sequence[int], x: int, u: int):
 def _side_mul(P: Params, v, x, w, y):
     """(d(v)x)(d(w)y) = (d(v + T_x w), x + y) with (T_x w)[h] = w[h+x]."""
     ell, p = P.ell, P.p
+    if not any(w):
+        return _normalize(v, ell), (x + y) % p
     out = [(v[h] + w[(h + x) % p]) % ell for h in range(p)]
     return _normalize(out, ell), (x + y) % p
 

@@ -179,15 +179,9 @@ def tt_add(P: Params, t: TTElem, s: TTElem) -> TTElem:
     return TTElem(t.theta, _canon(t.ctx, _Cols(*cols)), t.ctx)
 
 
-def tt_neg(P: Params, t: TTElem) -> TTElem:
-    if P.ell == 2:
-        return t
-    return TTElem(t.theta, t.cols._replace(coeffs=t.ctx.vneg(t.cols.coeffs)),
-                  t.ctx)
-
-
 def tt_sub(P: Params, t: TTElem, s: TTElem) -> TTElem:
-    return tt_add(P, t, tt_neg(P, s))
+    neg = s.cols._replace(coeffs=s.ctx.vneg(s.cols.coeffs))
+    return tt_add(P, t, TTElem(s.theta, neg, s.ctx))
 
 
 def _check(t: TTElem, theta: Character, ctx) -> None:
@@ -282,9 +276,9 @@ def _iota_table(P: Params, theta: Character, side: int) -> dict:
           for h in _tt_consts(P, P.lctx, theta)[f"h{side}"]]
     lanes = _mul_lanes(P, _embed_tables(P)["gkeys"][side - 1].reshape(1, -1),
                        np.concatenate([x.keys for x in xs])[:, None])
-    keys = np.unique(lanes)
+    keys, pos = np.unique(lanes, return_inverse=True)
     tab = P._cache[("iota", theta.e, side)] = {
-        "keys": keys, "pos": np.searchsorted(keys, lanes),
+        "keys": keys, "pos": pos.reshape(lanes.shape),
         "mix": l_fourier(P, P.ctx),
         "comp": np.repeat(np.arange(P.r), [len(x) for x in xs]),
         "w": np.concatenate([x.coeffs for x in xs])}
@@ -382,7 +376,7 @@ def b0_pi_product(P: Params, theta: Character, x: GAElem,
     xb, ya = key_cols(P, x.keys)[5], key_cols(P, y.keys)[4]
     pairs = [(GAElem(x.keys[xb == b], x.coeffs[xb == b]), _dedupe(
         P, key_drop(P, y.keys, 3), P.ctx.vmul(y.coeffs, tp[-ya * b % P.r])))
-        for b in np.unique(xb)]
+        for b in np.unique(xb, return_index=True)[0]]
     return _stage_b(P, theta, _folded_lanes(P, tp, pairs, key_n))
 
 

@@ -174,11 +174,10 @@ def _check_group_relations(P: Params, theta: Character, suite: str,
 
 
 def _embed_side_data(P: Params, side: int) -> dict:
-    """Dense embedded basis of one side, label columns and slots."""
+    """Labels, label columns and slots a p + b of one side."""
     js = np.arange(P.dsz * P.p)
     psi, m = _label_cols(P, js)
-    return {"labels": qa_labels(P, side), "E": embed_columns(P, js),
-            "cols": (psi, m),
+    return {"labels": qa_labels(P, side), "cols": (psi, m),
             "slot": d_key(P, m) * P.p + (psi + label_phi(P, m)) % P.p}
 
 
@@ -200,21 +199,30 @@ def _embed_pairs(P: Params, rng: random.Random,
 
 
 def _side_table(P: Params):
-    """T[u, v] = u^-1 v over the side indices d p + y, from the
-    library's product kernel on the side-1 keys, a block of rows u at a
-    time, each inverse found by the identity key 0; or None and the
-    first (u, v) whose product u v has a key coordinate off D_1 ⋊ P_1."""
-    g = _embed_tables(P)["gkeys"][0].ravel()
-    # _mul_lanes peaks at about ten int64 temporaries per lane
+    """δ[d, y, d'], the D-part of (d y)^-1 d' over the side indices
+    d p + y, from the library's product kernel on the side-1 keys, a
+    block of rows u at a time: row u of u v is row w = u^-1, found by
+    the identity key 0.  Returns δ and None, or None and the first of
+    u v off D_1 ⋊ P_1, then of w^-1 (d' y') not of shape (δ, y' - y)."""
+    g, p, dsz = _embed_tables(P)["gkeys"][0].ravel(), P.p, P.dsz
+    # a block traces 4.5 MB at (3,5,2) (2^15 lanes), 2.6 MB in _mul_lanes
     n, step = len(g), max(1, _SIDE_LANES // len(g))
-    uv = np.empty((n, n), dtype=np.min_scalar_type(-n))
+    delta, first = np.empty((n, dsz), np.min_scalar_type(dsz - 1)), n * n
     for u0 in range(0, n, step):
         d1, x1, *off = key_cols(P, _mul_lanes(P, g[u0:u0 + step, None], g))
         bad = np.argwhere(reduce(np.bitwise_or, off))
         if len(bad):
-            return None, [u0 + int(bad[0, 0]), int(bad[0, 1])]
-        uv[u0:u0 + step] = d1 * P.p + x1
-    return uv[np.argmax(uv == 0, axis=1)], None
+            return None, {"at": [u0 + int(bad[0, 0]), int(bad[0, 1])],
+                          "defect": "side product leaves D ⋊ P"}
+        w = np.argmax((d1 == 0) & (x1 == 0), axis=1)
+        d1, x1 = (c.reshape(len(w), dsz, p) for c in (d1, x1))
+        i, d, y = np.nonzero((d1 != d1[..., :1]) | (
+            x1 != (np.arange(p) - w[:, None, None]) % p))
+        first = int((w[i] * n + d * p + y).min(initial=first))
+        delta[w] = d1[..., 0]
+    return (delta.reshape(dsz, p, dsz), None) if first == n * n else (
+        None, {"at": list(divmod(first, n)),
+               "defect": "side table is not D ⋊ P"})
 
 
 def _embed_products(P: Params, data: dict, delta: np.ndarray,
@@ -225,10 +233,10 @@ def _embed_products(P: Params, data: dict, delta: np.ndarray,
     the D-parts delta of the side table.  Z is formed on the columns
     S[:, rows] alone, a chunk of d' at a time."""
     ctx, p, dsz = P.ctx, P.p, P.dsz
-    S, F = (_embed_tables(P)[k] for k in "SF")
     # every entry is a field element below q
-    Z = np.empty((p, dsz * dsz, len(rows)),
-                 dtype=np.min_scalar_type(ctx.order - 1))
+    q = np.min_scalar_type(ctx.order - 1)
+    S, F = _embed_tables(P)["S"].astype(q), _embed_tables(P)["F"]
+    Z = np.empty((p, dsz * dsz, len(rows)), dtype=q)
     step = max(1, _Z_ENTRIES // dsz ** 2)
     for t, d0 in itertools.product(range(p), range(0, dsz, step)):
         # Z[t, (d', a_v), i] = sum_d S[δ(d, t, d'), a_v] S[d, rows[i]]
@@ -279,19 +287,15 @@ def _embed_all_pairs(P: Params, rows: np.ndarray) -> Optional[dict]:
     data, tabs = _embed_side_data(P, 1), _embed_tables(P)
     S, F = tabs["S"], tabs["F"]
     a, b = np.divmod(data["slot"], p)
-    bad = np.flatnonzero((data["E"] != ctx.vmul(
-        S[:, None, a], F[None, :, b]).reshape(n, n)).any(axis=0))
-    if len(bad):
-        return {"side": 1, "u": label_to_dict(data["labels"][bad[0]]),
-                "defect": "embedded column is not S ⊗ F"}
-    T, off = _side_table(P)
-    if off is not None:
-        return {"at": off, "defect": "side product leaves D ⋊ P"}
-    T = T.reshape(dsz, p, dsz, p)
-    bad = np.argwhere(T - T[..., :1] // p * p != (y - y[:, None])[:, None] % p)
-    if len(bad):
-        return {"at": (bad[0, ::2] * p + bad[0, 1::2]).tolist(),
-                "defect": "side table is not D ⋊ P"}
+    for js in np.array_split(np.arange(n), -(-n * n // _SIDE_LANES)):
+        bad = np.flatnonzero((embed_columns(P, js) != ctx.vmul(
+            S[:, None, a[js]], F[None, :, b[js]]).reshape(n, -1)).any(axis=0))
+        if len(bad):
+            return {"side": 1, "u": label_to_dict(data["labels"][js[bad[0]]]),
+                    "defect": "embedded column is not S ⊗ F"}
+    delta, defect = _side_table(P)
+    if defect is not None:
+        return defect
     y1, y0, bu, bv = np.ix_(y, y, y, y)  # y', y, b_u, b_v
     bad = np.argwhere(ctx.vmul(F[(y1 - y0) % p, bv], F[y0, bu])
                       != ctx.vmul(F[y1, bv], F[y0, (bu - bv) % p]))
@@ -301,21 +305,20 @@ def _embed_all_pairs(P: Params, rows: np.ndarray) -> Optional[dict]:
     if not np.array_equal(gf_matmul(ctx, F, tabs["Finv"]),
                           np.diag(np.full(p, ctx.one))):
         return {"defect": "F is not invertible"}
-    # the label rule once for the labels us on the rows against all n; a
-    # killed product gets the zero row dsz of the D-parts and counts as
-    # b_w = b_v
+    # the label rule once for the labels us on the rows against all n:
+    # a pair wants the row a_w of zrows, the zero row dsz if it is
+    # killed, and the row dsz + 1 of q, which no entry equals, if b_w != b_v
     psi, m = data["cols"]
     us = np.flatnonzero(np.isin(a, rows))
     i, j, _, prod = _leg_join(P, psi[us], m[us], psi, m,
                               np.zeros(1, dtype=np.int64))
-    aw, bw = np.full((len(us), n), dsz), np.tile(b, (len(us), 1))
-    aw[i, j], bw[i, j] = np.divmod(
-        data["slot"][_label_index(P, psi[us[i]], prod)], p)
-    zrows = np.vstack([S.T, np.zeros(dsz, dtype=S.dtype)]).astype(
-        np.min_scalar_type(ctx.order - 1))
-    for got_us, got in _embed_products(P, data, T[..., 0] // p, rows):
-        at = np.searchsorted(us, got_us)
-        bad = (got != zrows[aw[at]]).any(axis=2) | (bw[at] != b)
+    aw = np.full((len(us), n), dsz, dtype=np.min_scalar_type(dsz + 1))
+    w_a, w_b = np.divmod(data["slot"][_label_index(P, psi[us[i]], prod)], p)
+    aw[i, j] = np.where(w_b == b[j], w_a, dsz + 1)
+    zrows = np.vstack([S.T, np.zeros(dsz, dtype=S.dtype), np.full(
+        dsz, ctx.order)]).astype(np.min_scalar_type(ctx.order))
+    for got_us, got in _embed_products(P, data, delta, rows):
+        bad = (got != zrows[aw[np.searchsorted(us, got_us)]]).any(axis=2)
         if bad.any():
             k, v = np.argwhere(bad)[0]
             return {"side": 1, "u": label_to_dict(data["labels"][got_us[k]]),
@@ -330,8 +333,8 @@ def _check_embed_multiplicative(P: Params, theta: Character, suite: str,
         return _embed_all_pairs(P, np.arange(P.dsz)) or \
             _embed_pairs(P, rng, 20)
     # the arrow rows a_u of 16 sampled left labels u = psi dsz + a_u
-    return _embed_all_pairs(P, np.unique(
-        [rng.randrange(P.dsz * P.p) % P.dsz for _ in range(16)]))
+    return _embed_all_pairs(P, np.array(sorted(
+        {rng.randrange(P.dsz * P.p) % P.dsz for _ in range(16)})))
 
 
 def _closed_route(P: Params, theta: Character, side: int) -> dict:
@@ -358,8 +361,8 @@ def _closed_route(P: Params, theta: Character, side: int) -> dict:
     if (z != z[:, :1]).any():
         raise ValueError("a closed-route lane row has no single Z-shift")
     lanes = key_drop(P, lanes, 1)
-    keys = np.unique(lanes)
-    return {"keys": keys, "pos": np.searchsorted(keys, lanes),
+    keys, pos = np.unique(lanes, return_inverse=True)
+    return {"keys": keys, "pos": pos.reshape(lanes.shape),
             "mix": np.full((1, 1), P.ctx.one, dtype=np.int64),
             "comp": np.zeros(len(lanes), dtype=np.int64),
             "w": P.ctx.vmul(np.tile(e.coeffs, P.r),
@@ -374,7 +377,8 @@ def _check_corner_maps(P: Params, theta: Character, suite: str,
     # are small, since each block's columns are built on demand
     for side in (1, 2):
         routes = (_iota_table(P, theta, side), _closed_route(P, theta, side))
-        keys = reduce(np.union1d, [rt["keys"] for rt in routes])
+        keys = np.unique(np.concatenate([rt["keys"] for rt in routes]),
+                         return_index=True)[0]
         block, n = max(1, _CORNER_ENTRIES // len(keys)), P.dsz * P.p
         for j0 in range(0, n, block):
             js = np.arange(j0, min(j0 + block, n))
@@ -484,7 +488,7 @@ def _check_idempotent_head(P: Params, theta: Character, suite: str,
     want = TTElem(theta, eps.cols._replace(rows=eps.cols.rows * (n + 1)),
                   eps.ctx)
     bad = np.unique(tt_sub(P, tt_mul(P, theta, *tt_cross(eps, eps, n)),
-                           want).cols.rows)
+                           want).cols.rows, return_index=True)[0]
     i, j = np.divmod(bad, n)
     if (i == j).any():
         return {"label": simple_str(labs[i[i == j][0]]),

@@ -7,8 +7,9 @@ import numpy as np
 from mfblocks.characters import Character, _exponent_of, char_exponent
 from mfblocks.field import _poly_divmod
 from mfblocks.groups import (
-    GroupElem, d_digits, d_key, group_inv, h_elem, identity, key_cols,
-    key_drop, key_n, p_elem, pack_key, root_powers, subgroup_elements,
+    GroupElem, _normalize, d_digits, d_key, group_inv, h_elem, identity,
+    key_cols, key_drop, key_n, p_elem, pack_key, root_powers,
+    subgroup_elements,
 )
 from mfblocks.groupalg import (
     GAElem, _absorb_z, _dedupe, _mul_lanes, _tables, _theta_pow, block_fold,
@@ -16,7 +17,7 @@ from mfblocks.groupalg import (
 )
 from mfblocks.quiver import (
     _EMBED_LIMIT, QuivAElem, _act, _embed_tables, _label_index, _leg_join,
-    label_make, label_phi, qa_basis, qa_from_columns, qa_zero,
+    embed_columns, label_make, label_phi, qa_basis, qa_from_columns, qa_zero,
 )
 from mfblocks.twisted import TTElem, _stage_b, tt_is_zero, tt_zero
 from mfblocks.verify import _random_terms
@@ -301,6 +302,22 @@ def qa_embed_terms(P, u):
     return GAElem(keys[mask], flat[mask])
 
 
+def scale_side_loop(P, v, x, u):
+    """groups._scale_side as the plain loop over the D-indexes, with no
+    shortcut for u = 1 or a zero vector."""
+    w = [0] * P.p
+    for g in range(P.p):
+        w[(g * u) % P.p] = v[g]
+    return tuple(w), (x * u) % P.p
+
+
+def side_mul_loop(P, v, x, w, y):
+    """groups._side_mul as the plain loop over the D-indexes, with no
+    shortcut for a zero vector."""
+    out = [(v[h] + w[(h + x) % P.p]) % P.ell for h in range(P.p)]
+    return _normalize(out, P.ell), (x + y) % P.p
+
+
 def side_mul_table(P):
     """Multiplication table of D x P (one side), indexed by d*p + x."""
     table = P._cache.get("side_mul_table")
@@ -340,6 +357,6 @@ def _embed_want(P, data, u, vs):
     vs = np.asarray(vs)
     _, j, _, prod = _leg_join(P, psi[[u]], m[[u]], psi[vs], m[vs],
                               np.zeros(1, dtype=np.int64))
-    want = np.zeros((len(data["E"]), len(vs)), dtype=np.int64)
-    want[:, j] = data["E"][:, _label_index(P, psi[u], prod)]
+    want = np.zeros((P.dsz * P.p, len(vs)), dtype=np.int64)
+    want[:, j] = embed_columns(P, _label_index(P, psi[u], prod))
     return want

@@ -400,6 +400,19 @@ class TestFrobeniusTwist:
         assert ga_frobenius_twist(P, e2) == e1
 
 
+def _full_side_table(P):
+    """T[u, v] = u^-1 v over the side indices d p + y, assembled from
+    the D-parts δ that verify's _side_table returns and the P-part
+    y' - y of (d y)^-1 (d' y'); None and the witness if a gate fails."""
+    delta, off = _side_table(P)
+    if off is not None:
+        return None, off
+    y = np.arange(P.p)
+    tab = delta[..., None].astype(np.int64) * P.p + (y - y[:, None])[
+        :, None, :] % P.p
+    return tab.reshape(P.dsz * P.p, P.dsz * P.p), None
+
+
 class TestSideTables:
     """The side table T[u, v] = u^-1 v that verify builds with the
     product kernel, against group_mul and the reference table."""
@@ -407,9 +420,10 @@ class TestSideTables:
     @pytest.mark.parametrize("ell,p", [(2, 7), (3, 5), (5, 3)])
     def test_table_matches_group_mul(self, ell, p):
         P = params_make(ell, p, 3 if p == 7 else 2)
-        tab, off = _side_table(P)
+        tab, off = _full_side_table(P)
         n = P.dsz * P.p
         assert off is None
+        assert _side_table(P)[0].shape == (P.dsz, P.p, P.dsz)
         assert tab.shape == (n, n)
         assert np.array_equal(tab, side_mul_table(P)[side_inv_index(P)])
         rng = random.Random(15)
@@ -426,7 +440,7 @@ class TestSideTables:
 
     def test_same_table_serves_side_two(self):
         P = params_make(3, 5, 2)
-        tab, _ = _side_table(P)
+        tab, _ = _full_side_table(P)
         rng = random.Random(16)
         n = tab.shape[0]
         zero = d_unpack(P, 0)

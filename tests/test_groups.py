@@ -15,12 +15,15 @@ import random
 
 import pytest
 
+import mfblocks.groups as groups
 from mfblocks.groups import (
     GroupElem, Params, conjugate, d_elem, elem_to_dict,
     group_inv, group_mul, h_elem, identity, mult_order, p_elem, pack_key,
     params_make, subgroup_elements,
 )
-from reference import subgroup_elems, unpack_key
+from reference import (
+    scale_side_loop, side_mul_loop, subgroup_elems, unpack_key,
+)
 
 
 def rand_elem(P, rng):
@@ -265,6 +268,43 @@ class TestGroupLaws:
             for _ in range(50):
                 g = rand_elem(P, rng)
                 assert conjugate(P, z, g) == z
+
+
+class TestScalarSideLaw:
+    """_scale_side and _side_mul return at once on a zero vector; they
+    must agree with the plain loops of tests/reference.py everywhere."""
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])
+    def test_matches_the_loops(self, cfg):
+        P = params_make(*cfg)
+        rng = random.Random(23)
+        units = sorted(set(P._g0pow))
+        for k in range(2000):
+            v, w = rand_elem(P, rng)[0], rand_elem(P, rng)[0]
+            # half the right vectors and a third of the left are zero
+            w = (0,) * P.p if k % 2 else w
+            v = (0,) * P.p if k % 3 == 0 else v
+            x, y, u = rng.randrange(P.p), rng.randrange(P.p), rng.choice(units)
+            assert groups._scale_side(P, v, x, u) == \
+                scale_side_loop(P, v, x, u)
+            assert groups._side_mul(P, v, x, w, y) == \
+                side_mul_loop(P, v, x, w, y)
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
+    def test_group_law_matches_the_looped_law(self, monkeypatch, cfg):
+        # random elements, then h-elements, whose D-parts are zero
+        P = params_make(*cfg)
+        rng = random.Random(29)
+        pairs = [(rand_elem(P, rng), rand_elem(P, rng)) for _ in range(500)]
+        pairs += [(rand_elem(P, rng), h_elem(P, *(rng.randrange(P.r)
+                                                  for _ in range(3))))
+                  for _ in range(200)]
+        pairs += [(b, a) for a, b in pairs[500:]]
+        fast = [(group_mul(P, g, h), group_inv(P, g)) for g, h in pairs]
+        monkeypatch.setattr(groups, "_scale_side", scale_side_loop)
+        monkeypatch.setattr(groups, "_side_mul", side_mul_loop)
+        assert fast == [(group_mul(P, g, h), group_inv(P, g))
+                        for g, h in pairs]
 
 
 class TestSubgroups:

@@ -9,6 +9,7 @@ array-holding elements, and a library or CLI caller for every
 function."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -207,6 +208,37 @@ def test_import_does_not_load_sympy():
         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+_MA_CHILD = """
+import contextlib, io, json, sys
+from mfblocks.cli import main
+seen = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.suppress(SystemExit):
+        main(argv.split())
+    seen.append([argv, "numpy.ma" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_cli_runs_do_not_load_numpy_ma():
+    # a plain np.unique or np.union1d imports numpy.ma (about 13 ms and
+    # 1.3 MB per process): quick verify at the desk blocks, quiver and
+    # recover must not reach it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    runs = [f"verify --ell {ell} --p {p} --r {r} --theta 1 --suite quick"
+            for ell, p, r in ((2, 7, 3), (3, 5, 2), (2, 11, 5))]
+    runs += ["quiver --ell 2 --p 7 --r 3 --theta 1 --out json",
+             "quiver --ell 3 --p 5 --r 2 --theta 1 --out json",
+             "recover --ell 2 --p 7 --r 3 --theta 1",
+             "recover --ell 2 --p 19 --r 9 --theta 2"]
+    out = subprocess.run([sys.executable, "-c", _MA_CHILD, *runs], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[argv, False] for argv in runs]
 
 
 def test_roots_of_unity_are_read_by_root_powers_alone():

@@ -17,7 +17,9 @@ from mfblocks.groupalg import _tables, _table_entries
 from mfblocks.groups import Params, params_make
 from mfblocks.linalg import gf_matmul
 from mfblocks.morita import PairingTable
-from mfblocks.quiver import _embed_tables, label_to_dict, qa_labels
+from mfblocks.quiver import (
+    _embed_tables, embed_columns, label_to_dict, qa_basis, qa_embed, qa_labels,
+)
 from mfblocks.twisted import tt_zero
 from mfblocks.verify import (
     CHECK_STATEMENTS, CheckRow, SkipCheck, VerifyReport, _need_group_algebra,
@@ -488,14 +490,42 @@ class TestFactoredEmbed:
         for row in _embed_rows(P, theta):
             assert row.status == "pass", row.witness
 
+    def test_full_suite_holds_no_dense_embedding(self):
+        # (3,5,2), n = 405: the dense E and the n x n side table were
+        # 1.3 MB each, and the full check traced 10.4 MB; E is now gated
+        # a block of columns at a time and the side table is kept as its
+        # D-parts at y' = 0, so the check stays under 7 MB
+        import tracemalloc
+        P, theta = desk(3, 5, 2)
+        _embed_tables(P)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            (row,) = run_checks(P, theta, suite="full",
+                                names=["embed_multiplicative"]).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.status == "pass", row.witness
+        assert peak < 7e6, peak
+
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
     def test_sides_share_the_dense_data(self, cfg):
         # one dense pass covers both sides only while this holds
         import mfblocks.verify as V
         P, _ = desk(*cfg)
         one, two = (V._embed_side_data(P, side) for side in (1, 2))
-        for key in ("E", "slot"):
-            assert np.array_equal(one[key], two[key]), key
+        assert np.array_equal(one["slot"], two["slot"])
+        # E = embed_columns(P, js) is built for both sides at once: the
+        # columns of qa_embed are its columns on either side's keys
+        E, keys = embed_columns(P, np.arange(P.dsz * P.p)), [
+            _embed_tables(P)["gkeys"][side - 1].ravel() for side in (1, 2)]
+        for j in range(0, P.dsz * P.p, 7):
+            for side, lab in zip((1, 2), (one, two)):
+                got = qa_embed(P, qa_basis(P, lab["labels"][j]))
+                nz = np.flatnonzero(E[:, j])
+                assert np.array_equal(got.keys, keys[side - 1][nz])
+                assert np.array_equal(got.coeffs, E[nz, j])
         for c1, c2 in zip(one["cols"], two["cols"]):
             assert np.array_equal(c1, c2)
         assert [(lab.psi, lab.m) for lab in one["labels"]] == \
@@ -509,12 +539,13 @@ class TestFactoredEmbed:
         import mfblocks.verify as V
         P, _ = desk(*cfg)
         data = V._embed_side_data(P, 1)
-        E, table, inv = data["E"], side_mul_table(P), side_inv_index(P)
+        E = embed_columns(P, np.arange(P.dsz * P.p))
+        table, inv = side_mul_table(P), side_inv_index(P)
         delta = table[inv].reshape(P.dsz, P.p, P.dsz, P.p)[..., 0] // P.p
         F, n = _embed_tables(P)["F"], P.dsz * P.p
         b = data["slot"] % P.p
         # the first five a_u (arrow rows with one and two nonzero
-        # digits), one u of each with a different b_u
+        # digits), and on the k-th the label u = k dsz + k of vertex k
         seen = set()
         for k, (us, got) in enumerate(itertools.islice(
                 V._embed_products(P, data, delta, np.arange(P.dsz)), 5)):
@@ -643,7 +674,8 @@ class TestFactoredEmbed:
         got = _embed_rows(P, theta)
         assert len(checked[1]) == P.dsz > len(checked[0])
         data = V._embed_side_data(P, 1)
-        E, table, inv = data["E"], side_mul_table(P), side_inv_index(P)
+        E = embed_columns(P, np.arange(P.dsz * P.p))
+        table, inv = side_mul_table(P), side_inv_index(P)
         n, a = P.dsz * P.p, data["slot"] // P.p
         labels = qa_labels(P, 1)
         for row, rows in zip(got, checked):
