@@ -21,8 +21,9 @@ from .groups import (
     key_array, key_cols, key_join, key_z, l_fourier, pack_key, root_powers,
 )
 
-# Most lanes one chunk of a kG product forms (about 1.3 MB at its peak)
-_CHUNK = 1 << 14
+# Most lanes, counted as entries of its widest array, that one block of
+# a block-bounded kernel forms; _lane_runs cuts every such block
+_LANES = 1 << 14
 # Most int64 entries the product tables of _tables may hold (256 MB)
 _TABLE_ENTRIES = 1 << 25
 
@@ -155,13 +156,24 @@ def _mul_lanes(P: Params, gk: np.ndarray, hk: np.ndarray):
                     (ga + ha) % r, (gb + hb) % r, (gc + hc - ha * gb) % r)
 
 
+def _lane_runs(n: int, lanes):
+    """Runs [lo, hi) of the items 0..n-1, in order, of at most _LANES
+    lanes each; lanes is each item's count, or one count for all.  An
+    item over the budget runs alone; one with no lanes opens no run."""
+    end, done = np.cumsum(np.broadcast_to(lanes, n), dtype=np.int64), 0
+    while n and done < end[-1]:
+        lo = int(np.searchsorted(end, done, "right"))
+        hi = max(lo + 1, int(np.searchsorted(end, done + _LANES, "right")))
+        yield lo, hi
+        done = end[hi - 1]
+
+
 def _lanes(P: Params, x: GAElem, y: GAElem):
     """The unmerged (keys, coeffs) lanes of x y, one pair per run of
-    rows of x that holds at most _CHUNK lanes."""
-    rows = max(1, _CHUNK // max(1, len(y.keys)))
-    for i0 in range(0, len(x.keys), rows):
-        yield (_mul_lanes(P, x.keys[i0:i0 + rows, None], y.keys).ravel(),
-               P.ctx.vmul(x.coeffs[i0:i0 + rows, None], y.coeffs).ravel())
+    rows of x (_lane_runs)."""
+    for lo, hi in _lane_runs(len(x), len(y)):
+        yield (_mul_lanes(P, x.keys[lo:hi, None], y.keys).ravel(),
+               P.ctx.vmul(x.coeffs[lo:hi, None], y.coeffs).ravel())
 
 
 def _folded_lanes(P: Params, tp, pairs, rekey=None) -> GAElem:
@@ -255,14 +267,13 @@ def block_mul(P: Params, theta, x: GAElem, y: GAElem) -> GAElem:
 
 def _centralizes_folded(P: Params, tp: np.ndarray, f: GAElem) -> bool:
     """Whether phi(x) = f is fixed by conjugation with g1 and g2: each
-    conjugated key, _CHUNK at a time, is found in f with its coefficient
+    conjugated key, a run at a time, is found in f with its coefficient
     (conjugation permutes the Z-cosets, so none is left over)."""
     for h in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0)):
         hk = np.array([pack_key(P, group_inv(P, h)), pack_key(P, h)])
-        for i in range(0, len(f), _CHUNK):
-            run = slice(i, i + _CHUNK)
+        for lo, hi in _lane_runs(len(f), 1):
             keys, coeffs = _absorb_z(P, tp, _mul_lanes(P, _mul_lanes(
-                P, hk[:1], f.keys[run]), hk[1:]), f.coeffs[run])
+                P, hk[:1], f.keys[lo:hi]), hk[1:]), f.coeffs[lo:hi])
             at = np.minimum(np.searchsorted(f.keys, keys), len(f) - 1)
             if not (np.array_equal(f.keys[at], keys)
                     and np.array_equal(f.coeffs[at], coeffs)):

@@ -216,7 +216,7 @@ def _side_mul(P: Params, v, x, w, y):
 
 def _side_inv(P: Params, v, x):
     ell, p = P.ell, P.p
-    out = [(-v[(h - x) % p]) % ell for h in range(p)]
+    out = [(-v[(h - x) % p]) % ell for h in range(p)] if any(v) else v
     return _normalize(out, ell), (-x) % p
 
 

@@ -29,7 +29,8 @@ from .groups import (
 )
 from .groupalg import (
     GAElem, _centralizes_folded, _dedupe, _fold_block, _folded_lanes,
-    _mul_lanes, _theta_pow, block_fold, block_unfold, ga_basis, ga_zero,
+    _lane_runs, _mul_lanes, _theta_pow, block_fold, block_unfold, ga_basis,
+    ga_zero,
 )
 from .linalg import gf_apply_axis, gf_matmul
 from .quiver import (
@@ -38,10 +39,6 @@ from .quiver import (
     _same_columns, _sort_key, _vertex_ranges, embed_columns, label_phi,
     label_to_dict,
 )
-
-# Most (k1, k2) combinations one chunk of a batched product forms; a
-# chunk is a run of whole rows
-_LANES = 1 << 14
 
 
 class _Cols(NamedTuple):
@@ -441,11 +438,10 @@ def _mul_chunk(P: Params, ctx, W: np.ndarray, a: _Cols, b: _Cols) -> _Cols:
                  psi2[s2], m2[s2], merged)
 
 
-def _row_chunks(P: Params, a: _Cols, b: _Cols) -> list:
-    """Runs [lo, hi) of row ids, in order, over which a batched product
-    forms at most _LANES (k1, k2) combinations, counted as r per side-1
-    lane that passes the vertex gate; a row above the bound runs alone,
-    and rows without such a lane are left out."""
+def _row_chunks(P: Params, a: _Cols, b: _Cols):
+    """Runs [lo, hi) of row ids for a batched product (_lane_runs), a
+    row's lanes its (k1, k2) combinations, counted as r per side-1 lane
+    that passes the vertex gate."""
     scale, _ = _label_act_table(P)
     va = (a.psi1 + label_phi(P, a.m1)) % P.p
     vb = (b.psi1[:, None] * scale % P.p).ravel()
@@ -456,14 +452,8 @@ def _row_chunks(P: Params, a: _Cols, b: _Cols) -> list:
     else:
         _, lo, hi = _vertex_ranges(brows, vb, None, va)
         rows = brows
-    end = np.cumsum(np.bincount(rows, (hi - lo) * P.r).astype(np.int64))
-    runs, done = [], 0
-    while done < end[-1]:
-        lo = int(np.searchsorted(end, done, "right"))
-        hi = max(lo + 1, int(np.searchsorted(end, done + _LANES, "right")))
-        runs.append((lo, hi))
-        done = end[hi - 1]
-    return runs
+    lanes = np.bincount(rows, (hi - lo) * P.r).astype(np.int64)
+    return _lane_runs(len(lanes), lanes)
 
 
 def _row_slice(c: _Cols, lo: int, hi: int) -> _Cols:

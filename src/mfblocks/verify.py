@@ -32,11 +32,11 @@ from .characters import (
 from .field import field_refusal
 from .groups import (
     GroupElem, Params, commutator, conjugate, d_digits, d_elem, d_key,
-    elem_to_dict, group_inv, group_mul, h_elem, identity, key_bits, key_cols,
-    key_drop, key_z, p_elem, pack_key, subgroup_elements,
+    elem_to_dict, group_inv, group_mul, h_elem, identity, key_bits, key_drop,
+    key_n, key_z, p_elem, pack_key, subgroup_elements,
 )
 from .groupalg import (
-    _TABLE_ENTRIES, _mul_lanes, _table_entries, _theta_pow,
+    _TABLE_ENTRIES, _lane_runs, _mul_lanes, _table_entries, _theta_pow,
     block_fold, block_idempotent, block_mul, centralizes_block_H, ga_mul,
     ga_frobenius_twist, ga_from_terms,
 )
@@ -62,9 +62,6 @@ from .twisted import (
 _LABEL_ROWS_LIMIT = 1 << 18
 # radical_powers multiplies all (p-1)^(ell-1) arrow chains at once
 _CHAINS_LIMIT = 1 << 18
-# Lanes per row block of the side table, entries per chunk of Z in the
-# embedding check, and per block of corner-map columns
-_SIDE_LANES, _Z_ENTRIES, _CORNER_ENTRIES = 1 << 15, 1 << 16, 1 << 17
 
 
 class SkipCheck(Exception):
@@ -205,21 +202,23 @@ def _side_table(P: Params):
     the identity key 0.  Returns δ and None, or None and the first of
     u v off D_1 ⋊ P_1, then of w^-1 (d' y') not of shape (δ, y' - y)."""
     g, p, dsz = _embed_tables(P)["gkeys"][0].ravel(), P.p, P.dsz
-    # a block traces 4.5 MB at (3,5,2) (2^15 lanes), 2.6 MB in _mul_lanes
-    n, step = len(g), max(1, _SIDE_LANES // len(g))
+    n = len(g)
     delta, first = np.empty((n, dsz), np.min_scalar_type(dsz - 1)), n * n
-    for u0 in range(0, n, step):
-        d1, x1, *off = key_cols(P, _mul_lanes(P, g[u0:u0 + step, None], g))
-        bad = np.argwhere(reduce(np.bitwise_or, off))
+    for lo, hi in _lane_runs(n, n):
+        keys = _mul_lanes(P, g[lo:hi, None], g)
+        # the side index d1 p + x1, and the rest: side 2 and the H-part
+        s, rest = divmod(key_n(P, keys), n)
+        bad = np.argwhere(rest | (keys - key_drop(P, keys, 3)))
         if len(bad):
-            return None, {"at": [u0 + int(bad[0, 0]), int(bad[0, 1])],
+            return None, {"at": [lo + int(bad[0, 0]), int(bad[0, 1])],
                           "defect": "side product leaves D ⋊ P"}
-        w = np.argmax((d1 == 0) & (x1 == 0), axis=1)
-        d1, x1 = (c.reshape(len(w), dsz, p) for c in (d1, x1))
-        i, d, y = np.nonzero((d1 != d1[..., :1]) | (
-            x1 != (np.arange(p) - w[:, None, None]) % p))
+        w = np.argmax(s == 0, axis=1)
+        s = s.reshape(len(w), dsz, p)
+        # shape (δ, y' - y): s is δ p + (y' - w) mod p along each row
+        i, d, y = np.nonzero(s != s[..., :1] // p * p + (
+            np.arange(p) - w[:, None, None]) % p)
         first = int((w[i] * n + d * p + y).min(initial=first))
-        delta[w] = d1[..., 0]
+        delta[w] = s[..., 0] // p
     return (delta.reshape(dsz, p, dsz), None) if first == n * n else (
         None, {"at": list(divmod(first, n)),
                "defect": "side table is not D ⋊ P"})
@@ -231,17 +230,17 @@ def _embed_products(P: Params, data: dict, delta: np.ndarray,
     the D-vectors of their products over all v, got[i, v] = Ẑ[b_us[i] -
     b_v, a_u, :, a_v] (see _embed_all_pairs), from the factors of E and
     the D-parts delta of the side table.  Z is formed on the columns
-    S[:, rows] alone, a chunk of d' at a time."""
+    S[:, rows] alone, a run of d' at a time (_lane_runs)."""
     ctx, p, dsz = P.ctx, P.p, P.dsz
     # every entry is a field element below q
     q = np.min_scalar_type(ctx.order - 1)
     S, F = _embed_tables(P)["S"].astype(q), _embed_tables(P)["F"]
     Z = np.empty((p, dsz * dsz, len(rows)), dtype=q)
-    step = max(1, _Z_ENTRIES // dsz ** 2)
-    for t, d0 in itertools.product(range(p), range(0, dsz, step)):
+    for t, (lo, hi) in itertools.product(range(p),
+                                         _lane_runs(dsz, dsz * dsz)):
         # Z[t, (d', a_v), i] = sum_d S[δ(d, t, d'), a_v] S[d, rows[i]]
-        left = S[delta[:, t, d0:d0 + step].T].transpose(0, 2, 1)
-        Z[t, d0 * dsz:(d0 + step) * dsz] = gf_matmul(
+        left = S[delta[:, t, lo:hi].T].transpose(0, 2, 1)
+        Z[t, lo * dsz:hi * dsz] = gf_matmul(
             ctx, left.reshape(-1, dsz), S[:, rows])
     a, b = np.divmod(data["slot"], p)
     for i, au in enumerate(rows):
@@ -287,7 +286,8 @@ def _embed_all_pairs(P: Params, rows: np.ndarray) -> Optional[dict]:
     data, tabs = _embed_side_data(P, 1), _embed_tables(P)
     S, F = tabs["S"], tabs["F"]
     a, b = np.divmod(data["slot"], p)
-    for js in np.array_split(np.arange(n), -(-n * n // _SIDE_LANES)):
+    for lo, hi in _lane_runs(n, n):
+        js = np.arange(lo, hi)
         bad = np.flatnonzero((embed_columns(P, js) != ctx.vmul(
             S[:, None, a[js]], F[None, :, b[js]]).reshape(n, -1)).any(axis=0))
         if len(bad):
@@ -379,18 +379,16 @@ def _check_corner_maps(P: Params, theta: Character, suite: str,
         routes = (_iota_table(P, theta, side), _closed_route(P, theta, side))
         keys = np.unique(np.concatenate([rt["keys"] for rt in routes]),
                          return_index=True)[0]
-        block, n = max(1, _CORNER_ENTRIES // len(keys)), P.dsz * P.p
-        for j0 in range(0, n, block):
-            js = np.arange(j0, min(j0 + block, n))
-            got, want = (np.zeros((len(keys), len(js)), dtype=np.int64)
+        for lo, hi in _lane_runs(P.dsz * P.p, len(keys)):
+            got, want = (np.zeros((len(keys), hi - lo), dtype=np.int64)
                          for _ in routes)
             for dense, rt in zip((got, want), routes):
                 dense[np.searchsorted(keys, rt["keys"])] = _route_cols(
-                    P, rt, *_label_cols(P, js))
+                    P, rt, *_label_cols(P, np.arange(lo, hi)))
             bad = np.flatnonzero((got != want).any(axis=0))
             if len(bad):
                 return {"routes_disagree_at": label_to_dict(
-                    qa_labels(P, side)[j0 + bad[0]])}
+                    qa_labels(P, side)[lo + bad[0]])}
     n_hom = 12 if suite == "quick" else 20
     for side in (1, 2):
         for _ in range(n_hom):
@@ -873,14 +871,14 @@ def run_checks(P: Params, theta: Character, suite: str = "quick",
     report = VerifyReport(
         params={"ell": P.ell, "p": P.p, "r": P.r, "theta": theta.e},
         suite=suite, seed=seed)
-    for name in names if names is not None else check_names():
-        fn = _CHECKS.get(name)
-        if fn is None:
-            raise ValueError(f"unknown check: {name}")
+    names = check_names() if names is None else names
+    if unknown := [name for name in names if name not in _CHECKS]:
+        raise ValueError(f"unknown check: {unknown[0]}")
+    for name in names:
         rng = random.Random(f"{seed}:{name}")
         t0 = time.perf_counter()
         try:
-            witness = fn(P, theta, suite, rng)
+            witness = _CHECKS[name](P, theta, suite, rng)
             status = "pass" if witness is None else "fail"
         except SkipCheck as stop:
             status, witness = "skip", {"reason": str(stop)}

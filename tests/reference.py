@@ -318,6 +318,13 @@ def side_mul_loop(P, v, x, w, y):
     return _normalize(out, P.ell), (x + y) % P.p
 
 
+def side_inv_loop(P, v, x):
+    """groups._side_inv as the plain loop over the D-indexes, with no
+    shortcut for a zero vector."""
+    out = [(-v[(h - x) % P.p]) % P.ell for h in range(P.p)]
+    return _normalize(out, P.ell), (-x) % P.p
+
+
 def side_mul_table(P):
     """Multiplication table of D x P (one side), indexed by d*p + x."""
     table = P._cache.get("side_mul_table")

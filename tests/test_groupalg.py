@@ -151,7 +151,7 @@ class TestMulOracle:
         x = random_ga(P, rng, 9)
         y = random_ga(P, rng, 11)
         expect = ga_mul(P, x, y)
-        monkeypatch.setattr(galg, "_CHUNK", 16)
+        monkeypatch.setattr(galg, "_LANES", 16)
         assert ga_mul(P, x, y) == expect
 
     def test_conjugation(self):
@@ -275,6 +275,45 @@ class TestBlockFold:
             block_unfold(P, theta, ga_basis(P, h_elem(P, 0, 0, 1)))
 
 
+class TestLaneRuns:
+    """groupalg._lane_runs cuts every block-bounded kernel's items into
+    runs under the one budget _LANES."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 100, 1 << 14])
+    def test_runs_cover_the_items_in_order_within_the_budget(
+            self, budget, monkeypatch):
+        monkeypatch.setattr(galg, "_LANES", budget)
+        rng = random.Random(budget)
+        for _ in range(200):
+            lanes = np.array([rng.choice([0, 0, 1, 3, budget, budget + 1,
+                                          rng.randrange(2 * budget + 2)])
+                              for _ in range(rng.randrange(30))])
+            runs = list(galg._lane_runs(len(lanes), lanes))
+            # consecutive, in order, and every item with lanes in a run
+            covered = [i for lo, hi in runs for i in range(lo, hi)]
+            assert covered == sorted(set(covered))
+            assert set(np.flatnonzero(lanes)) <= set(covered)
+            for k, (lo, hi) in enumerate(runs):
+                # no run opens on an item with no lanes
+                assert lanes[lo] > 0
+                total = lanes[lo:hi].sum()
+                assert total <= budget or hi - lo == 1
+                # greedy: the run stops before the next item with lanes
+                # would put it over the budget
+                nxt = runs[k + 1][0] if k + 1 < len(runs) else len(lanes)
+                assert not lanes[hi:nxt].any()
+                if nxt < len(lanes):
+                    assert total + lanes[nxt] > budget
+
+    def test_one_width_for_all(self, monkeypatch):
+        monkeypatch.setattr(galg, "_LANES", 10)
+        def runs(n, lanes):
+            return list(galg._lane_runs(n, lanes))
+        assert runs(7, 3) == runs(7, np.full(7, 3)) == [(0, 3), (3, 6), (6, 7)]
+        assert runs(3, 11) == [(0, 1), (1, 2), (2, 3)]
+        assert runs(5, 0) == runs(0, 4) == []
+
+
 class TestLaneChunks:
     """A kG product merges each chunk of lanes as it is formed and the
     partial sums once at the end."""
@@ -305,9 +344,9 @@ class TestLaneChunks:
                     b0_pi_product(P, theta, u, v),
                     b0_pi_product(P, theta, x, y)], len(chunks)
         monkeypatch.setattr(galg, "_lanes", spy)
-        monkeypatch.setattr(galg, "_CHUNK", 1 << 40)
+        monkeypatch.setattr(galg, "_LANES", 1 << 40)
         whole, n_whole = products()
-        monkeypatch.setattr(galg, "_CHUNK", 5)
+        monkeypatch.setattr(galg, "_LANES", 5)
         split, n_split = products()
         assert split == whole and n_split > 10 * n_whole
         assert all(len(z) for z in whole[:4])
@@ -326,7 +365,7 @@ class TestLaneChunks:
         gi_u, hi_u = (group_mul(P, group_inv(P, w), u) for w in (g, h))
         x = ga_from_terms(P, [(g, one), (h, one)])
         y = ga_from_terms(P, [(gi_u, one), (hi_u, minus)])
-        monkeypatch.setattr(galg, "_CHUNK", 1)
+        monkeypatch.setattr(galg, "_LANES", 1)
         xy = ga_mul(P, x, y)
         assert pack_key(P, u) not in xy.keys.tolist()
         assert xy == ga_from_terms(P, [(group_mul(P, g, hi_u), minus),

@@ -22,7 +22,8 @@ from mfblocks.groups import (
     params_make, subgroup_elements,
 )
 from reference import (
-    scale_side_loop, side_mul_loop, subgroup_elems, unpack_key,
+    scale_side_loop, side_inv_loop, side_mul_loop, subgroup_elems,
+    unpack_key,
 )
 
 
@@ -271,8 +272,9 @@ class TestGroupLaws:
 
 
 class TestScalarSideLaw:
-    """_scale_side and _side_mul return at once on a zero vector; they
-    must agree with the plain loops of tests/reference.py everywhere."""
+    """_scale_side, _side_mul and _side_inv return at once on a zero
+    vector; they must agree with the plain loops of tests/reference.py
+    everywhere."""
 
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])
     def test_matches_the_loops(self, cfg):
@@ -289,6 +291,7 @@ class TestScalarSideLaw:
                 scale_side_loop(P, v, x, u)
             assert groups._side_mul(P, v, x, w, y) == \
                 side_mul_loop(P, v, x, w, y)
+            assert groups._side_inv(P, v, x) == side_inv_loop(P, v, x)
 
     @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2)])
     def test_group_law_matches_the_looped_law(self, monkeypatch, cfg):
@@ -305,6 +308,27 @@ class TestScalarSideLaw:
         monkeypatch.setattr(groups, "_side_mul", side_mul_loop)
         assert fast == [(group_mul(P, g, h), group_inv(P, g))
                         for g, h in pairs]
+
+    @pytest.mark.parametrize("cfg", [(2, 7, 3), (3, 5, 2), (2, 11, 5)])
+    def test_inverse_of_a_zero_d_part_matches_the_loop(self, monkeypatch,
+                                                       cfg):
+        # P-elements (zero D-part, nonzero P-part), h-elements and their
+        # products, all with zero D-parts, inverted by the short cut and
+        # by the general path
+        P = params_make(*cfg)
+        rng = random.Random(31)
+        gs = [p_elem(P, side, x) for side in (1, 2) for x in range(P.p)]
+        gs += [h_elem(P, *(rng.randrange(P.r) for _ in range(3)))
+               for _ in range(50)]
+        for _ in range(300):
+            gs.append(group_mul(P, rng.choice(gs), rng.choice(gs)))
+        assert not any(any(g.v1) or any(g.v2) for g in gs)
+        assert any(g.x1 and g.x2 and g.a for g in gs)
+        fast = [group_inv(P, g) for g in gs]
+        assert all(group_mul(P, g, gi) == identity(P)
+                   for g, gi in zip(gs, fast))
+        monkeypatch.setattr(groups, "_side_inv", side_inv_loop)
+        assert fast == [group_inv(P, g) for g in gs]
 
 
 class TestSubgroups:

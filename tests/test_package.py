@@ -5,8 +5,8 @@ log, no relabelling table per unit, the side product and the field sum
 of colliding keys written once, no product table but trans and scale,
 no scalar group law under the label constants, one power table per
 root of unity, no cached iota matrix, equality written only for the
-array-holding elements, and a library or CLI caller for every
-function."""
+array-holding elements, one block budget, and a library or CLI caller
+for every function."""
 
 import ast
 import json
@@ -35,7 +35,7 @@ TEST_ONLY = {"field.FieldContext.digit_plane"}
 
 # The most lines src/ may hold.  The bound may only go down: lower it
 # to the new count whenever a change shrinks src/.
-SRC_LINES = 3921
+SRC_LINES = 3920
 
 
 def test_src_lines_do_not_grow():
@@ -148,6 +148,23 @@ def test_product_tables_are_read_by_the_lane_builder_alone():
                 or getattr(node, "name", None)
             if name == "_tables":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_block_budget_is_groupalgs_own():
+    # every block-bounded kernel cuts its blocks with groupalg._lane_runs
+    # under the one budget groupalg._LANES: no other module sets a lane,
+    # chunk or entry bound of its own
+    found = [f"{path.name}:{node.lineno} {target.id}"
+             for path in sorted((SRC / "mfblocks").glob("*.py"))
+             if path.name != "groupalg.py"
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for top in (node.targets if isinstance(node, ast.Assign)
+                         else [node.target])
+             for target in ast.walk(top)
+             if isinstance(target, ast.Name)
+             and target.id.endswith(("_LANES", "_CHUNK", "_ENTRIES"))]
     assert found == []
 
 

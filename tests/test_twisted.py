@@ -41,6 +41,7 @@ from mfblocks.linalg import gf_apply_axis
 from mfblocks.quiver import (
     _act, _embed_tables, _label_cols, _label_index, label_phi, qa_labels,
 )
+import mfblocks.groupalg as galg
 import mfblocks.twisted as twisted_mod
 from reference import (
     f_add, ga_conjugate, ga_scale, qa_L_action, qa_vertex, random_ga,
@@ -703,7 +704,7 @@ class TestBatches:
             return real(P, ctx, W, a, b)
 
         monkeypatch.setattr(twisted_mod, "_mul_chunk", chunk)
-        monkeypatch.setattr(twisted_mod, "_LANES", 1)
+        monkeypatch.setattr(galg, "_LANES", 1)
         assert tt_mul(P, theta, left, right) == whole
         live = np.unique(whole.cols.rows)
         assert len(chunks) >= len(live)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mfblocks.groupalg as galg
 from mfblocks.characters import make_char
 from mfblocks.groupalg import _tables, _table_entries
 from mfblocks.groups import Params, params_make
@@ -36,6 +37,16 @@ def desk(ell=2, p=7, r=3, e=1):
     return P, make_char(P, "Z", e)
 
 
+def _budgets(monkeypatch):
+    """Set the block budget to the default, then to one at which each
+    block-cut site of embed_multiplicative and corner_maps at (3,5,2)
+    cuts several blocks: two of the n = 405 labels or rows a block, and
+    one corner label."""
+    for budget in (galg._LANES, 1 << 10):
+        monkeypatch.setattr(galg, "_LANES", budget)
+        yield budget
+
+
 class TestRegistry:
     def test_every_check_has_a_statement(self):
         assert set(check_names()) == set(CHECK_STATEMENTS)
@@ -50,6 +61,12 @@ class TestRegistry:
         P, theta = desk()
         with pytest.raises(ValueError, match="unknown check"):
             run_checks(P, theta, names=["no_such_check"])
+        # every name is known before any check runs and emits its row
+        rows = []
+        with pytest.raises(ValueError, match="unknown check: typo"):
+            run_checks(P, theta, names=["dimensions", "typo"],
+                       emit=rows.append)
+        assert rows == []
 
 
 class TestRunChecks:
@@ -353,15 +370,19 @@ print(json.dumps({"optimize": sys.flags.optimize, "row": row}))
 
 class TestInjectedDefects:
     def test_corner_route_disagreement_is_reported(self, monkeypatch):
+        # the first disagreeing label is the second, which the small
+        # budget puts in a block of its own
         P, theta = desk(3, 5, 2)
         monkeypatch.setitem(P._cache, ("tt_consts", P.lctx.order, theta.e),
                             _bent_h_elements(P, theta))
         for side in (1, 2):  # iota routes built before the bend
             monkeypatch.delitem(P._cache, ("iota", theta.e, side),
                                 raising=False)
-        (row,) = run_checks(P, theta, names=["corner_maps"]).rows
-        assert row.status == "fail"
-        assert "routes_disagree_at" in row.witness
+        for _ in _budgets(monkeypatch):
+            (row,) = run_checks(P, theta, names=["corner_maps"]).rows
+            assert row.status == "fail"
+            assert row.witness == {"routes_disagree_at": label_to_dict(
+                qa_labels(P, 1)[1])}
 
     def test_corner_route_disagreement_survives_stripped_asserts(self):
         # python -O strips every assert; the check must still see it
@@ -562,21 +583,27 @@ class TestFactoredEmbed:
         true = V.embed_columns
 
         def bent(P_, js):
+            # entry 7 of label 11's column, in whichever block holds it
             E = true(P_, js).copy()
-            E[7, 11] = f_add(P_.ctx, int(E[7, 11]), P_.ctx.one)
+            for k in np.flatnonzero(js == 11):
+                E[7, k] = f_add(P_.ctx, int(E[7, k]), P_.ctx.one)
             return E
         monkeypatch.setattr(V, "embed_columns", bent)
-        for row in _embed_rows(P, theta):
-            assert row.status == "fail"
-            assert row.witness == {"side": 1,
-                                   "u": label_to_dict(qa_labels(P, 1)[11]),
-                                   "defect": "embedded column is not S ⊗ F"}
+        for _ in _budgets(monkeypatch):
+            for row in _embed_rows(P, theta):
+                assert row.status == "fail"
+                assert row.witness == {
+                    "side": 1, "u": label_to_dict(qa_labels(P, 1)[11]),
+                    "defect": "embedded column is not S ⊗ F"}
 
     @pytest.mark.parametrize("swap", [(10, 17), (10, 15), (11, 16)])
     def test_a_bent_side_table_fails_the_shape_gate(self, monkeypatch,
                                                     swap):
         # (3,5,2): index d p + y; the swaps of two products 3 v change
-        # the P-part, the D-part read at y' = 0, and the D-part at y' = 1
+        # the P-part, the D-part read at y' = 0, and the D-part at y' = 1.
+        # The first entry off the shape is the first swapped one, or the
+        # next (y' = 1) where the swap moved the D-part read at y' = 0
+        first = {(10, 17): 10, (10, 15): 11, (11, 16): 11}[swap]
         import mfblocks.verify as V
         P, theta = desk(3, 5, 2)
         true, g = V._mul_lanes, _embed_tables(P)["gkeys"][0].ravel()
@@ -587,12 +614,14 @@ class TestFactoredEmbed:
             keys[at] = keys[at][:, ::-1]
             return keys
         monkeypatch.setattr(V, "_mul_lanes", bent)
-        for row in _embed_rows(P, theta):
-            assert row.status == "fail"
-            assert row.witness["defect"] == "side table is not D ⋊ P"
-            # the entry g^-1 g' sits at [g, g'], so the bent row is
-            # g = 3^-1
-            assert row.witness["at"][0] == side_inv_index(P)[3]
+        for _ in _budgets(monkeypatch):
+            for row in _embed_rows(P, theta):
+                assert row.status == "fail"
+                # the entry g^-1 g' sits at [g, g'], so the bent row is
+                # g = 3^-1
+                assert row.witness == {
+                    "at": [side_inv_index(P)[3], first],
+                    "defect": "side table is not D ⋊ P"}
 
     def test_a_product_off_the_side_fails_its_gate(self, monkeypatch):
         # one product of two side-1 keys moved by the central gz
@@ -605,9 +634,10 @@ class TestFactoredEmbed:
             keys[gk[:, 0] == g[6], 9] += 1
             return keys
         monkeypatch.setattr(V, "_mul_lanes", bent)
-        for row in _embed_rows(P, theta):
-            assert row.witness == {"at": [6, 9],
-                                   "defect": "side product leaves D ⋊ P"}
+        for _ in _budgets(monkeypatch):
+            for row in _embed_rows(P, theta):
+                assert row.witness == {"at": [6, 9], "defect":
+                                       "side product leaves D ⋊ P"}
 
     def test_a_bent_label_rule_fails_the_full_suite(self, monkeypatch):
         P, theta = desk(3, 5, 2)
