@@ -14,6 +14,9 @@ zeta_p, for the group algebra.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache, reduce
+
 import numpy as np
 
 # Fields up to this many elements multiply through exp/log tables; the
@@ -22,10 +25,11 @@ import numpy as np
 _TABLE_LIMIT = 1 << 18
 
 
-def _reduce(x: np.ndarray, ell: int) -> None:
-    """x mod ell in place; floor division runs vectorized where the
-    remainder ufunc does not."""
+def _reduce(x: np.ndarray, ell: int) -> np.ndarray:
+    """x mod ell in place, returned; floor division runs vectorized
+    where the remainder ufunc does not."""
     x -= (x // ell) * ell
+    return x
 
 
 def digits(x, ell: int, n: int, axis: int = -1,
@@ -39,7 +43,7 @@ def digits(x, ell: int, n: int, axis: int = -1,
     x = np.asarray(x)
     axis = axis % (x.ndim + 1)
     out = np.empty(x.shape[:axis] + (n,) + x.shape[axis:], dtype=dtype)
-    planes = np.moveaxis(out, axis, 0)
+    planes = np.moveaxis(out, axis, 0) if axis else out
     rest = x.astype(np.min_scalar_type(-(ell ** n)))
     for s in range(n - 1):
         high = rest // ell
@@ -50,24 +54,47 @@ def digits(x, ell: int, n: int, axis: int = -1,
     return out
 
 
+@lru_cache(maxsize=None)
+def _sum_table(ell: int):
+    """The widest block k with ell^(2k) <= 2^16 and the carry-free sums
+    of two k-digit blocks a, b at a ell^k + b, in the narrowest type;
+    past ell = 2^8 no block fits, k is 1 and there is no table."""
+    k = max(k for k in range(9) if ell ** (2 * k) <= 1 << 16)
+    if k == 0:
+        return 1, None
+    w = ell ** k
+    table = np.zeros((w, w), dtype=np.int16)
+    # a digit at a time, so the build holds a few tables at most
+    for s, plane in enumerate(digits(np.arange(w), ell, k, 0, np.int16)):
+        table += _reduce(plane[:, None] + plane, ell) * ell ** s
+    return k, table.ravel().astype(np.min_scalar_type(w - 1))
+
+
 def digit_sum(a, b, ell: int, n: int) -> np.ndarray:
     """a + b digit by digit mod ell, with no carry, for packed base-ell
-    ints below ell^n that broadcast: XOR at ell = 2.  The digit axis
-    leads, so operands of unequal rank are first broadcast in full."""
+    ints below ell^n that broadcast: XOR at ell = 2, otherwise one
+    gather in _sum_table's table per block of k digits, low block first,
+    each split off by floor division."""
     if ell == 2:
         return a ^ b
-    if np.ndim(a) != np.ndim(b):
-        a, b = np.broadcast_arrays(a, b)
-    dtype = np.min_scalar_type(2 * ell)
-    s = digits(a, ell, n, 0, dtype) + digits(b, ell, n, 0, dtype)
-    # unsigned, s - ell wraps above s exactly where s < ell
-    return undigits(np.minimum(s, s - ell), ell, axis=0)
+    k, table = _sum_table(ell)
+    a, b, w = np.asarray(a, np.int64), np.asarray(b, np.int64), ell ** k
+    for lo in range(0, n, k):
+        ra, rb = a, b
+        if lo + k < n:
+            a, b = a // w, b // w
+            ra, rb = ra - a * w, rb - b * w
+        s = _reduce(ra + rb, ell) if table is None else \
+            table.take(ra * w + rb).astype(np.int64)
+        out = s if lo == 0 else out + s * ell ** lo
+    return out
 
 
 def undigits(D, ell: int, axis: int = -1) -> np.ndarray:
     """The int64 packing of base-ell digits in [0, ell) along axis, the
     inverse of digits."""
-    D = np.moveaxis(np.asarray(D), axis, 0)
+    D = np.asarray(D)
+    D = np.moveaxis(D, axis, 0) if axis % D.ndim else D
     out = D[-1].astype(np.int64)
     for s in range(len(D) - 2, -1, -1):
         out *= ell
@@ -76,18 +103,7 @@ def undigits(D, ell: int, axis: int = -1) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -173,7 +189,6 @@ class FieldContext:
         self.order = ell**d
         self.modulus = modulus  # length d+1, little-endian, monic
         self.generator = generator
-        self.zero = 0
         self.one = 1 % self.order
         # the digits of x^d = -(modulus below degree d)
         self._fold = [(-c) % ell for c in modulus[:d]]
@@ -188,11 +203,7 @@ class FieldContext:
 
     def to_coeffs(self, x: int) -> list[int]:
         """Little-endian coefficient list of length d (the JSON form)."""
-        out = []
-        for _ in range(self.d):
-            out.append(x % self.ell)
-            x //= self.ell
-        return out
+        return digits(x, self.ell, self.d).tolist()
 
     def from_int(self, n: int) -> int:
         """Embed a prime-field residue (constant polynomial)."""
@@ -206,29 +217,20 @@ class FieldContext:
         ell = self.ell
         if ell == 2:
             acc = 0
-            bb = b
-            sh = 0
-            while bb:
-                if bb & 1:
+            for sh in range(b.bit_length()):
+                if b >> sh & 1:
                     acc ^= a << sh
-                bb >>= 1
-                sh += 1
-            # reduce degree-by-degree with the packed modulus
-            deg = acc.bit_length() - 1
-            while deg >= self.d:
-                acc ^= self._fold_word << (deg - self.d)
-                deg = acc.bit_length() - 1
+            # reduce degree by degree with the packed modulus
+            while acc.bit_length() > self.d:
+                acc ^= self._fold_word << (acc.bit_length() - 1 - self.d)
             return acc
         return int(undigits(_poly_mulmod(self.to_coeffs(a), self.to_coeffs(b),
                                          list(self.modulus), ell), ell))
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            q1 = self.order - 1
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % q1])
-        return self._raw_mul(a, b)
+        if self._exp is None:
+            return self._raw_mul(a, b)
+        return int(self.vmul(a, b))
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -245,8 +247,7 @@ class FieldContext:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_{ell^d}")
         if self._exp is not None:
-            q1 = self.order - 1
-            return int(self._exp[(q1 - int(self._log[a])) % q1])
+            return int(self._exp[self.order - 1 - int(self._log[a])])
         return self.pow(a, self.order - 2)
 
     # -- tables and vector kernels -------------------------------------------
@@ -276,18 +277,18 @@ class FieldContext:
         self._exp = exp
         self._log = log
 
-    def times_x(self, digits: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Base-ell digits of x b from those of b along axis: the digits
-        move up one place and the top one comes back as
-        top x^d = -top (modulus below degree d)."""
-        digits = np.moveaxis(digits, axis, 0)
-        out = np.empty_like(digits)
-        out[1:] = digits[:-1]
-        out[0] = 0
-        fold = np.array(self._fold, dtype=out.dtype)
-        out += digits[-1] * fold.reshape((-1,) + (1,) * (out.ndim - 1))
-        _reduce(out, self.ell)
-        return np.moveaxis(out, 0, axis)
+    def x_planes(self, b: np.ndarray, dtype):
+        """The digit planes, axis 0, of x^s b for s < d, each from the
+        last: the digits move up one place and the top one comes back
+        as top x^d = -top (modulus below degree d)."""
+        planes = digits(b, self.ell, self.d, 0, dtype)
+        fold = np.array(self._fold, dtype).reshape((-1,) + (1,) * np.ndim(b))
+        yield planes
+        for _ in range(self.d - 1):
+            top, planes = planes[-1], np.roll(planes, 1, axis=0)
+            planes[0] = 0
+            planes += top * fold
+            yield _reduce(planes, self.ell)
 
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a b without tables: the sum of a_s (x^s b) over the digits a_s
@@ -307,13 +308,10 @@ class FieldContext:
         # the sums stay below d (ell - 1)^2 before the one reduction
         dtype = np.min_scalar_type(-(d * (ell - 1) ** 2 + 1))
         b = b.reshape((1,) * (len(shape) - b.ndim) + b.shape)
-        planes = digits(b, ell, d, axis=0, dtype=dtype)
-        a = digits(a, ell, d, axis=0, dtype=dtype)
         acc = np.zeros((d,) + shape, dtype=dtype)
-        for s in range(d):
-            acc += a[s] * planes
-            if s + 1 < d:
-                planes = self.times_x(planes)
+        for a_s, planes in zip(digits(a, ell, d, axis=0, dtype=dtype),
+                               self.x_planes(b, dtype)):
+            acc += a_s * planes
         return self.pack_planes(acc)
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,25 +322,16 @@ class FieldContext:
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
         return self.vmul(np.int64(c), a)
 
-    def _planes(self, a: np.ndarray) -> np.ndarray:
-        """The digit planes of a, axis 0, in a type that holds 2 ell."""
-        return digits(a, self.ell, self.d, axis=0,
-                      dtype=np.min_scalar_type(-2 * self.ell))
-
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return digit_sum(a, b, self.ell, self.d)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
-        if self.ell == 2:
-            return a.copy()
-        return undigits(-self._planes(a) % self.ell, self.ell, axis=0)
+        """-a: a copy at ell = 2, otherwise a product by ell - 1 = -1."""
+        return a.copy() if self.ell == 2 else self.vscale(self.ell - 1, a)
 
     def vfrob(self, a: np.ndarray) -> np.ndarray:
         """a^ell, as ell - 1 products."""
-        out = a
-        for _ in range(self.ell - 1):
-            out = self.vmul(out, a)
-        return out
+        return reduce(self.vmul, [a] * self.ell)
 
     def digit_plane(self, a: np.ndarray, k: int) -> np.ndarray:
         """k-th base-ell digit of every packed element."""
@@ -368,7 +357,8 @@ class FieldContext:
             return out
         top = max(len(coeffs), 1) * self.ell
         sums = np.empty((self.d, size), dtype=np.min_scalar_type(-top))
-        for k, plane in enumerate(self._planes(coeffs)):
+        for k, plane in enumerate(digits(coeffs, self.ell, self.d, 0,
+                                         np.min_scalar_type(self.ell))):
             sums[k] = np.bincount(bins, weights=plane, minlength=size)
         _reduce(sums, self.ell)
         return undigits(sums, self.ell, axis=0)
@@ -394,27 +384,16 @@ def field_make(ell: int, d: int) -> FieldContext:
         raise ValueError(f"ell = {ell} is not prime")
     if field_refusal(ell, d):
         raise ValueError(field_refusal(ell, d))
-    modulus = None
-    for low in range(ell**d):
-        cand = digits(low, ell, d).tolist() + [1]
-        if _poly_is_irreducible(cand, ell):
-            modulus = tuple(cand)
-            break
-    if modulus is None:
-        raise RuntimeError(f"no irreducible modulus of degree {d} over"
-                           f" F_{ell}")
+    # the smallest monic irreducible modulus, then the smallest g with
+    # g^((q-1)/f) != 1 for every prime f of q - 1; both always exist
+    modulus = next(tuple(m) for m in (digits(low, ell, d).tolist() + [1]
+                                      for low in range(ell ** d))
+                   if _poly_is_irreducible(m, ell))
     ctx = FieldContext(ell, d, modulus, generator=1, build_tables=False)
-    q1 = ctx.order - 1
-    fac = factorize(q1) if q1 > 1 else {}
-    gen = None
-    for g in range(1, ctx.order):
-        if all(ctx.pow(g, q1 // q) != ctx.one for q in fac) and ctx.pow(g, q1) == ctx.one:
-            gen = g
-            break
-    if gen is None:
-        raise RuntimeError(f"no generator of F_{ell}^{d} found")
-    out = FieldContext(ell, d, modulus, gen)
-    return out
+    q1, fac = ctx.order - 1, factorize(ctx.order - 1)
+    gen = next(g for g in range(1, ctx.order)
+               if all(ctx.pow(g, q1 // f) != ctx.one for f in fac))
+    return FieldContext(ell, d, modulus, gen)
 
 
 def root_of_unity(ctx: FieldContext, m: int) -> int:
@@ -422,8 +401,6 @@ def root_of_unity(ctx: FieldContext, m: int) -> int:
     if m <= 0:
         raise ValueError("m must be positive")
     q1 = ctx.order - 1
-    if m == 1:
-        return ctx.one
     if q1 % m != 0:
         raise ValueError(f"{m} does not divide {q1}: F_{{{ctx.ell}^{ctx.d}}}"
                          f" is not a splitting field for C_{m}")

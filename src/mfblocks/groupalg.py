@@ -15,10 +15,10 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .field import digit_sum
+from .field import _reduce, digit_sum
 from .groups import (
     GroupElem, Params, d_digits, d_key, d_scale, group_inv, h_elem,
-    key_array, key_cols, key_join, key_z, l_fourier, pack_key, root_powers,
+    key_array, key_cols, key_z, l_fourier, pack_key, root_powers,
 )
 
 # Most lanes, counted as entries of its widest array, that one block of
@@ -138,22 +138,30 @@ def _tables(P: Params) -> dict:
 
 
 def _mul_lanes(P: Params, gk: np.ndarray, hk: np.ndarray):
-    """Packed product keys for broadcastable key arrays, through the
-    action tables of _tables."""
-    tabs, r, p, n = _tables(P), P.r, P.p, P.p - 1
+    """Packed product keys for broadcastable key arrays, through flat
+    takes in the action tables of _tables.  Each sum is bounded, and
+    field._reduce's floor division reduces it: no lane takes a
+    remainder.  The key is built in place, a part at a time."""
+    tabs, r, p, dsz = _tables(P), P.r, P.p, P.dsz
     gd1, gx1, gd2, gx2, ga, gb, gc = key_cols(P, gk)
     hd1, hx1, hd2, hx2, ha, hb, hc = key_cols(P, hk)
-    s1 = (-ga) % r
-    s2 = (-gb) % r
-    g0 = np.array(P._g0pow)
-    # the D-parts of h, twisted by the H-part of g and shifted by its
-    # P-part, then added to those of g; each lane-sized temporary is
-    # dropped as soon as the next exists
-    v1 = digit_sum(gd1, tabs["trans"][gx1, tabs["scale"][s1, hd1]], P.ell, n)
-    v2 = digit_sum(gd2, tabs["trans"][gx2, tabs["scale"][s2, hd2]], P.ell, n)
-    return key_join(P, v1, (gx1 + g0[s1] * hx1) % p,
-                    v2, (gx2 + g0[s2] * hx2) % p,
-                    (ga + ha) % r, (gb + hb) % r, (gc + hc - ha * gb) % r)
+    g0, key = np.array(P._g0pow), 0
+    for gd, gx, hd, hx, t in ((gd1, gx1, hd1, hx1, ga),
+                              (gd2, gx2, hd2, hx2, gb)):
+        # the side of h relabelled by g0^-t (row -t of scale: a negative
+        # index wraps once) and shifted by gx, then added to that of g
+        lanes = tabs["scale"].take(hd - t * dsz)
+        lanes += gx * dsz
+        lanes = digit_sum(gd, tabs["trans"].take(lanes), P.ell, p - 1)
+        key *= dsz
+        key += lanes
+        key *= p
+        key += _reduce(g0[-t] * hx + gx, p)
+    for part in (lambda: ga + ha, lambda: gb + hb,
+                 lambda: gc + hc - ha * gb):
+        key *= r
+        key += _reduce(part(), r)
+    return key
 
 
 def _lane_runs(n: int, lanes):

@@ -344,13 +344,13 @@ def key_cols(P: Params, keys):
     dsz, p, dsz, p, r, r, r.  Plain integer arithmetic, so the same code
     is exact on Python ints and runs lane-wise on int64 arrays.
     """
-    keys, c = divmod(keys, P.r)
-    keys, b = divmod(keys, P.r)
-    keys, a = divmod(keys, P.r)
-    keys, x2 = divmod(keys, P.p)
-    keys, d2 = divmod(keys, P.dsz)
-    d1, x1 = divmod(keys, P.p)
-    return d1, x1, d2, x2, a, b, c
+    cols = []
+    for radix in (P.r, P.r, P.r, P.p, P.dsz, P.p):
+        high = keys // radix
+        cols.append(keys - high * radix)
+        keys = high
+    c, b, a, x2, d2, x1 = cols
+    return keys, x1, d2, x2, a, b, c
 
 
 def key_join(P: Params, d1, x1, d2, x2, a, b, c):

@@ -7,11 +7,11 @@ A B is one float BLAS call on the F_ell-linear form of its operands:
   out[i, c] = sum_k ell^k (sum_{j,s} a_s[i, j] b'_{s,k}[j, c] mod ell)
 
 where a_s is digit s of A and b'_{s,k} is digit k of x^s B.  The left
-operand becomes the (m, d*k) matrix of its digits, the right one the
-(d*k, d*n) matrix of the digits of x^0 B, ..., x^(d-1) B, each built
-from the last by shifting the digits up and folding the top digit back
-through the modulus.  Every entry of the float product is a sum of at
-most d*k terms below ell^2, so it is exact in float32 while
+operand is the (m, d*k) matrix of A's digits (gf_digits), the right one
+B's planes (gf_planes), the (d*k, d*n) matrix of the digits of x^0 B,
+..., x^(d-1) B; a caller that multiplies by one B many times builds
+them once and calls gf_times.  Every entry of the float product is a
+sum of at most d*k terms below ell^2, so it is exact in float32 while
 d*k*(ell-1)^2 < 2^24 and in float64 while it is below 2^53.
 Elimination uses the context's row kernels.
 """
@@ -40,29 +40,40 @@ def _int_type(top: int) -> np.dtype:
     return np.min_scalar_type(-(top + 1))
 
 
+def gf_planes(ctx: FieldContext, B: np.ndarray) -> np.ndarray:
+    """The (d*k, d*n) float right operand of B (k, n), the digits of
+    x^s B for s < d: built once, it serves every gf_times by B."""
+    d, ell, (k, n) = ctx.d, ctx.ell, B.shape
+    right = np.empty((d, k, d, n), dtype=_float_type(d, k, ell))
+    for s, planes in enumerate(ctx.x_planes(B, _int_type(ell * ell))):
+        right[s] = planes.swapaxes(0, 1)
+    return right.reshape(d * k, d * n)
+
+
+def gf_digits(ctx: FieldContext, A: np.ndarray, right) -> np.ndarray:
+    """The digits (m, d, k) of A (m, k) in the float type of right."""
+    return digits(A, ctx.ell, ctx.d, axis=1, dtype=right.dtype)
+
+
+def gf_times(ctx: FieldContext, A: np.ndarray, right) -> np.ndarray:
+    """A B from A, packed or as its digits (gf_digits), and the planes
+    right of B (gf_planes), as one float matmul.  Each stage is dropped
+    once the next exists and the sums are reduced in the narrowest type:
+    peak memory is the cost that grows with A."""
+    d, ell, m, (dk, dn) = ctx.d, ctx.ell, len(A), right.shape
+    left = A if A.ndim == 3 else gf_digits(ctx, A, right)
+    sums = left.reshape(m, dk) @ right
+    del left
+    red = sums.astype(_int_type(dk * (ell - 1) ** 2)).reshape(m, d, dn // d)
+    del sums
+    return undigits(_reduce(red, ell), ell, axis=1)
+
+
 def gf_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of packed matrices, as one float matmul."""
-    d, ell = ctx.d, ctx.ell
+    """Exact product of packed matrices: gf_times by B's planes."""
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
-    (m, k), n = A.shape, B.shape[1]
-    ftype = _float_type(d, k, ell)
-    left = digits(A, ell, d, axis=1, dtype=ftype)
-    planes = digits(B, ell, d, axis=1, dtype=_int_type(ell * ell))
-    right = np.empty((d, k, d, n), dtype=ftype)
-    right[0] = planes
-    for s in range(1, d):
-        planes = ctx.times_x(planes, axis=1)
-        right[s] = planes
-    sums = left.reshape(m, d * k) @ right.reshape(d * k, d * n)
-    # each operand and stage is dropped as soon as the next one exists,
-    # and the reduction runs in the narrowest type: peak memory is the
-    # cost that grows with the operands
-    del left, right
-    red = sums.astype(_int_type(d * k * (ell - 1) ** 2)).reshape(m, d, n)
-    del sums
-    _reduce(red, ell)
-    return undigits(red, ell, axis=1)
+    return gf_times(ctx, A, gf_planes(ctx, B))
 
 
 def gf_apply_axis(ctx: FieldContext, M: np.ndarray, T: np.ndarray,

@@ -243,8 +243,7 @@ def _route_cols(P: Params, route: dict, psi: np.ndarray, m: np.ndarray,
     for row, wrow in zip(route["pos"], wt):
         s = reduce(ctx.vadd, (ctx.vscale(int(x), X[:, :, t])
                               for t, x in enumerate(wrow)))
-        # an all-zero target needs no addition
-        out[row] = ctx.vadd(out[row], s) if out[row].any() else s
+        out[row] = ctx.vadd(out[row], s)
     return out
 
 

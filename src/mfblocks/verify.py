@@ -40,7 +40,7 @@ from .groupalg import (
     block_fold, block_idempotent, block_mul, centralizes_block_H, ga_mul,
     ga_frobenius_twist, ga_from_terms,
 )
-from .linalg import gf_matmul
+from .linalg import gf_digits, gf_matmul, gf_planes, gf_times
 from .morita import (
     commutation_pairing, ext_dim, fp_automorphism, head_algebra, head_batch,
     mf_number, morita_equivalent, params_for_target, recover_theta,
@@ -150,21 +150,21 @@ def _check_dimensions(P: Params, theta: Character, suite: str,
 def _check_group_relations(P: Params, theta: Character, suite: str,
                            rng: random.Random) -> Optional[dict]:
     r = P.r
-    hs = [(a, b, c) for a in range(r) for b in range(r) for c in range(r)]
+    el = {h: h_elem(P, *h) for h in itertools.product(range(r), repeat=3)}
+    hs = list(el)
     pairs = itertools.product(hs, hs)
     if suite == "quick" and len(hs) ** 2 > 20000:
         pairs = (((rng.choice(hs)), rng.choice(hs)) for _ in range(2000))
     for (a, b, c), (a2, b2, c2) in pairs:
-        got = group_mul(P, h_elem(P, a, b, c), h_elem(P, a2, b2, c2))
-        if got != h_elem(P, a + a2, b + b2, c + c2 - a2 * b):
+        got = group_mul(P, el[a, b, c], el[a2, b2, c2])
+        if got != el[(a + a2) % r, (b + b2) % r, (c + c2 - a2 * b) % r]:
             return {"left": [a, b, c], "right": [a2, b2, c2]}
-    for g in (h_elem(P, 1, 0, 0), h_elem(P, 0, 1, 0), h_elem(P, 0, 0, 1)):
+    for g in (el[1, 0, 0], el[0, 1, 0], el[0, 0, 1]):
         if reduce(partial(group_mul, P), [g] * r) != identity(P):
             return {"generator_without_order_r": elem_to_dict(g)}
     gens = [d_elem(P, 1, 1), p_elem(P, 1, 1), d_elem(P, 2, 1),
             p_elem(P, 2, 1)]
-    kernel = {h for h in hs
-              if all(conjugate(P, g, h_elem(P, *h)) == g for g in gens)}
+    kernel = {h for h in hs if all(conjugate(P, g, el[h]) == g for g in gens)}
     if kernel != {(0, 0, c) for c in range(r)}:
         return {"action_kernel_size": len(kernel), "expected": r}
     return None
@@ -230,22 +230,27 @@ def _embed_products(P: Params, data: dict, delta: np.ndarray,
     the D-vectors of their products over all v, got[i, v] = Ẑ[b_us[i] -
     b_v, a_u, :, a_v] (see _embed_all_pairs), from the factors of E and
     the D-parts delta of the side table.  Z is formed on the columns
-    S[:, rows] alone, a run of d' at a time (_lane_runs)."""
+    S[:, rows] alone, a run of d' at a time (_lane_runs), from planes of
+    S[:, rows] and of F and digits of S that are built once."""
     ctx, p, dsz = P.ctx, P.p, P.dsz
+    S, F = _embed_tables(P)["S"], _embed_tables(P)["F"]
+    right, Fp = gf_planes(ctx, S[:, rows]), gf_planes(ctx, F)
+    Sd = gf_digits(ctx, S, right)
     # every entry is a field element below q
     q = np.min_scalar_type(ctx.order - 1)
-    S, F = _embed_tables(P)["S"].astype(q), _embed_tables(P)["F"]
     Z = np.empty((p, dsz * dsz, len(rows)), dtype=q)
     for t, (lo, hi) in itertools.product(range(p),
                                          _lane_runs(dsz, dsz * dsz)):
-        # Z[t, (d', a_v), i] = sum_d S[δ(d, t, d'), a_v] S[d, rows[i]]
-        left = S[delta[:, t, lo:hi].T].transpose(0, 2, 1)
-        Z[t, lo * dsz:hi * dsz] = gf_matmul(
-            ctx, left.reshape(-1, dsz), S[:, rows])
+        # Z[t, (d', a_v), i] = sum_d S[δ(d, t, d'), a_v] S[d, rows[i]],
+        # the digits of the left factor at [d', a_v, :, d]
+        left = Sd[delta[:, t, lo:hi].T].transpose(0, 3, 2, 1)
+        Z[t, lo * dsz:hi * dsz] = gf_times(
+            ctx, left.reshape((-1,) + Sd.shape[1:]), right)
+    del left, right, Sd
     a, b = np.divmod(data["slot"], p)
     for i, au in enumerate(rows):
         # Ẑ[c, d', a_v] = sum_y F[y, c] Z[y, (d', a_v), i]
-        Zh = gf_matmul(ctx, Z[:, :, i].T, F).astype(Z.dtype).T.reshape(
+        Zh = gf_times(ctx, Z[:, :, i].T, Fp).astype(Z.dtype).T.reshape(
             p, dsz, dsz)
         us = np.flatnonzero(a == au)
         yield us, Zh[(b[us, None] - b) % p, :, a]

@@ -10,7 +10,8 @@ from sympy.polys.domains import GF
 
 from mfblocks import make_char, run_checks
 from mfblocks.field import (
-    FieldContext, digits, field_make, root_of_unity, undigits,
+    FieldContext, _sum_table, digit_sum, digits, field_make, root_of_unity,
+    undigits,
 )
 from mfblocks.groups import (
     d_digits, d_key, d_pack, digit_dtype, params_make,
@@ -407,3 +408,41 @@ class TestDigitKernels:
             total = f_add(ctx, total, c)
         assert ctx.bin_sum(np.zeros(300, dtype=np.int64), 1, top).tolist() \
             == [total]
+
+
+def _digit_by_digit(a: int, b: int, ell: int, n: int) -> int:
+    """The carry-free sum of two packed base-ell ints, one digit at a
+    time: the reference for field.digit_sum."""
+    return sum((a // ell ** s % ell + b // ell ** s % ell) % ell * ell ** s
+               for s in range(n))
+
+
+class TestDigitSum:
+    """digit_sum's block tables against the digit-by-digit sum, at block
+    counts 1, 2 and 3 and at the most digits an int64 holds; ell = 257
+    has no table and sums one digit at a time."""
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 67, 257])
+    def test_against_digit_by_digit(self, ell):
+        k, table = _sum_table(ell)
+        most = max(n for n in range(1, 25) if ell ** n < 2 ** 63)
+        rng = np.random.default_rng(ell)
+        for n in sorted({1, k, k + 1, 2 * k + 1, most}):
+            full = ell ** n - 1  # every digit ell - 1
+            a = rng.integers(0, ell ** n, 300)
+            b = rng.integers(0, ell ** n, 300)
+            a[:4], b[2:6] = full, full
+            b[10:20] = 0
+            want = [_digit_by_digit(x, y, ell, n)
+                    for x, y in zip(a.tolist(), b.tolist())]
+            got = digit_sum(a, b, ell, n)
+            assert got.dtype == np.int64 and got.tolist() == want
+            # broadcast: rows against columns, and a scalar operand
+            rows, cols = a[:12], b[:9]
+            assert digit_sum(rows[:, None], cols, ell, n).tolist() == [
+                [_digit_by_digit(x, y, ell, n) for y in cols.tolist()]
+                for x in rows.tolist()]
+            assert digit_sum(a, full, ell, n).tolist() == [
+                _digit_by_digit(x, full, ell, n) for x in a.tolist()]
+            assert digit_sum(cols, rows[:, None, None], ell, n).shape == \
+                (12, 1, 9)

@@ -19,7 +19,7 @@ from reference import (
     ga_scale, ga_sub, ga_unit, side_inv_index, side_mul_table, unpack_key,
 )
 from mfblocks.groups import (
-    GroupElem, _side_mul, conjugate, d_pack, group_inv, group_mul,
+    GroupElem, Params, _side_mul, conjugate, d_pack, group_inv, group_mul,
     h_elem, identity, p_elem, pack_key, params_make,
 )
 from mfblocks.twisted import (
@@ -552,6 +552,39 @@ class TestActionTables:
             flat.tolist()
         assert digit_sum(ex, int(ex[-1]), ell, p - 1).tolist() == \
             flat[len(ex) - 1::len(ex)].tolist()
+
+    @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (5, 3, 2),
+                                         (7, 3, 2), (3, 13, 4)])
+    def test_lanes_match_group_mul_in_every_call_shape(self, ell, p, r):
+        # _mul_lanes against group_mul on random keys, about half of
+        # whose D-vectors have every digit ell - 1, in each broadcast
+        # shape the library calls it with; a fresh Params, so that the
+        # 16M-entry tables of (3,13,4) go with the test
+        P = Params(ell, p, r)
+        rng = random.Random(ell * p * r)
+        top = [0] + [ell - 1] * (p - 1)
+
+        def elem():
+            v1, v2 = (top if rng.random() < 0.5 else
+                      [0] + [rng.randrange(ell) for _ in range(p - 1)]
+                      for _ in range(2))
+            return GroupElem(v1, rng.randrange(p), v2, rng.randrange(p),
+                             *(rng.randrange(r) for _ in range(3)))
+
+        gs, hs = [elem() for _ in range(12)], [elem() for _ in range(9)]
+        gk, hk = (np.array([pack_key(P, g) for g in xs]) for xs in (gs, hs))
+        gh = [[group_mul(P, g, h) for h in hs] for g in gs]
+        want = np.array([[pack_key(P, x) for x in row] for row in gh])
+        lanes = galg._mul_lanes
+        got = lanes(P, gk[:, None], hk)  # (rows, 1) x (cols,)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(lanes(P, gk[:1], hk), want[0])
+        assert np.array_equal(lanes(P, gk, hk[:1]), want[:, 0])
+        assert np.array_equal(lanes(P, gk[None], hk[:, None]), want.T)
+        # (t, 1, 1) x (m, n), the conjugation shape of the closed route
+        assert np.array_equal(lanes(P, gk[:3, None, None], want), [
+            [[pack_key(P, group_mul(P, g, x)) for x in row] for row in gh]
+            for g in gs[:3]])
 
     @pytest.mark.parametrize("ell,p,r", [(2, 7, 3), (3, 5, 2), (5, 3, 2)])
     def test_x_scaling_matches_group_mul(self, ell, p, r):

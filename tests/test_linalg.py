@@ -5,7 +5,8 @@ import pytest
 
 from mfblocks.field import field_make
 from mfblocks.linalg import (
-    _float_type, gf_apply_axis, gf_eye, gf_inv_matrix, gf_matmul, gf_rank,
+    _float_type, gf_apply_axis, gf_digits, gf_eye, gf_inv_matrix, gf_matmul,
+    gf_planes, gf_rank, gf_times,
 )
 from reference import f_add
 
@@ -55,6 +56,29 @@ class TestMatmul:
         A = rand_matrix(ctx, rng, (6, 6))
         assert np.array_equal(gf_matmul(ctx, A, gf_eye(6)), A)
         assert np.array_equal(gf_matmul(ctx, gf_eye(6), A), A)
+
+
+@pytest.mark.parametrize("ell,d", [(2, 6), (3, 4), (2, 20)])
+def test_planes_built_once_serve_every_product(ell, d):
+    # gf_planes of one B, then gf_times by it for left operands of
+    # several heights, packed and as their digits, against gf_matmul and
+    # the naive product over F_64, F_81 and F_{2^20}; the planes are
+    # left as they were built
+    ctx = field_make(ell, d)
+    rng = np.random.default_rng(ell + d)
+    B = rand_matrix(ctx, rng, (5, 4))
+    right = gf_planes(ctx, B)
+    kept = right.copy()
+    assert right.shape == (d * 5, d * 4)
+    for m in (0, 1, 7):
+        A = rand_matrix(ctx, rng, (m, 5))
+        want = naive_matmul(ctx, A, B)
+        assert np.array_equal(gf_matmul(ctx, A, B), want)
+        assert np.array_equal(gf_times(ctx, A, right), want)
+        left = gf_digits(ctx, A, right)
+        assert left.shape == (m, d, 5) and left.dtype == right.dtype
+        assert np.array_equal(gf_times(ctx, left, right), want)
+    assert np.array_equal(right, kept)
 
 
 def test_shape_mismatch_raises():

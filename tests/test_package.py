@@ -1,8 +1,9 @@
 """Rules on the package as a whole: a bound on its lines that only goes
 down, no assert in the library, no sympy at import, the field's tables
 and digit layout known to the field alone, no field table but exp and
-log, no relabelling table per unit, the side product and the field sum
-of colliding keys written once, no product table but trans and scale,
+log, one small digit-sum table per ell held by no field, no
+relabelling table per unit, the side product and the field sum of
+colliding keys written once, no product table but trans and scale,
 no scalar group law under the label constants, one power table per
 root of unity, no cached iota matrix, equality written only for the
 array-holding elements, one block budget, and a library or CLI caller
@@ -21,8 +22,8 @@ import pytest
 
 import mfblocks
 from mfblocks import make_char, params_make, run_checks
-from mfblocks.field import field_make
-from mfblocks.groupalg import _tables
+from mfblocks.field import FieldContext, _sum_table, field_make, is_prime
+from mfblocks.groupalg import _mul_lanes, _tables
 from mfblocks.groups import Params, l_fourier
 from mfblocks.twisted import _iota_table
 
@@ -119,6 +120,34 @@ def test_product_tables_are_trans_and_scale(cfg):
     # the D-addition and the x-scaling run on the lanes, through
     # field.digit_sum and g0^s x mod p: no dsz^2 or r x p table
     assert set(_tables(params_make(*cfg))) == {"trans", "scale"}
+
+
+def test_digit_sum_tables_are_small_cached_and_held_by_no_field():
+    # field.digit_sum at ell > 2 gathers from one block table per ell,
+    # cached by field._sum_table: for every prime ell <= 59 it has at
+    # most 2^16 entries in its narrowest type, a second round of sums
+    # builds none, and neither a FieldContext nor a Params holds it;
+    # the lanes that add through it leave the product tables trans and
+    # scale, as test_product_tables_are_trans_and_scale has it
+    primes = [ell for ell in range(2, 60) if is_prime(ell)]
+    tables = {ell: _sum_table(ell) for ell in primes}
+    misses = _sum_table.cache_info().misses
+    for ell in primes:
+        k, table = tables[ell]
+        assert table.size == ell ** (2 * k) <= 2 ** 16 < ell ** (2 * k + 2)
+        assert table.dtype == np.min_scalar_type(ell ** k - 1)
+        ctx = field_make(ell, 2)
+        x = np.arange(ctx.order)
+        assert ctx.vadd(x, ctx.vneg(x)).tolist() == [0] * ctx.order
+        assert _sum_table(ell)[1] is table
+        assert all(value is not table for value in
+                   [*vars(ctx).values(), *vars(FieldContext).values()])
+    P = Params(3, 5, 2)
+    keys = np.arange(0, 405 * 405 * 8, 9973)
+    _mul_lanes(P, keys[:, None], keys)
+    assert _sum_table.cache_info().misses == misses
+    assert set(_tables(P)) == {"trans", "scale"}
+    assert all(value is not tables[3][1] for value in P._cache.values())
 
 
 def test_label_constants_use_no_scalar_group_law():
